@@ -10,8 +10,16 @@ arc l, two ratios are tracked:
 Periodic curves use a one-way arc along the periodic extension (the curve
 plus one offset copy), where only d/l makes sense.
 
-All pairwise computations use one fixed elementwise arithmetic order so
-results are reproducible bit-for-bit regardless of CSF_THREADS.
+One pair kernel, ``_pair_blocks``, serves every reduction.  It walks row
+blocks of about ``_BLOCK_CELLS`` cells and gives, for each, the chords, the
+arcs and the excluded cells.  Closed curves take all columns, the shorter
+arc and a cyclic band of ``exclusion_band`` steps around the diagonal;
+periodic curves take columns lo+band+1 .. hi+n-1 of the extension, the
+forward arc, and exclude gaps j-i outside [band+1, n].  Only the output of
+``ratio_field`` is n x n: ``ratio_minima`` and ``min_pair_ratio`` keep
+running minima.  CSF_THREADS (capped at the CPU count) maps the per-block
+function over a thread pool; each cell has one fixed arithmetic order and
+minima are exact, so results never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -43,6 +51,11 @@ METRICS = (D_OVER_L, D_OVER_PSI)
 
 MIN_FIELD_VERTICES = 16
 
+# cells per row block of the pair kernel, max(1, _BLOCK_CELLS // n) rows;
+# block arrays of about 64 KB stay below glibc's 128 KB mmap threshold, so
+# blocks reuse heap memory instead of faulting in fresh pages for each block
+_BLOCK_CELLS = 2**13
+
 
 def comparison_chord(arc: np.ndarray | float, length: float):
     """Chord of a round circle of circumference ``length`` spanning ``arc``."""
@@ -55,11 +68,11 @@ def arc_angle(arc: np.ndarray | float, length: float):
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("CSF_THREADS", "")
     try:
-        return max(1, int(raw))
+        requested = int(os.environ.get("CSF_THREADS", ""))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,40 +88,80 @@ class RatioField:
         return self.values.shape[0]
 
 
-def _pair_blocks(curve: SampledCurve, metric: str, band: int) -> np.ndarray:
-    """Compute the full n x n ratio matrix, chunked over row blocks."""
-    pts = curve.points
+def _check_reduction(curve: SampledCurve, metric: str, band: int) -> None:
+    # a metric defined for the topology, and a band that leaves some pair
+    if metric not in METRICS:
+        raise InvalidArgumentError(f"unknown metric {metric!r}")
+    if curve.topology != CLOSED and (curve.topology, metric) != (PERIODIC, D_OVER_L):
+        raise UnsupportedTopologyError(
+            f"no {metric} pair ratios for {curve.topology!r} curves"
+        )
+    limit = curve.n // 2 if curve.topology == CLOSED else curve.n  # largest gap
+    if not 1 <= band < limit:
+        raise InvalidArgumentError(
+            f"exclusion_band must be in [1, {limit}) at n={curve.n}, got {band}"
+        )
+
+
+def _periodic_extension(curve: SampledCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The curve plus one offset copy, and the arc positions of its 2n vertices."""
+    ext = np.vstack([curve.points, curve.points + curve.offset])
+    seg = np.linalg.norm(np.diff(ext, axis=0), axis=1)
+    return ext, np.concatenate([[0.0], np.cumsum(seg)])
+
+
+def _pair_blocks(curve: SampledCurve, band: int, fn) -> list:
+    """The pair kernel: fn(lo, hi, ratio) for every row block, in order.
+
+    For rows lo:hi it computes the chords d, the arcs l and the excluded
+    cells once; ``ratio(metric)`` is that block of the ratio table with the
+    excluded cells set to NaN.
+    """
     n = curve.n
-    s, length = arc_positions(curve)
-    px, py, pz = pts[:, 0], pts[:, 1], pts[:, 2]
-    idx = np.arange(n)
-    out = np.empty((n, n))
-
-    def fill(lo: int, hi: int) -> None:
-        dx = px[lo:hi, None] - px[None, :]
-        dy = py[lo:hi, None] - py[None, :]
-        dz = pz[lo:hi, None] - pz[None, :]
-        d = np.sqrt(dx * dx + dy * dy + dz * dz)
-        fwd = np.abs(s[lo:hi, None] - s[None, :])
-        arc = np.minimum(fwd, length - fwd)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            if metric == D_OVER_L:
-                vals = d / arc
-            else:
-                vals = d / comparison_chord(arc, length)
-        sep = np.abs(idx[lo:hi, None] - idx[None, :])
-        vals[np.minimum(sep, n - sep) <= band] = np.nan
-        out[lo:hi] = vals
-
-    workers = _thread_count()
-    if workers == 1 or n < 4 * workers:
-        fill(0, n)
+    closed = curve.topology == CLOSED
+    if closed:
+        pts = curve.points
+        s, length = arc_positions(curve)
     else:
-        block = -(-n // workers)
-        bounds = [(lo, min(lo + block, n)) for lo in range(0, n, block)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-    return out
+        pts, s = _periodic_extension(curve)
+        length = None  # only d/l, which needs no length, is defined
+    px, py, pz = np.ascontiguousarray(pts.T)
+    idx = np.arange(len(pts))
+
+    def block(bounds: tuple[int, int]):
+        lo, hi = bounds
+        rows = slice(lo, hi)
+        cols = slice(0, n) if closed else slice(lo + band + 1, hi + n)
+        dx = px[rows, None] - px[None, cols]
+        dy = py[rows, None] - py[None, cols]
+        dz = pz[rows, None] - pz[None, cols]
+        d = np.sqrt(dx * dx + dy * dy + dz * dz)
+        if closed:
+            fwd = np.abs(s[rows, None] - s[None, cols])
+            arc = np.minimum(fwd, length - fwd)
+            sep = np.abs(idx[rows, None] - idx[None, cols])
+            excluded = np.minimum(sep, n - sep) <= band
+        else:
+            arc = s[None, cols] - s[rows, None]
+            gap = idx[None, cols] - idx[rows, None]
+            excluded = (gap <= band) | (gap > n)
+
+        def ratio(metric: str) -> np.ndarray:
+            den = arc if metric == D_OVER_L else comparison_chord(arc, length)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                vals = d / den
+            vals[excluded] = np.nan
+            return vals
+
+        return fn(lo, hi, ratio)
+
+    height = max(1, _BLOCK_CELLS // n)
+    bounds = [(lo, min(lo + height, n)) for lo in range(0, n, height)]
+    workers = min(_thread_count(), len(bounds))
+    if workers == 1:
+        return list(map(block, bounds))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(block, bounds))
 
 
 def ratio_field(
@@ -124,15 +177,17 @@ def ratio_field(
         raise UnsupportedTopologyError(
             f"ratio fields require a closed curve, not {curve.topology!r}"
         )
-    if metric not in METRICS:
-        raise InvalidArgumentError(f"unknown metric {metric!r}")
     if curve.n < MIN_FIELD_VERTICES:
         raise InvalidArgumentError(
             f"ratio fields need at least {MIN_FIELD_VERTICES} vertices"
         )
-    if not 1 <= exclusion_band < curve.n // 2:
-        raise InvalidArgumentError("exclusion_band must be in [1, n/2)")
-    values = _pair_blocks(curve, metric, exclusion_band)
+    _check_reduction(curve, metric, exclusion_band)
+    values = np.empty((curve.n, curve.n))
+
+    def fill(lo: int, hi: int, ratio) -> None:
+        values[lo:hi] = ratio(metric)
+
+    _pair_blocks(curve, exclusion_band, fill)
     values.setflags(write=False)
     return RatioField(values=values, metric=metric, exclusion_band=exclusion_band)
 
@@ -169,47 +224,28 @@ def find_local_minima(field: RatioField) -> list[tuple[int, int, float]]:
     )
 
 
-def _min_ratio_periodic(curve: SampledCurve, band: int) -> float:
-    pts = curve.points
-    n = curve.n
-    ext = np.vstack([pts, pts + curve.offset])
-    seg = np.linalg.norm(np.diff(ext, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    best = math.inf
-    for gap in range(band + 1, n + 1):
-        diff = ext[gap : gap + n] - ext[:n]
-        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        arc = s[gap : gap + n] - s[:n]
-        best = min(best, float(np.min(d / arc)))
-    return best
-
-
 def min_pair_ratio(
     curve: SampledCurve, metric: str = D_OVER_L, exclusion_band: int = 2
 ) -> float:
     """Global minimum of the pair ratio outside the exclusion band."""
-    if metric not in METRICS:
-        raise InvalidArgumentError(f"unknown metric {metric!r}")
-    if curve.topology == CLOSED:
-        return float(np.nanmin(ratio_field(curve, metric, exclusion_band).values))
-    if curve.topology == PERIODIC:
-        if metric != D_OVER_L:
-            raise UnsupportedTopologyError(
-                "comparison-circle ratios need a closed curve of finite length"
-            )
-        return _min_ratio_periodic(curve, exclusion_band)
-    raise UnsupportedTopologyError(f"no pair ratios for {curve.topology!r} curves")
+    _check_reduction(curve, metric, exclusion_band)
+    minima = _pair_blocks(
+        curve, exclusion_band, lambda lo, hi, ratio: np.nanmin(ratio(metric))
+    )
+    return float(min(minima))
 
 
 def ratio_minima(
     curve: SampledCurve, exclusion_band: int = 2
 ) -> tuple[float, float]:
     """(min d/l, min d/psi) for a closed curve in one pairwise pass."""
-    if curve.topology != CLOSED:
-        raise UnsupportedTopologyError("ratio minima require a closed curve")
-    dl = _pair_blocks(curve, D_OVER_L, exclusion_band)
-    dpsi = _pair_blocks(curve, D_OVER_PSI, exclusion_band)
-    return float(np.nanmin(dl)), float(np.nanmin(dpsi))
+    _check_reduction(curve, D_OVER_PSI, exclusion_band)  # d/psi needs closed
+
+    def block_minima(lo: int, hi: int, ratio) -> tuple[float, float]:
+        return np.nanmin(ratio(D_OVER_L)), np.nanmin(ratio(D_OVER_PSI))
+
+    dl, dpsi = zip(*_pair_blocks(curve, exclusion_band, block_minima))
+    return float(min(dl)), float(min(dpsi))
 
 
 def min_ratio_series(
@@ -345,37 +381,47 @@ def pair_diagnostics(
     i + n (the pure-offset pair).
     """
     geom = geometry if geometry is not None else compute_geometry(curve)
+    i, j, n = int(i), int(j), curve.n
+    psi = alpha = arc_curvature = residual_dpsi = None
     if curve.topology == CLOSED:
-        return _closed_pair_diagnostics(curve, int(i), int(j), geom)
-    if curve.topology == PERIODIC:
-        return _periodic_pair_diagnostics(curve, int(i), int(j), geom)
-    raise UnsupportedTopologyError(
-        f"pair diagnostics need a cyclic curve, not {curve.topology!r}"
-    )
-
-
-def _assemble_diagnostics(
-    i: int,
-    j: int,
-    chord: np.ndarray,
-    arc: float,
-    e_start: np.ndarray,
-    e_end: np.ndarray,
-    curve_curvature: float,
-    psi: float | None,
-    alpha: float | None,
-    arc_curvature: float | None,
-) -> PairDiagnostics:
+        _validate_closed_pair(curve, i, j)
+        s, length = arc_positions(curve)
+        lo, hi = (i, j) if i < j else (j, i)
+        fwd = float(s[hi] - s[lo])
+        if fwd <= length - fwd:
+            start, end, arc = lo, hi, fwd
+        else:
+            start, end, arc = hi, lo, length - fwd
+        chord = curve.points[end] - curve.points[start]
+        psi = float(comparison_chord(arc, length))
+        alpha = float(arc_angle(arc, length))
+        arc_curvature = arc_curvature_integral(curve, i, j, geom)
+    elif curve.topology == PERIODIC:
+        if not 0 <= i < n:
+            raise InvalidArgumentError(f"first index {i} out of range for n={n}")
+        if j == i:
+            raise DiagonalPairError(f"vertex pair ({i}, {j}) has no chord")
+        if not i < j <= i + n:
+            raise InvalidArgumentError(
+                f"periodic pair needs i < j <= i + n, got ({i}, {j})"
+            )
+        ext, s = _periodic_extension(curve)
+        start, end, arc = i, j % n, float(s[j] - s[i])
+        chord = ext[j] - ext[i]
+    else:
+        raise UnsupportedTopologyError(
+            f"pair diagnostics need a cyclic curve, not {curve.topology!r}"
+        )
     d = float(np.linalg.norm(chord))
     if d == 0.0:
         raise InvalidArgumentError(f"vertices {i} and {j} coincide")
     omega = chord / d
+    e_start, e_end = geom.tangents[start], geom.tangents[end]
     e_sum = e_start + e_end
     ct_start = float(e_start @ omega)
     ct_end = float(e_end @ omega)
     d_over_l = d / arc
-    residual_dpsi = None
-    if psi is not None and alpha is not None:
+    if psi is not None:
         target = (d / psi) * math.cos(alpha)
         residual_dpsi = (ct_start - target, ct_end - target)
     diag = PairDiagnostics(
@@ -395,6 +441,7 @@ def _assemble_diagnostics(
         cond_dl=math.nan,
         cond_dpsi=None,
     )
+    curve_curvature = float(np.sum(geom.scalar_curvature * geom.ds))
     return replace(
         diag,
         cond_dl=ratio_minimum_condition_dl(diag, curve_curvature),
@@ -403,61 +450,4 @@ def _assemble_diagnostics(
             if arc_curvature is None
             else ratio_minimum_condition_dpsi(diag, arc_curvature)
         ),
-    )
-
-
-def _closed_pair_diagnostics(
-    curve: SampledCurve, i: int, j: int, geom: CurveGeometry
-) -> PairDiagnostics:
-    _validate_closed_pair(curve, i, j)
-    s, length = arc_positions(curve)
-    lo, hi = (i, j) if i < j else (j, i)
-    fwd = float(s[hi] - s[lo])
-    if fwd <= length - fwd:
-        start, end, arc = lo, hi, fwd
-    else:
-        start, end, arc = hi, lo, length - fwd
-    chord = curve.points[end] - curve.points[start]
-    kds = geom.scalar_curvature * geom.ds
-    return _assemble_diagnostics(
-        i=i,
-        j=j,
-        chord=chord,
-        arc=arc,
-        e_start=geom.tangents[start],
-        e_end=geom.tangents[end],
-        curve_curvature=float(np.sum(kds)),
-        psi=float(comparison_chord(arc, length)),
-        alpha=float(arc_angle(arc, length)),
-        arc_curvature=arc_curvature_integral(curve, i, j, geom),
-    )
-
-
-def _periodic_pair_diagnostics(
-    curve: SampledCurve, i: int, j: int, geom: CurveGeometry
-) -> PairDiagnostics:
-    n = curve.n
-    if not 0 <= i < n:
-        raise InvalidArgumentError(f"first index {i} out of range for n={n}")
-    if j == i:
-        raise DiagonalPairError(f"vertex pair ({i}, {j}) has no chord")
-    if not i < j <= i + n:
-        raise InvalidArgumentError(
-            f"periodic pair needs i < j <= i + n, got ({i}, {j})"
-        )
-    ext = np.vstack([curve.points, curve.points + curve.offset])
-    seg = np.linalg.norm(np.diff(ext, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    kds = geom.scalar_curvature * geom.ds
-    return _assemble_diagnostics(
-        i=i,
-        j=j,
-        chord=ext[j] - ext[i],
-        arc=float(s[j] - s[i]),
-        e_start=geom.tangents[i],
-        e_end=geom.tangents[j % n],
-        curve_curvature=float(np.sum(kds)),
-        psi=None,
-        alpha=None,
-        arc_curvature=None,
     )

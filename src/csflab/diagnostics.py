@@ -16,7 +16,14 @@ from pathlib import Path
 from . import fileio
 from .curve import SampledCurve, compute_geometry, total_absolute_curvature
 from .errors import InvalidArgumentError, UnsupportedTopologyError
-from .flow import FlowConfig, RecordRow, RunRecord, run, snapshot_diagnostics
+from .flow import (
+    FlowConfig,
+    RecordRow,
+    RunRecord,
+    row_indicator,
+    run,
+    snapshot_diagnostics,
+)
 from .presets import Preset, build_curve, sphere_radius_for
 
 TOTAL_CURVATURE_BOUND = 4.0 * math.pi
@@ -117,9 +124,6 @@ def analyze_directory(run_dir) -> list[RecordRow]:
         t = recorded[step].t
         curve = fileio.read_curve(path)
         row = snapshot_diagnostics(curve, t, step, config.sphere_radius)
-        if math.isinf(t_est):
-            row.sing_indicator = 0.0
-        elif t_est > t:
-            row.sing_indicator = row.k_max**2 * (t_est - t)
+        row.sing_indicator = row_indicator(row, t_est)
         rows.append(row)
     return rows

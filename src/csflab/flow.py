@@ -216,6 +216,15 @@ def estimate_vanishing_time(rows: list[RecordRow], window: int = 8) -> float:
     return float(-intercept / slope)
 
 
+def row_indicator(row: RecordRow, t_est: float) -> float | None:
+    """k_max^2 * (t_est - t) of one row; 0 if t_est is infinite, None if t >= t_est."""
+    if math.isinf(t_est):
+        return 0.0
+    if t_est > row.t:
+        return row.k_max**2 * (t_est - row.t)
+    return None
+
+
 def singularity_indicator(record: RunRecord) -> np.ndarray:
     """Blow-up rate series k_max^2 * (T_est - t) for each recorded row.
 
@@ -226,14 +235,12 @@ def singularity_indicator(record: RunRecord) -> np.ndarray:
     rows = record.rows
     if not rows:
         raise IndicatorUndefinedError("empty record")
-    if math.isinf(record.t_est):
-        return np.zeros(len(rows))
-    if record.t_est <= rows[-1].t:
+    if not math.isinf(record.t_est) and record.t_est <= rows[-1].t:
         raise IndicatorUndefinedError(
             f"vanishing-time estimate {record.t_est:g} does not exceed the "
             f"last recorded time {rows[-1].t:g}"
         )
-    return np.array([r.k_max**2 * (record.t_est - r.t) for r in rows])
+    return np.array([row_indicator(r, record.t_est) for r in rows], dtype=float)
 
 
 def snapshot_diagnostics(
@@ -340,19 +347,9 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
 
     record_obj = RunRecord(rows, snapshots, math.nan, stop_reason, config)
     record_obj.t_est = estimate_vanishing_time(rows)
-    _fill_indicator(record_obj)
+    for row in rows:
+        row.sing_indicator = row_indicator(row, record_obj.t_est)
     return record_obj
-
-
-def _fill_indicator(record: RunRecord) -> None:
-    t_est = record.t_est
-    for row in record.rows:
-        if math.isinf(t_est):
-            row.sing_indicator = 0.0
-        elif t_est > row.t:
-            row.sing_indicator = row.k_max**2 * (t_est - row.t)
-        else:
-            row.sing_indicator = None
 
 
 def run_to_times(

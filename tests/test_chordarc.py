@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csflab import (
     CLOSED,
@@ -16,6 +18,7 @@ from csflab import (
     SampledCurve,
     UnsupportedTopologyError,
     arc_curvature_integral,
+    arc_positions,
     comparison_chord,
     compute_geometry,
     find_local_minima,
@@ -28,6 +31,7 @@ from csflab import (
     ratio_minimum_condition_dpsi,
     total_absolute_curvature,
 )
+from csflab import chordarc
 
 
 def circle(n, r=1.0):
@@ -242,6 +246,126 @@ def test_min_pair_ratio_periodic_matches_brute_force():
             l = (s[j % n] + (j // n) * s[n]) - s[i] if j >= n else s[j] - s[i]
             best = min(best, d / l)
     assert abs(got - best) < 1e-12
+
+
+def loop_field(curve, metric, band):
+    # closed pair table cell by cell, with the kernel's cell arithmetic
+    pts = curve.points
+    n = curve.n
+    s, length = arc_positions(curve)
+    out = np.full((n, n), math.nan)
+    for i in range(n):
+        for j in range(n):
+            if min(abs(i - j), n - abs(i - j)) <= band:
+                continue
+            dx = pts[i, 0] - pts[j, 0]
+            dy = pts[i, 1] - pts[j, 1]
+            dz = pts[i, 2] - pts[j, 2]
+            d = np.sqrt(dx * dx + dy * dy + dz * dz)
+            fwd = np.abs(s[i] - s[j])
+            arc = min(fwd, length - fwd)
+            if metric == D_OVER_L:
+                out[i, j] = d / arc
+            else:
+                out[i, j] = d / ((length / math.pi) * np.sin(arc * math.pi / length))
+    return out
+
+
+def loop_periodic_min(curve, band):
+    # forward pairs (i, i + gap), gap in [band + 1, n], on the periodic extension
+    n = curve.n
+    ext = np.vstack([curve.points, curve.points + curve.offset])
+    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(ext, axis=0), axis=1))])
+    best = math.inf
+    for i in range(n):
+        for j in range(i + band + 1, i + n + 1):
+            dx = ext[i, 0] - ext[j, 0]
+            dy = ext[i, 1] - ext[j, 1]
+            dz = ext[i, 2] - ext[j, 2]
+            best = min(best, np.sqrt(dx * dx + dy * dy + dz * dz) / (s[j] - s[i]))
+    return best
+
+
+def random_curve(seed, n, topology):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3))
+    if topology == CLOSED:
+        return SampledCurve(pts, CLOSED)
+    return SampledCurve(pts, PERIODIC, offset=rng.normal(size=3) * 3.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(16, 64),
+    band=st.integers(1, 31),
+    block_cells=st.sampled_from([1, 100, chordarc._BLOCK_CELLS]),
+)
+def test_closed_reductions_equal_loops_bit_for_bit(seed, n, band, block_cells):
+    band = min(band, n // 2 - 1)
+    c = random_curve(seed, n, CLOSED)
+    slow = {m: loop_field(c, m, band) for m in (D_OVER_L, D_OVER_PSI)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chordarc, "_BLOCK_CELLS", block_cells)
+        mp.setattr(chordarc.os, "cpu_count", lambda: 4)
+        for threads in ("1", "4"):
+            mp.setenv("CSF_THREADS", threads)
+            for metric in (D_OVER_L, D_OVER_PSI):
+                fast = ratio_field(c, metric, band).values
+                assert np.array_equal(fast, slow[metric], equal_nan=True)
+                assert min_pair_ratio(c, metric, band) == np.nanmin(slow[metric])
+            assert ratio_minima(c, band) == (
+                np.nanmin(slow[D_OVER_L]),
+                np.nanmin(slow[D_OVER_PSI]),
+            )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(16, 64),
+    band=st.integers(1, 63),
+    block_cells=st.sampled_from([1, 100, chordarc._BLOCK_CELLS]),
+)
+def test_periodic_minimum_equals_loop_bit_for_bit(seed, n, band, block_cells):
+    band = min(band, n - 1)
+    h = random_curve(seed, n, PERIODIC)
+    slow = loop_periodic_min(h, band)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chordarc, "_BLOCK_CELLS", block_cells)
+        mp.setattr(chordarc.os, "cpu_count", lambda: 4)
+        for threads in ("1", "4"):
+            mp.setenv("CSF_THREADS", threads)
+            assert min_pair_ratio(h, D_OVER_L, band) == slow
+
+
+@pytest.mark.parametrize(
+    "reduce, topology",
+    [
+        (lambda c, band: min_pair_ratio(c, D_OVER_L, band), CLOSED),
+        (lambda c, band: ratio_minima(c, band), CLOSED),
+        (lambda c, band: min_pair_ratio(c, D_OVER_L, band), PERIODIC),
+    ],
+    ids=["closed-min_pair_ratio", "ratio_minima", "periodic-min_pair_ratio"],
+)
+def test_band_leaving_no_pair_is_rejected(reduce, topology):
+    n = 64
+    c = circle(n) if topology == CLOSED else helix(n)
+    widest = n // 2 - 1 if topology == CLOSED else n - 1
+    assert np.all(np.isfinite(reduce(c, widest)))
+    for band in (0, widest + 1):
+        with pytest.raises(InvalidArgumentError):
+            reduce(c, band)
+
+
+def test_thread_count_is_capped_at_cpu_count(monkeypatch):
+    monkeypatch.setattr(chordarc.os, "cpu_count", lambda: 3)
+    for raw, expected in (("1000", 3), ("2", 2), ("0", 1), ("-5", 1), ("x", 1)):
+        monkeypatch.setenv("CSF_THREADS", raw)
+        assert chordarc._thread_count() == expected
+    monkeypatch.setattr(chordarc.os, "cpu_count", lambda: None)
+    monkeypatch.setenv("CSF_THREADS", "8")
+    assert chordarc._thread_count() == 1
 
 
 def test_min_pair_ratio_periodic_rejects_dpsi():
