@@ -101,6 +101,12 @@ class CurveGeometry:
     out), ``scalar_curvature`` is their norm, and ``ds`` is the mass-lumped
     arc element (half the sum of the two adjacent segment lengths), which
     makes ``ds.sum()`` equal to ``total_length`` exactly.
+
+    ``lap_lower``, ``lap_upper`` and ``laplacian`` hold the three-point
+    arc-length Laplacian of the centre rows: all ``n`` vertices of a closed
+    or periodic curve, the ``n - 2`` interior vertices of an open one.  Row
+    i is ``lap_lower[i] (p_prev - p_i) + lap_upper[i] (p_next - p_i)``; the
+    semi-implicit step reuses these rows as its tridiagonal system.
     """
 
     tangents: np.ndarray
@@ -109,6 +115,9 @@ class CurveGeometry:
     ds: np.ndarray
     total_length: float
     segment_lengths: np.ndarray
+    lap_lower: np.ndarray
+    lap_upper: np.ndarray
+    laplacian: np.ndarray
 
 
 def segment_lengths(curve: SampledCurve) -> np.ndarray:
@@ -134,19 +143,6 @@ def arc_positions(curve: SampledCurve) -> tuple[np.ndarray, float]:
     return s[: curve.n], total
 
 
-def _neighbors(curve: SampledCurve) -> tuple[np.ndarray, np.ndarray]:
-    # Wrapped predecessor/successor arrays for cyclic topologies.
-    pts = curve.points
-    prev = np.roll(pts, 1, axis=0)
-    nxt = np.roll(pts, -1, axis=0)
-    if curve.topology == PERIODIC:
-        prev = prev.copy()
-        nxt = nxt.copy()
-        prev[0] = pts[-1] - curve.offset
-        nxt[-1] = pts[0] + curve.offset
-    return prev, nxt
-
-
 def _project_normal(raw: np.ndarray, tangents: np.ndarray) -> np.ndarray:
     # Remove the tangential residue of the second-difference stencil so the
     # curvature vector is orthogonal to the tangent to rounding accuracy.
@@ -157,71 +153,60 @@ def _project_normal(raw: np.ndarray, tangents: np.ndarray) -> np.ndarray:
 def compute_geometry(curve: SampledCurve) -> CurveGeometry:
     """Tangents, curvature vectors and arc elements of ``curve``.
 
-    Tangents come from the normalized centered difference of the two
-    neighbors; curvature vectors from the three-point second-derivative
-    stencil with respect to arc length on non-uniform spacing, projected
-    orthogonal to the tangent.  Open-curve endpoints use one-sided stencils.
+    The centre rows (every vertex of a closed or periodic curve, the
+    interior vertices of an open one) get the normalized centered-difference
+    tangent and the three-point arc-length Laplacian on non-uniform spacing,
+    ``a (p_- - p) + c (p_+ - p)``.  That Laplacian, projected orthogonal to
+    the tangent, is the curvature vector.  Open-curve endpoints use
+    one-sided stencils: the chord of the end segment and the Laplacian of
+    the adjacent interior vertex.
     """
     pts = curve.points
-    n = curve.n
     seg = segment_lengths(curve)
 
     if curve.is_cyclic():
-        prev, nxt = _neighbors(curve)
-        h_minus = np.roll(seg, 1)
-        h_plus = seg
-        chord = nxt - prev
-        chord_len = np.linalg.norm(chord, axis=1)
-        if chord_len.min() <= 0.0:
-            raise InvalidCurveError("degenerate centered-difference tangent")
-        tangents = chord / chord_len[:, None]
-        raw = (2.0 / (h_minus + h_plus))[:, None] * (
-            (nxt - pts) / h_plus[:, None] - (pts - prev) / h_minus[:, None]
-        )
-        kvec = _project_normal(raw, tangents)
-        ds = 0.5 * (h_minus + h_plus)
-        total = float(np.sum(seg))
+        first, last = pts[:1], pts[-1:]
+        if curve.topology == PERIODIC:
+            first, last = first + curve.offset, last - curve.offset
+        prev = np.concatenate((last, pts[:-1]))
+        nxt = np.concatenate((pts[1:], first))
+        cur = pts
+        hm = np.concatenate((seg[-1:], seg[:-1]))
+        hp = seg
     else:
-        tangents = np.empty_like(pts)
-        raw = np.empty_like(pts)
-        h = seg
-        # interior: same formulas as the cyclic branch
         prev, cur, nxt = pts[:-2], pts[1:-1], pts[2:]
-        hm, hp = h[:-1], h[1:]
-        chord = nxt - prev
-        chord_len = np.linalg.norm(chord, axis=1)
-        if chord_len.size and chord_len.min() <= 0.0:
-            raise InvalidCurveError("degenerate centered-difference tangent")
-        tangents[1:-1] = chord / chord_len[:, None]
-        raw[1:-1] = (2.0 / (hm + hp))[:, None] * (
-            (nxt - cur) / hp[:, None] - (cur - prev) / hm[:, None]
-        )
-        # one-sided boundary stencils
-        tangents[0] = (pts[1] - pts[0]) / h[0]
-        tangents[-1] = (pts[-1] - pts[-2]) / h[-1]
-        raw[0] = 2.0 * ((pts[2] - pts[1]) / h[1] - (pts[1] - pts[0]) / h[0]) / (
-            h[0] + h[1]
-        )
-        raw[-1] = 2.0 * (
-            (pts[-1] - pts[-2]) / h[-1] - (pts[-2] - pts[-3]) / h[-2]
-        ) / (h[-1] + h[-2])
-        kvec = _project_normal(raw, tangents)
-        ds = np.empty(n)
-        ds[1:-1] = 0.5 * (h[:-1] + h[1:])
-        ds[0] = 0.5 * h[0]
-        ds[-1] = 0.5 * h[-1]
-        total = float(np.sum(seg))
+        hm, hp = seg[:-1], seg[1:]
 
+    chord = nxt - prev
+    chord_len = np.linalg.norm(chord, axis=1)
+    if chord_len.min() <= 0.0:
+        raise InvalidCurveError("degenerate centered-difference tangent")
+    a = 2.0 / (hm * (hm + hp))
+    c = 2.0 / (hp * (hm + hp))
+    lap = a[:, None] * (prev - cur) + c[:, None] * (nxt - cur)
+    tangents = chord / chord_len[:, None]
+    raw = lap
+    ds = 0.5 * (hm + hp)
+    if not curve.is_cyclic():
+        head, tail = (pts[1] - pts[0]) / seg[0], (pts[-1] - pts[-2]) / seg[-1]
+        tangents = np.concatenate(([head], tangents, [tail]))
+        raw = np.concatenate((lap[:1], lap, lap[-1:]))
+        ds = np.concatenate(([0.5 * seg[0]], ds, [0.5 * seg[-1]]))
+
+    kvec = _project_normal(raw, tangents)
     scalar = np.linalg.norm(kvec, axis=1)
-    for arr in (tangents, kvec, scalar, ds, seg):
+    for arr in (tangents, kvec, scalar, ds, seg, a, c, lap):
         arr.setflags(write=False)
     return CurveGeometry(
         tangents=tangents,
         curvature_vectors=kvec,
         scalar_curvature=scalar,
         ds=ds,
-        total_length=total,
+        total_length=float(np.sum(seg)),
         segment_lengths=seg,
+        lap_lower=a,
+        lap_upper=c,
+        laplacian=lap,
     )
 
 

@@ -174,44 +174,45 @@ def config_from_json(payload: dict) -> FlowConfig:
 
 
 def write_ratio_field(field: RatioField, path) -> None:
-    lines = [FIELD_MAGIC, f"metric {field.metric}", f"n {field.n}"]
-    vals = field.values
-    for i in range(field.n):
-        row = vals[i]
-        for j in range(i + 1, field.n):
-            if math.isfinite(row[j]):
-                lines.append(f"{i} {j} {format_float(row[j])}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Stream the finite upper-triangle cells row by row, never all at once."""
+    with open(path, "w") as fh:
+        fh.write(f"{FIELD_MAGIC}\nmetric {field.metric}\nn {field.n}\n")
+        for i, row in enumerate(field.values):
+            cells = enumerate(row[i + 1 :].tolist(), start=i + 1)
+            fh.writelines(
+                f"{i} {j} {format_float(v)}\n" for j, v in cells if math.isfinite(v)
+            )
 
 
 def read_ratio_field(path) -> RatioField:
-    lines = Path(path).read_text().splitlines()
-    if len(lines) < 3 or lines[0].strip() != FIELD_MAGIC:
-        raise InvalidArgumentError(f"{path}: missing '{FIELD_MAGIC}' header")
-    metric_tokens = lines[1].split()
-    n_tokens = lines[2].split()
-    if len(metric_tokens) != 2 or metric_tokens[0] != "metric":
-        raise InvalidArgumentError(f"{path}: malformed metric line")
-    if metric_tokens[1] not in METRICS:
-        raise InvalidArgumentError(f"{path}: unknown metric {metric_tokens[1]!r}")
-    if len(n_tokens) != 2 or n_tokens[0] != "n" or not n_tokens[1].isdigit():
-        raise InvalidArgumentError(f"{path}: malformed n line")
-    n = int(n_tokens[1])
-    values = np.full((n, n), np.nan)
-    min_sep = n
-    for ln, line in enumerate(lines[3:], start=4):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise InvalidArgumentError(f"{path}:{ln}: expected 'i j value'")
-        i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-        if not (0 <= i < n and 0 <= j < n):
-            raise InvalidArgumentError(f"{path}:{ln}: pair out of range")
-        values[i, j] = v
-        values[j, i] = v
-        sep = abs(i - j)
-        min_sep = min(min_sep, sep, n - sep)
+    with open(path) as fh:
+        header = [fh.readline() for _ in range(3)]
+        if "" in header or header[0].strip() != FIELD_MAGIC:
+            raise InvalidArgumentError(f"{path}: missing '{FIELD_MAGIC}' header")
+        metric_tokens = header[1].split()
+        n_tokens = header[2].split()
+        if len(metric_tokens) != 2 or metric_tokens[0] != "metric":
+            raise InvalidArgumentError(f"{path}: malformed metric line")
+        if metric_tokens[1] not in METRICS:
+            raise InvalidArgumentError(f"{path}: unknown metric {metric_tokens[1]!r}")
+        if len(n_tokens) != 2 or n_tokens[0] != "n" or not n_tokens[1].isdigit():
+            raise InvalidArgumentError(f"{path}: malformed n line")
+        n = int(n_tokens[1])
+        values = np.full((n, n), np.nan)
+        min_sep = n
+        for ln, line in enumerate(fh, start=4):
+            if not line.strip():
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise InvalidArgumentError(f"{path}:{ln}: expected 'i j value'")
+            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
+            if not (0 <= i < n and 0 <= j < n):
+                raise InvalidArgumentError(f"{path}:{ln}: pair out of range")
+            values[i, j] = v
+            values[j, i] = v
+            sep = abs(i - j)
+            min_sep = min(min_sep, sep, n - sep)
     values.setflags(write=False)
     return RatioField(values=values, metric=metric_tokens[1], exclusion_band=min_sep - 1)
 

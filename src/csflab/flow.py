@@ -4,10 +4,13 @@ Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
 
 * ``explicit``       -- forward Euler on the projected curvature vector;
 * ``semi_implicit``  -- backward Euler on the arc-length Laplacian with
-  coefficients frozen at the current geometry, solved as one banded system
-  per step (cyclic closure for closed/periodic curves, fixed endpoints for
-  open ones).  It stays stable for any dt and is the default because it
-  never blows up when remeshing changes min(ds) under the integrator.
+  coefficients frozen at the current geometry, solved as one tridiagonal
+  system per step (cyclic closure for closed/periodic curves, fixed
+  endpoints for open ones).  The system reuses the stencil rows that
+  ``compute_geometry`` builds for the curvature vectors, so each step forms
+  the Laplacian once.  It stays stable for any dt and is the default
+  because it never blows up when remeshing changes min(ds) under the
+  integrator.
 
 Runs are deterministic: identical inputs produce bit-identical records.
 """
@@ -25,7 +28,6 @@ from .curve import (
     PERIODIC,
     CurveGeometry,
     SampledCurve,
-    _neighbors,
     compute_geometry,
     resample_uniform,
     total_absolute_curvature,
@@ -156,35 +158,24 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
 
     Solves (I - dt*Lap) delta = dt * Lap(points) for the displacement field,
     which is periodic even for periodic-with-offset curves (the offset
-    cancels in second differences), then adds delta to the vertices.  Open
-    curves keep both endpoints fixed.
+    cancels in second differences), then adds delta to the vertices.  The
+    stencil rows are the ones ``compute_geometry`` already built for the
+    curvature vectors.  Open curves solve on the interior and keep both
+    endpoints fixed.
     """
     if not dt > 0.0:
         raise InvalidArgumentError("dt must be positive")
     curve = state.curve
-    pts = curve.points
-    seg = state.geometry.segment_lengths
-
+    geom = state.geometry
+    a, c = geom.lap_lower, geom.lap_upper
+    system = (-dt * a, 1.0 + dt * (a + c), -dt * c, dt * geom.laplacian)
     if curve.is_cyclic():
-        h_minus = np.roll(seg, 1)
-        h_plus = seg
-        a = 2.0 / (h_minus * (h_minus + h_plus))
-        c = 2.0 / (h_plus * (h_minus + h_plus))
-        prev, nxt = _neighbors(curve)
-        lap = a[:, None] * (prev - pts) + c[:, None] * (nxt - pts)
-        delta = solve_cyclic_tridiagonal(
-            -dt * a, 1.0 + dt * (a + c), -dt * c, dt * lap
-        )
+        delta = solve_cyclic_tridiagonal(*system)
     else:
-        hm, hp = seg[:-1], seg[1:]
-        a = 2.0 / (hm * (hm + hp))
-        c = 2.0 / (hp * (hm + hp))
-        lap = a[:, None] * (pts[:-2] - pts[1:-1]) + c[:, None] * (pts[2:] - pts[1:-1])
-        interior = solve_tridiagonal(-dt * a, 1.0 + dt * (a + c), -dt * c, dt * lap)
-        delta = np.zeros_like(pts)
-        delta[1:-1] = interior
+        delta = np.zeros_like(curve.points)
+        delta[1:-1] = solve_tridiagonal(*system)
 
-    new_pts = pts + delta
+    new_pts = curve.points + delta
     if not np.isfinite(new_pts).all():
         raise NumericalFailureError("implicit step produced non-finite vertices")
     curve = SampledCurve(new_pts, curve.topology, curve.offset)
@@ -281,7 +272,8 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
 
     Records a diagnostics row and a snapshot at step 0, every
     ``record_every`` steps, and at the final step.  On numerical failure the
-    partial record is attached to the raised exception.
+    raised exception names the failing step, dt and the last good state's
+    t, min ds and k_max, and carries the partial record.
     """
     state = make_state(initial)
     l_start = state.geometry.total_length
@@ -314,16 +306,18 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
         if config.t_end is not None:
             dt = min(dt, config.t_end - state.t)
         try:
-            state = stepper(state, dt)
-            if state.step % config.remesh_every == 0:
-                state = _remeshed(state)
-        except InvalidCurveError as exc:
+            nxt = stepper(state, dt)
+            if nxt.step % config.remesh_every == 0:
+                nxt = _remeshed(nxt)
+        except (InvalidCurveError, NumericalFailureError) as exc:
             raise NumericalFailureError(
-                f"curve degenerated at step {state.step + 1}: {exc}", record=partial()
+                f"step {state.step + 1} failed: {exc} (last good state: "
+                f"step {state.step}, t={float(state.t)!r}, dt={float(dt)!r}, "
+                f"min ds={float(state.geometry.ds.min())!r}, "
+                f"k_max={float(state.geometry.scalar_curvature.max())!r})",
+                record=partial(),
             ) from exc
-        except NumericalFailureError as exc:
-            exc.record = partial()
-            raise
+        state = nxt
 
         geom = state.geometry
         if geom.total_length < config.stop_length_fraction * l_start:

@@ -1,14 +1,14 @@
 """Tridiagonal solves for the implicit time step.
 
-The banded core goes through LAPACK (scipy.linalg.solve_banded); the wrap
-terms of closed and periodic curves are folded in with a rank-one
-Sherman-Morrison correction on top of it.
+The banded core is LAPACK's ``gtsv`` (``scipy.linalg.lapack.dgtsv``),
+called directly; the wrap terms of closed and periodic curves are folded in
+with a rank-one Sherman-Morrison correction on top of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import NumericalFailureError
 
@@ -18,19 +18,15 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
 
     ``lower[i]`` multiplies x[i-1] in row i (lower[0] ignored), ``upper[i]``
     multiplies x[i+1] (upper[-1] ignored).  ``rhs`` may be (n,) or (n, k).
+    Raises ``NumericalFailureError`` on a zero pivot or a non-finite result.
     """
-    diag = np.asarray(diag, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    n = diag.size
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = diag
-    ab[2, :-1] = lower[1:]
-    try:
-        x = solve_banded((1, 1), ab, rhs, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - defensive
-        raise NumericalFailureError(f"singular tridiagonal system: {exc}")
+    *_, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    if info > 0:
+        raise NumericalFailureError(
+            f"singular tridiagonal system: zero pivot in row {info}"
+        )
     if not np.isfinite(x).all():
         raise NumericalFailureError("tridiagonal solve produced non-finite values")
     return x

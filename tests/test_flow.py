@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from csflab import (
     CLOSED,
@@ -14,6 +17,7 @@ from csflab import (
     FlowConfig,
     IndicatorUndefinedError,
     InvalidArgumentError,
+    NumericalFailureError,
     RecordRow,
     SampledCurve,
     compute_geometry,
@@ -21,11 +25,13 @@ from csflab import (
     make_state,
     run,
     run_to_times,
+    segment_lengths,
     singularity_indicator,
     stable_step,
     step_explicit,
     step_semi_implicit,
 )
+from csflab import flow, tridiag
 
 
 def circle(n, r=1.0):
@@ -229,3 +235,135 @@ def test_config_validation():
         FlowConfig(scheme="leapfrog")
     with pytest.raises(InvalidArgumentError):
         FlowConfig(record_every=0)
+
+
+def random_curve(seed, n, topology):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3))
+    offset = rng.normal(size=3) * 3.0 if topology == PERIODIC else None
+    return SampledCurve(pts, topology, offset)
+
+
+def rolled_neighbors(curve):
+    # predecessor/successor arrays built independently of compute_geometry
+    pts = curve.points
+    prev = np.roll(pts, 1, axis=0)
+    nxt = np.roll(pts, -1, axis=0)
+    if curve.topology == PERIODIC:
+        prev[0] = pts[-1] - curve.offset
+        nxt[-1] = pts[0] + curve.offset
+    return prev, nxt
+
+
+def banded(lower, diag, upper, rhs):
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper[:-1]
+    ab[1] = diag
+    ab[2, :-1] = lower[1:]
+    return solve_banded((1, 1), ab, rhs, check_finite=False)
+
+
+def reference_semi_implicit(curve, dt):
+    # a, c and the Laplacian recomputed here, solved through solve_banded
+    pts = curve.points
+    seg = segment_lengths(curve)
+    if curve.is_cyclic():
+        h_minus, h_plus = np.roll(seg, 1), seg
+        a = 2.0 / (h_minus * (h_minus + h_plus))
+        c = 2.0 / (h_plus * (h_minus + h_plus))
+        prev, nxt = rolled_neighbors(curve)
+        lap = a[:, None] * (prev - pts) + c[:, None] * (nxt - pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tridiag, "solve_tridiagonal", banded)
+            delta = tridiag.solve_cyclic_tridiagonal(
+                -dt * a, 1.0 + dt * (a + c), -dt * c, dt * lap
+            )
+    else:
+        hm, hp = seg[:-1], seg[1:]
+        a = 2.0 / (hm * (hm + hp))
+        c = 2.0 / (hp * (hm + hp))
+        lap = a[:, None] * (pts[:-2] - pts[1:-1]) + c[:, None] * (pts[2:] - pts[1:-1])
+        delta = np.zeros_like(pts)
+        delta[1:-1] = banded(-dt * a, 1.0 + dt * (a + c), -dt * c, dt * lap)
+    return pts + delta
+
+
+def reference_curvature_vectors(curve, tangents):
+    # (2 / (h- + h+)) ((p+ - p) / h+ - (p - p-) / h-), one-sided at open ends
+    pts = curve.points
+    seg = segment_lengths(curve)
+    if curve.is_cyclic():
+        prev, nxt = rolled_neighbors(curve)
+        hm, hp = np.roll(seg, 1)[:, None], seg[:, None]
+        raw = (2.0 / (hm + hp)) * ((nxt - pts) / hp - (pts - prev) / hm)
+    else:
+        h = seg
+        raw = np.empty_like(pts)
+        hm, hp = h[:-1, None], h[1:, None]
+        raw[1:-1] = (2.0 / (hm + hp)) * (
+            (pts[2:] - pts[1:-1]) / hp - (pts[1:-1] - pts[:-2]) / hm
+        )
+        raw[0] = 2.0 * ((pts[2] - pts[1]) / h[1] - (pts[1] - pts[0]) / h[0]) / (h[0] + h[1])
+        raw[-1] = 2.0 * (
+            (pts[-1] - pts[-2]) / h[-1] - (pts[-2] - pts[-3]) / h[-2]
+        ) / (h[-1] + h[-2])
+    return raw - np.einsum("ij,ij->i", raw, tangents)[:, None] * tangents
+
+
+CURVE_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 64),
+    topology=st.sampled_from([CLOSED, PERIODIC, OPEN]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**CURVE_CASES, dt_scale=st.floats(0.01, 100.0))
+def test_semi_implicit_step_equals_reference_bit_for_bit(seed, n, topology, dt_scale):
+    curve = random_curve(seed, n, topology)
+    state = make_state(curve)
+    dt = dt_scale * stable_step(state.geometry)
+    nxt = step_semi_implicit(state, dt)
+    assert np.array_equal(nxt.curve.points, reference_semi_implicit(curve, dt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**CURVE_CASES)
+def test_curvature_vectors_match_quotient_form(seed, n, topology):
+    curve = random_curve(seed, n, topology)
+    g = compute_geometry(curve)
+    expected = reference_curvature_vectors(curve, g.tangents)
+    k_max = np.linalg.norm(expected, axis=1).max()
+    assert np.abs(g.curvature_vectors - expected).max() <= 1e-14 * k_max
+    rows = n if curve.is_cyclic() else n - 2
+    for arr in (g.lap_lower, g.lap_upper, g.laplacian):
+        assert len(arr) == rows and not arr.flags.writeable
+
+
+def test_run_failure_names_last_good_state(monkeypatch):
+    calls = []
+
+    def failing_solve(lower, diag, upper, rhs):
+        calls.append(None)
+        if len(calls) < 5:
+            return tridiag.solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+        return np.full_like(rhs, np.nan)
+
+    cfg = FlowConfig(record_every=2, t_end=1.0)
+    good = run(circle(64), FlowConfig(record_every=2, max_steps=4))
+    step, t, last = good.snapshots[-1]
+    geom = compute_geometry(last)
+    monkeypatch.setattr(flow, "solve_cyclic_tridiagonal", failing_solve)
+    with pytest.raises(NumericalFailureError) as info:
+        run(circle(64), cfg)
+    message = str(info.value)
+    assert step == 4
+    assert "step 5 failed: implicit step produced non-finite vertices" in message
+    assert f"step 4, t={t!r}," in message
+    assert f"dt={stable_step(geom, cfg.cfl)!r}," in message
+    assert f"min ds={float(geom.ds.min())!r}," in message
+    assert f"k_max={float(geom.scalar_curvature.max())!r})" in message
+    partial = info.value.record
+    assert partial.stop_reason == "numerical_failure"
+    assert [r.step for r in partial.rows] == [0, 2, 4]
+    assert [r.t for r in partial.rows] == [r.t for r in good.rows]

@@ -1,6 +1,7 @@
 """File formats and the command-line entry points."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,24 @@ def test_ratio_field_round_trip(tmp_path):
     assert back.metric == field.metric
     assert back.exclusion_band == field.exclusion_band
     assert np.array_equal(back.values, field.values, equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# csf-curve v1\nmetric d_over_l\nn 16\n", "missing '# csf-ratiofield v1'"),
+        (f"{FIELD_MAGIC}\nmetric\nn 16\n", "malformed metric line"),
+        (f"{FIELD_MAGIC}\nmetric chord\nn 16\n", "unknown metric 'chord'"),
+        (f"{FIELD_MAGIC}\nmetric d_over_l\nn sixteen\n", "malformed n line"),
+        (f"{FIELD_MAGIC}\nmetric d_over_l\nn 16\n0 3 0.5\n\n1 4\n", ":6: expected 'i j value'"),
+        (f"{FIELD_MAGIC}\nmetric d_over_l\nn 16\n0 3 0.5\n0 16 0.5\n", ":5: pair out of range"),
+    ],
+)
+def test_ratio_field_rejects_malformed(tmp_path, text, message):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        read_ratio_field(path)
 
 
 def test_minima_csv_round_trip(tmp_path):

@@ -1,7 +1,9 @@
 """Tridiagonal solvers checked against dense linear algebra."""
 
 import numpy as np
+import pytest
 
+from csflab import NumericalFailureError
 from csflab.tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
 
 
@@ -65,3 +67,14 @@ def test_constant_coefficient_circulant():
     rhs = np.ones((n, 1))
     x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
     assert np.abs(x - 1.0).max() < 1e-13
+
+
+@pytest.mark.parametrize("solve", [solve_tridiagonal, solve_cyclic_tridiagonal])
+def test_singular_system_raises(solve):
+    # zero off-diagonals and one zero on the diagonal: row 1 has no pivot
+    n = 10
+    diag = np.ones(n)
+    diag[1] = 0.0
+    zeros = np.zeros(n)
+    with pytest.raises(NumericalFailureError, match="singular"):
+        solve(zeros, diag, zeros, np.ones((n, 2)))
