@@ -203,14 +203,19 @@ def find_local_minima(field: RatioField) -> list[tuple[int, int, float]]:
     vals = field.values
     if not np.isfinite(vals).any():
         raise InvalidArgumentError("ratio field has no finite cells")
-    is_min = np.isfinite(vals)
+    n = vals.shape[0]
+    # the eight torus neighbors are views into one wrapped copy
+    padded = np.pad(vals, 1, mode="wrap")
+    padded_finite = np.isfinite(padded)
+    is_min = padded_finite[1:-1, 1:-1].copy()
     strictly_below = np.zeros_like(is_min)
     for di in (-1, 0, 1):
         for dj in (-1, 0, 1):
             if di == 0 and dj == 0:
                 continue
-            nb = np.roll(np.roll(vals, -di, axis=0), -dj, axis=1)
-            finite = np.isfinite(nb)
+            rows = slice(1 + di, 1 + di + n)
+            cols = slice(1 + dj, 1 + dj + n)
+            nb, finite = padded[rows, cols], padded_finite[rows, cols]
             with np.errstate(invalid="ignore"):
                 is_min &= ~finite | (vals <= nb)
                 strictly_below |= finite & (vals < nb)

@@ -12,12 +12,27 @@ Formats:
 Every number is written with repr's shortest round-trip form, so reading a
 file back yields bit-identical floats; inapplicable columns are empty
 strings, never zeros.
+
+Ratio fields are the large files (n=2048 gives 2 M cells, 58 MB).  The
+writer formats each matrix row with one ``repr`` of the row's finite cells
+and one ``write``; the reader parses ``_CHUNK_LINES`` lines at a time with
+numpy's text parser and scatters them into the matrix, walking a chunk
+line by line only to name the line of an error.
+
+Every writer goes through ``_atomic_open``: the text goes to a temporary
+file in the target directory that replaces the target only once it is
+complete, so a failing or interrupted write leaves any earlier file intact
+and no partial one behind.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
+import operator
+import os
+import warnings
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -38,6 +53,11 @@ MINIMA_CSV_HEADER = "i,j,value,d,l,psi,alpha,cond22,cond31"
 FSCAN_CSV_HEADER = "m,y,F,G,exact_derivative"
 CONSISTENCY_CSV_HEADER = "t,t_tilde,max_deviation"
 
+# ratio-field body lines parsed per numpy call: 2**16 lines are about 2 MB
+# of text, small beside the n x n matrix they fill
+_CHUNK_LINES = 2**16
+_CELL_DTYPE = [("i", "i8"), ("j", "i8"), ("v", "f8")]
+
 
 def format_float(value: float) -> str:
     """Shortest decimal string that parses back to the same double."""
@@ -52,6 +72,53 @@ def _parse_cell(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
+@contextmanager
+def _atomic_open(path):
+    """Text handle on a temporary file that replaces ``path`` on success.
+
+    The temporary file sits in the target's directory, so ``os.replace`` is
+    a rename within one file system; it is removed if the block raises,
+    including on ``KeyboardInterrupt``.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_lines(lines: list[str], path) -> None:
+    with _atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _read_table(path, header: str, name: str, convert) -> list:
+    """Rows of a fixed-header CSV, each ``convert``-ed from its split fields."""
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0] != header:
+        raise InvalidArgumentError(f"{path}: unexpected {name} header")
+    width = header.count(",") + 1
+    rows = []
+    for ln, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        f = line.split(",")
+        if len(f) != width:
+            raise InvalidArgumentError(
+                f"{path}:{ln}: expected {width} columns, got {len(f)}"
+            )
+        try:
+            rows.append(convert(f))
+        except ValueError as exc:
+            raise InvalidArgumentError(f"{path}:{ln}: {exc}") from exc
+    return rows
+
+
 def write_curve(curve: SampledCurve, path) -> None:
     lines = [CURVE_MAGIC]
     if curve.topology == PERIODIC:
@@ -61,7 +128,7 @@ def write_curve(curve: SampledCurve, path) -> None:
         lines.append(f"topology {curve.topology}")
     for x, y, z in curve.points:
         lines.append(f"{format_float(x)} {format_float(y)} {format_float(z)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def read_curve(path) -> SampledCurve:
@@ -120,35 +187,27 @@ def write_run_csv(rows: list[RecordRow], path) -> None:
                 ]
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def read_run_csv(path) -> list[RecordRow]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != RUN_CSV_HEADER:
-        raise InvalidArgumentError(f"{path}: unexpected run.csv header")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        f = line.split(",")
-        if len(f) != 10:
-            raise InvalidArgumentError(f"{path}: expected 10 columns, got {len(f)}")
-        rows.append(
-            RecordRow(
-                step=int(f[0]),
-                t=float(f[1]),
-                L=float(f[2]),
-                k_max=float(f[3]),
-                total_abs_curv=float(f[4]),
-                total_sq_curv=float(f[5]),
-                dl_min=_parse_cell(f[6]),
-                dpsi_min=_parse_cell(f[7]),
-                sphere_residual=_parse_cell(f[8]),
-                sing_indicator=_parse_cell(f[9]),
-            )
-        )
-    return rows
+    return _read_table(
+        path,
+        RUN_CSV_HEADER,
+        "run.csv",
+        lambda f: RecordRow(
+            step=int(f[0]),
+            t=float(f[1]),
+            L=float(f[2]),
+            k_max=float(f[3]),
+            total_abs_curv=float(f[4]),
+            total_sq_curv=float(f[5]),
+            dl_min=_parse_cell(f[6]),
+            dpsi_min=_parse_cell(f[7]),
+            sphere_residual=_parse_cell(f[8]),
+            sing_indicator=_parse_cell(f[9]),
+        ),
+    )
 
 
 def write_run_json(record: RunRecord, path) -> None:
@@ -158,7 +217,7 @@ def write_run_json(record: RunRecord, path) -> None:
         "stop_reason": record.stop_reason,
         "rows": len(record.rows),
     }
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_lines([json.dumps(payload, indent=2, sort_keys=True)], path)
 
 
 def read_run_json(path) -> dict:
@@ -174,17 +233,56 @@ def config_from_json(payload: dict) -> FlowConfig:
 
 
 def write_ratio_field(field: RatioField, path) -> None:
-    """Stream the finite upper-triangle cells row by row, never all at once."""
-    with open(path, "w") as fh:
+    """Write the finite upper-triangle cells, one ``write`` per matrix row."""
+    labels = [f" {j} " for j in range(field.n)]
+    with _atomic_open(path) as fh:
         fh.write(f"{FIELD_MAGIC}\nmetric {field.metric}\nn {field.n}\n")
         for i, row in enumerate(field.values):
-            cells = enumerate(row[i + 1 :].tolist(), start=i + 1)
-            fh.writelines(
-                f"{i} {j} {format_float(v)}\n" for j, v in cells if math.isfinite(v)
+            cols = np.flatnonzero(np.isfinite(row[i + 1 :])) + (i + 1)
+            if not cols.size:
+                continue
+            # a list's repr is float.__repr__ of each item, as format_float
+            texts = repr(row[cols].tolist())[1:-1].split(", ")
+            cells = map(operator.add, map(labels.__getitem__, cols.tolist()), texts)
+            lead = str(i)
+            fh.write(lead + f"\n{lead}".join(cells) + "\n")
+
+
+def _parse_cells(lines: list[str]) -> np.ndarray:
+    """``i j value`` records of body lines; blank lines are skipped."""
+    with warnings.catch_warnings():
+        # a chunk of blank lines is no error
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, dtype=_CELL_DTYPE, comments=None, ndmin=1)
+
+
+def _bad_line(path, first: int, lines: list[str], n: int) -> InvalidArgumentError:
+    """The error naming the first bad line of a chunk starting at line ``first``."""
+    for ln, line in enumerate(lines, start=first):
+        if not line.strip():
+            continue
+        if len(line.split()) != 3:
+            return InvalidArgumentError(f"{path}:{ln}: expected 'i j value'")
+        try:
+            ((i, j, _),) = _parse_cells([line]).tolist()
+        except ValueError:
+            return InvalidArgumentError(
+                f"{path}:{ln}: expected integers i j and a float value, "
+                f"got {line.strip()!r}"
             )
+        if not (0 <= i < n and 0 <= j < n):
+            return InvalidArgumentError(f"{path}:{ln}: pair out of range")
+    return InvalidArgumentError(f"{path}:{first}-{first + len(lines) - 1}: unreadable")
 
 
 def read_ratio_field(path) -> RatioField:
+    """Read a field written by ``write_ratio_field``.
+
+    ``i j v`` and ``j i v`` set the same pair of symmetric cells.  A pair
+    given on more than one line takes the value of its last line.  The
+    exclusion band is one less than the smallest cyclic index gap of the
+    lines read.
+    """
     with open(path) as fh:
         header = [fh.readline() for _ in range(3)]
         if "" in header or header[0].strip() != FIELD_MAGIC:
@@ -200,19 +298,31 @@ def read_ratio_field(path) -> RatioField:
         n = int(n_tokens[1])
         values = np.full((n, n), np.nan)
         min_sep = n
-        for ln, line in enumerate(fh, start=4):
-            if not line.strip():
+        first = 4
+        while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+            try:
+                cells = _parse_cells(lines)
+            except ValueError as exc:
+                raise _bad_line(path, first, lines, n) from exc
+            i, j, v = cells["i"], cells["j"], cells["v"]
+            if not ((i >= 0) & (i < n) & (j >= 0) & (j < n)).all():
+                raise _bad_line(path, first, lines, n)
+            first += len(lines)
+            if not v.size:
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise InvalidArgumentError(f"{path}:{ln}: expected 'i j value'")
-            i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
-            if not (0 <= i < n and 0 <= j < n):
-                raise InvalidArgumentError(f"{path}:{ln}: pair out of range")
-            values[i, j] = v
-            values[j, i] = v
-            sep = abs(i - j)
-            min_sep = min(min_sep, sep, n - sep)
+            sep = np.abs(i - j)
+            min_sep = min(min_sep, int(sep.min()), int((n - sep).min()))
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            key = lo * n + hi
+            if (np.diff(key) <= 0).any():
+                # out of the writer's order, maybe repeated: keep each
+                # pair's last line, since repeated fancy-index assignment
+                # has no defined winner
+                _, last = np.unique(key[::-1], return_index=True)
+                keep = key.size - 1 - last
+                lo, hi, v = lo[keep], hi[keep], v[keep]
+            values[lo, hi] = v
+            values[hi, lo] = v
     values.setflags(write=False)
     return RatioField(values=values, metric=metric_tokens[1], exclusion_band=min_sep - 1)
 
@@ -236,34 +346,26 @@ def write_minima_csv(rows: list[dict], path) -> None:
                 ]
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def read_minima_csv(path) -> list[dict]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != MINIMA_CSV_HEADER:
-        raise InvalidArgumentError(f"{path}: unexpected minima.csv header")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        f = line.split(",")
-        if len(f) != 9:
-            raise InvalidArgumentError(f"{path}: expected 9 columns, got {len(f)}")
-        rows.append(
-            {
-                "i": int(f[0]),
-                "j": int(f[1]),
-                "value": float(f[2]),
-                "d": float(f[3]),
-                "l": float(f[4]),
-                "psi": _parse_cell(f[5]),
-                "alpha": _parse_cell(f[6]),
-                "cond22": float(f[7]),
-                "cond31": _parse_cell(f[8]),
-            }
-        )
-    return rows
+    return _read_table(
+        path,
+        MINIMA_CSV_HEADER,
+        "minima.csv",
+        lambda f: {
+            "i": int(f[0]),
+            "j": int(f[1]),
+            "value": float(f[2]),
+            "d": float(f[3]),
+            "l": float(f[4]),
+            "psi": _parse_cell(f[5]),
+            "alpha": _parse_cell(f[6]),
+            "cond22": float(f[7]),
+            "cond31": _parse_cell(f[8]),
+        },
+    )
 
 
 def write_fscan_csv(rows: list[tuple[float, float, float, float, float]], path) -> None:
@@ -272,41 +374,21 @@ def write_fscan_csv(rows: list[tuple[float, float, float, float, float]], path) 
         lines.append(
             ",".join(format_float(v) for v in (m, y, f_val, g_val, deriv))
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def read_fscan_csv(path) -> list[tuple[float, float, float, float, float]]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != FSCAN_CSV_HEADER:
-        raise InvalidArgumentError(f"{path}: unexpected fscan.csv header")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        f = line.split(",")
-        if len(f) != 5:
-            raise InvalidArgumentError(f"{path}: expected 5 columns, got {len(f)}")
-        rows.append(tuple(float(v) for v in f))
-    return rows
+    return _read_table(path, FSCAN_CSV_HEADER, "fscan.csv", lambda f: tuple(map(float, f)))
 
 
 def write_consistency_csv(rows: list[tuple[float, float, float]], path) -> None:
     lines = [CONSISTENCY_CSV_HEADER]
     for t, t_tilde, deviation in rows:
         lines.append(",".join(format_float(v) for v in (t, t_tilde, deviation)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_lines(lines, path)
 
 
 def read_consistency_csv(path) -> list[tuple[float, float, float]]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != CONSISTENCY_CSV_HEADER:
-        raise InvalidArgumentError(f"{path}: unexpected consistency.csv header")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        f = line.split(",")
-        if len(f) != 3:
-            raise InvalidArgumentError(f"{path}: expected 3 columns, got {len(f)}")
-        rows.append(tuple(float(v) for v in f))
-    return rows
+    return _read_table(
+        path, CONSISTENCY_CSV_HEADER, "consistency.csv", lambda f: tuple(map(float, f))
+    )

@@ -143,6 +143,47 @@ def test_find_local_minima_all_nan_rejected():
         find_local_minima(f)
 
 
+def rolled_local_minima(vals):
+    # reference: each of the eight torus neighbors as a rolled copy
+    is_min = np.isfinite(vals)
+    strictly_below = np.zeros_like(is_min)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            nb = np.roll(np.roll(vals, -di, axis=0), -dj, axis=1)
+            finite = np.isfinite(nb)
+            with np.errstate(invalid="ignore"):
+                is_min &= ~finite | (vals <= nb)
+                strictly_below |= finite & (vals < nb)
+    found = {}
+    for i, j in zip(*np.nonzero(is_min & strictly_below)):
+        key = (int(i), int(j)) if i < j else (int(j), int(i))
+        found.setdefault(key, float(vals[i, j]))
+    return sorted(((i, j, v) for (i, j), v in found.items()), key=lambda r: (r[2], r[0], r[1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 24),
+    levels=st.integers(1, 4),
+    nan_share=st.sampled_from([0.0, 0.2, 0.6]),
+    symmetric=st.booleans(),
+)
+def test_find_local_minima_equals_rolled_reference(seed, n, levels, nan_share, symmetric):
+    # few distinct levels give ties and plateaus; NaN cells sit anywhere,
+    # including on the wrap-around rows and columns
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(0, levels, (n, n)) / 4.0
+    vals[rng.random((n, n)) < nan_share] = math.nan
+    if symmetric:
+        vals = np.where(np.arange(n)[:, None] <= np.arange(n), vals, vals.T)
+    vals[0, 0] = 0.5  # at least one finite cell
+    f = RatioField(values=vals, metric=D_OVER_L, exclusion_band=0)
+    assert find_local_minima(f) == rolled_local_minima(vals)
+
+
 def test_dumbbell_neck_minimum_satisfies_first_variation():
     # at an interior minimum of d/l both chord-tangent angles equal the ratio
     n = 512

@@ -2,9 +2,13 @@
 
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import csflab.cli as cli
 from csflab import (
@@ -15,11 +19,15 @@ from csflab import (
     NumericalFailureError,
     OPEN,
     PERIODIC,
+    RatioField,
+    RecordRow,
     RunRecord,
     SampledCurve,
     ratio_field,
     run,
 )
+from csflab import fileio
+from csflab.chordarc import METRICS
 from csflab.fileio import (
     CURVE_MAGIC,
     FIELD_MAGIC,
@@ -191,6 +199,210 @@ def test_ratio_field_rejects_malformed(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(InvalidArgumentError, match=re.escape(message)):
         read_ratio_field(path)
+
+
+def reference_ratio_field_text(field):
+    # reference writer: one f-string per finite upper-triangle cell
+    lines = [f"{FIELD_MAGIC}\nmetric {field.metric}\nn {field.n}\n"]
+    for i, row in enumerate(field.values):
+        for j, v in enumerate(row[i + 1 :].tolist(), start=i + 1):
+            if math.isfinite(v):
+                lines.append(f"{i} {j} {v!r}\n")
+    return "".join(lines)
+
+
+def reference_read_ratio_field(path):
+    # reference reader: one split/int/float per body line, header lines
+    # assumed well formed; returns (values, metric, exclusion band)
+    lines = path.read_text().splitlines()
+    n = int(lines[2].split()[1])
+    values = np.full((n, n), np.nan)
+    min_sep = n
+    for line in lines[3:]:
+        if not line.strip():
+            continue
+        i, j, v = line.split()
+        i, j, v = int(i), int(j), float(v)
+        values[i, j] = values[j, i] = v
+        sep = abs(i - j)
+        min_sep = min(min_sep, sep, n - sep)
+    return values, lines[1].split()[1], min_sep - 1
+
+
+def bits(values):
+    return values.view(np.int64)
+
+
+# shortest-repr corner cases: subnormals, tiny, the switch to exponent form
+# at 1e16 (and back below 1e-4), large exact integers, -0.0
+SPECIAL_VALUES = [5e-324, 2.2250738585072014e-308 / 3, 1e-300, 9999999999999998.0,
+                  1e16, 1e22, 1.2345678901234567e21, 0.1, 1e-4, 9.9e-5, -0.0, 1.0 / 3.0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(16, 96),
+    band=st.integers(1, 47),
+    metric=st.sampled_from(sorted(METRICS)),
+    cells=st.lists(st.tuples(st.integers(0, 95), st.integers(0, 95),
+                             st.sampled_from(SPECIAL_VALUES)), max_size=12),
+    empty_rows=st.lists(st.integers(0, 95), max_size=4),
+    chunk=st.sampled_from([1, 7, fileio._CHUNK_LINES]),
+)
+def test_ratio_field_text_round_trip(seed, n, band, metric, cells, empty_rows, chunk):
+    band = min(band, n // 2 - 1)
+    rng = np.random.default_rng(seed)
+    th = np.sort(rng.uniform(0.0, 2.0 * math.pi, n))
+    r = 1.0 + 0.4 * rng.uniform(-1.0, 1.0) * np.cos(2 * th)
+    curve = SampledCurve(
+        np.column_stack([r * np.cos(th), r * np.sin(th), 0.3 * rng.normal(size=n)]), CLOSED
+    )
+    values = ratio_field(curve, metric, band).values.copy()
+    for i, j, v in cells:
+        i, j = i % n, j % n
+        if math.isfinite(values[i, j]):  # hand-set cells stay outside the band
+            values[i, j] = values[j, i] = v
+    for k in empty_rows:  # a row and its mirror column with no finite cell
+        values[k % n, :] = values[:, k % n] = math.nan
+    field = RatioField(values=values, metric=metric, exclusion_band=band)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_CHUNK_LINES", chunk)
+        path = Path(tmp) / "f.txt"
+        write_ratio_field(field, path)
+        assert path.read_text() == reference_ratio_field_text(field)
+        back = read_ratio_field(path)
+        ref_values, ref_metric, ref_band = reference_read_ratio_field(path)
+    assert (back.metric, back.exclusion_band) == (ref_metric, ref_band)
+    assert np.array_equal(bits(back.values), bits(ref_values))
+    finite = np.isfinite(values)
+    assert np.array_equal(np.isfinite(back.values), finite)
+    assert np.array_equal(bits(back.values[finite]), bits(values[finite]))
+    if not empty_rows:
+        assert back.exclusion_band == band
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    chunk=st.sampled_from([1, 7]),
+    bad=st.integers(0, 20),
+    blank=st.integers(0, 21),
+    kind=st.sampled_from(["token", "count", "range"]),
+)
+def test_ratio_field_error_names_line_across_chunks(chunk, bad, blank, kind):
+    # 21 body lines, one made bad, one blank line inserted; with chunks of
+    # 1 and 7 lines the bad and blank lines fall on and beside chunk edges
+    body = [f"{k} {k + 3} 0.{k + 1}" for k in range(21)]
+    body[bad] = {
+        "token": f"{bad} {bad + 3} x{bad}",
+        "count": f"{bad} {bad + 3}",
+        "range": f"{bad} 40 0.5",
+    }[kind]
+    body.insert(blank, "")
+    line = 4 + bad + (blank <= bad)
+    message = {
+        "token": "expected integers i j and a float value",
+        "count": "expected 'i j value'",
+        "range": "pair out of range",
+    }[kind]
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_CHUNK_LINES", chunk)
+        path = Path(tmp) / "f.txt"
+        path.write_text(f"{FIELD_MAGIC}\nmetric d_over_l\nn 32\n" + "\n".join(body) + "\n")
+        with pytest.raises(InvalidArgumentError, match=re.escape(f":{line}: {message}")):
+            read_ratio_field(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, None])
+def test_ratio_field_repeated_and_mirrored_pairs(tmp_path, monkeypatch, chunk):
+    # "i j v" and "j i v" set the same symmetric cells; a pair given on
+    # several lines, in either order, keeps the value of its last line
+    if chunk:
+        monkeypatch.setattr(fileio, "_CHUNK_LINES", chunk)
+    path = tmp_path / "f.txt"
+    path.write_text(
+        f"{FIELD_MAGIC}\nmetric d_over_l\nn 16\n"
+        "0 5 0.5\n5 0 0.25\n2 9 0.75\n\n1 6 0.5\n2 9 0.125\n6 1 0.375\n2 15 0.625\n"
+    )
+    field = read_ratio_field(path)
+    ref_values, _, ref_band = reference_read_ratio_field(path)
+    assert np.array_equal(bits(field.values), bits(ref_values))
+    assert field.exclusion_band == ref_band == 2  # (2, 15) is 3 apart cyclically
+    assert field.values[0, 5] == field.values[5, 0] == 0.25
+    assert field.values[2, 9] == field.values[9, 2] == 0.125
+    assert field.values[1, 6] == field.values[6, 1] == 0.375
+    assert np.isfinite(field.values).sum() == 8
+
+
+class _FailingWrites:
+    """File-handle proxy whose ``write`` raises after ``limit`` calls."""
+
+    def __init__(self, fh, limit, exc):
+        self.fh, self.limit, self.exc, self.calls = fh, limit, exc, 0
+
+    def write(self, text):
+        self.calls += 1
+        if self.calls > self.limit:
+            raise self.exc
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_failed_write_keeps_earlier_file(tmp_path, monkeypatch, exc):
+    old = ratio_field(circle(32), D_OVER_PSI, 2)
+    path = tmp_path / "ratiofield.txt"
+    write_ratio_field(old, path)
+    before = path.read_bytes()
+    new = RatioField(values=old.values * 0.5, metric=old.metric, exclusion_band=2)
+    monkeypatch.setattr(
+        fileio, "open", lambda p, mode: _FailingWrites(open(p, mode), 5, exc), raising=False
+    )
+    with pytest.raises(type(exc)):
+        write_ratio_field(new, path)  # header and four rows written, then the fifth fails
+    with pytest.raises(type(exc)):
+        write_ratio_field(new, tmp_path / "fresh.txt")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["ratiofield.txt"]
+
+
+def _replace_token(path, line, column, sep):
+    lines = path.read_text().splitlines()
+    fields = lines[line - 1].split(sep)
+    fields[column] = "x1"
+    lines[line - 1] = sep.join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+_ROW = RecordRow(step=0, t=0.0, L=6.28, k_max=1.0, total_abs_curv=6.28, total_sq_curv=6.28)
+_MINIMA_ROW = {"i": 3, "j": 17, "value": 0.5, "d": 1.0, "l": 2.0, "psi": None,
+               "alpha": None, "cond22": 0.25, "cond31": None}
+
+
+@pytest.mark.parametrize(
+    "write, rows, read, sep",
+    [
+        (write_run_csv, [_ROW, _ROW], read_run_csv, ","),
+        (write_minima_csv, [_MINIMA_ROW, _MINIMA_ROW], read_minima_csv, ","),
+        (write_fscan_csv, [(0.1, 1.0, 0.5, 0.5, 0.1)] * 2, read_fscan_csv, ","),
+        (write_consistency_csv, [(0.1, 0.2, 1e-6)] * 2, read_consistency_csv, ","),
+        (lambda rows, p: write_curve(circle(8), p), None, read_curve, " "),
+        (lambda rows, p: write_ratio_field(ratio_field(circle(16), D_OVER_PSI, 2), p),
+         None, read_ratio_field, " "),
+    ],
+)
+def test_readers_name_the_line_of_a_bad_token(tmp_path, write, rows, read, sep):
+    path = tmp_path / "table.txt"
+    write(rows, path)
+    line = 5 if read is read_ratio_field else 3  # the second data line
+    _replace_token(path, line, 0, sep)
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:{line}: ")):
+        read(path)
 
 
 def test_minima_csv_round_trip(tmp_path):
