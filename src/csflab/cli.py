@@ -2,8 +2,8 @@
 analyze.
 
 Exit codes: 0 on success, 1 for invalid arguments or unreadable inputs,
-2 when the numerics fail mid-run (a partial record is still written when
-one exists).
+2 when the numerics fail mid-run, 130 when interrupted (Ctrl-C).  A run
+that fails or is interrupted still writes the record it has so far.
 """
 
 from __future__ import annotations
@@ -132,9 +132,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     try:
         record = simulate_preset(preset, config)
-    except NumericalFailureError as exc:
-        if exc.record is not None and exc.record.rows:
-            emit_record(exc.record, args.out)
+    except (NumericalFailureError, KeyboardInterrupt) as exc:
+        partial = getattr(exc, "record", None)
+        if partial is not None and partial.rows:
+            emit_record(partial, args.out)
         raise
     emit_record(record, args.out)
     summary = summarize(record)
@@ -250,6 +251,9 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except (CsfError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

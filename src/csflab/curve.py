@@ -9,11 +9,14 @@ A curve is an ordered array of 3D vertices with one of three topologies:
 
 All functions here are pure. Vertex arrays are marked read-only on
 construction so shared curves cannot be mutated behind a caller's back.
+The constructor measures every segment once, to validate it, and keeps the
+lengths (read-only as well); ``segment_lengths`` and ``compute_geometry``
+share that array instead of measuring the polyline again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,13 +36,27 @@ TOPOLOGIES = (CLOSED, OPEN, PERIODIC)
 MIN_VERTICES = {CLOSED: 8, PERIODIC: 8, OPEN: 4}
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    # Euclidean norms of the rows of an (m, 3) array.  Same bits as
+    # np.linalg.norm(x, axis=1), which sums the squares in this order, at a
+    # third of its cost.
+    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+
 @dataclass(frozen=True, eq=False)
 class SampledCurve:
-    """Ordered vertex polyline with topology and optional period offset."""
+    """Ordered vertex polyline with topology and optional period offset.
+
+    Construction validates the vertices and measures every segment once on
+    the way; the lengths are kept read-only and returned by
+    ``segment_lengths``, so no later step measures them again.
+    """
 
     points: np.ndarray
     topology: str = CLOSED
     offset: np.ndarray | None = None
+    _segments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
@@ -69,20 +86,27 @@ class SampledCurve:
         else:
             off = None
 
-        seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        seg = _row_norms(pts[1:] - pts[:-1])
         if seg.size and seg.min() == 0.0:
             raise InvalidCurveError("consecutive vertices must be distinct")
-        if self.topology == CLOSED and np.linalg.norm(pts[0] - pts[-1]) == 0.0:
-            raise InvalidCurveError("closing segment is degenerate")
-        if self.topology == PERIODIC:
-            if np.linalg.norm(pts[0] + off - pts[-1]) == 0.0:
+        if self.topology == CLOSED:
+            closing = np.linalg.norm(pts[0] - pts[-1])
+            if closing == 0.0:
+                raise InvalidCurveError("closing segment is degenerate")
+            seg = np.append(seg, closing)
+        elif self.topology == PERIODIC:
+            closing = np.linalg.norm(pts[0] + off - pts[-1])
+            if closing == 0.0:
                 raise InvalidCurveError("period-closing segment is degenerate")
+            seg = np.append(seg, closing)
 
         pts.setflags(write=False)
+        seg.setflags(write=False)
         if off is not None:
             off.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "offset", off)
+        object.__setattr__(self, "_segments", seg)
 
     @property
     def n(self) -> int:
@@ -107,6 +131,8 @@ class CurveGeometry:
     or periodic curve, the ``n - 2`` interior vertices of an open one.  Row
     i is ``lap_lower[i] (p_prev - p_i) + lap_upper[i] (p_next - p_i)``; the
     semi-implicit step reuses these rows as its tridiagonal system.
+    ``segment_lengths`` is the curve's own read-only segment array, not a
+    copy.
     """
 
     tangents: np.ndarray
@@ -124,15 +150,10 @@ def segment_lengths(curve: SampledCurve) -> np.ndarray:
     """Chord lengths of the polyline segments.
 
     Closed and periodic curves return ``n`` entries (the last one closes the
-    loop or the period); open curves return ``n - 1``.
+    loop or the period); open curves return ``n - 1``.  The array is the
+    read-only one the constructor measured, shared by every caller.
     """
-    pts = curve.points
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    if curve.topology == CLOSED:
-        seg = np.append(seg, np.linalg.norm(pts[0] - pts[-1]))
-    elif curve.topology == PERIODIC:
-        seg = np.append(seg, np.linalg.norm(pts[0] + curve.offset - pts[-1]))
-    return seg
+    return curve._segments
 
 
 def arc_positions(curve: SampledCurve) -> tuple[np.ndarray, float]:
@@ -178,15 +199,16 @@ def compute_geometry(curve: SampledCurve) -> CurveGeometry:
         hm, hp = seg[:-1], seg[1:]
 
     chord = nxt - prev
-    chord_len = np.linalg.norm(chord, axis=1)
+    chord_len = _row_norms(chord)
     if chord_len.min() <= 0.0:
         raise InvalidCurveError("degenerate centered-difference tangent")
-    a = 2.0 / (hm * (hm + hp))
-    c = 2.0 / (hp * (hm + hp))
+    span = hm + hp
+    a = 2.0 / (hm * span)
+    c = 2.0 / (hp * span)
     lap = a[:, None] * (prev - cur) + c[:, None] * (nxt - cur)
     tangents = chord / chord_len[:, None]
     raw = lap
-    ds = 0.5 * (hm + hp)
+    ds = 0.5 * span
     if not curve.is_cyclic():
         head, tail = (pts[1] - pts[0]) / seg[0], (pts[-1] - pts[-2]) / seg[-1]
         tangents = np.concatenate(([head], tangents, [tail]))
@@ -194,8 +216,8 @@ def compute_geometry(curve: SampledCurve) -> CurveGeometry:
         ds = np.concatenate(([0.5 * seg[0]], ds, [0.5 * seg[-1]]))
 
     kvec = _project_normal(raw, tangents)
-    scalar = np.linalg.norm(kvec, axis=1)
-    for arr in (tangents, kvec, scalar, ds, seg, a, c, lap):
+    scalar = _row_norms(kvec)
+    for arr in (tangents, kvec, scalar, ds, a, c, lap):
         arr.setflags(write=False)
     return CurveGeometry(
         tangents=tangents,

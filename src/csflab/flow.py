@@ -267,13 +267,31 @@ def snapshot_diagnostics(
     return row
 
 
+def failure_message(
+    exc: Exception, step: int, t: float, dt: float, geometry: CurveGeometry
+) -> str:
+    """Describe a failed step from the last good state before it.
+
+    ``step``, ``t`` and ``geometry`` belong to that state; ``dt`` is the
+    step size the failing step was given.
+    """
+    return (
+        f"step {step + 1} failed: {exc} (last good state: "
+        f"step {step}, t={float(t)!r}, dt={float(dt)!r}, "
+        f"min ds={float(geometry.ds.min())!r}, "
+        f"k_max={float(geometry.scalar_curvature.max())!r})"
+    )
+
+
 def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
     """Advance the flow until t_end or a stopping criterion fires.
 
     Records a diagnostics row and a snapshot at step 0, every
     ``record_every`` steps, and at the final step.  On numerical failure the
     raised exception names the failing step, dt and the last good state's
-    t, min ds and k_max, and carries the partial record.
+    t, min ds and k_max, and carries the partial record.  A
+    ``KeyboardInterrupt`` is re-raised with the partial record attached as
+    its ``record`` attribute, stop reason ``"interrupted"``.
     """
     state = make_state(initial)
     l_start = state.geometry.total_length
@@ -290,54 +308,58 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
         )
         snapshots.append((st.step, st.t, st.curve))
 
-    def partial() -> RunRecord:
-        return RunRecord(rows, snapshots, math.inf, "numerical_failure", config)
+    def partial(stop_reason: str) -> RunRecord:
+        return RunRecord(rows, snapshots, math.inf, stop_reason, config)
 
-    record(state)
     stop_reason = None
-    while stop_reason is None:
-        if config.t_end is not None and state.t >= config.t_end:
-            stop_reason = "t_end"
-            break
-        if state.step >= config.max_steps:
-            stop_reason = "max_steps"
-            break
-        dt = stable_step(state.geometry, config.cfl)
-        if config.t_end is not None:
-            dt = min(dt, config.t_end - state.t)
-        try:
-            nxt = stepper(state, dt)
-            if nxt.step % config.remesh_every == 0:
-                nxt = _remeshed(nxt)
-        except (InvalidCurveError, NumericalFailureError) as exc:
-            raise NumericalFailureError(
-                f"step {state.step + 1} failed: {exc} (last good state: "
-                f"step {state.step}, t={float(state.t)!r}, dt={float(dt)!r}, "
-                f"min ds={float(state.geometry.ds.min())!r}, "
-                f"k_max={float(state.geometry.scalar_curvature.max())!r})",
-                record=partial(),
-            ) from exc
-        state = nxt
-
-        geom = state.geometry
-        if geom.total_length < config.stop_length_fraction * l_start:
-            stop_reason = "length_exhausted"
-        elif (
-            float(geom.scalar_curvature.max()) * float(geom.ds.min())
-            > config.stop_curvature_resolution
-        ):
-            stop_reason = "resolution_exhausted"
-        elif config.t_end is not None and state.t >= config.t_end * (1.0 - 1e-12):
-            stop_reason = "t_end"
-
-        if stop_reason is not None or state.step % config.record_every == 0:
-            if rows[-1].step != state.step:
-                record(state)
-
-    # breaks at the top of the loop (t_end already reached, max_steps)
-    # bypass the in-loop record, so close the row list here
-    if rows[-1].step != state.step:
+    try:
         record(state)
+        while stop_reason is None:
+            if config.t_end is not None and state.t >= config.t_end:
+                stop_reason = "t_end"
+                break
+            if state.step >= config.max_steps:
+                stop_reason = "max_steps"
+                break
+            dt = stable_step(state.geometry, config.cfl)
+            if config.t_end is not None:
+                dt = min(dt, config.t_end - state.t)
+            try:
+                nxt = stepper(state, dt)
+                if nxt.step % config.remesh_every == 0:
+                    nxt = _remeshed(nxt)
+            except (InvalidCurveError, NumericalFailureError) as exc:
+                raise NumericalFailureError(
+                    failure_message(exc, state.step, state.t, dt, state.geometry),
+                    record=partial("numerical_failure"),
+                ) from exc
+            state = nxt
+
+            geom = state.geometry
+            if geom.total_length < config.stop_length_fraction * l_start:
+                stop_reason = "length_exhausted"
+            elif (
+                float(geom.scalar_curvature.max()) * float(geom.ds.min())
+                > config.stop_curvature_resolution
+            ):
+                stop_reason = "resolution_exhausted"
+            elif config.t_end is not None and state.t >= config.t_end * (1.0 - 1e-12):
+                stop_reason = "t_end"
+
+            if stop_reason is not None or state.step % config.record_every == 0:
+                if rows[-1].step != state.step:
+                    record(state)
+
+        # breaks at the top of the loop (t_end already reached, max_steps)
+        # bypass the in-loop record, so close the row list here
+        if rows[-1].step != state.step:
+            record(state)
+    except KeyboardInterrupt as exc:
+        # a row appended without its snapshot (interrupted inside record)
+        # is dropped so both lists describe the same steps
+        del rows[len(snapshots):]
+        exc.record = partial("interrupted")
+        raise
 
     record_obj = RunRecord(rows, snapshots, math.nan, stop_reason, config)
     record_obj.t_est = estimate_vanishing_time(rows)
@@ -355,7 +377,9 @@ def run_to_times(
     """Integrate without remeshing and return the curve at each target time.
 
     Used for scheme-to-scheme and extrinsic-to-intrinsic comparisons where
-    vertex labels must stay aligned between runs.
+    vertex labels must stay aligned between runs.  A failed step raises
+    ``NumericalFailureError`` naming it and the last good state, as in
+    ``run``.
     """
     targets = [float(t) for t in targets]
     if any(b <= a for a, b in zip(targets, targets[1:])) or (
@@ -367,12 +391,17 @@ def run_to_times(
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
     state = make_state(initial)
     out: list[tuple[float, SampledCurve]] = []
-    for target in targets:
-        if target == 0.0:
-            out.append((0.0, state.curve))
-            continue
-        while state.t < target * (1.0 - 1e-14):
-            dt = min(stable_step(state.geometry, cfl), target - state.t)
-            state = stepper(state, dt)
-        out.append((state.t, state.curve))
+    try:
+        for target in targets:
+            if target == 0.0:
+                out.append((0.0, state.curve))
+                continue
+            while state.t < target * (1.0 - 1e-14):
+                dt = min(stable_step(state.geometry, cfl), target - state.t)
+                state = stepper(state, dt)
+            out.append((state.t, state.curve))
+    except (InvalidCurveError, NumericalFailureError) as exc:
+        raise NumericalFailureError(
+            failure_message(exc, state.step, state.t, dt, state.geometry)
+        ) from exc
     return out

@@ -15,14 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveGeometry, SampledCurve, compute_geometry
+from .curve import CurveGeometry, SampledCurve, _row_norms, compute_geometry
 from .errors import (
     DomainError,
     InvalidArgumentError,
+    InvalidCurveError,
     NotOnSphereError,
     NumericalFailureError,
 )
-from .flow import run_to_times, stable_step
+from .flow import failure_message, run_to_times, stable_step
 
 SPHERE_REL_TOL = 1e-3  # vertex-radius spread allowed by the decomposition
 RESCALE_REL_TOL = 2e-2  # looser: rescaling accepts accumulated flow drift
@@ -40,7 +41,7 @@ def sphere_residual(curve: SampledCurve, t: float = 0.0, r0: float = 1.0) -> flo
 
 
 def _vertex_radii(curve: SampledCurve, rel_tol: float) -> np.ndarray:
-    radii = np.linalg.norm(curve.points, axis=1)
+    radii = _row_norms(curve.points)
     mean = float(np.mean(radii))
     worst = float(np.max(np.abs(radii - mean)))
     if worst > rel_tol * mean:
@@ -48,6 +49,14 @@ def _vertex_radii(curve: SampledCurve, rel_tol: float) -> np.ndarray:
             f"vertex radii spread {worst:.3g} exceeds {rel_tol:g} of {mean:.3g}"
         )
     return radii
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # row-wise u x v, written out per component: the products and
+    # differences np.cross forms, without its generic set-up
+    u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
+    v0, v1, v2 = v[:, 0], v[:, 1], v[:, 2]
+    return np.column_stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,12 +87,12 @@ def decompose_curvature(
     inward = -curve.points / radii[:, None]
     tilt = np.einsum("ij,ij->i", inward, geom.tangents)
     n_vec = inward - tilt[:, None] * geom.tangents
-    n_norm = np.linalg.norm(n_vec, axis=1)
+    n_norm = _row_norms(n_vec)
     if np.any(n_norm < 1e-12):
         raise NotOnSphereError("tangent is radial at some vertex")
     n_vec = n_vec / n_norm[:, None]
-    q_vec = np.cross(n_vec, geom.tangents)
-    q_vec = q_vec / np.linalg.norm(q_vec, axis=1)[:, None]
+    q_vec = _cross(n_vec, geom.tangents)
+    q_vec = q_vec / _row_norms(q_vec)[:, None]
     kvec = geom.curvature_vectors
     k_g = np.einsum("ij,ij->i", kvec, q_vec)
     k_n = np.einsum("ij,ij->i", kvec, n_vec)
@@ -116,7 +125,7 @@ class RescaledState:
 
 
 def _project_unit(points: np.ndarray) -> np.ndarray:
-    return points / np.linalg.norm(points, axis=1)[:, None]
+    return points / _row_norms(points)[:, None]
 
 
 def rescale(curve: SampledCurve, t: float) -> RescaledState:
@@ -171,18 +180,36 @@ def step_geodesic_flow(state: RescaledState, dt_tilde: float) -> RescaledState:
 def run_geodesic_flow(
     state: RescaledState, t_tilde_targets, cfl: float = 0.5
 ) -> list[RescaledState]:
-    """Advance the intrinsic flow, returning the state at each dilated time."""
+    """Advance the intrinsic flow, returning the state at each dilated time.
+
+    A failed step raises ``NumericalFailureError`` naming it and the last
+    good state in the format of ``flow.run``, with t and dt on the dilated
+    clock.  A step whose new curve has no geometry counts as failed, so the
+    last good state is the one before it.
+    """
     targets = [float(x) for x in t_tilde_targets]
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise InvalidArgumentError("dilated target times must be increasing")
     if targets and targets[0] < state.t_tilde - 1e-14:
         raise InvalidArgumentError("targets must not precede the current time")
     out: list[RescaledState] = []
-    for target in targets:
-        while state.t_tilde < target * (1.0 - 1e-14):
-            bound = stable_step(compute_geometry(state.curve_tilde), cfl)
-            state = step_geodesic_flow(state, min(bound, target - state.t_tilde))
-        out.append(state)
+    step, good = 0, None
+    try:
+        for target in targets:
+            while state.t_tilde < target * (1.0 - 1e-14):
+                geom = compute_geometry(state.curve_tilde)
+                good = (step, state.t_tilde, geom)
+                dt = min(stable_step(geom, cfl), target - state.t_tilde)
+                state = step_geodesic_flow(state, dt)
+                step += 1
+            out.append(state)
+    except (InvalidCurveError, NumericalFailureError) as exc:
+        if good is None:  # the starting curve itself has no geometry
+            raise
+        last_step, t_tilde, geom = good
+        raise NumericalFailureError(
+            failure_message(exc, last_step, t_tilde, dt, geom)
+        ) from exc
     return out
 
 

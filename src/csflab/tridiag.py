@@ -2,7 +2,12 @@
 
 The banded core is LAPACK's ``gtsv`` (``scipy.linalg.lapack.dgtsv``),
 called directly; the wrap terms of closed and periodic curves are folded in
-with a rank-one Sherman-Morrison correction on top of it.
+with a rank-one Sherman-Morrison correction on top of it.  The cyclic solve
+writes its right-hand sides and the correction column straight into one
+Fortran-ordered array, the layout ``gtsv`` works in, so no stacked copy is
+built and none is transposed on the way in; one factorization serves all
+columns.  The correction is applied by broadcasting along the rows of the
+transposed solution.
 """
 
 from __future__ import annotations
@@ -20,8 +25,6 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     multiplies x[i+1] (upper[-1] ignored).  ``rhs`` may be (n,) or (n, k).
     Raises ``NumericalFailureError`` on a zero pivot or a non-finite result.
     """
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
     *_, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
     if info > 0:
         raise NumericalFailureError(
@@ -40,34 +43,31 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     The cyclic corners are removed by a rank-one update and restored with the
     Sherman-Morrison formula, so only one banded factorization is needed.
     """
-    diag = np.asarray(diag, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = diag.size
+    n = len(diag)
     if n < 3:
         raise NumericalFailureError("cyclic system needs at least 3 rows")
+    single = np.ndim(rhs) == 1
+    k = 1 if single else np.shape(rhs)[1]
 
-    single = rhs.ndim == 1
-    b = rhs[:, None] if single else rhs
-
-    gamma = -diag[0]
-    mod_diag = diag.copy()
+    mod_diag = np.array(diag, dtype=float)
+    gamma = -mod_diag[0]
     mod_diag[0] -= gamma
     mod_diag[-1] -= upper[-1] * lower[0] / gamma
 
-    u = np.zeros(n)
-    u[0] = gamma
-    u[-1] = upper[-1]
-
-    stacked = np.hstack([b, u[:, None]])
-    sol = solve_tridiagonal(lower, mod_diag, upper, stacked)
-    y, z = sol[:, :-1], sol[:, -1]
+    # columns 0..k-1 hold the right-hand sides, column k the vector
+    # u = (gamma, 0, ..., 0, upper[-1]) of the rank-one update
+    b = np.zeros((n, k + 1), order="F")
+    b[:, :k] = np.reshape(rhs, (n, k))
+    b[0, k] = gamma
+    b[-1, k] = upper[-1]
+    sol = solve_tridiagonal(lower, mod_diag, upper, b).T
+    y, z = sol[:k], sol[k]
 
     # v = (1, 0, ..., 0, lower[0] / gamma)
-    denom = 1.0 + z[0] + (lower[0] / gamma) * z[-1]
+    ratio = lower[0] / gamma
+    denom = 1.0 + z[0] + ratio * z[-1]
     if abs(denom) < 1e-300:
         raise NumericalFailureError("cyclic closure is singular")
-    vy = y[0] + (lower[0] / gamma) * y[-1]
-    x = y - np.outer(z, vy / denom)
+    vy = y[:, 0] + ratio * y[:, -1]
+    x = (y - (vy / denom)[:, None] * z).T
     return x[:, 0] if single else x

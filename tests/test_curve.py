@@ -168,22 +168,54 @@ def test_resample_periodic_keeps_offset():
 
 def test_validation_rejects_bad_input():
     good = np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8)), np.zeros(8)])
-    with pytest.raises(InvalidCurveError):
-        SampledCurve(good[:5], CLOSED)  # too few vertices
-    with pytest.raises(InvalidCurveError):
-        SampledCurve(good, "moebius")
-    with pytest.raises(InvalidCurveError):
-        SampledCurve(good, PERIODIC)  # missing offset
-    with pytest.raises(InvalidCurveError):
-        SampledCurve(good, CLOSED, offset=(0.0, 0.0, 1.0))
-    bad = good.copy()
-    bad[3] = bad[2]
-    with pytest.raises(InvalidCurveError):
-        SampledCurve(bad, CLOSED)
+    off = (0.0, 0.0, 1.0)
+
+    def rejects(message, points, topology=CLOSED, offset=None):
+        with pytest.raises(InvalidCurveError, match=message):
+            SampledCurve(points, topology, offset)
+
+    rejects(r"points must be an \(n, 3\) array", good[:, :2])
+    rejects(r"points must be an \(n, 3\) array", good.ravel())
     nanpts = good.copy()
     nanpts[0, 0] = math.nan
-    with pytest.raises(InvalidCurveError):
-        SampledCurve(nanpts, CLOSED)
+    rejects("points contain non-finite values", nanpts)
+    rejects("unknown topology 'moebius'", good, "moebius")
+    rejects("closed curve needs at least 8 vertices, got 5", good[:5])
+    rejects("open curve needs at least 4 vertices, got 3", good[:3], OPEN)
+    rejects("periodic topology requires an offset", good, PERIODIC)
+    rejects("offset must be a finite 3-vector", good, PERIODIC, (0.0, math.inf, 1.0))
+    rejects("offset must be a finite 3-vector", good, PERIODIC, (0.0, 1.0))
+    rejects("periodic offset must be nonzero", good, PERIODIC, (0.0, 0.0, 0.0))
+    rejects("closed topology takes no offset", good, CLOSED, off)
+    rejects("open topology takes no offset", good, OPEN, off)
+    bad = good.copy()
+    bad[3] = bad[2]
+    rejects("consecutive vertices must be distinct", bad)
+    looped = good.copy()
+    looped[-1] = looped[0]
+    rejects("closing segment is degenerate", looped)
+    shifted = good.copy()
+    shifted[-1] = shifted[0] + off
+    rejects("period-closing segment is degenerate", shifted, PERIODIC, off)
+    # the same vertices are valid where the failing segment does not exist
+    # or is measured differently
+    assert SampledCurve(looped, OPEN).n == 8
+    assert SampledCurve(looped, PERIODIC, off).n == 8
+    assert SampledCurve(good, CLOSED, (0.0, 0.0, 0.0)).offset is None
+
+
+@pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])
+def test_segment_lengths_are_shared_and_read_only(topology):
+    u = np.arange(12) * 0.5
+    pts = np.column_stack([np.cos(u), np.sin(u), 0.1 * u])
+    c = SampledCurve(pts, topology, (0.0, 0.0, 1.0) if topology == PERIODIC else None)
+    seg = segment_lengths(c)
+    assert len(seg) == (11 if topology == OPEN else 12)
+    assert not seg.flags.writeable
+    with pytest.raises(ValueError):
+        seg[0] = 1.0
+    assert segment_lengths(c) is seg
+    assert compute_geometry(c).segment_lengths is seg
 
 
 def test_points_are_read_only():

@@ -367,3 +367,53 @@ def test_run_failure_names_last_good_state(monkeypatch):
     assert partial.stop_reason == "numerical_failure"
     assert [r.step for r in partial.rows] == [0, 2, 4]
     assert [r.t for r in partial.rows] == [r.t for r in good.rows]
+
+
+def test_run_to_times_failure_names_last_good_state(monkeypatch):
+    calls = []
+
+    def failing_solve(lower, diag, upper, rhs):
+        calls.append(None)
+        if len(calls) < 5:
+            return tridiag.solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+        return np.full_like(rhs, np.nan)
+
+    cfl, target = 0.5, 0.3
+    state = make_state(circle(64))
+    for _ in range(4):
+        state = step_semi_implicit(state, stable_step(state.geometry, cfl))
+    dt = min(stable_step(state.geometry, cfl), target - state.t)
+    geom = state.geometry
+    monkeypatch.setattr(flow, "solve_cyclic_tridiagonal", failing_solve)
+    with pytest.raises(NumericalFailureError) as info:
+        run_to_times(circle(64), [0.1 * target, target], cfl=cfl, scheme=SEMI_IMPLICIT)
+    assert str(info.value) == (
+        "step 5 failed: implicit step produced non-finite vertices (last good "
+        f"state: step 4, t={state.t!r}, dt={dt!r}, "
+        f"min ds={float(geom.ds.min())!r}, "
+        f"k_max={float(geom.scalar_curvature.max())!r})"
+    )
+    assert isinstance(info.value.__cause__, NumericalFailureError)
+
+
+def test_run_keeps_partial_record_on_interrupt(monkeypatch):
+    calls = []
+
+    def interrupting(state, dt):
+        calls.append(None)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return step_semi_implicit(state, dt)
+
+    cfg = FlowConfig(record_every=2, t_end=1.0)
+    good = run(circle(64), FlowConfig(record_every=2, max_steps=4))
+    monkeypatch.setitem(flow._STEPPERS, SEMI_IMPLICIT, interrupting)
+    with pytest.raises(KeyboardInterrupt) as info:
+        run(circle(64), cfg)
+    partial = info.value.record
+    assert partial.stop_reason == "interrupted"
+    assert partial.config is cfg
+    assert [r.step for r in partial.rows] == [0, 2, 4]
+    assert [s for s, _, _ in partial.snapshots] == [0, 2, 4]
+    assert [r.t for r in partial.rows] == [r.t for r in good.rows]
+    assert np.array_equal(partial.snapshots[-1][2].points, good.snapshots[-1][2].points)

@@ -26,7 +26,7 @@ from csflab import (
     ratio_field,
     run,
 )
-from csflab import fileio
+from csflab import fileio, flow
 from csflab.chordarc import METRICS
 from csflab.fileio import (
     CURVE_MAGIC,
@@ -535,6 +535,35 @@ def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
     # the partial record was still emitted for post-mortems
     assert (out / "run.csv").exists()
     assert len(read_run_csv(out / "run.csv")) >= 1
+
+
+def test_cli_simulate_keeps_rows_on_interrupt(tmp_path, monkeypatch):
+    calls = []
+    real = flow._STEPPERS[flow.SEMI_IMPLICIT]
+
+    def interrupting(state, dt):
+        calls.append(None)
+        if len(calls) == 5:
+            raise KeyboardInterrupt
+        return real(state, dt)
+
+    out = tmp_path / "run"
+    args = [
+        "simulate", "--preset", "circle", "--n", "64", "--t-end", "0.1",
+        "--record-every", "2", "--out", str(out),
+    ]
+    monkeypatch.setitem(flow._STEPPERS, flow.SEMI_IMPLICIT, interrupting)
+    assert run_cli(args) == 130
+    rows = read_run_csv(out / "run.csv")
+    assert [r.step for r in rows] == [0, 2, 4]
+    assert read_run_json(out / "run.json")["stop_reason"] == "interrupted"
+    # every file is complete and no temporary file is left behind
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["run.csv", "run.json", "snap_0.curve", "snap_2.curve", "snap_4.curve"]
+    monkeypatch.undo()
+    good = run(circle(64), FlowConfig(t_end=0.1, record_every=2, max_steps=4))
+    assert [r.t for r in rows] == [r.t for r in good.rows]
+    assert [r.L for r in rows] == [r.L for r in good.rows]
 
 
 def test_cli_determinism_same_bytes(tmp_path):

@@ -1,0 +1,221 @@
+"""The step kernel against reference code written with numpy's generic calls.
+
+``compute_geometry``, the explicit step, the sphere decomposition, the
+geodesic step and the cyclic solve write out row norms, cross products and
+the Sherman-Morrison correction by hand.  Each reference below is the same
+arithmetic spelled with ``np.linalg.norm``, ``np.cross``, ``np.roll``,
+``np.hstack`` and ``np.outer``; results must agree bit for bit, signed
+zeros included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from csflab import (
+    CLOSED,
+    OPEN,
+    PERIODIC,
+    SampledCurve,
+    compute_geometry,
+    decompose_curvature,
+    make_state,
+    segment_lengths,
+    stable_step,
+    step_explicit,
+    step_geodesic_flow,
+)
+from csflab.sphere import RescaledState
+from csflab.tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
+
+
+def same_bits(x, y):
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(
+        np.ascontiguousarray(x).view(np.int64), np.ascontiguousarray(y).view(np.int64)
+    )
+
+
+def random_curve(seed, n, topology, scale, on_sphere=False):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3))
+    if on_sphere:
+        pts /= np.linalg.norm(pts, axis=1)[:, None]
+    offset = rng.normal(size=3) * 3.0 * scale if topology == PERIODIC else None
+    return SampledCurve(pts * scale, topology, offset)
+
+
+def reference_segments(curve):
+    pts = curve.points
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    if curve.topology == CLOSED:
+        seg = np.append(seg, np.linalg.norm(pts[0] - pts[-1]))
+    elif curve.topology == PERIODIC:
+        seg = np.append(seg, np.linalg.norm(pts[0] + curve.offset - pts[-1]))
+    return seg
+
+
+def reference_geometry(curve):
+    pts = curve.points
+    seg = reference_segments(curve)
+    if curve.is_cyclic():
+        prev, nxt = np.roll(pts, 1, axis=0), np.roll(pts, -1, axis=0)
+        if curve.topology == PERIODIC:
+            prev[0] = pts[-1] - curve.offset
+            nxt[-1] = pts[0] + curve.offset
+        cur, hm, hp = pts, np.roll(seg, 1), seg
+    else:
+        prev, cur, nxt = pts[:-2], pts[1:-1], pts[2:]
+        hm, hp = seg[:-1], seg[1:]
+    chord = nxt - prev
+    a = 2.0 / (hm * (hm + hp))
+    c = 2.0 / (hp * (hm + hp))
+    lap = a[:, None] * (prev - cur) + c[:, None] * (nxt - cur)
+    tangents = chord / np.linalg.norm(chord, axis=1)[:, None]
+    raw, ds = lap, 0.5 * (hm + hp)
+    if not curve.is_cyclic():
+        head = (pts[1] - pts[0]) / seg[0]
+        tail = (pts[-1] - pts[-2]) / seg[-1]
+        tangents = np.vstack([head, tangents, tail])
+        raw = np.vstack([lap[:1], lap, lap[-1:]])
+        ds = np.concatenate([[0.5 * seg[0]], ds, [0.5 * seg[-1]]])
+    kvec = raw - np.einsum("ij,ij->i", raw, tangents)[:, None] * tangents
+    return dict(
+        tangents=tangents,
+        curvature_vectors=kvec,
+        scalar_curvature=np.linalg.norm(kvec, axis=1),
+        ds=ds,
+        total_length=float(np.sum(seg)),
+        segment_lengths=seg,
+        lap_lower=a,
+        lap_upper=c,
+        laplacian=lap,
+    )
+
+
+def reference_decomposition(curve, geom):
+    radii = np.linalg.norm(curve.points, axis=1)
+    inward = -curve.points / radii[:, None]
+    tangents = geom["tangents"]
+    tilt = np.einsum("ij,ij->i", inward, tangents)
+    n_vec = inward - tilt[:, None] * tangents
+    n_vec = n_vec / np.linalg.norm(n_vec, axis=1)[:, None]
+    q_vec = np.cross(n_vec, tangents)
+    q_vec = q_vec / np.linalg.norm(q_vec, axis=1)[:, None]
+    kvec = geom["curvature_vectors"]
+    return dict(
+        k_g=np.einsum("ij,ij->i", kvec, q_vec),
+        k_n=np.einsum("ij,ij->i", kvec, n_vec),
+        n_vec=n_vec,
+        q_vec=q_vec,
+        radius=float(np.mean(radii)),
+    )
+
+
+def reference_cyclic_solve(lower, diag, upper, rhs):
+    # the Sherman-Morrison wrap as a stacked copy and an outer product
+    n = diag.size
+    single = rhs.ndim == 1
+    b = rhs[:, None] if single else rhs
+    gamma = -diag[0]
+    mod_diag = diag.copy()
+    mod_diag[0] -= gamma
+    mod_diag[-1] -= upper[-1] * lower[0] / gamma
+    u = np.zeros(n)
+    u[0] = gamma
+    u[-1] = upper[-1]
+    sol = solve_tridiagonal(lower, mod_diag, upper, np.hstack([b, u[:, None]]))
+    y, z = sol[:, :-1], sol[:, -1]
+    denom = 1.0 + z[0] + (lower[0] / gamma) * z[-1]
+    vy = y[0] + (lower[0] / gamma) * y[-1]
+    x = y - np.outer(z, vy / denom)
+    return x[:, 0] if single else x
+
+
+CURVES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 64),
+    topology=st.sampled_from([CLOSED, PERIODIC, OPEN]),
+    scale=st.floats(-8.0, 8.0).map(lambda e: 10.0**e),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**CURVES)
+def test_geometry_equals_norm_reference(seed, n, topology, scale):
+    curve = random_curve(seed, n, topology, scale)
+    expected = reference_geometry(curve)
+    assert same_bits(segment_lengths(curve), expected["segment_lengths"])
+    geom = compute_geometry(curve)
+    for name, value in expected.items():
+        assert same_bits(getattr(geom, name), value), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(**CURVES, fraction=st.floats(0.01, 1.0))
+def test_explicit_step_equals_reference(seed, n, topology, scale, fraction):
+    curve = random_curve(seed, n, topology, scale)
+    state = make_state(curve)
+    dt = fraction * stable_step(state.geometry)
+    move = dt * reference_geometry(curve)["curvature_vectors"]
+    if topology == OPEN:
+        move[0] = move[-1] = 0.0
+    nxt = step_explicit(state, dt)
+    assert same_bits(nxt.curve.points, curve.points + move)
+    assert nxt.t == dt and nxt.step == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(**CURVES)
+def test_sphere_decomposition_equals_cross_reference(seed, n, topology, scale):
+    curve = random_curve(seed, n, topology, scale, on_sphere=True)
+    expected = reference_decomposition(curve, reference_geometry(curve))
+    got = decompose_curvature(curve)
+    for name, value in expected.items():
+        assert same_bits(getattr(got, name), value), name
+
+
+@pytest.mark.parametrize("axes", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+def test_sphere_decomposition_signed_zeros(axes):
+    # a great circle in a coordinate plane: one coordinate of every vertex,
+    # tangent and normal is zero, so the cross product forms exact zeros
+    # whose signs must match np.cross
+    u = np.arange(16) * (2.0 * np.pi / 16)
+    cols = [np.cos(u), np.sin(u), np.zeros(16)]
+    curve = SampledCurve(np.column_stack([cols[i] for i in axes]), CLOSED)
+    expected = reference_decomposition(curve, reference_geometry(curve))
+    got = decompose_curvature(curve)
+    for name, value in expected.items():
+        assert same_bits(getattr(got, name), value), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(**CURVES, fraction=st.floats(0.01, 1.0), t_tilde=st.floats(0.0, 5.0))
+def test_geodesic_step_equals_cross_reference(seed, n, topology, scale, fraction, t_tilde):
+    curve = random_curve(seed, n, topology, scale, on_sphere=True)
+    geom = reference_geometry(curve)
+    dt = fraction * stable_step(compute_geometry(curve))
+    decomp = reference_decomposition(curve, geom)
+    moved = curve.points + dt * decomp["k_g"][:, None] * decomp["q_vec"]
+    projected = moved / np.linalg.norm(moved, axis=1)[:, None]
+    nxt = step_geodesic_flow(RescaledState(curve, t_tilde, 0.0), dt)
+    assert same_bits(nxt.curve_tilde.points, projected)
+    assert nxt.t_tilde == t_tilde + dt
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 64),
+    columns=st.sampled_from([None, 1, 3]),
+    scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+)
+def test_cyclic_solve_equals_outer_reference(seed, n, columns, scale):
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-1.0, 1.0, n) * scale
+    upper = rng.uniform(-1.0, 1.0, n) * scale
+    diag = (2.5 + rng.uniform(0.0, 1.0, n)) * scale * rng.choice([-1.0, 1.0], n)
+    rhs = rng.standard_normal(n if columns is None else (n, columns))
+    x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+    assert same_bits(x, reference_cyclic_solve(lower, diag, upper, rhs))

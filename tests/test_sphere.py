@@ -1,5 +1,6 @@
 """Spherical flows: decomposition, time dilation, and consistency."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from csflab import (
     CLOSED,
     DomainError,
     InvalidArgumentError,
+    InvalidCurveError,
     NotOnSphereError,
+    NumericalFailureError,
     SampledCurve,
     SPHERE_PERTURBED,
     build_curve,
@@ -27,6 +30,7 @@ from csflab import (
     step_geodesic_flow,
     time_dilation,
 )
+from csflab import sphere
 
 
 def latitude_circle(n, theta, r=1.0):
@@ -159,3 +163,62 @@ def test_consistency_profile_small_grid():
     # deviation accumulates but stays tiny on a smooth perturbation
     gaps = [r[2] for r in rows]
     assert gaps == sorted(gaps)
+
+
+def test_run_geodesic_flow_failure_names_last_good_state(monkeypatch):
+    cfl = 0.5
+    start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
+    target = start.t_tilde + 0.05
+    state = start
+    for _ in range(4):
+        geom = compute_geometry(state.curve_tilde)
+        state = step_geodesic_flow(state, stable_step(geom, cfl))
+    geom = compute_geometry(state.curve_tilde)
+    dt = min(stable_step(geom, cfl), target - state.t_tilde)
+
+    calls = []
+
+    def nan_on_fifth(curve, geometry=None):
+        calls.append(None)
+        decomp = decompose_curvature(curve, geometry)
+        if len(calls) < 5:
+            return decomp
+        return dataclasses.replace(decomp, k_g=np.full_like(decomp.k_g, np.nan))
+
+    monkeypatch.setattr(sphere, "decompose_curvature", nan_on_fifth)
+    with pytest.raises(NumericalFailureError) as info:
+        run_geodesic_flow(start, [target], cfl)
+    assert str(info.value) == (
+        "step 5 failed: geodesic step produced non-finite vertices (last good "
+        f"state: step 4, t={state.t_tilde!r}, dt={dt!r}, "
+        f"min ds={float(geom.ds.min())!r}, "
+        f"k_max={float(geom.scalar_curvature.max())!r})"
+    )
+    assert isinstance(info.value.__cause__, NumericalFailureError)
+
+
+def test_run_geodesic_flow_step_without_geometry_fails(monkeypatch):
+    # the curve made by step 4 has no geometry: step 4 failed, and the last
+    # good state is step 3 with the dt that step 4 was given
+    cfl = 0.5
+    start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
+    state = start
+    for _ in range(3):
+        state = step_geodesic_flow(state, stable_step(compute_geometry(state.curve_tilde), cfl))
+    geom = compute_geometry(state.curve_tilde)
+    dt = stable_step(geom, cfl)
+    fourth = step_geodesic_flow(state, dt).curve_tilde
+
+    def degenerate_fourth(curve):
+        if np.array_equal(curve.points, fourth.points):
+            raise InvalidCurveError("degenerate centered-difference tangent")
+        return compute_geometry(curve)
+
+    monkeypatch.setattr(sphere, "compute_geometry", degenerate_fourth)
+    with pytest.raises(NumericalFailureError) as info:
+        run_geodesic_flow(start, [start.t_tilde + 0.05], cfl)
+    assert str(info.value).startswith(
+        "step 4 failed: degenerate centered-difference tangent (last good "
+        f"state: step 3, t={state.t_tilde!r}, dt={dt!r}, "
+        f"min ds={float(geom.ds.min())!r}, "
+    )
