@@ -15,7 +15,6 @@ from .chordarc import (
     comparison_chord,
     find_local_minima,
     min_pair_ratio,
-    min_ratio_series,
     pair_diagnostics,
     ratio_field,
     ratio_minima,

@@ -10,14 +10,19 @@ arc l, two ratios are tracked:
 Periodic curves use a one-way arc along the periodic extension (the curve
 plus one offset copy), where only d/l makes sense.
 
-One pair kernel, ``_pair_blocks``, serves every reduction.  It walks row
-blocks of about ``_BLOCK_CELLS`` cells and gives, for each, the chords, the
-arcs and the excluded cells.  Closed curves take all columns, the shorter
-arc and a cyclic band of ``exclusion_band`` steps around the diagonal;
-periodic curves take columns lo+band+1 .. hi+n-1 of the extension, the
-forward arc, and exclude gaps j-i outside [band+1, n].  Only the output of
-``ratio_field`` is n x n: ``ratio_minima`` and ``min_pair_ratio`` keep
-running minima.  CSF_THREADS (capped at the CPU count) maps the per-block
+One pair kernel, ``_pair_blocks``, serves every reduction.  It visits each
+pair once, as the cell i < j, in row blocks of about ``_BLOCK_CELLS`` cells,
+and gives, for each block, the chords, the arcs and the excluded cells.
+Rows lo:hi take columns lo+band+1 .. hi-1+max_gap, the arc s[j] - s[i], and
+exclude gaps j-i outside [band+1, max_gap].  Closed curves fold the arc to
+the shorter one, min(l, L - l), and use max_gap = n-band-1, since a larger
+gap lies within the band the other way round; the rows from n-band-1 on
+have no pair.  Periodic curves use the forward arc along the extension and
+max_gap = n.  Chords, folded arcs and psi are symmetric in i and j, so the
+closed cell (i, j) holds the same bits as (j, i); ``ratio_field`` fills the
+cells i < j and mirrors them below the diagonal.  Only its output is n x n:
+``ratio_minima`` and ``min_pair_ratio`` keep running minima over about
+n^2/2 cells.  CSF_THREADS (capped at the CPU count) maps the per-block
 function over a thread pool; each cell has one fixed arithmetic order and
 minima are exact, so results never depend on the thread count.
 """
@@ -51,9 +56,11 @@ METRICS = (D_OVER_L, D_OVER_PSI)
 
 MIN_FIELD_VERTICES = 16
 
-# cells per row block of the pair kernel, max(1, _BLOCK_CELLS // n) rows;
-# block arrays of about 64 KB stay below glibc's 128 KB mmap threshold, so
-# blocks reuse heap memory instead of faulting in fresh pages for each block
+# cells per row block of the pair kernel: max(1, _BLOCK_CELLS // width) rows,
+# where width is the column count of the block's first row, so blocks grow
+# taller as the i < j rows shorten; block arrays of about 64 KB stay below
+# glibc's 128 KB mmap threshold, so blocks reuse heap memory instead of
+# faulting in fresh pages for each block
 _BLOCK_CELLS = 2**13
 
 
@@ -111,40 +118,39 @@ def _periodic_extension(curve: SampledCurve) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_blocks(curve: SampledCurve, band: int, fn) -> list:
-    """The pair kernel: fn(lo, hi, ratio) for every row block, in order.
+    """The pair kernel: fn(rows, cols, ratio) for every row block, in order.
 
-    For rows lo:hi it computes the chords d, the arcs l and the excluded
-    cells once; ``ratio(metric)`` is that block of the ratio table with the
-    excluded cells set to NaN.
+    ``rows`` and ``cols`` are the slices of the block; for them it computes
+    the chords d, the arcs l and the excluded cells once, and
+    ``ratio(metric)`` is that block of the ratio table with the excluded
+    cells set to NaN.  Only pairs i < j are visited, each once, with the
+    columns and excluded gaps given in the module docstring.
     """
     n = curve.n
     closed = curve.topology == CLOSED
     if closed:
         pts = curve.points
         s, length = arc_positions(curve)
+        max_gap = n - band - 1  # a larger gap is within the band the other way
     else:
         pts, s = _periodic_extension(curve)
         length = None  # only d/l, which needs no length, is defined
+        max_gap = n
     px, py, pz = np.ascontiguousarray(pts.T)
     idx = np.arange(len(pts))
+    last = len(pts) - 1
 
-    def block(bounds: tuple[int, int]):
-        lo, hi = bounds
-        rows = slice(lo, hi)
-        cols = slice(0, n) if closed else slice(lo + band + 1, hi + n)
+    def block(bounds: tuple[slice, slice]):
+        rows, cols = bounds
         dx = px[rows, None] - px[None, cols]
         dy = py[rows, None] - py[None, cols]
         dz = pz[rows, None] - pz[None, cols]
         d = np.sqrt(dx * dx + dy * dy + dz * dz)
+        arc = s[None, cols] - s[rows, None]
         if closed:
-            fwd = np.abs(s[rows, None] - s[None, cols])
-            arc = np.minimum(fwd, length - fwd)
-            sep = np.abs(idx[rows, None] - idx[None, cols])
-            excluded = np.minimum(sep, n - sep) <= band
-        else:
-            arc = s[None, cols] - s[rows, None]
-            gap = idx[None, cols] - idx[rows, None]
-            excluded = (gap <= band) | (gap > n)
+            arc = np.minimum(arc, length - arc)
+        gap = idx[None, cols] - idx[rows, None]
+        excluded = (gap <= band) | (gap > max_gap)
 
         def ratio(metric: str) -> np.ndarray:
             den = arc if metric == D_OVER_L else comparison_chord(arc, length)
@@ -153,10 +159,16 @@ def _pair_blocks(curve: SampledCurve, band: int, fn) -> list:
             vals[excluded] = np.nan
             return vals
 
-        return fn(lo, hi, ratio)
+        return fn(rows, cols, ratio)
 
-    height = max(1, _BLOCK_CELLS // n)
-    bounds = [(lo, min(lo + height, n)) for lo in range(0, n, height)]
+    bounds = []
+    lo = 0
+    while lo < max_gap:  # closed rows from n-band-1 on have no pair i < j
+        width = min(lo + max_gap, last) - lo - band
+        hi = min(lo + max(1, _BLOCK_CELLS // width), max_gap)
+        end = min(hi - 1 + max_gap, last) + 1
+        bounds.append((slice(lo, hi), slice(lo + band + 1, end)))
+        lo = hi
     workers = min(_thread_count(), len(bounds))
     if workers == 1:
         return list(map(block, bounds))
@@ -182,12 +194,18 @@ def ratio_field(
             f"ratio fields need at least {MIN_FIELD_VERTICES} vertices"
         )
     _check_reduction(curve, metric, exclusion_band)
-    values = np.empty((curve.n, curve.n))
+    values = np.full((curve.n, curve.n), np.nan)
 
-    def fill(lo: int, hi: int, ratio) -> None:
-        values[lo:hi] = ratio(metric)
+    def fill(rows: slice, cols: slice, ratio) -> slice:
+        values[rows, cols] = ratio(metric)
+        return rows
 
-    _pair_blocks(curve, exclusion_band, fill)
+    # the kernel fills the cells i < j; the block of rows lo:hi is then
+    # mirrored into columns lo:hi, whose cells below the diagonal still hold
+    # NaN, so fmax takes each mirrored value and keeps the cells above it
+    for rows in _pair_blocks(curve, exclusion_band, fill):
+        lo, hi = rows.start, rows.stop
+        values[lo:, lo:hi] = np.fmax(values[lo:, lo:hi], values[lo:hi, lo:].T)
     values.setflags(write=False)
     return RatioField(values=values, metric=metric, exclusion_band=exclusion_band)
 
@@ -235,7 +253,7 @@ def min_pair_ratio(
     """Global minimum of the pair ratio outside the exclusion band."""
     _check_reduction(curve, metric, exclusion_band)
     minima = _pair_blocks(
-        curve, exclusion_band, lambda lo, hi, ratio: np.nanmin(ratio(metric))
+        curve, exclusion_band, lambda rows, cols, ratio: np.nanmin(ratio(metric))
     )
     return float(min(minima))
 
@@ -246,29 +264,11 @@ def ratio_minima(
     """(min d/l, min d/psi) for a closed curve in one pairwise pass."""
     _check_reduction(curve, D_OVER_PSI, exclusion_band)  # d/psi needs closed
 
-    def block_minima(lo: int, hi: int, ratio) -> tuple[float, float]:
+    def block_minima(rows: slice, cols: slice, ratio) -> tuple[float, float]:
         return np.nanmin(ratio(D_OVER_L)), np.nanmin(ratio(D_OVER_PSI))
 
     dl, dpsi = zip(*_pair_blocks(curve, exclusion_band, block_minima))
     return float(min(dl)), float(min(dpsi))
-
-
-def min_ratio_series(
-    snapshots: list[tuple[float, SampledCurve]],
-    metric: str = D_OVER_L,
-    exclusion_band: int = 2,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Global-minimum ratio across snapshots: (times, minima, slopes).
-
-    Slopes are forward finite differences, one fewer entry than times.
-    """
-    if len(snapshots) < 2:
-        raise InvalidArgumentError("need at least two snapshots for a series")
-    t = np.array([ti for ti, _ in snapshots], dtype=float)
-    vals = np.array(
-        [min_pair_ratio(c, metric, exclusion_band) for _, c in snapshots]
-    )
-    return t, vals, np.diff(vals) / np.diff(t)
 
 
 def arc_curvature_integral(

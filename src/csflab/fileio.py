@@ -17,7 +17,8 @@ Ratio fields are the large files (n=2048 gives 2 M cells, 58 MB).  The
 writer formats each matrix row with one ``repr`` of the row's finite cells
 and one ``write``; the reader parses ``_CHUNK_LINES`` lines at a time with
 numpy's text parser and scatters them into the matrix, walking a chunk
-line by line only to name the line of an error.
+line by line only to name the line of an error.  Curve snapshots take one
+``repr`` of all their coordinates, split into ``x y z`` rows.
 
 Every writer goes through ``_atomic_open``: the text goes to a temporary
 file in the target directory that replaces the target only once it is
@@ -126,8 +127,9 @@ def write_curve(curve: SampledCurve, path) -> None:
         lines.append(f"topology {PERIODIC} {ox} {oy} {oz}")
     else:
         lines.append(f"topology {curve.topology}")
-    for x, y, z in curve.points:
-        lines.append(f"{format_float(x)} {format_float(y)} {format_float(z)}")
+    # one repr of all coordinates, as format_float of each, split into rows
+    texts = iter(repr(curve.points.ravel().tolist())[1:-1].split(", "))
+    lines.extend(map(" ".join, zip(texts, texts, texts)))
     _write_lines(lines, path)
 
 

@@ -23,7 +23,6 @@ from csflab import (
     compute_geometry,
     find_local_minima,
     min_pair_ratio,
-    min_ratio_series,
     pair_diagnostics,
     ratio_field,
     ratio_minima,
@@ -380,6 +379,77 @@ def test_periodic_minimum_equals_loop_bit_for_bit(seed, n, band, block_cells):
             assert min_pair_ratio(h, D_OVER_L, band) == slow
 
 
+def kernel_cells(curve, band):
+    # what the pair kernel hands out: the (i, j) of every non-excluded cell,
+    # the number of cells and the tallest block
+    def block(rows, cols, ratio):
+        i, j = np.nonzero(~np.isnan(ratio(D_OVER_L)))
+        pairs = list(zip((i + rows.start).tolist(), (j + cols.start).tolist()))
+        height = rows.stop - rows.start
+        return pairs, height * (cols.stop - cols.start), height
+
+    pairs, cells, heights = zip(*chordarc._pair_blocks(curve, band, block))
+    return sorted(p for ps in pairs for p in ps), sum(cells), max(heights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 80),
+    band=st.integers(1, 79),
+    block_cells=st.sampled_from([1, 7, 100, chordarc._BLOCK_CELLS]),
+)
+def test_kernel_visits_each_pair_once(seed, n, band, block_cells):
+    closed_band = min(band, n // 2 - 1)
+    periodic_band = min(band, n - 1)
+    closed = random_curve(seed, n, CLOSED)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chordarc, "_BLOCK_CELLS", block_cells)
+        pairs, cells, tallest = kernel_cells(closed, closed_band)
+        p_pairs, p_cells, p_tallest = kernel_cells(
+            random_curve(seed, n, PERIODIC), periodic_band
+        )
+    # closed: each unordered pair outside the cyclic band once, as i < j
+    assert len(pairs) == n * (n - 2 * closed_band - 1) // 2
+    assert pairs == [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if min(j - i, n - j + i) > closed_band
+    ]
+    assert cells <= n * (n + tallest) / 2
+    # periodic: each forward pair (i, i + gap), gap in [band + 1, n], once
+    assert p_pairs == [
+        (i, j) for i in range(n) for j in range(i + periodic_band + 1, i + n + 1)
+    ]
+    assert p_cells <= n * (n - periodic_band + p_tallest - 1)
+
+
+@pytest.mark.parametrize("n", [16, 17, 40, 41])
+@pytest.mark.parametrize("block_cells", [1, chordarc._BLOCK_CELLS])
+def test_widest_band_and_single_cell_blocks(n, block_cells):
+    # band n//2 - 1 leaves only the pairs half way round: n/2 of them on
+    # even n, n on odd n
+    band = n // 2 - 1
+    c = random_curve(n, n, CLOSED)
+    slow = {m: loop_field(c, m, band) for m in (D_OVER_L, D_OVER_PSI)}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chordarc, "_BLOCK_CELLS", block_cells)
+        pairs, _, tallest = kernel_cells(c, band)
+        for metric in (D_OVER_L, D_OVER_PSI):
+            fast = ratio_field(c, metric, band).values
+            assert np.array_equal(fast, slow[metric], equal_nan=True)
+            assert min_pair_ratio(c, metric, band) == np.nanmin(slow[metric])
+        assert ratio_minima(c, band) == (
+            np.nanmin(slow[D_OVER_L]),
+            np.nanmin(slow[D_OVER_PSI]),
+        )
+    assert len(pairs) == (n // 2 if n % 2 == 0 else n)
+    assert np.count_nonzero(np.isfinite(slow[D_OVER_L])) == 2 * len(pairs)
+    if block_cells == 1:
+        assert tallest == 1
+
+
 @pytest.mark.parametrize(
     "reduce, topology",
     [
@@ -421,6 +491,20 @@ def test_ratio_minima_matches_field_minima():
     f_dpsi = ratio_field(c, D_OVER_PSI, 2)
     assert dl == np.nanmin(f_dl.values)
     assert dpsi == np.nanmin(f_dpsi.values)
+
+
+def min_ratio_series(snapshots, metric=D_OVER_L, exclusion_band=2):
+    """Global-minimum ratio across snapshots: (times, minima, slopes).
+
+    Slopes are forward finite differences, one fewer entry than times.
+    """
+    if len(snapshots) < 2:
+        raise InvalidArgumentError("need at least two snapshots for a series")
+    t = np.array([ti for ti, _ in snapshots], dtype=float)
+    vals = np.array(
+        [min_pair_ratio(c, metric, exclusion_band) for _, c in snapshots]
+    )
+    return t, vals, np.diff(vals) / np.diff(t)
 
 
 def test_min_ratio_series_slopes():

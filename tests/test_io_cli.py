@@ -282,6 +282,42 @@ def test_ratio_field_text_round_trip(seed, n, band, metric, cells, empty_rows, c
         assert back.exclusion_band == band
 
 
+def reference_curve_text(curve):
+    # reference writer: one format_float per coordinate, one f-string per vertex
+    lines = [CURVE_MAGIC]
+    if curve.topology == PERIODIC:
+        ox, oy, oz = (format_float(v) for v in curve.offset)
+        lines.append(f"topology {PERIODIC} {ox} {oy} {oz}")
+    else:
+        lines.append(f"topology {curve.topology}")
+    for x, y, z in curve.points:
+        lines.append(f"{format_float(x)} {format_float(y)} {format_float(z)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(8, 40),
+    topology=st.sampled_from([CLOSED, OPEN, PERIODIC]),
+    cells=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 2),
+                             st.sampled_from(SPECIAL_VALUES)), max_size=8),
+)
+def test_curve_text_equals_per_value_writer(seed, n, topology, cells):
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 9)
+    for i, k, v in cells:  # shortest-repr corner cases in any coordinate
+        pts[i % n, k] = v
+    offset = rng.normal(size=3) * 3.0 if topology == PERIODIC else None
+    curve = SampledCurve(pts, topology, offset)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.curve"
+        write_curve(curve, path)
+        assert path.read_bytes() == reference_curve_text(curve).encode()
+        back = read_curve(path)
+    assert np.array_equal(bits(back.points), bits(curve.points))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     chunk=st.sampled_from([1, 7]),
