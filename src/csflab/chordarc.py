@@ -10,21 +10,23 @@ arc l, two ratios are tracked:
 Periodic curves use a one-way arc along the periodic extension (the curve
 plus one offset copy), where only d/l makes sense.
 
-One pair kernel, ``_pair_blocks``, serves every reduction.  It visits each
-pair once, as the cell i < j, in row blocks of about ``_BLOCK_CELLS`` cells,
-and gives, for each block, the chords, the arcs and the excluded cells.
-Rows lo:hi take columns lo+band+1 .. hi-1+max_gap, the arc s[j] - s[i], and
-exclude gaps j-i outside [band+1, max_gap].  Closed curves fold the arc to
-the shorter one, min(l, L - l), and use max_gap = n-band-1, since a larger
-gap lies within the band the other way round; the rows from n-band-1 on
-have no pair.  Periodic curves use the forward arc along the extension and
-max_gap = n.  Chords, folded arcs and psi are symmetric in i and j, so the
-closed cell (i, j) holds the same bits as (j, i); ``ratio_field`` fills the
-cells i < j and mirrors them below the diagonal.  Only its output is n x n:
-``ratio_minima`` and ``min_pair_ratio`` keep running minima over about
-n^2/2 cells.  CSF_THREADS (capped at the CPU count) maps the per-block
-function over a thread pool; each cell has one fixed arithmetic order and
-minima are exact, so results never depend on the thread count.
+One pair kernel, ``_pair_blocks``, serves every reduction.  It walks gaps,
+not rows: a block is a run of whole cyclic diagonals, the pairs (i, i+g)
+for every vertex i and each gap g of the block, read as windows of the
+vertex and arc-position arrays, in blocks of about ``_BLOCK_CELLS`` cells.
+Periodic curves take gaps band+1 .. n along the extension, with the forward
+arc s[i+g] - s[i].  Closed curves lay the vertices twice and take gaps
+band+1 .. n//2, since a larger gap is a smaller one the other way round;
+the arc |s[i+g mod n] - s[i]| is folded to the shorter one, min(l, L - l),
+and on even n the gap n/2 takes only i < n/2.  So every cell of a block is
+a pair outside the band, each pair comes once, and no cell is masked.
+Chords, folded arcs and psi are symmetric in i and j, so a closed pair
+holds the same bits whichever end comes first; ``ratio_field`` writes each
+value into both of its cells.  Only its output is n x n: ``ratio_minima``
+and ``min_pair_ratio`` keep running minima over about n^2/2 cells.
+CSF_THREADS (capped at the CPU count) maps the blocks over a thread pool;
+each cell has one fixed arithmetic order and minima are exact, so results
+never depend on the thread count.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .curve import (
     CLOSED,
@@ -56,12 +59,12 @@ METRICS = (D_OVER_L, D_OVER_PSI)
 
 MIN_FIELD_VERTICES = 16
 
-# cells per row block of the pair kernel: max(1, _BLOCK_CELLS // width) rows,
-# where width is the column count of the block's first row, so blocks grow
-# taller as the i < j rows shorten; block arrays of about 64 KB stay below
-# glibc's 128 KB mmap threshold, so blocks reuse heap memory instead of
-# faulting in fresh pages for each block
-_BLOCK_CELLS = 2**13
+# cells per gap block of the pair kernel: max(1, _BLOCK_CELLS // n) whole
+# diagonals, computed in place in one allocation of three buffers per block
+# (768 KB, within the L2 cache).  One allocation keeps being served from the
+# heap; three separate 256 KB buffers were returned to the system after each
+# block and made the pair rows of a flow run about twice as slow.
+_BLOCK_CELLS = 2**15
 
 
 def comparison_chord(arc: np.ndarray | float, length: float):
@@ -118,62 +121,69 @@ def _periodic_extension(curve: SampledCurve) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_blocks(curve: SampledCurve, band: int, fn) -> list:
-    """The pair kernel: fn(rows, cols, ratio) for every row block, in order.
+    """The pair kernel: fn(gaps, ratio) for every gap block, in order.
 
-    ``rows`` and ``cols`` are the slices of the block; for them it computes
-    the chords d, the arcs l and the excluded cells once, and
-    ``ratio(metric)`` is that block of the ratio table with the excluded
-    cells set to NaN.  Only pairs i < j are visited, each once, with the
-    columns and excluded gaps given in the module docstring.
+    ``gaps`` is the range of index gaps g of the block, one row each, and
+    column i of row g is the pair (i, i+g), with i+g taken mod n on closed
+    curves.  For the block it computes the chords d and the arcs l once, in
+    place, and ``ratio(metric)`` returns that block of the ratio table in a
+    buffer that the block's next ``ratio`` call overwrites.  Every cell is a
+    pair outside the band, and each pair is visited once.
     """
     n = curve.n
     closed = curve.topology == CLOSED
     if closed:
-        pts = curve.points
         s, length = arc_positions(curve)
-        max_gap = n - band - 1  # a larger gap is within the band the other way
+        ext = np.vstack([curve.points.T, s])
+        ext = np.hstack([ext, ext])  # the vertices laid twice
+        top = (n + 1) // 2  # a gap g < top pairs every vertex i with i + g
     else:
         pts, s = _periodic_extension(curve)
+        ext = np.vstack([pts.T, s])
         length = None  # only d/l, which needs no length, is defined
-        max_gap = n
-    px, py, pz = np.ascontiguousarray(pts.T)
-    idx = np.arange(len(pts))
-    last = len(pts) - 1
+        top = n + 1
+    rows = ext[:, None, :n]  # x, y, z and s of vertex i, as (1, n) rows
+    windows = sliding_window_view(ext, n, axis=1)  # [:, g, i] is vertex i + g
 
-    def block(bounds: tuple[slice, slice]):
-        rows, cols = bounds
-        dx = px[rows, None] - px[None, cols]
-        dy = py[rows, None] - py[None, cols]
-        dz = pz[rows, None] - pz[None, cols]
-        d = np.sqrt(dx * dx + dy * dy + dz * dz)
-        arc = s[None, cols] - s[rows, None]
+    def block(gaps: range):
+        m = n if gaps.start < top else n // 2
+        x, y, z, s0 = rows[..., :m]
+        xw, yw, zw, sw = windows[:, gaps.start : gaps.stop, :m]
+        d, arc, out = np.empty((3, len(gaps), m))
+        np.subtract(x, xw, out=d)
+        np.multiply(d, d, out=d)
+        for c, cw in ((y, yw), (z, zw)):
+            np.subtract(c, cw, out=out)
+            np.multiply(out, out, out=out)
+            np.add(d, out, out=d)
+        np.sqrt(d, out=d)
+        np.subtract(sw, s0, out=arc)
         if closed:
-            arc = np.minimum(arc, length - arc)
-        gap = idx[None, cols] - idx[rows, None]
-        excluded = (gap <= band) | (gap > max_gap)
+            np.abs(arc, out=arc)
+            np.subtract(length, arc, out=out)
+            np.minimum(arc, out, out=arc)
 
         def ratio(metric: str) -> np.ndarray:
-            den = arc if metric == D_OVER_L else comparison_chord(arc, length)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                vals = d / den
-            vals[excluded] = np.nan
-            return vals
+            if metric == D_OVER_L:
+                return np.divide(d, arc, out=out)
+            # psi in comparison_chord's order: (L/pi) * sin(l * pi / L)
+            np.multiply(arc, math.pi, out=out)
+            np.divide(out, length, out=out)
+            np.sin(out, out=out)
+            np.multiply(length / math.pi, out, out=out)
+            return np.divide(d, out, out=out)
 
-        return fn(rows, cols, ratio)
+        return fn(gaps, ratio)
 
-    bounds = []
-    lo = 0
-    while lo < max_gap:  # closed rows from n-band-1 on have no pair i < j
-        width = min(lo + max_gap, last) - lo - band
-        hi = min(lo + max(1, _BLOCK_CELLS // width), max_gap)
-        end = min(hi - 1 + max_gap, last) + 1
-        bounds.append((slice(lo, hi), slice(lo + band + 1, end)))
-        lo = hi
-    workers = min(_thread_count(), len(bounds))
+    step = max(1, _BLOCK_CELLS // n)
+    blocks = [range(g, min(g + step, top)) for g in range(band + 1, top, step)]
+    if closed and n % 2 == 0:
+        blocks.append(range(top, top + 1))  # gap n/2: only i < n/2, half width
+    workers = min(_thread_count(), len(blocks))
     if workers == 1:
-        return list(map(block, bounds))
+        return list(map(block, blocks))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(block, bounds))
+        return list(pool.map(block, blocks))
 
 
 def ratio_field(
@@ -194,18 +204,22 @@ def ratio_field(
             f"ratio fields need at least {MIN_FIELD_VERTICES} vertices"
         )
     _check_reduction(curve, metric, exclusion_band)
-    values = np.full((curve.n, curve.n), np.nan)
+    n = curve.n
+    values = np.full((n, n), np.nan)
+    flat = values.reshape(-1)  # a view: stepping n + 1 walks a diagonal
 
-    def fill(rows: slice, cols: slice, ratio) -> slice:
-        values[rows, cols] = ratio(metric)
-        return rows
+    def fill(gaps: range, ratio) -> None:
+        # cell i of gap g is (i, i+g) above the diagonal while i < n - g and
+        # (i, i+g-n) below it from there on; each value also goes to its mirror
+        for g, row in zip(gaps, ratio(metric)):
+            split = n - g
+            wrapped = len(row) - split
+            flat[g : split * (n + 1) : n + 1] = row[:split]
+            flat[g * n :: n + 1][:split] = row[:split]
+            flat[split * n :: n + 1][:wrapped] = row[split:]
+            flat[split :: n + 1][:wrapped] = row[split:]
 
-    # the kernel fills the cells i < j; the block of rows lo:hi is then
-    # mirrored into columns lo:hi, whose cells below the diagonal still hold
-    # NaN, so fmax takes each mirrored value and keeps the cells above it
-    for rows in _pair_blocks(curve, exclusion_band, fill):
-        lo, hi = rows.start, rows.stop
-        values[lo:, lo:hi] = np.fmax(values[lo:, lo:hi], values[lo:hi, lo:].T)
+    _pair_blocks(curve, exclusion_band, fill)
     values.setflags(write=False)
     return RatioField(values=values, metric=metric, exclusion_band=exclusion_band)
 
@@ -253,7 +267,7 @@ def min_pair_ratio(
     """Global minimum of the pair ratio outside the exclusion band."""
     _check_reduction(curve, metric, exclusion_band)
     minima = _pair_blocks(
-        curve, exclusion_band, lambda rows, cols, ratio: np.nanmin(ratio(metric))
+        curve, exclusion_band, lambda gaps, ratio: ratio(metric).min()
     )
     return float(min(minima))
 
@@ -264,8 +278,8 @@ def ratio_minima(
     """(min d/l, min d/psi) for a closed curve in one pairwise pass."""
     _check_reduction(curve, D_OVER_PSI, exclusion_band)  # d/psi needs closed
 
-    def block_minima(rows: slice, cols: slice, ratio) -> tuple[float, float]:
-        return np.nanmin(ratio(D_OVER_L)), np.nanmin(ratio(D_OVER_PSI))
+    def block_minima(gaps: range, ratio) -> tuple[float, float]:
+        return ratio(D_OVER_L).min(), ratio(D_OVER_PSI).min()
 
     dl, dpsi = zip(*_pair_blocks(curve, exclusion_band, block_minima))
     return float(min(dl)), float(min(dpsi))

@@ -18,7 +18,8 @@ writer formats each matrix row with one ``repr`` of the row's finite cells
 and one ``write``; the reader parses ``_CHUNK_LINES`` lines at a time with
 numpy's text parser and scatters them into the matrix, walking a chunk
 line by line only to name the line of an error.  Curve snapshots take one
-``repr`` of all their coordinates, split into ``x y z`` rows.
+``repr`` of all their coordinates, split into ``x y z`` rows, and are read
+back with one call of the same parser.
 
 Every writer goes through ``_atomic_open``: the text goes to a temporary
 file in the target directory that replaces the target only once it is
@@ -156,18 +157,29 @@ def read_curve(path) -> SampledCurve:
             f"{path}: topology must be one of {TOPOLOGIES} "
             "(periodic takes an offset triple)"
         )
-    points = []
-    for ln, line in enumerate(lines[2:], start=3):
-        if not line.strip():
-            continue
+    try:
+        points = _parse_rows(lines[2:], float, ndmin=2)
+    except ValueError:
+        points = None
+    if points is None or (points.size and points.shape[1] != 3):
+        raise _bad_point_line(path, lines[2:])
+    return SampledCurve(points, topology, offset)
+
+
+def _bad_point_line(path, lines: list[str]) -> InvalidArgumentError:
+    """The error naming the first bad body line of a curve file (line 3 on)."""
+    for ln, line in enumerate(lines, start=3):
         parts = line.split()
+        if not parts:
+            continue
         if len(parts) != 3:
-            raise InvalidArgumentError(f"{path}:{ln}: expected 'x y z'")
+            return InvalidArgumentError(f"{path}:{ln}: expected 'x y z'")
         try:
-            points.append([float(v) for v in parts])
+            [float(v) for v in parts]  # float's message names the token
+            _parse_rows([line], float, ndmin=2)
         except ValueError as exc:
-            raise InvalidArgumentError(f"{path}:{ln}: {exc}") from exc
-    return SampledCurve(np.array(points, dtype=float), topology, offset)
+            return InvalidArgumentError(f"{path}:{ln}: {exc}")
+    return InvalidArgumentError(f"{path}: unreadable curve body")
 
 
 def write_run_csv(rows: list[RecordRow], path) -> None:
@@ -250,12 +262,12 @@ def write_ratio_field(field: RatioField, path) -> None:
             fh.write(lead + f"\n{lead}".join(cells) + "\n")
 
 
-def _parse_cells(lines: list[str]) -> np.ndarray:
-    """``i j value`` records of body lines; blank lines are skipped."""
+def _parse_rows(lines: list[str], dtype, ndmin: int) -> np.ndarray:
+    """Whitespace-separated body lines in one array; blank lines are skipped."""
     with warnings.catch_warnings():
         # a chunk of blank lines is no error
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, dtype=_CELL_DTYPE, comments=None, ndmin=1)
+        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=ndmin)
 
 
 def _bad_line(path, first: int, lines: list[str], n: int) -> InvalidArgumentError:
@@ -266,7 +278,7 @@ def _bad_line(path, first: int, lines: list[str], n: int) -> InvalidArgumentErro
         if len(line.split()) != 3:
             return InvalidArgumentError(f"{path}:{ln}: expected 'i j value'")
         try:
-            ((i, j, _),) = _parse_cells([line]).tolist()
+            ((i, j, _),) = _parse_rows([line], _CELL_DTYPE, ndmin=1).tolist()
         except ValueError:
             return InvalidArgumentError(
                 f"{path}:{ln}: expected integers i j and a float value, "
@@ -303,7 +315,7 @@ def read_ratio_field(path) -> RatioField:
         first = 4
         while lines := list(itertools.islice(fh, _CHUNK_LINES)):
             try:
-                cells = _parse_cells(lines)
+                cells = _parse_rows(lines, _CELL_DTYPE, ndmin=1)
             except ValueError as exc:
                 raise _bad_line(path, first, lines, n) from exc
             i, j, v = cells["i"], cells["j"], cells["v"]

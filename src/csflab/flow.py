@@ -131,6 +131,21 @@ def stable_step(geometry: CurveGeometry, cfl: float = 1.0) -> float:
     return cfl * float(geometry.ds.min()) ** 2 / 2.0
 
 
+def _stepped_curve(points: np.ndarray, like: SampledCurve, step: str) -> SampledCurve:
+    """The curve a step moved ``like`` to, tested for non-finite vertices once.
+
+    The constructor's test is the only one; its failure on a non-finite
+    vertex is raised as the ``NumericalFailureError`` of the ``step``.
+    """
+    try:
+        return SampledCurve(points, like.topology, like.offset)
+    except InvalidCurveError as exc:
+        if np.isfinite(points).all():
+            raise
+        message = f"{step} step produced non-finite vertices"
+        raise NumericalFailureError(message) from exc
+
+
 def step_explicit(state: FlowState, dt: float) -> FlowState:
     """Forward Euler step: each vertex moves by dt times its curvature vector.
 
@@ -146,10 +161,7 @@ def step_explicit(state: FlowState, dt: float) -> FlowState:
     if not state.curve.is_cyclic():
         move[0] = 0.0
         move[-1] = 0.0
-    new_pts = state.curve.points + move
-    if not np.isfinite(new_pts).all():
-        raise NumericalFailureError("explicit step produced non-finite vertices")
-    curve = SampledCurve(new_pts, state.curve.topology, state.curve.offset)
+    curve = _stepped_curve(state.curve.points + move, state.curve, "explicit")
     return FlowState(curve, state.t + dt, state.step + 1, compute_geometry(curve))
 
 
@@ -175,10 +187,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
         delta = np.zeros_like(curve.points)
         delta[1:-1] = solve_tridiagonal(*system)
 
-    new_pts = curve.points + delta
-    if not np.isfinite(new_pts).all():
-        raise NumericalFailureError("implicit step produced non-finite vertices")
-    curve = SampledCurve(new_pts, curve.topology, curve.offset)
+    curve = _stepped_curve(curve.points + delta, curve, "implicit")
     return FlowState(curve, state.t + dt, state.step + 1, compute_geometry(curve))
 
 

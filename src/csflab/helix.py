@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DiagonalPairError, DomainError, InvalidArgumentError
 
@@ -406,6 +405,9 @@ def helix_radius_at(a0: float, b: float, t: float) -> float:
     and root-finds it; with b = 0 this is the shrinking circle, which does
     reach zero in finite time (a true helix never does).
     """
+    # imported on use: scipy.optimize is a third of the package's start-up
+    from scipy.optimize import brentq
+
     if not a0 > 0.0:
         raise InvalidArgumentError("initial radius must be positive")
     if b == 0.0:

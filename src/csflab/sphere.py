@@ -23,7 +23,7 @@ from .errors import (
     NotOnSphereError,
     NumericalFailureError,
 )
-from .flow import failure_message, run_to_times, stable_step
+from .flow import _stepped_curve, failure_message, run_to_times, stable_step
 
 SPHERE_REL_TOL = 1e-3  # vertex-radius spread allowed by the decomposition
 RESCALE_REL_TOL = 2e-2  # looser: rescaling accepts accumulated flow drift
@@ -166,12 +166,11 @@ def step_geodesic_flow(state: RescaledState, dt_tilde: float) -> RescaledState:
         )
     decomp = decompose_curvature(curve, geom)
     moved = curve.points + dt_tilde * decomp.k_g[:, None] * decomp.q_vec
-    if not np.isfinite(moved).all():
-        raise NumericalFailureError("geodesic step produced non-finite vertices")
-    projected = _project_unit(moved)
+    # a non-finite moved vertex stays non-finite on projection
+    tilde = _stepped_curve(_project_unit(moved), curve, "geodesic")
     t_tilde = state.t_tilde + dt_tilde
     return RescaledState(
-        curve_tilde=SampledCurve(projected, curve.topology, curve.offset),
+        curve_tilde=tilde,
         t_tilde=t_tilde,
         source_t=inverse_time_dilation(t_tilde),
     )

@@ -1,6 +1,7 @@
 """Chord-arc ratio fields, minima, and the minimum conditions."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -380,13 +381,23 @@ def test_periodic_minimum_equals_loop_bit_for_bit(seed, n, band, block_cells):
 
 
 def kernel_cells(curve, band):
-    # what the pair kernel hands out: the (i, j) of every non-excluded cell,
-    # the number of cells and the tallest block
-    def block(rows, cols, ratio):
-        i, j = np.nonzero(~np.isnan(ratio(D_OVER_L)))
-        pairs = list(zip((i + rows.start).tolist(), (j + cols.start).tolist()))
-        height = rows.stop - rows.start
-        return pairs, height * (cols.stop - cols.start), height
+    # what the pair kernel hands out: the (i, j) of every cell, closed pairs
+    # canonicalised to i < j, the number of cells and the most gaps in a block
+    n = curve.n
+
+    def block(gaps, ratio):
+        vals = ratio(D_OVER_L)
+        assert vals.shape[0] == len(gaps) and not np.isnan(vals).any()
+        i = np.arange(vals.shape[1])
+        pairs = []
+        for g in gaps:
+            j = i + g
+            if curve.topology == CLOSED:
+                j %= n
+                pairs += zip(np.minimum(i, j).tolist(), np.maximum(i, j).tolist())
+            else:
+                pairs += zip(i.tolist(), j.tolist())
+        return pairs, vals.size, len(gaps)
 
     pairs, cells, heights = zip(*chordarc._pair_blocks(curve, band, block))
     return sorted(p for ps in pairs for p in ps), sum(cells), max(heights)
@@ -418,18 +429,20 @@ def test_kernel_visits_each_pair_once(seed, n, band, block_cells):
         if min(j - i, n - j + i) > closed_band
     ]
     assert cells <= n * (n + tallest) / 2
+    assert cells == len(pairs)  # every cell a pair: no masked cell
     # periodic: each forward pair (i, i + gap), gap in [band + 1, n], once
     assert p_pairs == [
         (i, j) for i in range(n) for j in range(i + periodic_band + 1, i + n + 1)
     ]
     assert p_cells <= n * (n - periodic_band + p_tallest - 1)
+    assert p_cells == len(p_pairs)
 
 
 @pytest.mark.parametrize("n", [16, 17, 40, 41])
-@pytest.mark.parametrize("block_cells", [1, chordarc._BLOCK_CELLS])
+@pytest.mark.parametrize("block_cells", [1, 2**13])
 def test_widest_band_and_single_cell_blocks(n, block_cells):
     # band n//2 - 1 leaves only the pairs half way round: n/2 of them on
-    # even n, n on odd n
+    # even n, n on odd n, all on one gap, which is one block at any budget
     band = n // 2 - 1
     c = random_curve(n, n, CLOSED)
     slow = {m: loop_field(c, m, band) for m in (D_OVER_L, D_OVER_PSI)}
@@ -446,8 +459,7 @@ def test_widest_band_and_single_cell_blocks(n, block_cells):
         )
     assert len(pairs) == (n // 2 if n % 2 == 0 else n)
     assert np.count_nonzero(np.isfinite(slow[D_OVER_L])) == 2 * len(pairs)
-    if block_cells == 1:
-        assert tallest == 1
+    assert tallest == 1
 
 
 @pytest.mark.parametrize(
@@ -553,3 +565,16 @@ def test_threaded_field_bitwise_equal(monkeypatch):
     monkeypatch.setenv("CSF_THREADS", "not-a-number")
     fallback = ratio_field(c, D_OVER_PSI, 2).values
     assert np.array_equal(serial, fallback, equal_nan=True)
+    # more workers than cores, one gap per block and frequent thread switches:
+    # the blocks write disjoint cells of one matrix, so no write may be lost
+    monkeypatch.setattr(chordarc.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(chordarc, "_BLOCK_CELLS", 1)
+    monkeypatch.setenv("CSF_THREADS", "8")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        stressed = [ratio_field(c, D_OVER_PSI, 2).values for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    for values in stressed:
+        assert np.array_equal(serial, values, equal_nan=True)

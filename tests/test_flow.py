@@ -1,5 +1,6 @@
 """Time stepping against the shrinking-circle recurrences."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from csflab import (
     FlowConfig,
     IndicatorUndefinedError,
     InvalidArgumentError,
+    InvalidCurveError,
     NumericalFailureError,
     RecordRow,
     SampledCurve,
@@ -338,6 +340,48 @@ def test_curvature_vectors_match_quotient_form(seed, n, topology):
     rows = n if curve.is_cyclic() else n - 2
     for arr in (g.lap_lower, g.lap_upper, g.laplacian):
         assert len(arr) == rows and not arr.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("scheme", [EXPLICIT, SEMI_IMPLICIT])
+def test_step_raises_the_constructors_non_finite_failure(monkeypatch, scheme, bad):
+    # the new curve's constructor runs the one non-finite test of a step;
+    # the stepper raises its failure as a NumericalFailureError
+    state = make_state(circle(32))
+    dt = stable_step(state.geometry, 0.5)
+    if scheme == EXPLICIT:
+        moves = state.geometry.curvature_vectors.copy()
+        moves[7, 1] = bad
+        geometry = dataclasses.replace(state.geometry, curvature_vectors=moves)
+        state = dataclasses.replace(state, geometry=geometry)
+        step, message = step_explicit, "explicit step produced non-finite vertices"
+    else:
+        def bad_solve(lower, diag, upper, rhs):
+            delta = tridiag.solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+            delta[7, 1] = bad
+            return delta
+
+        monkeypatch.setattr(flow, "solve_cyclic_tridiagonal", bad_solve)
+        step, message = step_semi_implicit, "implicit step produced non-finite vertices"
+    with pytest.raises(NumericalFailureError) as info:
+        step(state, dt)
+    assert str(info.value) == message
+    cause = info.value.__cause__
+    assert isinstance(cause, InvalidCurveError)
+    assert str(cause) == "points contain non-finite values"
+
+
+def test_step_keeps_other_curve_failures(monkeypatch):
+    # a finite but degenerate step is the constructor's error, not a
+    # non-finite one
+    state = make_state(circle(32))
+
+    def collapse(lower, diag, upper, rhs):
+        return np.zeros_like(rhs) - state.curve.points
+
+    monkeypatch.setattr(flow, "solve_cyclic_tridiagonal", collapse)
+    with pytest.raises(InvalidCurveError, match="consecutive vertices must be"):
+        step_semi_implicit(state, stable_step(state.geometry, 0.5))
 
 
 def test_run_failure_names_last_good_state(monkeypatch):

@@ -1,6 +1,10 @@
 """Closed-form helix evaluators against independent oracles."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,7 @@ from csflab import (
     scaled_condition_threshold,
     shrinking_circle_radius,
 )
+import csflab
 
 
 def test_curvature_torsion_oracle():
@@ -285,3 +290,15 @@ def test_helix_radius_b_zero_is_circle():
     assert abs(helix_radius_at(1.0, 0.0, 0.25) - math.sqrt(0.5)) < 1e-14
     with pytest.raises(DomainError):
         helix_radius_at(1.0, 0.0, 0.5)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # brentq is imported by helix_radius_at when it runs, not at start-up
+    env = dict(os.environ, PYTHONPATH=str(Path(csflab.__file__).resolve().parents[1]))
+    for then, loaded in (
+        ("import csflab.cli", "False"),
+        ("csflab.helix_radius_at(1.0, 1.0, 0.1)", "True"),
+    ):
+        code = f"import sys, csflab; {then}; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (out.returncode, out.stdout.strip()) == (0, loaded), out.stderr

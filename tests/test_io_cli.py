@@ -441,6 +441,32 @@ def test_readers_name_the_line_of_a_bad_token(tmp_path, write, rows, read, sep):
         read(path)
 
 
+@pytest.mark.parametrize("bad", [3, 5, 6, 11])
+def test_curve_reader_skips_blank_lines_and_names_bad_line(tmp_path, bad):
+    # body lines 3..10 hold the 8 vertices; a blank and a whitespace-only
+    # line are inserted as lines 5 and 12, shifting the vertices after them
+    c = circle(8, 0.7)
+    path = tmp_path / "c.curve"
+    write_curve(c, path)
+    lines = path.read_text().splitlines()
+    lines[4:4] = [""]
+    lines.append("  \t")
+    path.write_text("\n".join(lines) + "\n")
+    back = read_curve(path)
+    assert np.array_equal(bits(back.points), bits(c.points))
+    if bad == 5:  # the blank line itself: give it one token
+        lines[bad - 1] = "1.5"
+        message = f"{path}:{bad}: expected 'x y z'"
+    else:
+        fields = lines[bad - 1].split()
+        fields[1] = "0.5e"
+        lines[bad - 1] = " ".join(fields)
+        message = f"{path}:{bad}: could not convert string to float: '0.5e'"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        read_curve(path)
+
+
 def test_minima_csv_round_trip(tmp_path):
     rows = [
         {"i": 3, "j": 17, "value": 0.5, "d": 1.0, "l": 2.0, "psi": 1.9,

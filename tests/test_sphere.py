@@ -197,6 +197,27 @@ def test_run_geodesic_flow_failure_names_last_good_state(monkeypatch):
     assert isinstance(info.value.__cause__, NumericalFailureError)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_geodesic_step_raises_the_constructors_non_finite_failure(monkeypatch, bad):
+    state = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
+    dt = stable_step(compute_geometry(state.curve_tilde), 0.5)
+
+    def bad_k_g(curve, geometry=None):
+        decomp = decompose_curvature(curve, geometry)
+        k_g = decomp.k_g.copy()
+        k_g[5] = bad
+        return dataclasses.replace(decomp, k_g=k_g)
+
+    monkeypatch.setattr(sphere, "decompose_curvature", bad_k_g)
+    with pytest.raises(NumericalFailureError) as info:
+        with np.errstate(invalid="ignore"):
+            step_geodesic_flow(state, dt)
+    assert str(info.value) == "geodesic step produced non-finite vertices"
+    cause = info.value.__cause__
+    assert isinstance(cause, InvalidCurveError)
+    assert str(cause) == "points contain non-finite values"
+
+
 def test_run_geodesic_flow_step_without_geometry_fails(monkeypatch):
     # the curve made by step 4 has no geometry: step 4 failed, and the last
     # good state is step 3 with the dt that step 4 was given
