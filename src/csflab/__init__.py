@@ -29,7 +29,6 @@ from .curve import (
     SampledCurve,
     arc_positions,
     compute_geometry,
-    pair_distances,
     resample_uniform,
     segment_lengths,
     total_absolute_curvature,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -182,6 +181,9 @@ def _pair_blocks(curve: SampledCurve, band: int, fn) -> list:
     workers = min(_thread_count(), len(blocks))
     if workers == 1:
         return list(map(block, blocks))
+    # imported here: with one worker the pool and its import are never needed
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(block, blocks))
 

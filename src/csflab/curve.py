@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DiagonalPairError,
-    InvalidArgumentError,
-    InvalidCurveError,
-    UnsupportedTopologyError,
-)
+from .errors import InvalidArgumentError, InvalidCurveError
 
 CLOSED = "closed"
 OPEN = "open"
@@ -240,28 +235,6 @@ def total_absolute_curvature(geometry: CurveGeometry) -> float:
 def total_squared_curvature(geometry: CurveGeometry) -> float:
     """Discrete integral of k^2 along the curve."""
     return float(np.sum(geometry.scalar_curvature**2 * geometry.ds))
-
-
-def pair_distances(curve: SampledCurve, i: int, j: int) -> tuple[float, float]:
-    """Chord distance d and shorter-arc distance l between vertices i and j.
-
-    Defined for closed curves only; the arc is measured along the polyline
-    and folded to the shorter of the two sides, so 0 < l <= L/2.
-    """
-    if curve.topology != CLOSED:
-        raise UnsupportedTopologyError(
-            "pair distances need a closed curve, got " + curve.topology
-        )
-    n = curve.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidArgumentError(f"vertex index out of range: ({i}, {j})")
-    if i == j:
-        raise DiagonalPairError("a vertex cannot be paired with itself")
-    s, total = arc_positions(curve)
-    d = float(np.linalg.norm(curve.points[i] - curve.points[j]))
-    arc = abs(float(s[j] - s[i]))
-    l = min(arc, total - arc)
-    return d, l
 
 
 def resample_uniform(curve: SampledCurve, n: int) -> SampledCurve:

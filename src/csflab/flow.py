@@ -300,7 +300,9 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
     raised exception names the failing step, dt and the last good state's
     t, min ds and k_max, and carries the partial record.  A
     ``KeyboardInterrupt`` is re-raised with the partial record attached as
-    its ``record`` attribute, stop reason ``"interrupted"``.
+    its ``record`` attribute, stop reason ``"interrupted"``.  Only closed
+    curves get a fitted vanishing-time estimate; open and periodic curves
+    never shrink to a point, so theirs is ``inf``.
     """
     state = make_state(initial)
     l_start = state.geometry.total_length
@@ -370,11 +372,10 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
         exc.record = partial("interrupted")
         raise
 
-    record_obj = RunRecord(rows, snapshots, math.nan, stop_reason, config)
-    record_obj.t_est = estimate_vanishing_time(rows)
+    t_est = estimate_vanishing_time(rows) if initial.topology == CLOSED else math.inf
     for row in rows:
-        row.sing_indicator = row_indicator(row, record_obj.t_est)
-    return record_obj
+        row.sing_indicator = row_indicator(row, t_est)
+    return RunRecord(rows, snapshots, t_est, stop_reason, config)
 
 
 def run_to_times(

@@ -405,7 +405,8 @@ def helix_radius_at(a0: float, b: float, t: float) -> float:
     and root-finds it; with b = 0 this is the shrinking circle, which does
     reach zero in finite time (a true helix never does).
     """
-    # imported on use: scipy.optimize is a third of the package's start-up
+    # imported on use: scipy.optimize (which pulls in scipy.linalg) takes
+    # about three times as long to import as the whole package
     from scipy.optimize import brentq
 
     if not a0 > 0.0:

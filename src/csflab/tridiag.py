@@ -1,21 +1,51 @@
 """Tridiagonal solves for the implicit time step.
 
-The banded core is LAPACK's ``gtsv`` (``scipy.linalg.lapack.dgtsv``),
-called directly; the wrap terms of closed and periodic curves are folded in
-with a rank-one Sherman-Morrison correction on top of it.  The cyclic solve
-writes its right-hand sides and the correction column straight into one
-Fortran-ordered array, the layout ``gtsv`` works in, so no stacked copy is
-built and none is transposed on the way in; one factorization serves all
-columns.  The correction is applied by broadcasting along the rows of the
-transposed solution.
+The banded core is LAPACK's ``gtsv``, called directly; the wrap terms of
+closed and periodic curves are folded in with a rank-one Sherman-Morrison
+correction on top of it.  The cyclic solve writes its right-hand sides and
+the correction column straight into one Fortran-ordered array, the layout
+``gtsv`` works in, so no stacked copy is built and none is transposed on
+the way in; one factorization serves all columns.  The correction is
+applied by broadcasting along the rows of the transposed solution.
+
+``dgtsv`` comes from SciPy's compiled LAPACK wrapper module,
+``scipy.linalg._flapack``, loaded on its own after ``import scipy`` (which
+does SciPy's platform library set-up).  ``scipy/linalg/__init__.py`` never
+runs: that package import, most of it SciPy's array-API layer cloning the
+numpy namespace, would nearly triple csflab's import time, and one LAPACK
+call needs none of it.  ``dgtsv`` is the same function object that
+``scipy.linalg.lapack`` re-exports, so every solve is unchanged.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 from .errors import NumericalFailureError
+
+
+def _load_flapack():
+    name = "scipy.linalg._flapack"
+    spec = importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.__path__[0], "linalg")]
+    )
+    if spec is None:
+        raise ImportError(f"cannot find {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    # registered as the import system would, so a later ``scipy.linalg``
+    # import reuses this module instead of loading a second one
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+dgtsv = _load_flapack().dgtsv
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:

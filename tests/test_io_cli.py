@@ -519,6 +519,30 @@ def test_cli_simulate_and_analyze(tmp_path):
         assert row.L == orig.L and row.dl_min == orig.dl_min
 
 
+@pytest.mark.parametrize("preset", ["helix", "open-arc"])
+def test_cli_non_closed_runs_have_no_vanishing_time(tmp_path, capsys, preset):
+    # open and periodic curves never vanish: t_est is inf, the indicator 0
+    if preset == "open-arc":
+        th = np.linspace(0.0, math.pi, 64)
+        arc = SampledCurve(np.column_stack([np.cos(th), np.sin(th), 0.2 * th]), OPEN)
+        write_curve(arc, tmp_path / "arc.curve")
+        args = ["--preset", "custom-file", "--path", str(tmp_path / "arc.curve")]
+    else:
+        args = ["--preset", preset, "--n", "64"]
+    out = tmp_path / "run"
+    code = run_cli([
+        "simulate", *args, "--t-end", "0.05", "--record-every", "20", "--out", str(out),
+    ])
+    assert code == 0
+    assert "t_est=inf" in capsys.readouterr().out
+    assert read_curve(out / "snap_0.curve").topology != CLOSED
+    assert math.isinf(read_run_json(out / "run.json")["t_est"])
+    rows = read_run_csv(out / "run.csv")
+    assert len(rows) > 1 and all(r.sing_indicator == 0.0 for r in rows)
+    assert run_cli(["analyze", "--dir", str(out)]) == 0
+    assert read_run_csv(out / "analyze.csv") == rows
+
+
 def test_cli_simulate_custom_file(tmp_path):
     src = tmp_path / "input.curve"
     write_curve(circle(48, 0.8), src)
