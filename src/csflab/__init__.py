@@ -73,15 +73,11 @@ from .flow import (
 )
 from .helix import (
     GraphCurveSpec,
-    HelixPairEvaluation,
     HelixParams,
     cosine_taylor_gap,
-    evaluate_helix_pair,
     graph_curve_condition,
-    helix_curvature_torsion,
     helix_graph_spec,
     helix_pair_condition,
-    helix_pair_condition_limit,
     helix_pair_condition_scaled,
     helix_radius_at,
     helix_ratio_time_derivative,

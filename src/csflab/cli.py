@@ -25,11 +25,12 @@ from .curve import compute_geometry
 from .diagnostics import analyze_directory, emit_record, simulate_preset, summarize
 from .errors import CsfError, InvalidArgumentError, NumericalFailureError
 from .fileio import (
-    write_consistency_csv,
-    write_fscan_csv,
+    CONSISTENCY_CSV,
+    FSCAN_CSV,
     write_minima_csv,
     write_ratio_field,
     write_run_csv,
+    write_table,
 )
 from .flow import SCHEMES, SEMI_IMPLICIT, FlowConfig
 from .helix import (
@@ -195,7 +196,7 @@ def _cmd_helix_scan(args: argparse.Namespace) -> int:
             rows.append((m, float(y), float(fv), float(gv), float(dv)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_fscan_csv(rows, out / "fscan.csv")
+    write_table(FSCAN_CSV, rows, out / "fscan.csv")
     print(f"wrote {out / 'fscan.csv'}: {len(rows)} rows")
     return 0
 
@@ -209,7 +210,7 @@ def _cmd_sphere_verify(args: argparse.Namespace) -> int:
     out = emit_record(record, args.out)
     targets = args.t_end * np.arange(1, 7) / 6.0
     profile = consistency_profile(build_curve(preset), targets)
-    write_consistency_csv(profile, out / "consistency.csv")
+    write_table(CONSISTENCY_CSV, profile, out / "consistency.csv")
     worst = max(row[2] for row in profile)
     print(
         f"wrote {out / 'run.csv'} and consistency.csv; "

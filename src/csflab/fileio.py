@@ -7,7 +7,9 @@ Formats:
   vertex;
 * ratio fields: ``# csf-ratiofield v1``, ``metric <name>``, ``n <count>``,
   then ``i j value`` rows for the finite upper-triangle cells;
-* run.csv / minima.csv / fscan.csv / consistency.csv with fixed headers.
+* tables (run.csv, minima.csv, fscan.csv, consistency.csv): a header of
+  column names, then one comma-separated line per row, written and read by
+  ``write_table`` / ``read_table`` from a ``Table`` of column kinds.
 
 Every number is written with repr's shortest round-trip form, so reading a
 file back yields bit-identical floats; inapplicable columns are empty
@@ -34,8 +36,10 @@ import json
 import operator
 import os
 import warnings
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,14 +51,6 @@ from .flow import FlowConfig, RecordRow, RunRecord
 
 CURVE_MAGIC = "# csf-curve v1"
 FIELD_MAGIC = "# csf-ratiofield v1"
-RUN_CSV_HEADER = (
-    "step,t,L,k_max,total_abs_curv,total_sq_curv,"
-    "dl_min,dpsi_min,sphere_residual,sing_indicator"
-)
-MINIMA_CSV_HEADER = "i,j,value,d,l,psi,alpha,cond22,cond31"
-FSCAN_CSV_HEADER = "m,y,F,G,exact_derivative"
-CONSISTENCY_CSV_HEADER = "t,t_tilde,max_deviation"
-
 # ratio-field body lines parsed per numpy call: 2**16 lines are about 2 MB
 # of text, small beside the n x n matrix they fill
 _CHUNK_LINES = 2**16
@@ -64,14 +60,6 @@ _CELL_DTYPE = [("i", "i8"), ("j", "i8"), ("v", "f8")]
 def format_float(value: float) -> str:
     """Shortest decimal string that parses back to the same double."""
     return repr(float(value))
-
-
-def _cell(value: float | None) -> str:
-    return "" if value is None else format_float(value)
-
-
-def _parse_cell(text: str) -> float | None:
-    return None if text == "" else float(text)
 
 
 @contextmanager
@@ -99,26 +87,96 @@ def _write_lines(lines: list[str], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_table(path, header: str, name: str, convert) -> list:
-    """Rows of a fixed-header CSV, each ``convert``-ed from its split fields."""
+@dataclass(frozen=True)
+class Table:
+    """A fixed-header CSV: a header of column names, then one line per row.
+
+    ``columns`` maps each name, in file order, to its kind (a key of
+    ``_KINDS``); ``values`` maps a row to its values in column order and
+    ``row`` maps such values back to a row; both default to ``tuple``.
+    """
+
+    name: str
+    columns: dict[str, str]
+    values: Callable = tuple
+    row: Callable = tuple
+
+    @property
+    def header(self) -> str:
+        return ",".join(self.columns)
+
+
+# column kinds, spelled as RecordRow's field annotations: how a cell is
+# written and read back; an optional float writes None as the empty cell
+_KINDS = {
+    "int": (str, int),
+    "float": (format_float, float),
+    "float | None": (
+        lambda v: "" if v is None else format_float(v),
+        lambda text: None if text == "" else float(text),
+    ),
+}
+_RUN_COLUMNS = {f.name: f.type for f in fields(RecordRow)}
+_MINIMA_COLUMNS = {
+    "i": "int", "j": "int", "value": "float", "d": "float", "l": "float",
+    "psi": "float | None", "alpha": "float | None", "cond22": "float",
+    "cond31": "float | None",
+}
+
+RUN_CSV = Table(
+    "run.csv", _RUN_COLUMNS, operator.attrgetter(*_RUN_COLUMNS), lambda v: RecordRow(*v)
+)
+MINIMA_CSV = Table(
+    "minima.csv",
+    _MINIMA_COLUMNS,
+    operator.itemgetter(*_MINIMA_COLUMNS),
+    lambda v: dict(zip(_MINIMA_COLUMNS, v)),
+)
+FSCAN_CSV = Table(
+    "fscan.csv", dict.fromkeys(("m", "y", "F", "G", "exact_derivative"), "float")
+)
+CONSISTENCY_CSV = Table(
+    "consistency.csv", dict.fromkeys(("t", "t_tilde", "max_deviation"), "float")
+)
+
+
+def write_table(table: Table, rows, path) -> None:
+    """Write the header and one line per row; a row of the wrong width raises."""
+    formats = [_KINDS[kind][0] for kind in table.columns.values()]
+    lines = [table.header]
+    for r in rows:
+        cells = zip(formats, table.values(r), strict=True)
+        lines.append(",".join([f(v) for f, v in cells]))
+    _write_lines(lines, path)
+
+
+def read_table(table: Table, path) -> list:
+    """Rows of a table file; blank lines are skipped, errors name ``path:line``."""
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0] != header:
-        raise InvalidArgumentError(f"{path}: unexpected {name} header")
-    width = header.count(",") + 1
+    if not lines or lines[0] != table.header:
+        raise InvalidArgumentError(f"{path}: unexpected {table.name} header")
+    parsers = [_KINDS[kind][1] for kind in table.columns.values()]
     rows = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line:
             continue
-        f = line.split(",")
-        if len(f) != width:
+        cells = line.split(",")
+        if len(cells) != len(parsers):
             raise InvalidArgumentError(
-                f"{path}:{ln}: expected {width} columns, got {len(f)}"
+                f"{path}:{ln}: expected {len(parsers)} columns, got {len(cells)}"
             )
         try:
-            rows.append(convert(f))
+            rows.append(table.row([p(c) for p, c in zip(parsers, cells)]))
         except ValueError as exc:
             raise InvalidArgumentError(f"{path}:{ln}: {exc}") from exc
     return rows
+
+
+# the names perfbench's tracer and workloads bind
+write_run_csv = partial(write_table, RUN_CSV)
+read_run_csv = partial(read_table, RUN_CSV)
+write_minima_csv = partial(write_table, MINIMA_CSV)
+read_minima_csv = partial(read_table, MINIMA_CSV)
 
 
 def write_curve(curve: SampledCurve, path) -> None:
@@ -182,48 +240,6 @@ def _bad_point_line(path, lines: list[str]) -> InvalidArgumentError:
     return InvalidArgumentError(f"{path}: unreadable curve body")
 
 
-def write_run_csv(rows: list[RecordRow], path) -> None:
-    lines = [RUN_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r.step),
-                    format_float(r.t),
-                    format_float(r.L),
-                    format_float(r.k_max),
-                    format_float(r.total_abs_curv),
-                    format_float(r.total_sq_curv),
-                    _cell(r.dl_min),
-                    _cell(r.dpsi_min),
-                    _cell(r.sphere_residual),
-                    _cell(r.sing_indicator),
-                ]
-            )
-        )
-    _write_lines(lines, path)
-
-
-def read_run_csv(path) -> list[RecordRow]:
-    return _read_table(
-        path,
-        RUN_CSV_HEADER,
-        "run.csv",
-        lambda f: RecordRow(
-            step=int(f[0]),
-            t=float(f[1]),
-            L=float(f[2]),
-            k_max=float(f[3]),
-            total_abs_curv=float(f[4]),
-            total_sq_curv=float(f[5]),
-            dl_min=_parse_cell(f[6]),
-            dpsi_min=_parse_cell(f[7]),
-            sphere_residual=_parse_cell(f[8]),
-            sing_indicator=_parse_cell(f[9]),
-        ),
-    )
-
-
 def write_run_json(record: RunRecord, path) -> None:
     payload = {
         "config": asdict(record.config),
@@ -235,10 +251,20 @@ def write_run_json(record: RunRecord, path) -> None:
 
 
 def read_run_json(path) -> dict:
-    payload = json.loads(Path(path).read_text())
-    for key in ("config", "t_est", "stop_reason"):
-        if key not in payload:
-            raise InvalidArgumentError(f"{path}: missing '{key}'")
+    """The run.json payload, checked to give a ``FlowConfig`` and a float
+    ``t_est``; a malformed file raises an error naming ``path``."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from exc
+    keys = ("config", "t_est", "stop_reason")
+    if not isinstance(payload, dict) or not payload.keys() >= set(keys):
+        raise InvalidArgumentError(f"{path}: expected a JSON object with keys {keys}")
+    try:
+        config_from_json(payload)
+        float(payload["t_est"])
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"{path}: {exc}") from exc
     return payload
 
 
@@ -339,70 +365,3 @@ def read_ratio_field(path) -> RatioField:
             values[hi, lo] = v
     values.setflags(write=False)
     return RatioField(values=values, metric=metric_tokens[1], exclusion_band=min_sep - 1)
-
-
-def write_minima_csv(rows: list[dict], path) -> None:
-    """Rows carry keys matching the header; cond31/psi/alpha may be None."""
-    lines = [MINIMA_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    str(r["i"]),
-                    str(r["j"]),
-                    format_float(r["value"]),
-                    format_float(r["d"]),
-                    format_float(r["l"]),
-                    _cell(r["psi"]),
-                    _cell(r["alpha"]),
-                    format_float(r["cond22"]),
-                    _cell(r["cond31"]),
-                ]
-            )
-        )
-    _write_lines(lines, path)
-
-
-def read_minima_csv(path) -> list[dict]:
-    return _read_table(
-        path,
-        MINIMA_CSV_HEADER,
-        "minima.csv",
-        lambda f: {
-            "i": int(f[0]),
-            "j": int(f[1]),
-            "value": float(f[2]),
-            "d": float(f[3]),
-            "l": float(f[4]),
-            "psi": _parse_cell(f[5]),
-            "alpha": _parse_cell(f[6]),
-            "cond22": float(f[7]),
-            "cond31": _parse_cell(f[8]),
-        },
-    )
-
-
-def write_fscan_csv(rows: list[tuple[float, float, float, float, float]], path) -> None:
-    lines = [FSCAN_CSV_HEADER]
-    for m, y, f_val, g_val, deriv in rows:
-        lines.append(
-            ",".join(format_float(v) for v in (m, y, f_val, g_val, deriv))
-        )
-    _write_lines(lines, path)
-
-
-def read_fscan_csv(path) -> list[tuple[float, float, float, float, float]]:
-    return _read_table(path, FSCAN_CSV_HEADER, "fscan.csv", lambda f: tuple(map(float, f)))
-
-
-def write_consistency_csv(rows: list[tuple[float, float, float]], path) -> None:
-    lines = [CONSISTENCY_CSV_HEADER]
-    for t, t_tilde, deviation in rows:
-        lines.append(",".join(format_float(v) for v in (t, t_tilde, deviation)))
-    _write_lines(lines, path)
-
-
-def read_consistency_csv(path) -> list[tuple[float, float, float]]:
-    return _read_table(
-        path, CONSISTENCY_CSV_HEADER, "consistency.csv", lambda f: tuple(map(float, f))
-    )

@@ -118,9 +118,6 @@ class RunRecord:
     stop_reason: str
     config: FlowConfig
 
-    def snapshot_series(self) -> list[tuple[float, SampledCurve]]:
-        return [(t, c) for _, t, c in self.snapshots]
-
 
 def make_state(curve: SampledCurve, t: float = 0.0, step: int = 0) -> FlowState:
     return FlowState(curve=curve, t=t, step=step, geometry=compute_geometry(curve))

@@ -42,12 +42,6 @@ class HelixParams:
         return self.b * self.b / (self.a * self.a)
 
 
-def helix_curvature_torsion(params: HelixParams) -> tuple[float, float]:
-    """Constant curvature and torsion (a, b) / (a^2 + b^2)."""
-    denom = params.a * params.a + params.b * params.b
-    return params.a / denom, params.b / denom
-
-
 def _check_m(m: float) -> float:
     m = float(m)
     if not (math.isfinite(m) and m >= 0.0):
@@ -99,7 +93,7 @@ def helix_pair_condition(y, m: float) -> float | np.ndarray:
 
     Closed form of the chord-arc minimum condition evaluated on an exact
     helix with pitch ratio m; negative values mark pairs where that
-    condition fails.  Vanishes as y -> 0 (see helix_pair_condition_limit).
+    condition fails.  Vanishes as y -> 0, a removable singularity.
     """
     m = _check_m(m)
     arr = _as_positive_y(y)
@@ -114,12 +108,6 @@ def helix_pair_condition(y, m: float) -> float | np.ndarray:
         + (v + m * y2) / (one_m * one_m)
     )
     return _maybe_scalar(value, y)
-
-
-def helix_pair_condition_limit(m: float) -> float:
-    """Removable-singularity value of the pair condition as y -> 0 (zero)."""
-    _check_m(m)
-    return 0.0
 
 
 def negative_condition_cells(
@@ -226,31 +214,6 @@ def helix_ratio_time_derivative(params: HelixParams, y) -> float | np.ndarray:
     gap = cosine_taylor_gap(arr)
     value = (2.0 * m / (arc * chord * (1.0 + m))) * (a2 / (a2 + b2)) * gap
     return _maybe_scalar(value, y)
-
-
-@dataclass(frozen=True)
-class HelixPairEvaluation:
-    """All closed-form pair quantities for one (helix, separation) choice."""
-
-    y: float
-    m: float
-    condition: float
-    scaled_condition: float
-    derivative_factor: float
-    ratio_derivative: float
-
-
-def evaluate_helix_pair(params: HelixParams, y: float) -> HelixPairEvaluation:
-    yf = float(_as_positive_y(y))
-    m = params.m
-    return HelixPairEvaluation(
-        y=yf,
-        m=m,
-        condition=helix_pair_condition(yf, m),
-        scaled_condition=helix_pair_condition_scaled(yf, m),
-        derivative_factor=cosine_taylor_gap(yf),
-        ratio_derivative=helix_ratio_time_derivative(params, yf),
-    )
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,9 @@ from csflab import (
     HelixParams,
     InvalidArgumentError,
     cosine_taylor_gap,
-    evaluate_helix_pair,
     graph_curve_condition,
-    helix_curvature_torsion,
     helix_graph_spec,
     helix_pair_condition,
-    helix_pair_condition_limit,
     helix_pair_condition_scaled,
     helix_radius_at,
     helix_ratio_time_derivative,
@@ -34,16 +31,6 @@ from csflab import (
     shrinking_circle_radius,
 )
 import csflab
-
-
-def test_curvature_torsion_oracle():
-    k, tau = helix_curvature_torsion(HelixParams(1.0, 1.0))
-    assert k == 0.5 and tau == 0.5
-    k, tau = helix_curvature_torsion(HelixParams(3.0, 4.0))
-    assert abs(k - 3.0 / 25.0) < 1e-15
-    assert abs(tau - 4.0 / 25.0) < 1e-15
-    k0, tau0 = helix_curvature_torsion(HelixParams(2.0, 0.0))
-    assert k0 == 0.5 and tau0 == 0.0
 
 
 def test_params_validation():
@@ -121,7 +108,6 @@ def test_cosine_taylor_gap_nonnegative_and_continuous():
 def test_pair_condition_signs():
     assert helix_pair_condition(2.0 * math.pi, 0.01) < -0.1
     assert helix_pair_condition(2.0 * math.pi, 10.0) > 0.0
-    assert helix_pair_condition_limit(5.0) == 0.0
     for m in np.logspace(-2, 2, 40):
         assert abs(helix_pair_condition(1e-4, m)) < 1e-6
 
@@ -211,11 +197,16 @@ def test_negative_cells_scan():
 
 
 def test_evaluate_helix_pair_bundle():
-    ev = evaluate_helix_pair(HelixParams(1.0, 1.0), 2.0 * math.pi)
-    assert ev.m == 1.0 and ev.y == 2.0 * math.pi
-    assert ev.condition == helix_pair_condition(2.0 * math.pi, 1.0)
-    assert ev.scaled_condition == helix_pair_condition_scaled(2.0 * math.pi, 1.0)
-    assert abs(ev.ratio_derivative - 1.0 / (4.0 * math.sqrt(2.0))) < 1e-15
+    # every pair quantity for (a=1, b=1) at y = 2pi, where 2 - 2cos y = 0:
+    # scaled condition -4(1+m)^2 + 4m(1+m) + m y^2 = 4pi^2 - 8 at m = 1
+    params = HelixParams(1.0, 1.0)
+    y = 2.0 * math.pi
+    assert params.m == 1.0
+    scaled = helix_pair_condition_scaled(y, params.m)
+    assert abs(scaled - (4.0 * math.pi**2 - 8.0)) < 1e-12
+    assert abs(helix_pair_condition(y, params.m) - scaled / 4.0) < 1e-12
+    got = helix_ratio_time_derivative(params, y)
+    assert abs(got - 1.0 / (4.0 * math.sqrt(2.0))) < 1e-15
 
 
 def test_graph_spec_flags_and_strictness():

@@ -1,8 +1,10 @@
 """File formats and the command-line entry points."""
 
+import json
 import math
 import re
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -29,27 +31,25 @@ from csflab import (
 from csflab import fileio, flow
 from csflab.chordarc import METRICS
 from csflab.fileio import (
+    CONSISTENCY_CSV,
     CURVE_MAGIC,
     FIELD_MAGIC,
-    FSCAN_CSV_HEADER,
-    MINIMA_CSV_HEADER,
-    RUN_CSV_HEADER,
+    FSCAN_CSV,
+    MINIMA_CSV,
+    RUN_CSV,
     config_from_json,
     format_float,
-    read_consistency_csv,
     read_curve,
-    read_fscan_csv,
     read_minima_csv,
     read_ratio_field,
     read_run_csv,
     read_run_json,
-    write_consistency_csv,
+    read_table,
     write_curve,
-    write_fscan_csv,
-    write_minima_csv,
     write_ratio_field,
     write_run_csv,
     write_run_json,
+    write_table,
 )
 
 
@@ -129,7 +129,7 @@ def test_run_csv_round_trip(tmp_path):
     write_run_csv(rec.rows, path)
     first = path.read_text().splitlines()[0]
     assert first == "step,t,L,k_max,total_abs_curv,total_sq_curv,dl_min,dpsi_min,sphere_residual,sing_indicator"
-    assert first == RUN_CSV_HEADER
+    assert first == RUN_CSV.header
     back = read_run_csv(path)
     assert len(back) == len(rec.rows)
     for a, b in zip(rec.rows, back):
@@ -420,13 +420,19 @@ _MINIMA_ROW = {"i": 3, "j": 17, "value": 0.5, "d": 1.0, "l": 2.0, "psi": None,
                "alpha": None, "cond22": 0.25, "cond31": None}
 
 
+def _table_case(table, rows):
+    return pytest.param(
+        partial(write_table, table), rows, partial(read_table, table), ",", id=table.name
+    )
+
+
 @pytest.mark.parametrize(
     "write, rows, read, sep",
     [
-        (write_run_csv, [_ROW, _ROW], read_run_csv, ","),
-        (write_minima_csv, [_MINIMA_ROW, _MINIMA_ROW], read_minima_csv, ","),
-        (write_fscan_csv, [(0.1, 1.0, 0.5, 0.5, 0.1)] * 2, read_fscan_csv, ","),
-        (write_consistency_csv, [(0.1, 0.2, 1e-6)] * 2, read_consistency_csv, ","),
+        _table_case(RUN_CSV, [_ROW, _ROW]),
+        _table_case(MINIMA_CSV, [_MINIMA_ROW, _MINIMA_ROW]),
+        _table_case(FSCAN_CSV, [(0.1, 1.0, 0.5, 0.5, 0.1)] * 2),
+        _table_case(CONSISTENCY_CSV, [(0.1, 0.2, 1e-6)] * 2),
         (lambda rows, p: write_curve(circle(8), p), None, read_curve, " "),
         (lambda rows, p: write_ratio_field(ratio_field(circle(16), D_OVER_PSI, 2), p),
          None, read_ratio_field, " "),
@@ -475,22 +481,82 @@ def test_minima_csv_round_trip(tmp_path):
          "alpha": None, "cond22": 1.5, "cond31": None},
     ]
     path = tmp_path / "minima.csv"
-    write_minima_csv(rows, path)
-    assert path.read_text().splitlines()[0] == MINIMA_CSV_HEADER
-    back = read_minima_csv(path)
+    write_table(MINIMA_CSV, rows, path)
+    assert path.read_text().splitlines()[0] == MINIMA_CSV.header
+    back = read_table(MINIMA_CSV, path)
     assert back == rows
 
 
 def test_fscan_and_consistency_round_trip(tmp_path):
     fs = [(0.01, 1.0, -0.5, -0.51, 0.001), (0.1, 2.0, 0.3, 0.363, 0.02)]
     p1 = tmp_path / "fscan.csv"
-    write_fscan_csv(fs, p1)
-    assert p1.read_text().splitlines()[0] == FSCAN_CSV_HEADER
-    assert read_fscan_csv(p1) == fs
+    write_table(FSCAN_CSV, fs, p1)
+    assert p1.read_text().splitlines()[0] == FSCAN_CSV.header
+    assert read_table(FSCAN_CSV, p1) == fs
     cs_rows = [(0.05, 0.399, 1e-6), (0.1, 0.458, 2e-6)]
     p2 = tmp_path / "consistency.csv"
-    write_consistency_csv(cs_rows, p2)
-    assert read_consistency_csv(p2) == cs_rows
+    write_table(CONSISTENCY_CSV, cs_rows, p2)
+    assert p2.read_text().splitlines()[0] == CONSISTENCY_CSV.header
+    assert read_table(CONSISTENCY_CSV, p2) == cs_rows
+
+
+_INF = math.inf
+_PINNED_TABLES = [
+    (
+        RUN_CSV,
+        [
+            RecordRow(step=np.int64(7), t=-0.0, L=5e-324, k_max=1e300,
+                      total_abs_curv=_INF, total_sq_curv=np.float64(0.1)),
+            RecordRow(12, np.float64(1 / 3), 6.28, -_INF, 2.5, 1e-300,
+                      -0.0, 5e-324, np.float64(1e300), _INF),
+        ],
+        "step,t,L,k_max,total_abs_curv,total_sq_curv,"
+        "dl_min,dpsi_min,sphere_residual,sing_indicator\n"
+        "7,-0.0,5e-324,1e+300,inf,0.1,,,,\n"
+        "12,0.3333333333333333,6.28,-inf,2.5,1e-300,-0.0,5e-324,1e+300,inf\n",
+    ),
+    (
+        MINIMA_CSV,
+        [
+            {"i": np.int64(3), "j": 17, "value": np.float64(0.5), "d": 1e300,
+             "l": 5e-324, "psi": None, "alpha": None, "cond22": -0.0, "cond31": None},
+            {"i": 0, "j": np.int64(64), "value": 0.7, "d": _INF, "l": 8.88,
+             "psi": -0.0, "alpha": np.float64(0.1), "cond22": 1.5, "cond31": 5e-324},
+        ],
+        "i,j,value,d,l,psi,alpha,cond22,cond31\n"
+        "3,17,0.5,1e+300,5e-324,,,-0.0,\n"
+        "0,64,0.7,inf,8.88,-0.0,0.1,1.5,5e-324\n",
+    ),
+    (
+        FSCAN_CSV,
+        [(np.float64(0.01), 1, -0.0, 5e-324, 1e300),
+         (0.1, np.float64(2.0), _INF, -_INF, np.float64(1 / 3))],
+        "m,y,F,G,exact_derivative\n"
+        "0.01,1.0,-0.0,5e-324,1e+300\n"
+        "0.1,2.0,inf,-inf,0.3333333333333333\n",
+    ),
+    (
+        CONSISTENCY_CSV,
+        [(np.float64(0.05), -0.0, 5e-324), (1, 1e300, _INF)],
+        "t,t_tilde,max_deviation\n0.05,-0.0,5e-324\n1.0,1e+300,inf\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "table, rows, text", _PINNED_TABLES, ids=[t.name for t, _, _ in _PINNED_TABLES]
+)
+def test_tables_write_pinned_bytes(tmp_path, table, rows, text):
+    # empty optional cells, signed zero, subnormal, huge, infinite and numpy
+    # cells, byte for byte; what is read back writes the same bytes again
+    path = tmp_path / table.name
+    write_table(table, rows, path)
+    assert path.read_bytes() == text.encode()
+    back = read_table(table, path)
+    assert back == rows
+    again = tmp_path / "again.csv"
+    write_table(table, back, again)
+    assert again.read_bytes() == text.encode()
 
 
 def run_cli(args):
@@ -577,7 +643,7 @@ def test_cli_helix_scan(tmp_path):
         "--y-min", "0.5", "--y-max", "6.0", "--y-steps", "4", "--out", str(out),
     ])
     assert code == 0
-    rows = read_fscan_csv(out / "fscan.csv")
+    rows = read_table(FSCAN_CSV, out / "fscan.csv")
     assert len(rows) == 12
     ms = sorted({r[0] for r in rows})
     assert ms[0] == 0.01 and ms[-1] == 0.1
@@ -590,7 +656,7 @@ def test_cli_sphere_verify(tmp_path):
         "--t-end", "0.12", "--out", str(out),
     ])
     assert code == 0
-    cons = read_consistency_csv(out / "consistency.csv")
+    cons = read_table(CONSISTENCY_CSV, out / "consistency.csv")
     assert len(cons) == 6
     assert cons[-1][0] == pytest.approx(0.12)
     assert max(r[2] for r in cons) < 1e-3
@@ -603,6 +669,37 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli(["simulate", "--preset", "nope", "--out", str(tmp_path)]) == 1
     assert run_cli(["analyze", "--dir", str(tmp_path / "missing")]) == 1
     assert run_cli(["sphere-verify", "--t-end", "0.7", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda payload: "{not json",
+        lambda payload: "42",
+        lambda payload: json.dumps({**payload, "config": [1, 2]}),
+        lambda payload: json.dumps({**payload, "config": {**payload["config"], "bogus": 1}}),
+        lambda payload: json.dumps({**payload, "config": {**payload["config"], "cfl": "x"}}),
+        lambda payload: json.dumps({**payload, "t_est": "soon"}),
+    ],
+    ids=[
+        "invalid-json",
+        "not-an-object",
+        "config-not-an-object",
+        "unknown-config-key",
+        "mistyped-config-value",
+        "t_est-not-a-number",
+    ],
+)
+def test_cli_analyze_rejects_malformed_run_json(tmp_path, capsys, corrupt):
+    out = tmp_path / "run"
+    assert run_cli([
+        "simulate", "--preset", "circle", "--n", "32", "--t-end", "0.01", "--out", str(out),
+    ]) == 0
+    path = out / "run.json"
+    path.write_text(corrupt(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert run_cli(["analyze", "--dir", str(out)]) == 1
+    assert f"error: {path}: " in capsys.readouterr().err
 
 
 def test_cli_numerical_failure_exit_code(tmp_path, monkeypatch):
