@@ -12,10 +12,15 @@ construction so shared curves cannot be mutated behind a caller's back.
 The constructor measures every segment once, to validate it, and keeps the
 lengths (read-only as well); ``segment_lengths`` and ``compute_geometry``
 share that array instead of measuring the polyline again.
+
+The kernels work component-major, on (3, n) arrays with one contiguous row
+per coordinate.  ``points`` stay C-ordered (n, 3); the (n, 3) arrays of a
+``CurveGeometry`` are ``.T`` views of read-only (3, n) buffers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,12 +36,20 @@ TOPOLOGIES = (CLOSED, OPEN, PERIODIC)
 MIN_VERTICES = {CLOSED: 8, PERIODIC: 8, OPEN: 4}
 
 
-def _row_norms(x: np.ndarray) -> np.ndarray:
-    # Euclidean norms of the rows of an (m, 3) array.  Same bits as
-    # np.linalg.norm(x, axis=1), which sums the squares in this order, at a
-    # third of its cost.
-    x0, x1, x2 = x[:, 0], x[:, 1], x[:, 2]
-    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # dot products of the vertices of two (3, m) arrays, with the bits of
+    # np.einsum("ij,ij->i") on (m, 3) rows: it adds (p0 + p2) + p1 onto +0.0
+    p = u * v
+    d = p[0] + 0.0
+    d += p[2]
+    d += p[1]
+    return d
+
+
+def row_norm(x: np.ndarray) -> np.ndarray:
+    # norms of the vertices of a (3, m) array, np.linalg.norm(axis=1)'s bits
+    s = np.add.reduce(x * x, axis=0)
+    return np.sqrt(s, out=s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +67,7 @@ class SampledCurve:
     _segments: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(np.asarray(self.points, dtype=float))
+        pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidCurveError("points must be an (n, 3) array")
         if not np.isfinite(pts).all():
@@ -71,29 +84,34 @@ class SampledCurve:
         if self.topology == PERIODIC:
             if off is None:
                 raise InvalidCurveError("periodic topology requires an offset")
-            off = np.ascontiguousarray(np.asarray(off, dtype=float))
-            if off.shape != (3,) or not np.isfinite(off).all():
+            off = np.ascontiguousarray(off, dtype=float)
+            # checked as Python floats, whose sum of squares underflows to
+            # zero exactly when np.linalg.norm(off) does
+            xyz = off.tolist()
+            if off.shape != (3,) or not all(map(math.isfinite, xyz)):
                 raise InvalidCurveError("offset must be a finite 3-vector")
-            if np.linalg.norm(off) == 0.0:
+            if sum(v * v for v in xyz) == 0.0:
                 raise InvalidCurveError("periodic offset must be nonzero")
         elif off is not None and np.linalg.norm(np.asarray(off, float)) != 0.0:
             raise InvalidCurveError(f"{self.topology} topology takes no offset")
         else:
             off = None
 
-        seg = _row_norms(pts[1:] - pts[:-1])
-        if seg.size and seg.min() == 0.0:
+        cyclic = self.topology != OPEN
+        seg = np.empty(n if cyclic else n - 1)
+        # differences written component-major, read from the input as it is
+        # laid out: contiguous for a step's (3, n) output, strided for (n, 3)
+        rows = pts.T
+        seg[: n - 1] = row_norm(np.subtract(rows[:, 1:], rows[:, :-1], order="C"))
+        pts = np.ascontiguousarray(pts)
+        if seg[: n - 1].min() == 0.0:
             raise InvalidCurveError("consecutive vertices must be distinct")
-        if self.topology == CLOSED:
-            closing = np.linalg.norm(pts[0] - pts[-1])
-            if closing == 0.0:
-                raise InvalidCurveError("closing segment is degenerate")
-            seg = np.append(seg, closing)
-        elif self.topology == PERIODIC:
-            closing = np.linalg.norm(pts[0] + off - pts[-1])
-            if closing == 0.0:
-                raise InvalidCurveError("period-closing segment is degenerate")
-            seg = np.append(seg, closing)
+        if cyclic:
+            closing = pts[0] - pts[-1] if off is None else pts[0] + off - pts[-1]
+            seg[-1] = math.sqrt(closing.dot(closing))  # as np.linalg.norm does
+            if seg[-1] == 0.0:
+                kind = "closing" if off is None else "period-closing"
+                raise InvalidCurveError(f"{kind} segment is degenerate")
 
         pts.setflags(write=False)
         seg.setflags(write=False)
@@ -126,8 +144,8 @@ class CurveGeometry:
     or periodic curve, the ``n - 2`` interior vertices of an open one.  Row
     i is ``lap_lower[i] (p_prev - p_i) + lap_upper[i] (p_next - p_i)``; the
     semi-implicit step reuses these rows as its tridiagonal system.
-    ``segment_lengths`` is the curve's own read-only segment array, not a
-    copy.
+    ``segment_lengths`` is the curve's own read-only segment array.  The
+    (n, 3) arrays are non-contiguous; ``.T`` gives their (3, n) buffers.
     """
 
     tangents: np.ndarray
@@ -159,13 +177,6 @@ def arc_positions(curve: SampledCurve) -> tuple[np.ndarray, float]:
     return s[: curve.n], total
 
 
-def _project_normal(raw: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    # Remove the tangential residue of the second-difference stencil so the
-    # curvature vector is orthogonal to the tangent to rounding accuracy.
-    tang_comp = np.einsum("ij,ij->i", raw, tangents)
-    return raw - tang_comp[:, None] * tangents
-
-
 def compute_geometry(curve: SampledCurve) -> CurveGeometry:
     """Tangents, curvature vectors and arc elements of ``curve``.
 
@@ -179,51 +190,55 @@ def compute_geometry(curve: SampledCurve) -> CurveGeometry:
     """
     pts = curve.points
     seg = segment_lengths(curve)
+    cyclic = curve.is_cyclic()
 
-    if curve.is_cyclic():
-        first, last = pts[:1], pts[-1:]
-        if curve.topology == PERIODIC:
-            first, last = first + curve.offset, last - curve.offset
-        prev = np.concatenate((last, pts[:-1]))
-        nxt = np.concatenate((pts[1:], first))
-        cur = pts
-        hm = np.concatenate((seg[-1:], seg[:-1]))
-        hp = seg
-    else:
-        prev, cur, nxt = pts[:-2], pts[1:-1], pts[2:]
-        hm, hp = seg[:-1], seg[1:]
-
-    chord = nxt - prev
-    chord_len = _row_norms(chord)
+    # the vertices component-major between two wrap vertices; an open curve
+    # repeats its endpoints there, which makes its end chords the end segments
+    before, after = (pts[-1], pts[0]) if cyclic else (pts[0], pts[-1])
+    if curve.topology == PERIODIC:
+        before, after = before - curve.offset, after + curve.offset
+    ext = np.empty((3, len(pts) + 2))
+    np.concatenate((before[:, None], pts.T, after[:, None]), axis=1, out=ext)
+    tangents = ext[:, 2:] - ext[:, :-2]
+    chord_len = row_norm(tangents)
     if chord_len.min() <= 0.0:
         raise InvalidCurveError("degenerate centered-difference tangent")
+    tangents /= chord_len
+
+    if cyclic:
+        prev, cur, nxt = ext[:, :-2], ext[:, 1:-1], ext[:, 2:]
+        hm, hp = np.concatenate((seg[-1:], seg[:-1])), seg
+    else:
+        prev, cur, nxt = ext[:, 1:-3], ext[:, 2:-2], ext[:, 3:-1]
+        hm, hp = seg[:-1], seg[1:]
     span = hm + hp
     a = 2.0 / (hm * span)
     c = 2.0 / (hp * span)
-    lap = a[:, None] * (prev - cur) + c[:, None] * (nxt - cur)
-    tangents = chord / chord_len[:, None]
-    raw = lap
     ds = 0.5 * span
-    if not curve.is_cyclic():
-        head, tail = (pts[1] - pts[0]) / seg[0], (pts[-1] - pts[-2]) / seg[-1]
-        tangents = np.concatenate(([head], tangents, [tail]))
-        raw = np.concatenate((lap[:1], lap, lap[-1:]))
+    raw = np.empty_like(tangents)
+    lap = np.subtract(prev, cur, out=raw if cyclic else raw[:, 1:-1])
+    lap *= a
+    lap += c * (nxt - cur)
+    if not cyclic:
+        # the ends repeat the adjacent Laplacian row and take half a segment
+        raw[:, 0], raw[:, -1] = raw[:, 1], raw[:, -2]
         ds = np.concatenate(([0.5 * seg[0]], ds, [0.5 * seg[-1]]))
 
-    kvec = _project_normal(raw, tangents)
-    scalar = _row_norms(kvec)
-    for arr in (tangents, kvec, scalar, ds, a, c, lap):
+    # the curvature vector: the Laplacian with its tangential residue removed
+    kvec = raw - row_dot(raw, tangents) * tangents
+    scalar = row_norm(kvec)
+    for arr in (tangents, kvec, scalar, ds, a, c, raw, lap):
         arr.setflags(write=False)
     return CurveGeometry(
-        tangents=tangents,
-        curvature_vectors=kvec,
+        tangents=tangents.T,
+        curvature_vectors=kvec.T,
         scalar_curvature=scalar,
         ds=ds,
-        total_length=float(np.sum(seg)),
+        total_length=float(seg.sum()),
         segment_lengths=seg,
         lap_lower=a,
         lap_upper=c,
-        laplacian=lap,
+        laplacian=lap.T,
     )
 
 

@@ -30,6 +30,7 @@ from .curve import (
     SampledCurve,
     compute_geometry,
     resample_uniform,
+    row_dot,
     total_absolute_curvature,
     total_squared_curvature,
 )
@@ -154,11 +155,12 @@ def step_explicit(state: FlowState, dt: float) -> FlowState:
         raise InvalidArgumentError(
             f"dt={dt:g} exceeds the stability bound {stable_step(state.geometry):g}"
         )
-    move = dt * state.geometry.curvature_vectors
+    # component-major (3, n), the layout of the geometry and of the solves
+    moved = dt * state.geometry.curvature_vectors.T
     if not state.curve.is_cyclic():
-        move[0] = 0.0
-        move[-1] = 0.0
-    curve = _stepped_curve(state.curve.points + move, state.curve, "explicit")
+        moved[:, 0] = moved[:, -1] = 0.0
+    moved += state.curve.points.T
+    curve = _stepped_curve(moved.T, state.curve, "explicit")
     return FlowState(curve, state.t + dt, state.step + 1, compute_geometry(curve))
 
 
@@ -179,12 +181,12 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     a, c = geom.lap_lower, geom.lap_upper
     system = (-dt * a, 1.0 + dt * (a + c), -dt * c, dt * geom.laplacian)
     if curve.is_cyclic():
-        delta = solve_cyclic_tridiagonal(*system)
+        moved = solve_cyclic_tridiagonal(*system).T
     else:
-        delta = np.zeros_like(curve.points)
-        delta[1:-1] = solve_tridiagonal(*system)
-
-    curve = _stepped_curve(curve.points + delta, curve, "implicit")
+        moved = np.zeros((3, curve.n))
+        moved[:, 1:-1] = solve_tridiagonal(*system).T
+    moved += curve.points.T
+    curve = _stepped_curve(moved.T, curve, "implicit")
     return FlowState(curve, state.t + dt, state.step + 1, compute_geometry(curve))
 
 
@@ -268,7 +270,7 @@ def snapshot_diagnostics(
     if sphere_radius is not None:
         target = sphere_radius**2 - 2.0 * t
         if target > 0.0:
-            rsq = np.einsum("ij,ij->i", curve.points, curve.points)
+            rsq = row_dot(curve.points.T, curve.points.T)
             row.sphere_residual = float(np.max(np.abs(rsq - target)))
     return row
 

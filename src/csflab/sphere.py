@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveGeometry, SampledCurve, _row_norms, compute_geometry
+from .curve import CurveGeometry, SampledCurve, compute_geometry, row_dot, row_norm
 from .errors import (
     DomainError,
     InvalidArgumentError,
@@ -36,27 +36,19 @@ def sphere_residual(curve: SampledCurve, t: float = 0.0, r0: float = 1.0) -> flo
     target = r0 * r0 - 2.0 * t
     if target <= 0.0:
         raise DomainError(f"sphere of radius {r0:g} is gone at t = {t:g}")
-    rsq = np.einsum("ij,ij->i", curve.points, curve.points)
+    rsq = row_dot(curve.points.T, curve.points.T)
     return float(np.max(np.abs(rsq - target)))
 
 
-def _vertex_radii(curve: SampledCurve, rel_tol: float) -> np.ndarray:
-    radii = _row_norms(curve.points)
-    mean = float(np.mean(radii))
-    worst = float(np.max(np.abs(radii - mean)))
+def _vertex_radii(rows: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
+    radii = row_norm(rows)
+    mean = float(radii.sum()) / len(radii)  # np.mean's bits
+    worst = float(np.abs(radii - mean).max())
     if worst > rel_tol * mean:
         raise NotOnSphereError(
             f"vertex radii spread {worst:.3g} exceeds {rel_tol:g} of {mean:.3g}"
         )
-    return radii
-
-
-def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # row-wise u x v, written out per component: the products and
-    # differences np.cross forms, without its generic set-up
-    u0, u1, u2 = u[:, 0], u[:, 1], u[:, 2]
-    v0, v1, v2 = v[:, 0], v[:, 1], v[:, 2]
-    return np.column_stack((u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0))
+    return radii, mean
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,24 +74,30 @@ def decompose_curvature(
     curve: SampledCurve, geometry: CurveGeometry | None = None
 ) -> SphereDecomposition:
     """Split curvature into geodesic (in-sphere) and normal (radial) parts."""
-    radii = _vertex_radii(curve, SPHERE_REL_TOL)
+    inward = np.negative(curve.points.T, order="C")
+    radii, radius = _vertex_radii(inward, SPHERE_REL_TOL)
     geom = geometry if geometry is not None else compute_geometry(curve)
-    inward = -curve.points / radii[:, None]
-    tilt = np.einsum("ij,ij->i", inward, geom.tangents)
-    n_vec = inward - tilt[:, None] * geom.tangents
-    n_norm = _row_norms(n_vec)
-    if np.any(n_norm < 1e-12):
+    tangents = geom.tangents.T
+    inward /= radii
+    n_vec = inward - row_dot(inward, tangents) * tangents
+    n_norm = row_norm(n_vec)
+    if (n_norm < 1e-12).any():
         raise NotOnSphereError("tangent is radial at some vertex")
-    n_vec = n_vec / n_norm[:, None]
-    q_vec = _cross(n_vec, geom.tangents)
-    q_vec = q_vec / _row_norms(q_vec)[:, None]
-    kvec = geom.curvature_vectors
-    k_g = np.einsum("ij,ij->i", kvec, q_vec)
-    k_n = np.einsum("ij,ij->i", kvec, n_vec)
+    n_vec /= n_norm
+    # q = n x t per component, the products and differences np.cross forms
+    (u0, u1, u2), (v0, v1, v2) = n_vec, tangents
+    q_vec = np.empty_like(n_vec)
+    np.subtract(u1 * v2, u2 * v1, out=q_vec[0])
+    np.subtract(u2 * v0, u0 * v2, out=q_vec[1])
+    np.subtract(u0 * v1, u1 * v0, out=q_vec[2])
+    q_vec /= row_norm(q_vec)
+    kvec = geom.curvature_vectors.T
+    k_g = row_dot(kvec, q_vec)
+    k_n = row_dot(kvec, n_vec)
     for arr in (k_g, k_n, n_vec, q_vec):
         arr.setflags(write=False)
     return SphereDecomposition(
-        k_g=k_g, k_n=k_n, n_vec=n_vec, q_vec=q_vec, radius=float(np.mean(radii))
+        k_g=k_g, k_n=k_n, n_vec=n_vec.T, q_vec=q_vec.T, radius=radius
     )
 
 
@@ -124,10 +122,6 @@ class RescaledState:
     source_t: float
 
 
-def _project_unit(points: np.ndarray) -> np.ndarray:
-    return points / _row_norms(points)[:, None]
-
-
 def rescale(curve: SampledCurve, t: float) -> RescaledState:
     """Map a sphere-of-time-t curve back to the unit sphere.
 
@@ -137,15 +131,16 @@ def rescale(curve: SampledCurve, t: float) -> RescaledState:
     """
     if t >= 0.5:
         raise DomainError(f"no sphere remains at t = {t:g} >= 1/2")
-    radii = _vertex_radii(curve, RESCALE_REL_TOL)
+    rows = curve.points.T
+    _, mean = _vertex_radii(rows, RESCALE_REL_TOL)
     expected = math.sqrt(1.0 - 2.0 * t)
-    mean = float(np.mean(radii))
     if abs(mean - expected) > RESCALE_REL_TOL * expected:
         raise NotOnSphereError(
             f"mean radius {mean:.4g} is not the expected {expected:.4g}"
         )
-    scaled = _project_unit(curve.points / expected)
-    tilde = SampledCurve(scaled, curve.topology, curve.offset)
+    scaled = rows / expected
+    scaled /= row_norm(scaled)
+    tilde = SampledCurve(scaled.T, curve.topology, curve.offset)
     return RescaledState(curve_tilde=tilde, t_tilde=time_dilation(t), source_t=t)
 
 
@@ -165,9 +160,10 @@ def step_geodesic_flow(state: RescaledState, dt_tilde: float) -> RescaledState:
             f"{stable_step(geom):g}"
         )
     decomp = decompose_curvature(curve, geom)
-    moved = curve.points + dt_tilde * decomp.k_g[:, None] * decomp.q_vec
-    # a non-finite moved vertex stays non-finite on projection
-    tilde = _stepped_curve(_project_unit(moved), curve, "geodesic")
+    moved = decomp.q_vec.T * (dt_tilde * decomp.k_g)
+    moved += curve.points.T
+    moved /= row_norm(moved)  # a non-finite vertex stays non-finite
+    tilde = _stepped_curve(moved.T, curve, "geodesic")
     t_tilde = state.t_tilde + dt_tilde
     return RescaledState(
         curve_tilde=tilde,

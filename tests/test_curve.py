@@ -211,6 +211,31 @@ def test_validation_rejects_bad_input():
     assert SampledCurve(good, CLOSED, (0.0, 0.0, 0.0)).offset is None
 
 
+@pytest.mark.parametrize(
+    "topology, offset, accepted",
+    [
+        (PERIODIC, (math.nan, 0.0, 1.0), False),
+        (PERIODIC, (0.0, -math.inf, 1.0), False),
+        (PERIODIC, (0.0, 0.0, -0.0), False),
+        # squares underflow to zero, as in np.linalg.norm
+        (PERIODIC, (1e-200, 1e-200, 1e-200), False),
+        (PERIODIC, (1e-160, 1e-160, 1e-160), True),
+        (PERIODIC, (0.0, 0.0, 1.0), True),
+        (CLOSED, (0.0, 0.0, 1e-160), False),
+        (CLOSED, (0.0, 0.0, -0.0), True),
+        (OPEN, (0.0, 0.0, 0.0), True),
+    ],
+)
+def test_offset_validation_table(topology, offset, accepted):
+    good = np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8)), np.zeros(8)])
+    if accepted:
+        curve = SampledCurve(good, topology, offset)
+        assert (curve.offset is None) == (topology != PERIODIC)
+    else:
+        with pytest.raises(InvalidCurveError, match="offset"):
+            SampledCurve(good, topology, offset)
+
+
 @pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])
 def test_segment_lengths_are_shared_and_read_only(topology):
     u = np.arange(12) * 0.5

@@ -78,3 +78,17 @@ def test_singular_system_raises(solve):
     zeros = np.zeros(n)
     with pytest.raises(NumericalFailureError, match="singular"):
         solve(zeros, diag, zeros, np.ones((n, 2)))
+
+
+@pytest.mark.parametrize("solve", [solve_tridiagonal, solve_cyclic_tridiagonal])
+@pytest.mark.parametrize("shape", ["1-D", "C", "F"])
+def test_solves_leave_their_arguments_unchanged(solve, shape):
+    # gtsv can factor and solve in place; the caller's arrays must not be
+    rng = np.random.default_rng(5)
+    lower, diag, upper, rhs = random_system(16, rng, cyclic=True)
+    rhs = {"1-D": rhs[:, 0].copy(), "C": rhs, "F": np.asfortranarray(rhs)}[shape]
+    args = (lower, diag, upper, rhs)
+    before = [a.copy() for a in args]
+    solve(*args)
+    for arg, saved in zip(args, before):
+        assert np.array_equal(arg.view(np.int64), saved.view(np.int64))
