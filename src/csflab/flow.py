@@ -12,13 +12,20 @@ Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
   because it never blows up when remeshing changes min(ds) under the
   integrator.
 
-Runs are deterministic: identical inputs produce bit-identical records.
+One private loop, ``_integrate``, drives ``run``, ``run_to_times`` and
+``sphere.run_geodesic_flow``: it clamps dt to the next target time, lands
+on each target, names the failed step and the last good state in a
+``NumericalFailureError``, and attaches the output reached so far to that
+error and to a ``KeyboardInterrupt``.  Runs are deterministic: identical
+inputs produce bit-identical records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
@@ -275,20 +282,58 @@ def snapshot_diagnostics(
     return row
 
 
-def failure_message(
-    exc: Exception, step: int, t: float, dt: float, geometry: CurveGeometry
-) -> str:
-    """Describe a failed step from the last good state before it.
+def _integrate(
+    state, advance, dt_rule, targets, tolerance, record, so_far, *,
+    geometry=attrgetter("geometry"), clock=attrgetter("t"), after_step=None,
+    max_steps=math.inf,
+) -> str | None:
+    """The one time loop: step ``state`` toward each target time in turn.
 
-    ``step``, ``t`` and ``geometry`` belong to that state; ``dt`` is the
-    step size the failing step was given.
+    dt = min(dt_rule(geometry(state)), target - t), and ``advance(state,
+    dt)`` makes the next state.  A target is reached once clock(state) >=
+    target * (1 - tolerance); that state goes to ``record``.  The step cap
+    is tested before a step and ``after_step`` after it: a stop records its
+    state and returns its reason, reaching every target returns None.
+
+    ``InvalidCurveError`` or ``NumericalFailureError`` from ``advance``, or
+    from ``geometry`` of the state it made, fails that step: the
+    ``NumericalFailureError`` raised names it, its dt and the last good
+    state, and carries ``so_far("numerical_failure")`` as ``record``.  A
+    ``KeyboardInterrupt`` is re-raised with ``so_far("interrupted")``.
     """
-    return (
-        f"step {step + 1} failed: {exc} (last good state: "
-        f"step {step}, t={float(t)!r}, dt={float(dt)!r}, "
-        f"min ds={float(geometry.ds.min())!r}, "
-        f"k_max={float(geometry.scalar_curvature.max())!r})"
-    )
+    steps, good, dt = 0, None, math.nan
+    try:
+        for target in targets:
+            landing = target * (1.0 - tolerance)
+            while (t := clock(state)) < landing:
+                if steps >= max_steps:
+                    record(state)
+                    return "max_steps"
+                try:
+                    geom = geometry(state)
+                    good = (steps, t, geom)
+                    dt = min(dt_rule(geom), target - t)
+                    state = advance(state, dt)
+                except (InvalidCurveError, NumericalFailureError) as exc:
+                    if good is None:  # the starting state has no geometry
+                        raise
+                    step, t_good, geom = good
+                    raise NumericalFailureError(
+                        f"step {step + 1} failed: {exc} (last good state: "
+                        f"step {step}, t={float(t_good)!r}, dt={float(dt)!r}, "
+                        f"min ds={float(geom.ds.min())!r}, "
+                        f"k_max={float(geom.scalar_curvature.max())!r})",
+                        record=so_far("numerical_failure"),
+                    ) from exc
+                steps += 1
+                if after_step is not None and (reason := after_step(state)):
+                    record(state)
+                    return reason
+            record(state)
+    except KeyboardInterrupt as exc:
+        exc.record = so_far("interrupted")
+        raise
+    return None
 
 
 def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
@@ -306,75 +351,49 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
     state = make_state(initial)
     l_start = state.geometry.total_length
     stepper = _STEPPERS[config.scheme]
-
     rows: list[RecordRow] = []
     snapshots: list[tuple[int, float, SampledCurve]] = []
 
     def record(st: FlowState) -> None:
-        rows.append(
-            snapshot_diagnostics(
+        if not rows or rows[-1].step != st.step:
+            row = snapshot_diagnostics(
                 st.curve, st.t, st.step, config.sphere_radius, st.geometry
             )
-        )
-        snapshots.append((st.step, st.t, st.curve))
+            rows.append(row)
+            snapshots.append((st.step, st.t, st.curve))
 
-    def partial(stop_reason: str) -> RunRecord:
-        return RunRecord(rows, snapshots, math.inf, stop_reason, config)
+    def advance(st: FlowState, dt: float) -> FlowState:
+        nxt = stepper(st, dt)
+        return _remeshed(nxt) if nxt.step % config.remesh_every == 0 else nxt
 
-    stop_reason = None
-    try:
-        record(state)
-        while stop_reason is None:
-            if config.t_end is not None and state.t >= config.t_end:
-                stop_reason = "t_end"
-                break
-            if state.step >= config.max_steps:
-                stop_reason = "max_steps"
-                break
-            dt = stable_step(state.geometry, config.cfl)
-            if config.t_end is not None:
-                dt = min(dt, config.t_end - state.t)
-            try:
-                nxt = stepper(state, dt)
-                if nxt.step % config.remesh_every == 0:
-                    nxt = _remeshed(nxt)
-            except (InvalidCurveError, NumericalFailureError) as exc:
-                raise NumericalFailureError(
-                    failure_message(exc, state.step, state.t, dt, state.geometry),
-                    record=partial("numerical_failure"),
-                ) from exc
-            state = nxt
+    def after_step(st: FlowState) -> str | None:
+        geom = st.geometry
+        if geom.total_length < config.stop_length_fraction * l_start:
+            return "length_exhausted"
+        kds = float(geom.scalar_curvature.max()) * float(geom.ds.min())
+        if kds > config.stop_curvature_resolution:
+            return "resolution_exhausted"
+        if st.step % config.record_every == 0:
+            record(st)
+        return None
 
-            geom = state.geometry
-            if geom.total_length < config.stop_length_fraction * l_start:
-                stop_reason = "length_exhausted"
-            elif (
-                float(geom.scalar_curvature.max()) * float(geom.ds.min())
-                > config.stop_curvature_resolution
-            ):
-                stop_reason = "resolution_exhausted"
-            elif config.t_end is not None and state.t >= config.t_end * (1.0 - 1e-12):
-                stop_reason = "t_end"
-
-            if stop_reason is not None or state.step % config.record_every == 0:
-                if rows[-1].step != state.step:
-                    record(state)
-
-        # breaks at the top of the loop (t_end already reached, max_steps)
-        # bypass the in-loop record, so close the row list here
-        if rows[-1].step != state.step:
-            record(state)
-    except KeyboardInterrupt as exc:
+    def so_far(stop_reason: str) -> RunRecord:
         # a row appended without its snapshot (interrupted inside record)
         # is dropped so both lists describe the same steps
         del rows[len(snapshots):]
-        exc.record = partial("interrupted")
-        raise
+        return RunRecord(rows, snapshots, math.inf, stop_reason, config)
 
+    # the t = 0 target records the start
+    targets = (0.0, math.inf if config.t_end is None else config.t_end)
+    dt_rule = partial(stable_step, cfl=config.cfl)
+    stop_reason = _integrate(
+        state, advance, dt_rule, targets, 1e-12, record, so_far,
+        after_step=after_step, max_steps=config.max_steps,
+    )
     t_est = estimate_vanishing_time(rows) if initial.topology == CLOSED else math.inf
     for row in rows:
         row.sing_indicator = row_indicator(row, t_est)
-    return RunRecord(rows, snapshots, t_est, stop_reason, config)
+    return RunRecord(rows, snapshots, t_est, stop_reason or "t_end", config)
 
 
 def run_to_times(
@@ -388,29 +407,19 @@ def run_to_times(
     Used for scheme-to-scheme and extrinsic-to-intrinsic comparisons where
     vertex labels must stay aligned between runs.  A failed step raises
     ``NumericalFailureError`` naming it and the last good state, as in
-    ``run``.
+    ``run``; that error and a ``KeyboardInterrupt`` carry the ``(t, curve)``
+    pairs reached so far as ``record``.
     """
     targets = [float(t) for t in targets]
     if any(b <= a for a, b in zip(targets, targets[1:])) or (
         targets and targets[0] < 0.0
     ):
         raise InvalidArgumentError("target times must be non-negative, increasing")
-    stepper = _STEPPERS[scheme] if scheme in SCHEMES else None
-    if stepper is None:
+    if scheme not in SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
-    state = make_state(initial)
     out: list[tuple[float, SampledCurve]] = []
-    try:
-        for target in targets:
-            if target == 0.0:
-                out.append((0.0, state.curve))
-                continue
-            while state.t < target * (1.0 - 1e-14):
-                dt = min(stable_step(state.geometry, cfl), target - state.t)
-                state = stepper(state, dt)
-            out.append((state.t, state.curve))
-    except (InvalidCurveError, NumericalFailureError) as exc:
-        raise NumericalFailureError(
-            failure_message(exc, state.step, state.t, dt, state.geometry)
-        ) from exc
+    _integrate(
+        make_state(initial), _STEPPERS[scheme], partial(stable_step, cfl=cfl),
+        targets, 1e-14, lambda st: out.append((st.t, st.curve)), lambda _: out,
+    )
     return out

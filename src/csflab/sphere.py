@@ -5,25 +5,23 @@ A curve starting on the unit sphere stays on the sphere of squared radius
 run conserves that law, splits curvature vectors into geodesic and normal
 parts, rescales curves back to the unit sphere with the matching dilated
 time, and runs the intrinsic geodesic-curvature flow on the unit sphere so
-the two descriptions can be compared snapshot by snapshot.
+the two descriptions can be compared snapshot by snapshot.  Both flows
+step through the one time loop of ``flow``, so they land on their target
+times, fail and stop on interrupt alike.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
 from .curve import CurveGeometry, SampledCurve, compute_geometry, row_dot, row_norm
-from .errors import (
-    DomainError,
-    InvalidArgumentError,
-    InvalidCurveError,
-    NotOnSphereError,
-    NumericalFailureError,
-)
-from .flow import _stepped_curve, failure_message, run_to_times, stable_step
+from .errors import DomainError, InvalidArgumentError, NotOnSphereError
+from .flow import _integrate, _stepped_curve, run_to_times, stable_step
 
 SPHERE_REL_TOL = 1e-3  # vertex-radius spread allowed by the decomposition
 RESCALE_REL_TOL = 2e-2  # looser: rescaling accepts accumulated flow drift
@@ -180,7 +178,8 @@ def run_geodesic_flow(
     A failed step raises ``NumericalFailureError`` naming it and the last
     good state in the format of ``flow.run``, with t and dt on the dilated
     clock.  A step whose new curve has no geometry counts as failed, so the
-    last good state is the one before it.
+    last good state is the one before it.  That error, and a
+    ``KeyboardInterrupt``, carry the states reached so far as ``record``.
     """
     targets = [float(x) for x in t_tilde_targets]
     if any(b <= a for a, b in zip(targets, targets[1:])):
@@ -188,23 +187,12 @@ def run_geodesic_flow(
     if targets and targets[0] < state.t_tilde - 1e-14:
         raise InvalidArgumentError("targets must not precede the current time")
     out: list[RescaledState] = []
-    step, good = 0, None
-    try:
-        for target in targets:
-            while state.t_tilde < target * (1.0 - 1e-14):
-                geom = compute_geometry(state.curve_tilde)
-                good = (step, state.t_tilde, geom)
-                dt = min(stable_step(geom, cfl), target - state.t_tilde)
-                state = step_geodesic_flow(state, dt)
-                step += 1
-            out.append(state)
-    except (InvalidCurveError, NumericalFailureError) as exc:
-        if good is None:  # the starting curve itself has no geometry
-            raise
-        last_step, t_tilde, geom = good
-        raise NumericalFailureError(
-            failure_message(exc, last_step, t_tilde, dt, geom)
-        ) from exc
+    _integrate(
+        state, step_geodesic_flow, partial(stable_step, cfl=cfl), targets, 1e-14,
+        out.append, lambda _: out,
+        geometry=lambda st: compute_geometry(st.curve_tilde),
+        clock=attrgetter("t_tilde"),
+    )
     return out
 
 

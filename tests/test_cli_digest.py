@@ -1,0 +1,34 @@
+"""Every CLI output file is byte-identical across CSF_THREADS values."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def digest(threads):
+    env = dict(os.environ, CSF_THREADS=str(threads), PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-B", "tools/cli_digest.py"],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_cli_outputs_do_not_depend_on_the_thread_count():
+    one, two = digest(1), digest(2)
+    assert one == two
+    paths = [line.split("  ", 1)[1] for line in one]
+    # every command wrote its files: 12 simulate runs, the sphere run, two
+    # ratio fields and the helix scan
+    assert sum(p.endswith("/run.csv") for p in paths) == 13
+    assert sum(p.endswith("/analyze.csv") for p in paths) == 12
+    assert sum(p.endswith("/ratiofield.txt") for p in paths) == 2
+    assert "sphere/consistency.csv" in paths and "scan/fscan.csv" in paths

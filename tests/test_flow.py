@@ -461,3 +461,29 @@ def test_run_keeps_partial_record_on_interrupt(monkeypatch):
     assert [s for s, _, _ in partial.snapshots] == [0, 2, 4]
     assert [r.t for r in partial.rows] == [r.t for r in good.rows]
     assert np.array_equal(partial.snapshots[-1][2].points, good.snapshots[-1][2].points)
+
+
+@pytest.mark.parametrize("kind", [KeyboardInterrupt, NumericalFailureError])
+def test_run_to_times_attaches_the_pairs_reached_so_far(monkeypatch, kind):
+    cfl = 0.5
+    dt0 = stable_step(make_state(circle(64)).geometry, cfl)
+    targets = [0.0, 1.5 * dt0, 3.2 * dt0, 8.0 * dt0]
+    full = run_to_times(circle(64), targets, cfl=cfl, scheme=SEMI_IMPLICIT)
+    calls = []
+
+    def fails_fifth(state, dt):
+        calls.append(None)
+        if len(calls) == 5:
+            raise kind("boom")
+        return step_semi_implicit(state, dt)
+
+    monkeypatch.setitem(flow._STEPPERS, SEMI_IMPLICIT, fails_fifth)
+    with pytest.raises(kind) as info:
+        run_to_times(circle(64), targets, cfl=cfl, scheme=SEMI_IMPLICIT)
+    partial = info.value.record
+    # steps 1-2 land on 1.5 dt0, steps 3-4 on 3.2 dt0; step 5 never ends
+    assert len(partial) == 3
+    for (t, curve), (t_full, curve_full) in zip(partial, full):
+        assert t == t_full and np.array_equal(curve.points, curve_full.points)
+    if kind is NumericalFailureError:
+        assert str(info.value).startswith("step 5 failed: boom (last good state: step 4,")

@@ -243,3 +243,32 @@ def test_run_geodesic_flow_step_without_geometry_fails(monkeypatch):
         f"state: step 3, t={state.t_tilde!r}, dt={dt!r}, "
         f"min ds={float(geom.ds.min())!r}, "
     )
+
+
+@pytest.mark.parametrize("kind", [KeyboardInterrupt, NumericalFailureError])
+def test_run_geodesic_flow_attaches_the_states_reached_so_far(monkeypatch, kind):
+    cfl = 0.5
+    start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
+    dt0 = stable_step(compute_geometry(start.curve_tilde), cfl)
+    targets = [start.t_tilde + m * dt0 for m in (1.5, 3.2, 8.0)]
+    full = run_geodesic_flow(start, targets, cfl)
+    calls = []
+
+    def fails_fifth(state, dt_tilde):
+        calls.append(None)
+        if len(calls) == 5:
+            raise kind("boom")
+        return step_geodesic_flow(state, dt_tilde)
+
+    monkeypatch.setattr(sphere, "step_geodesic_flow", fails_fifth)
+    with pytest.raises(kind) as info:
+        run_geodesic_flow(start, targets, cfl)
+    partial = info.value.record
+    # steps 1-2 land on the first target, steps 3-4 on the second
+    assert len(partial) == 2
+    for state, state_full in zip(partial, full):
+        assert state.t_tilde == state_full.t_tilde
+        assert state.source_t == state_full.source_t
+        assert np.array_equal(state.curve_tilde.points, state_full.curve_tilde.points)
+    if kind is NumericalFailureError:
+        assert str(info.value).startswith("step 5 failed: boom (last good state: step 4,")
