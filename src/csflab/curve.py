@@ -271,7 +271,7 @@ def resample_uniform(curve: SampledCurve, n: int) -> SampledCurve:
         ext = np.vstack([pts, pts[0] + curve.offset])
     else:
         ext = pts
-    seg = np.linalg.norm(np.diff(ext, axis=0), axis=1)
+    seg = segment_lengths(curve)  # the lengths the curve itself reports
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = cum[-1]
 

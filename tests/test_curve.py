@@ -18,6 +18,7 @@ from csflab import (
     total_absolute_curvature,
     total_squared_curvature,
 )
+from csflab import curve as curve_module
 
 
 def circle(n, r=1.0):
@@ -171,6 +172,26 @@ def test_resample_periodic_keeps_offset():
     assert rc.topology == PERIODIC
     assert np.allclose(rc.offset, c.offset, rtol=0, atol=0)
     assert np.abs(rc.points[0] - c.points[0]).max() < 1e-12
+
+
+@pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])
+def test_resample_takes_the_curves_own_segment_lengths(monkeypatch, topology):
+    # the lengths are measured once, by the constructor: a remesh and the
+    # curve it resamples agree on every segment, the closing one included
+    c = circle(40) if topology == CLOSED else helix(40)
+    if topology == OPEN:
+        c = SampledCurve(c.points, OPEN)
+    seen = []
+
+    def spy(curve):
+        seen.append(curve)
+        return segment_lengths(curve)
+
+    monkeypatch.setattr(curve_module, "segment_lengths", spy)
+    rc = resample_uniform(c, 33)
+    assert seen == [c]
+    monkeypatch.undo()
+    assert np.array_equal(rc.points, resample_uniform(c, 33).points)
 
 
 def test_validation_rejects_bad_input():
