@@ -12,20 +12,17 @@ Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
   because it never blows up when remeshing changes min(ds) under the
   integrator.
 
-One private loop, ``_integrate``, drives ``run``, ``run_to_times`` and
-``sphere.run_geodesic_flow``: it clamps dt to the next target time, lands
-on each target, names the failed step and the last good state in a
-``NumericalFailureError``, and attaches the output reached so far to that
-error and to a ``KeyboardInterrupt``.  Runs are deterministic: identical
-inputs produce bit-identical records.
+``run``, ``run_to_times`` and ``sphere.run_geodesic_flow`` share one time
+loop, ``_integrate``: the dt clamp, the landing on target times, the
+failure message and the output attached on failure or interrupt live
+there.  Runs are deterministic: identical inputs produce bit-identical
+records.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -283,23 +280,28 @@ def snapshot_diagnostics(
 
 
 def _integrate(
-    state, advance, dt_rule, targets, tolerance, record, so_far, *,
-    geometry=attrgetter("geometry"), clock=attrgetter("t"), after_step=None,
-    max_steps=math.inf,
+    state,
+    advance,
+    dt_rule,
+    targets,
+    tolerance: float,
+    record,
+    so_far,
+    geometry=lambda state: state.geometry,
+    clock=lambda state: state.t,
+    after_step=None,
+    max_steps: float = math.inf,
 ) -> str | None:
     """The one time loop: step ``state`` toward each target time in turn.
 
-    dt = min(dt_rule(geometry(state)), target - t), and ``advance(state,
-    dt)`` makes the next state.  A target is reached once clock(state) >=
-    target * (1 - tolerance); that state goes to ``record``.  The step cap
-    is tested before a step and ``after_step`` after it: a stop records its
-    state and returns its reason, reaching every target returns None.
-
-    ``InvalidCurveError`` or ``NumericalFailureError`` from ``advance``, or
-    from ``geometry`` of the state it made, fails that step: the
-    ``NumericalFailureError`` raised names it, its dt and the last good
-    state, and carries ``so_far("numerical_failure")`` as ``record``.  A
-    ``KeyboardInterrupt`` is re-raised with ``so_far("interrupted")``.
+    Each step takes dt = min(dt_rule(geometry(state)), target - t).  A target
+    is reached once clock(state) >= target * (1 - tolerance) and its state
+    goes to ``record``.  ``max_steps`` is tested before a step, ``after_step``
+    after it; a stop records its state and returns its reason.  A step fails
+    when ``advance``, or the geometry of the state it made, raises
+    ``InvalidCurveError`` or ``NumericalFailureError``; the error raised names
+    the last good state and, like a ``KeyboardInterrupt``, carries
+    ``so_far(stop_reason)`` as ``record``.
     """
     steps, good, dt = 0, None, math.nan
     try:
@@ -385,10 +387,16 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
 
     # the t = 0 target records the start
     targets = (0.0, math.inf if config.t_end is None else config.t_end)
-    dt_rule = partial(stable_step, cfl=config.cfl)
     stop_reason = _integrate(
-        state, advance, dt_rule, targets, 1e-12, record, so_far,
-        after_step=after_step, max_steps=config.max_steps,
+        state,
+        advance,
+        lambda geom: stable_step(geom, config.cfl),
+        targets,
+        1e-12,
+        record,
+        so_far,
+        after_step=after_step,
+        max_steps=config.max_steps,
     )
     t_est = estimate_vanishing_time(rows) if initial.topology == CLOSED else math.inf
     for row in rows:
@@ -419,7 +427,12 @@ def run_to_times(
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
     out: list[tuple[float, SampledCurve]] = []
     _integrate(
-        make_state(initial), _STEPPERS[scheme], partial(stable_step, cfl=cfl),
-        targets, 1e-14, lambda st: out.append((st.t, st.curve)), lambda _: out,
+        make_state(initial),
+        _STEPPERS[scheme],
+        lambda geom: stable_step(geom, cfl),
+        targets,
+        1e-14,
+        lambda st: out.append((st.t, st.curve)),
+        lambda _: out,
     )
     return out

@@ -5,17 +5,14 @@ A curve starting on the unit sphere stays on the sphere of squared radius
 run conserves that law, splits curvature vectors into geodesic and normal
 parts, rescales curves back to the unit sphere with the matching dilated
 time, and runs the intrinsic geodesic-curvature flow on the unit sphere so
-the two descriptions can be compared snapshot by snapshot.  Both flows
-step through the one time loop of ``flow``, so they land on their target
-times, fail and stop on interrupt alike.
+the two descriptions can be compared snapshot by snapshot; both step
+through the one time loop of ``flow``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
-from operator import attrgetter
 
 import numpy as np
 
@@ -188,10 +185,15 @@ def run_geodesic_flow(
         raise InvalidArgumentError("targets must not precede the current time")
     out: list[RescaledState] = []
     _integrate(
-        state, step_geodesic_flow, partial(stable_step, cfl=cfl), targets, 1e-14,
-        out.append, lambda _: out,
+        state,
+        step_geodesic_flow,
+        lambda geom: stable_step(geom, cfl),
+        targets,
+        1e-14,
+        out.append,
+        lambda _: out,
         geometry=lambda st: compute_geometry(st.curve_tilde),
-        clock=attrgetter("t_tilde"),
+        clock=lambda st: st.t_tilde,
     )
     return out
 
