@@ -28,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 from csflab.cli import main as csflab_main
+from csflab.flow import SCHEMES
 
 _SIM = ("--n", "64", "--record-every", "4", "--remesh-every", "3")
 
@@ -36,12 +37,13 @@ SIMULATIONS = (
     ("ellipse", ("--preset", "ellipse", "--t-end", "0.05", *_SIM)),
     ("circle", ("--preset", "circle", "--n", "32", "--record-every", "40")),
     ("helix", ("--preset", "helix", "--max-steps", "9", *_SIM)),
-    ("graph-curve", ("--preset", "graph-curve", "--eps", "0.2", "--t-end", "0.03",
-                     *_SIM)),
+    (
+        "graph-curve",
+        ("--preset", "graph-curve", "--eps", "0.2", "--t-end", "0.03", *_SIM),
+    ),
     ("sphere-perturbed", ("--preset", "sphere-perturbed", "--t-end", "0.05", *_SIM)),
     ("cos2u", ("--preset", "cos2u-curve", *_SIM)),
 )
-SCHEMES = ("semi_implicit", "explicit")
 
 
 def commands(out: Path) -> list[tuple[str, ...]]:
