@@ -35,12 +35,9 @@ from .curve import (
     total_squared_curvature,
 )
 from .diagnostics import (
-    RunSummary,
     analyze_directory,
-    check_total_curvature_bound,
     emit_record,
     simulate_preset,
-    summarize,
 )
 from .errors import (
     CsfError,

@@ -24,15 +24,13 @@ Chords, folded arcs and psi are symmetric in i and j, so a closed pair
 holds the same bits whichever end comes first; ``ratio_field`` writes each
 value into both of its cells.  Only its output is n x n: ``ratio_minima``
 and ``min_pair_ratio`` keep running minima over about n^2/2 cells.
-CSF_THREADS (capped at the CPU count) maps the blocks over a thread pool;
-each cell has one fixed arithmetic order and minima are exact, so results
-never depend on the thread count.
+The blocks run serially, in gap order, and each cell has one fixed
+arithmetic order, so every result is the same bit for bit on every run.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,14 +72,6 @@ def comparison_chord(arc: np.ndarray | float, length: float):
 def arc_angle(arc: np.ndarray | float, length: float):
     """Half the central angle pi*l/L spanned by the arc on that circle."""
     return arc * math.pi / length
-
-
-def _thread_count() -> int:
-    try:
-        requested = int(os.environ.get("CSF_THREADS", ""))
-    except ValueError:
-        return 1
-    return max(1, min(requested, os.cpu_count() or 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,14 +168,7 @@ def _pair_blocks(curve: SampledCurve, band: int, fn) -> list:
     blocks = [range(g, min(g + step, top)) for g in range(band + 1, top, step)]
     if closed and n % 2 == 0:
         blocks.append(range(top, top + 1))  # gap n/2: only i < n/2, half width
-    workers = min(_thread_count(), len(blocks))
-    if workers == 1:
-        return list(map(block, blocks))
-    # imported here: with one worker the pool and its import are never needed
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(block, blocks))
+    return list(map(block, blocks))
 
 
 def ratio_field(

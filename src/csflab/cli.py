@@ -22,7 +22,7 @@ from .chordarc import (
     ratio_field,
 )
 from .curve import compute_geometry
-from .diagnostics import analyze_directory, emit_record, simulate_preset, summarize
+from .diagnostics import analyze_directory, emit_record, simulate_preset
 from .errors import CsfError, InvalidArgumentError, NumericalFailureError
 from .fileio import (
     CONSISTENCY_CSV,
@@ -139,10 +139,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             emit_record(partial, args.out)
         raise
     emit_record(record, args.out)
-    summary = summarize(record)
     print(
         f"wrote {Path(args.out) / 'run.csv'}: {len(record.rows)} rows, "
-        f"stop={summary.stop_reason}, t_est={summary.t_est:g}"
+        f"stop={record.stop_reason}, t_est={record.t_est:g}"
     )
     return 0
 

@@ -1,4 +1,4 @@
-"""Run orchestration, summaries and directory-level emission.
+"""Run orchestration and directory-level emission.
 
 Ties the pieces together: builds a preset, runs the flow, writes run.csv,
 run.json and per-record curve snapshots into one directory, and recomputes
@@ -8,14 +8,12 @@ rerunning the flow.
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from . import fileio
-from .curve import SampledCurve, compute_geometry, total_absolute_curvature
-from .errors import InvalidArgumentError, UnsupportedTopologyError
+from .errors import InvalidArgumentError
 from .flow import (
     FlowConfig,
     RecordRow,
@@ -26,47 +24,7 @@ from .flow import (
 )
 from .presets import Preset, build_curve, sphere_radius_for
 
-TOTAL_CURVATURE_BOUND = 4.0 * math.pi
-
 _SNAP_RE = re.compile(r"snap_(\d+)\.curve$")
-
-
-def check_total_curvature_bound(curve: SampledCurve) -> tuple[float, bool]:
-    """Total |k| integral and whether it is below the embeddedness bound 4*pi.
-
-    The bound is reported, never enforced: runs on curves that violate it
-    proceed normally and simply carry verdict False.
-    """
-    if not curve.is_cyclic():
-        raise UnsupportedTopologyError("the curvature bound applies to closed curves")
-    value = total_absolute_curvature(compute_geometry(curve))
-    return value, value < TOTAL_CURVATURE_BOUND
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Headline facts of one run."""
-
-    config: FlowConfig
-    stop_reason: str
-    t_est: float
-    initial_total_abs_curv: float
-    curvature_bound_ok: bool
-    final_row: RecordRow
-
-
-def summarize(record: RunRecord) -> RunSummary:
-    if not record.rows:
-        raise InvalidArgumentError("cannot summarize an empty record")
-    first = record.rows[0]
-    return RunSummary(
-        config=record.config,
-        stop_reason=record.stop_reason,
-        t_est=record.t_est,
-        initial_total_abs_curv=first.total_abs_curv,
-        curvature_bound_ok=first.total_abs_curv < TOTAL_CURVATURE_BOUND,
-        final_row=record.rows[-1],
-    )
 
 
 def emit_record(record: RunRecord, out_dir) -> Path:

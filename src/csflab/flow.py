@@ -14,9 +14,9 @@ Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
 
 ``run``, ``run_to_times`` and ``sphere.run_geodesic_flow`` share one time
 loop, ``_integrate``: the dt clamp, the landing on target times, the
-failure message and the output attached on failure or interrupt live
-there.  Runs are deterministic: identical inputs produce bit-identical
-records.
+``MAX_STEPS`` step cap, the failure message and the output attached on
+failure or interrupt live there.  Runs are deterministic: identical
+inputs produce bit-identical records.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ SCHEMES = (EXPLICIT, SEMI_IMPLICIT)
 # remesh_every value that effectively disables remeshing
 NO_REMESH = 10**9
 
+# step cap of the time loop, and FlowConfig.max_steps' default
+MAX_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -65,7 +68,7 @@ class FlowConfig:
     stop_length_fraction: float = 0.05
     stop_curvature_resolution: float = 0.5
     scheme: str = SEMI_IMPLICIT
-    max_steps: int = 1_000_000
+    max_steps: int = MAX_STEPS
     sphere_radius: float | None = None  # fills the sphere_residual column
 
     def __post_init__(self):
@@ -290,25 +293,27 @@ def _integrate(
     geometry=lambda state: state.geometry,
     clock=lambda state: state.t,
     after_step=None,
-    max_steps: float = math.inf,
+    max_steps: int | None = None,
 ) -> str | None:
     """The one time loop: step ``state`` toward each target time in turn.
 
     Each step takes dt = min(dt_rule(geometry(state)), target - t).  A target
     is reached once clock(state) >= target * (1 - tolerance) and its state
-    goes to ``record``.  ``max_steps`` is tested before a step, ``after_step``
-    after it; a stop records its state and returns its reason.  A step fails
-    when ``advance``, or the geometry of the state it made, raises
-    ``InvalidCurveError`` or ``NumericalFailureError``; the error raised names
-    the last good state and, like a ``KeyboardInterrupt``, carries
-    ``so_far(stop_reason)`` as ``record``.
+    goes to ``record``.  ``max_steps`` (``MAX_STEPS`` if None) is tested
+    before a step, ``after_step`` after it; a stop records its state and
+    returns its reason.  A step fails when ``advance``, or the geometry of
+    the state it made, raises ``InvalidCurveError`` or
+    ``NumericalFailureError``; the error raised names the last good state
+    and, like a ``KeyboardInterrupt``, carries ``so_far(stop_reason)`` as
+    ``record``.
     """
     steps, good, dt = 0, None, math.nan
+    cap = MAX_STEPS if max_steps is None else max_steps
     try:
         for target in targets:
             landing = target * (1.0 - tolerance)
             while (t := clock(state)) < landing:
-                if steps >= max_steps:
+                if steps >= cap:
                     record(state)
                     return "max_steps"
                 try:
@@ -336,6 +341,20 @@ def _integrate(
         exc.record = so_far("interrupted")
         raise
     return None
+
+
+def _past_cap(out: list, targets, clock) -> NumericalFailureError:
+    """The error of a target loop stopped by the step cap.
+
+    ``_integrate`` recorded the state at the cap last; it is no target, so it
+    leaves ``out`` and only its time is reported.
+    """
+    t = clock(out.pop())
+    return NumericalFailureError(
+        f"step cap of {MAX_STEPS} steps reached at t={t!r}, "
+        f"short of target t={targets[len(out)]!r}",
+        record=out,
+    )
 
 
 def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
@@ -416,7 +435,8 @@ def run_to_times(
     vertex labels must stay aligned between runs.  A failed step raises
     ``NumericalFailureError`` naming it and the last good state, as in
     ``run``; that error and a ``KeyboardInterrupt`` carry the ``(t, curve)``
-    pairs reached so far as ``record``.
+    pairs reached so far as ``record``.  So does the ``NumericalFailureError``
+    raised when ``MAX_STEPS`` steps leave a target unreached.
     """
     targets = [float(t) for t in targets]
     if any(b <= a for a, b in zip(targets, targets[1:])) or (
@@ -426,7 +446,7 @@ def run_to_times(
     if scheme not in SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
     out: list[tuple[float, SampledCurve]] = []
-    _integrate(
+    if _integrate(
         make_state(initial),
         _STEPPERS[scheme],
         lambda geom: stable_step(geom, cfl),
@@ -434,5 +454,6 @@ def run_to_times(
         1e-14,
         lambda st: out.append((st.t, st.curve)),
         lambda _: out,
-    )
+    ):
+        raise _past_cap(out, targets, lambda pair: pair[0])
     return out

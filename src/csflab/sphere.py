@@ -18,7 +18,7 @@ import numpy as np
 
 from .curve import CurveGeometry, SampledCurve, compute_geometry, row_dot, row_norm
 from .errors import DomainError, InvalidArgumentError, NotOnSphereError
-from .flow import _integrate, _stepped_curve, run_to_times, stable_step
+from .flow import _integrate, _past_cap, _stepped_curve, run_to_times, stable_step
 
 SPHERE_REL_TOL = 1e-3  # vertex-radius spread allowed by the decomposition
 RESCALE_REL_TOL = 2e-2  # looser: rescaling accepts accumulated flow drift
@@ -175,8 +175,10 @@ def run_geodesic_flow(
     A failed step raises ``NumericalFailureError`` naming it and the last
     good state in the format of ``flow.run``, with t and dt on the dilated
     clock.  A step whose new curve has no geometry counts as failed, so the
-    last good state is the one before it.  That error, and a
-    ``KeyboardInterrupt``, carry the states reached so far as ``record``.
+    last good state is the one before it.  That error, a
+    ``KeyboardInterrupt`` and the ``NumericalFailureError`` raised when
+    ``flow.MAX_STEPS`` steps leave a target unreached carry the states
+    reached so far as ``record``.
     """
     targets = [float(x) for x in t_tilde_targets]
     if any(b <= a for a, b in zip(targets, targets[1:])):
@@ -184,7 +186,7 @@ def run_geodesic_flow(
     if targets and targets[0] < state.t_tilde - 1e-14:
         raise InvalidArgumentError("targets must not precede the current time")
     out: list[RescaledState] = []
-    _integrate(
+    if _integrate(
         state,
         step_geodesic_flow,
         lambda geom: stable_step(geom, cfl),
@@ -194,7 +196,8 @@ def run_geodesic_flow(
         lambda _: out,
         geometry=lambda st: compute_geometry(st.curve_tilde),
         clock=lambda st: st.t_tilde,
-    )
+    ):
+        raise _past_cap(out, targets, lambda st: st.t_tilde)
     return out
 
 

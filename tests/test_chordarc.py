@@ -1,7 +1,6 @@
 """Chord-arc ratio fields, minima, and the minimum conditions."""
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -348,17 +347,14 @@ def test_closed_reductions_equal_loops_bit_for_bit(seed, n, band, block_cells):
     slow = {m: loop_field(c, m, band) for m in (D_OVER_L, D_OVER_PSI)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chordarc, "_BLOCK_CELLS", block_cells)
-        mp.setattr(chordarc.os, "cpu_count", lambda: 4)
-        for threads in ("1", "4"):
-            mp.setenv("CSF_THREADS", threads)
-            for metric in (D_OVER_L, D_OVER_PSI):
-                fast = ratio_field(c, metric, band).values
-                assert np.array_equal(fast, slow[metric], equal_nan=True)
-                assert min_pair_ratio(c, metric, band) == np.nanmin(slow[metric])
-            assert ratio_minima(c, band) == (
-                np.nanmin(slow[D_OVER_L]),
-                np.nanmin(slow[D_OVER_PSI]),
-            )
+        for metric in (D_OVER_L, D_OVER_PSI):
+            fast = ratio_field(c, metric, band).values
+            assert np.array_equal(fast, slow[metric], equal_nan=True)
+            assert min_pair_ratio(c, metric, band) == np.nanmin(slow[metric])
+        assert ratio_minima(c, band) == (
+            np.nanmin(slow[D_OVER_L]),
+            np.nanmin(slow[D_OVER_PSI]),
+        )
 
 
 @settings(max_examples=20, deadline=None)
@@ -374,10 +370,7 @@ def test_periodic_minimum_equals_loop_bit_for_bit(seed, n, band, block_cells):
     slow = loop_periodic_min(h, band)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chordarc, "_BLOCK_CELLS", block_cells)
-        mp.setattr(chordarc.os, "cpu_count", lambda: 4)
-        for threads in ("1", "4"):
-            mp.setenv("CSF_THREADS", threads)
-            assert min_pair_ratio(h, D_OVER_L, band) == slow
+        assert min_pair_ratio(h, D_OVER_L, band) == slow
 
 
 def kernel_cells(curve, band):
@@ -481,16 +474,6 @@ def test_band_leaving_no_pair_is_rejected(reduce, topology):
             reduce(c, band)
 
 
-def test_thread_count_is_capped_at_cpu_count(monkeypatch):
-    monkeypatch.setattr(chordarc.os, "cpu_count", lambda: 3)
-    for raw, expected in (("1000", 3), ("2", 2), ("0", 1), ("-5", 1), ("x", 1)):
-        monkeypatch.setenv("CSF_THREADS", raw)
-        assert chordarc._thread_count() == expected
-    monkeypatch.setattr(chordarc.os, "cpu_count", lambda: None)
-    monkeypatch.setenv("CSF_THREADS", "8")
-    assert chordarc._thread_count() == 1
-
-
 def test_min_pair_ratio_periodic_rejects_dpsi():
     with pytest.raises(UnsupportedTopologyError):
         min_pair_ratio(helix(64), D_OVER_PSI, 2)
@@ -554,27 +537,3 @@ def test_arc_integral_takes_shorter_arc_with_half_endpoints():
     wide_sum = kds[2:91].sum() - 0.5 * kds[2] - 0.5 * kds[90]
     assert abs(arc_curvature_integral(c, 2, 90) - (total - wide_sum)) < 1e-12
 
-
-def test_threaded_field_bitwise_equal(monkeypatch):
-    c = dumbbell(96)
-    monkeypatch.setenv("CSF_THREADS", "1")
-    serial = ratio_field(c, D_OVER_PSI, 2).values
-    monkeypatch.setenv("CSF_THREADS", "4")
-    threaded = ratio_field(c, D_OVER_PSI, 2).values
-    assert np.array_equal(serial, threaded, equal_nan=True)
-    monkeypatch.setenv("CSF_THREADS", "not-a-number")
-    fallback = ratio_field(c, D_OVER_PSI, 2).values
-    assert np.array_equal(serial, fallback, equal_nan=True)
-    # more workers than cores, one gap per block and frequent thread switches:
-    # the blocks write disjoint cells of one matrix, so no write may be lost
-    monkeypatch.setattr(chordarc.os, "cpu_count", lambda: 8)
-    monkeypatch.setattr(chordarc, "_BLOCK_CELLS", 1)
-    monkeypatch.setenv("CSF_THREADS", "8")
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        stressed = [ratio_field(c, D_OVER_PSI, 2).values for _ in range(5)]
-    finally:
-        sys.setswitchinterval(interval)
-    for values in stressed:
-        assert np.array_equal(serial, values, equal_nan=True)

@@ -487,3 +487,25 @@ def test_run_to_times_attaches_the_pairs_reached_so_far(monkeypatch, kind):
         assert t == t_full and np.array_equal(curve.points, curve_full.points)
     if kind is NumericalFailureError:
         assert str(info.value).startswith("step 5 failed: boom (last good state: step 4,")
+
+
+def test_run_to_times_stops_at_the_step_cap(monkeypatch):
+    assert FlowConfig().max_steps == flow.MAX_STEPS
+    cfl = 0.5
+    dt0 = stable_step(make_state(circle(64)).geometry, cfl)
+    reached = [0.0, 1.5 * dt0, 3.2 * dt0]
+    full = run_to_times(circle(64), reached, cfl=cfl, scheme=SEMI_IMPLICIT)
+    monkeypatch.setattr(flow, "MAX_STEPS", 6)
+    # the circle is gone at t = 1/2, so t = 10 is never reached
+    with pytest.raises(NumericalFailureError) as info:
+        run_to_times(circle(64), reached + [10.0], cfl=cfl, scheme=SEMI_IMPLICIT)
+    message = str(info.value)
+    assert message.startswith("step cap of 6 steps reached at t=")
+    assert message.endswith(", short of target t=10.0")
+    t_cap = float(message.split("t=")[1].split(",")[0])
+    assert 3.2 * dt0 < t_cap < 10.0
+    # steps 1-4 land on the three targets; the state at the cap is no target
+    partial = info.value.record
+    assert len(partial) == 3
+    for (t, curve), (t_full, curve_full) in zip(partial, full):
+        assert t == t_full and np.array_equal(curve.points, curve_full.points)

@@ -13,18 +13,22 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from csflab import (
+    GRAPH_CURVE,
     DiagonalPairError,
     DomainError,
     GraphCurveSpec,
     HelixParams,
     InvalidArgumentError,
+    build_curve,
     cosine_taylor_gap,
     graph_curve_condition,
+    graph_spec_for,
     helix_graph_spec,
     helix_pair_condition,
     helix_pair_condition_scaled,
     helix_radius_at,
     helix_ratio_time_derivative,
+    make_preset,
     negative_condition_cells,
     scaled_condition_lower_bound,
     scaled_condition_threshold,
@@ -244,6 +248,16 @@ def test_graph_condition_on_helix_spec():
         graph_curve_condition(spec, spec.u[3], spec.u[3])
     with pytest.raises(InvalidArgumentError):
         graph_curve_condition(spec, spec.u[0], 0.12345)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_graph_spec_for_matches_the_preset_curve(eps):
+    preset = make_preset(GRAPH_CURVE, n=256, eps=eps)
+    spec = graph_spec_for(preset)
+    sampled = np.column_stack([spec.f, spec.g, spec.pitch * spec.u])
+    assert np.array_equal(sampled, build_curve(preset).points)
+    assert spec.strict is (eps == 0.0)
+    assert math.isfinite(graph_curve_condition(spec, spec.u[5], spec.u[40]))
 
 
 def test_shrinking_circle_oracle():

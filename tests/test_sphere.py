@@ -30,7 +30,7 @@ from csflab import (
     step_geodesic_flow,
     time_dilation,
 )
-from csflab import sphere
+from csflab import flow, sphere
 
 
 def latitude_circle(n, theta, r=1.0):
@@ -272,3 +272,27 @@ def test_run_geodesic_flow_attaches_the_states_reached_so_far(monkeypatch, kind)
         assert np.array_equal(state.curve_tilde.points, state_full.curve_tilde.points)
     if kind is NumericalFailureError:
         assert str(info.value).startswith("step 5 failed: boom (last good state: step 4,")
+
+
+def test_run_geodesic_flow_stops_at_the_step_cap(monkeypatch):
+    cfl = 0.5
+    start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
+    dt0 = stable_step(compute_geometry(start.curve_tilde), cfl)
+    reached = [start.t_tilde + m * dt0 for m in (1.5, 3.2)]
+    full = run_geodesic_flow(start, reached, cfl)
+    monkeypatch.setattr(flow, "MAX_STEPS", 6)
+    far = start.t_tilde + 1e6 * dt0
+    with pytest.raises(NumericalFailureError) as info:
+        run_geodesic_flow(start, reached + [far], cfl)
+    message = str(info.value)
+    assert message.startswith("step cap of 6 steps reached at t=")
+    assert message.endswith(f", short of target t={far!r}")
+    t_cap = float(message.split("t=")[1].split(",")[0])
+    assert reached[-1] < t_cap < far
+    # steps 1-4 land on the two targets; the state at the cap is no target
+    partial = info.value.record
+    assert len(partial) == 2
+    for state, state_full in zip(partial, full):
+        assert state.t_tilde == state_full.t_tilde
+        assert state.source_t == state_full.source_t
+        assert np.array_equal(state.curve_tilde.points, state_full.curve_tilde.points)

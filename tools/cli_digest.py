@@ -12,9 +12,9 @@ to the output directory. The command output itself is discarded.
 
 Run it once per checkout, with ``PYTHONPATH`` pointing at that checkout's
 ``src``, and ``diff`` the two outputs: equal lines mean byte-identical
-files. ``CSF_THREADS`` is read from the environment as usual, so the same
-comparison across thread counts checks that the outputs do not depend on
-it. Exit status 1 when a command fails.
+files. Two runs of one checkout under different ``PYTHONHASHSEED``
+values check that the outputs are the same in every fresh interpreter.
+Exit status 1 when a command fails.
 """
 
 from __future__ import annotations
