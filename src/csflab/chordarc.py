@@ -26,6 +26,12 @@ value into both of its cells.  Only its output is n x n: ``ratio_minima``
 and ``min_pair_ratio`` keep running minima over about n^2/2 cells.
 The blocks run serially, in gap order, and each cell has one fixed
 arithmetic order, so every result is the same bit for bit on every run.
+
+``find_local_minima`` keeps the same budget.  It walks the field in bands
+of max(1, _BLOCK_CELLS // n) rows and holds one band's padded copy and its
+masks at a time, about 16 bytes per band cell (0.5 MB at n=512 and at
+n=2048).  So the ratio-field path needs the one n x n matrix plus O(rows*n)
+memory, not n x n temporaries.
 """
 
 from __future__ import annotations
@@ -209,6 +215,50 @@ def ratio_field(
     return RatioField(values=values, metric=metric, exclusion_band=exclusion_band)
 
 
+def _band_minima(vals: np.ndarray, lo: int, h: int):
+    """Local minima of rows lo .. lo+h-1 of a torus field, as (rows, cols)
+    index arrays in row-major order, and whether those rows hold a finite cell.
+
+    The band is copied once with one wrapped row above and below it and one
+    wrapped column on either side.  Each cell and its eight neighbors are
+    then read as equal flat runs of that copy, so every test is one pass
+    over contiguous memory.  Everything this allocates is freed on return.
+    """
+    n = vals.shape[1]
+    width = n + 2
+    padded = np.empty((h + 2, width))
+    padded[1:-1, 1:-1] = vals[lo : lo + h]
+    padded[0, 1:-1] = vals[lo - 1]  # row -1 is row n - 1
+    padded[-1, 1:-1] = vals[(lo + h) % n]
+    padded[:, 0] = padded[:, -2]
+    padded[:, -1] = padded[:, 1]
+    flat = padded.reshape(-1)
+    flat_finite = np.isfinite(flat)
+    # the run from the band's first cell to its last also passes the two
+    # wrap columns between each pair of rows; their results land in the
+    # last two columns of the (h, width) masks and are never read
+    start, size = width + 1, (h - 1) * width + n
+    cells = flat[start : start + size]
+    is_min = np.zeros((h, width), dtype=bool)
+    strictly_below = np.zeros_like(is_min)
+    run_min = is_min.reshape(-1)[:size]
+    run_below = strictly_below.reshape(-1)[:size]
+    run_min[:] = flat_finite[start : start + size]
+    any_finite = bool(is_min[:, :n].any())
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            if di == 0 and dj == 0:
+                continue
+            at = start + di * width + dj
+            nb, finite = flat[at : at + size], flat_finite[at : at + size]
+            with np.errstate(invalid="ignore"):
+                run_min &= ~finite | (cells <= nb)
+                run_below |= finite & (cells < nb)
+    is_min &= strictly_below
+    rows, cols = np.nonzero(is_min[:, :n])
+    return rows + lo, cols, any_finite
+
+
 def find_local_minima(field: RatioField) -> list[tuple[int, int, float]]:
     """Cells not exceeding any of their eight torus neighbors.
 
@@ -216,31 +266,24 @@ def find_local_minima(field: RatioField) -> list[tuple[int, int, float]]:
     decrease toward at least one neighbor is required so that flat regions
     do not report every interior cell.  Pairs are canonicalized to i < j and
     deduplicated, then sorted by (value, i, j).
+
+    The search walks bands of max(1, _BLOCK_CELLS // n) rows, the pair
+    kernel's block budget, in row order.  Beside the field and the minima
+    it holds one band's padded copy and masks at a time, about 16 bytes per
+    band cell (0.5 MB at n=512 and at n=2048), not n x n temporaries.
     """
     vals = field.values
-    if not np.isfinite(vals).any():
-        raise InvalidArgumentError("ratio field has no finite cells")
     n = vals.shape[0]
-    # the eight torus neighbors are views into one wrapped copy
-    padded = np.pad(vals, 1, mode="wrap")
-    padded_finite = np.isfinite(padded)
-    is_min = padded_finite[1:-1, 1:-1].copy()
-    strictly_below = np.zeros_like(is_min)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            rows = slice(1 + di, 1 + di + n)
-            cols = slice(1 + dj, 1 + dj + n)
-            nb, finite = padded[rows, cols], padded_finite[rows, cols]
-            with np.errstate(invalid="ignore"):
-                is_min &= ~finite | (vals <= nb)
-                strictly_below |= finite & (vals < nb)
-    is_min &= strictly_below
+    step = max(1, _BLOCK_CELLS // n)
+    any_finite = False
     found: dict[tuple[int, int], float] = {}
-    for i, j in zip(*np.nonzero(is_min)):
-        key = (int(i), int(j)) if i < j else (int(j), int(i))
-        found.setdefault(key, float(vals[i, j]))
+    for lo in range(0, n, step):
+        rows, cols, finite = _band_minima(vals, lo, min(step, n - lo))
+        any_finite = any_finite or finite
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            found.setdefault((i, j) if i < j else (j, i), float(vals[i, j]))
+    if not any_finite:
+        raise InvalidArgumentError("ratio field has no finite cells")
     return sorted(
         ((i, j, v) for (i, j), v in found.items()), key=lambda r: (r[2], r[0], r[1])
     )

@@ -1,6 +1,7 @@
 """Chord-arc ratio fields, minima, and the minimum conditions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,25 +163,51 @@ def rolled_local_minima(vals):
     return sorted(((i, j, v) for (i, j), v in found.items()), key=lambda r: (r[2], r[0], r[1]))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(3, 24),
+    n=st.integers(3, 40),
     levels=st.integers(1, 4),
     nan_share=st.sampled_from([0.0, 0.2, 0.6]),
     symmetric=st.booleans(),
+    nan_rows=st.lists(st.integers(0, 39), max_size=3),
+    band_rows=st.sampled_from([1, 2, 3, None]),
 )
-def test_find_local_minima_equals_rolled_reference(seed, n, levels, nan_share, symmetric):
+def test_find_local_minima_equals_rolled_reference(
+    seed, n, levels, nan_share, symmetric, nan_rows, band_rows
+):
     # few distinct levels give ties and plateaus; NaN cells sit anywhere,
-    # including on the wrap-around rows and columns
+    # including on the wrap-around rows and columns.  Bands of 1, 2 or 3
+    # rows (or the default budget) put band seams, the wrap rows and whole
+    # NaN rows on band edges
     rng = np.random.default_rng(seed)
     vals = rng.integers(0, levels, (n, n)) / 4.0
     vals[rng.random((n, n)) < nan_share] = math.nan
     if symmetric:
         vals = np.where(np.arange(n)[:, None] <= np.arange(n), vals, vals.T)
+    for k in nan_rows:  # a row and its mirror column with no finite cell
+        vals[k % n, :] = vals[:, k % n] = math.nan
     vals[0, 0] = 0.5  # at least one finite cell
     f = RatioField(values=vals, metric=D_OVER_L, exclusion_band=0)
-    assert find_local_minima(f) == rolled_local_minima(vals)
+    with pytest.MonkeyPatch.context() as mp:
+        if band_rows is not None:
+            mp.setattr(chordarc, "_BLOCK_CELLS", band_rows * n)
+        assert find_local_minima(f) == rolled_local_minima(vals)
+
+
+def test_find_local_minima_holds_one_band_beside_the_field():
+    # the search copies one band of about _BLOCK_CELLS cells at a time; a
+    # wrapped copy of the whole field and n x n masks took 1.6x the field
+    f = ratio_field(dumbbell(512), D_OVER_L, exclusion_band=2)
+    expected = find_local_minima(f)
+    tracemalloc.start()
+    try:
+        found = find_local_minima(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == expected
+    assert peak < f.values.nbytes / 4
 
 
 def test_dumbbell_neck_minimum_satisfies_first_variation():

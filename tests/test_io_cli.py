@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -192,6 +193,9 @@ def test_ratio_field_round_trip(tmp_path):
         (f"{FIELD_MAGIC}\nmetric d_over_l\nn sixteen\n", "malformed n line"),
         (f"{FIELD_MAGIC}\nmetric d_over_l\nn 16\n0 3 0.5\n\n1 4\n", ":6: expected 'i j value'"),
         (f"{FIELD_MAGIC}\nmetric d_over_l\nn 16\n0 3 0.5\n0 16 0.5\n", ":5: pair out of range"),
+        # a vertex paired with itself has no ratio: it would set a finite
+        # diagonal cell and an exclusion band of -1
+        (f"{FIELD_MAGIC}\nmetric d_over_l\nn 16\n0 3 0.5\n\n3 3 0.5\n", ":6: diagonal pair (3, 3)"),
     ],
 )
 def test_ratio_field_rejects_malformed(tmp_path, text, message):
@@ -368,6 +372,25 @@ def test_ratio_field_repeated_and_mirrored_pairs(tmp_path, monkeypatch, chunk):
     assert field.values[2, 9] == field.values[9, 2] == 0.125
     assert field.values[1, 6] == field.values[6, 1] == 0.375
     assert np.isfinite(field.values).sum() == 8
+
+
+def test_read_ratio_field_holds_one_chunk_beside_the_matrix(tmp_path):
+    # a file of more than 2**16 lines: beside the matrix it returns, the
+    # reader holds one chunk of _CHUNK_LINES parsed lines (about 3.8 MB);
+    # chunks of 2**16 lines held 10 MB here
+    field = ratio_field(circle(400), D_OVER_PSI, exclusion_band=2)
+    path = tmp_path / "f.txt"
+    write_ratio_field(field, path)
+    assert path.read_text().count("\n") > 2**16
+    read_ratio_field(path)
+    tracemalloc.start()
+    try:
+        back = read_ratio_field(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, field.values, equal_nan=True)
+    assert peak - back.values.nbytes < 6_000_000
 
 
 class _FailingWrites:
