@@ -27,11 +27,10 @@ and ``min_pair_ratio`` keep running minima over about n^2/2 cells.
 The blocks run serially, in gap order, and each cell has one fixed
 arithmetic order, so every result is the same bit for bit on every run.
 
-``find_local_minima`` keeps the same budget.  It walks the field in bands
-of max(1, _BLOCK_CELLS // n) rows and holds one band's padded copy and its
-masks at a time, about 16 bytes per band cell (0.5 MB at n=512 and at
-n=2048).  So the ratio-field path needs the one n x n matrix plus O(rows*n)
-memory, not n x n temporaries.
+``find_local_minima`` walks the field in bands of the same budget,
+max(1, _BLOCK_CELLS // n) rows, so the ratio-field path holds the one
+n x n matrix plus O(rows*n) working memory (about 0.5 MB), never an
+n x n temporary.
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ writer formats each matrix row with one ``repr`` of the row's finite cells
 and one ``write``; the reader parses ``_CHUNK_LINES`` (16,384) lines at a
 time with numpy's text parser and scatters them into the matrix, walking a
 chunk line by line only to name the line of an error.  A chunk in flight
-takes about 3.8 MB beside the matrix, whatever the size of the file.  Curve snapshots take one
-``repr`` of all their coordinates, split into ``x y z`` rows, and are read
-back with one call of the same parser.
+takes about 3.8 MB beside the matrix, whatever the size of the file.
+Curve snapshots take one ``repr`` of all their coordinates, split into
+``x y z`` rows, and are read back with one call of the same parser.
 
 Every writer goes through ``_atomic_open``: the text goes to a temporary
 file in the target directory that replaces the target only once it is

@@ -196,8 +196,8 @@ def test_find_local_minima_equals_rolled_reference(
 
 
 def test_find_local_minima_holds_one_band_beside_the_field():
-    # the search copies one band of about _BLOCK_CELLS cells at a time; a
-    # wrapped copy of the whole field and n x n masks took 1.6x the field
+    # the search holds one padded band of about _BLOCK_CELLS cells and its
+    # masks at a time, never an n x n temporary
     f = ratio_field(dumbbell(512), D_OVER_L, exclusion_band=2)
     expected = find_local_minima(f)
     tracemalloc.start()

@@ -376,8 +376,7 @@ def test_ratio_field_repeated_and_mirrored_pairs(tmp_path, monkeypatch, chunk):
 
 def test_read_ratio_field_holds_one_chunk_beside_the_matrix(tmp_path):
     # a file of more than 2**16 lines: beside the matrix it returns, the
-    # reader holds one chunk of _CHUNK_LINES parsed lines (about 3.8 MB);
-    # chunks of 2**16 lines held 10 MB here
+    # reader holds one chunk of _CHUNK_LINES parsed lines (about 3.8 MB)
     field = ratio_field(circle(400), D_OVER_PSI, exclusion_band=2)
     path = tmp_path / "f.txt"
     write_ratio_field(field, path)
