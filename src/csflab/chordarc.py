@@ -48,6 +48,7 @@ from .curve import (
     SampledCurve,
     arc_positions,
     compute_geometry,
+    total_absolute_curvature,
 )
 from .errors import (
     DiagonalPairError,
@@ -329,14 +330,13 @@ def arc_curvature_integral(
     geom = geometry if geometry is not None else compute_geometry(curve)
     _validate_closed_pair(curve, i, j)
     kds = geom.scalar_curvature * geom.ds
-    total = float(np.sum(kds))
     s, length = arc_positions(curve)
     lo, hi = (i, j) if i < j else (j, i)
     span = slice(lo, hi + 1)
     forward = float(np.sum(kds[span])) - 0.5 * float(kds[lo]) - 0.5 * float(kds[hi])
     if s[hi] - s[lo] <= length - (s[hi] - s[lo]):
         return forward
-    return total - forward
+    return total_absolute_curvature(geom) - forward
 
 
 @dataclass(frozen=True)
@@ -487,10 +487,9 @@ def pair_diagnostics(
         cond_dl=math.nan,
         cond_dpsi=None,
     )
-    curve_curvature = float(np.sum(geom.scalar_curvature * geom.ds))
     return replace(
         diag,
-        cond_dl=ratio_minimum_condition_dl(diag, curve_curvature),
+        cond_dl=ratio_minimum_condition_dl(diag, total_absolute_curvature(geom)),
         cond_dpsi=(
             None
             if arc_curvature is None

@@ -32,7 +32,7 @@ from .fileio import (
     write_run_csv,
     write_table,
 )
-from .flow import SCHEMES, SEMI_IMPLICIT, FlowConfig
+from .flow import SCHEMES, FlowConfig
 from .helix import (
     HelixParams,
     helix_pair_condition,
@@ -71,6 +71,18 @@ def _preset_from_args(args: argparse.Namespace):
     return make_preset(args.preset, n=args.n, **params)
 
 
+# FlowConfig fields that ``simulate`` takes as --flags, with their types
+_FLOW_FLAGS = (
+    ("t_end", float),
+    ("cfl", float),
+    ("record_every", int),
+    ("remesh_every", int),
+    ("max_steps", int),
+    ("stop_length_fraction", float),
+    ("stop_curvature_resolution", float),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csflab",
@@ -80,14 +92,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="evolve a preset and write artifacts")
     _add_preset_arguments(sim)
-    sim.add_argument("--t-end", type=float, default=None)
-    sim.add_argument("--scheme", choices=SCHEMES, default=SEMI_IMPLICIT)
-    sim.add_argument("--cfl", type=float, default=0.5)
-    sim.add_argument("--record-every", type=int, default=50)
-    sim.add_argument("--remesh-every", type=int, default=50)
-    sim.add_argument("--max-steps", type=int, default=1_000_000)
-    sim.add_argument("--stop-length-fraction", type=float, default=0.05)
-    sim.add_argument("--stop-curvature-resolution", type=float, default=0.5)
+    flow = FlowConfig()  # the one source of the flag defaults
+    sim.add_argument("--scheme", choices=SCHEMES, default=flow.scheme)
+    for name, kind in _FLOW_FLAGS:
+        flag = "--" + name.replace("_", "-")
+        sim.add_argument(flag, type=kind, default=getattr(flow, name))
     sim.add_argument("--out", required=True)
 
     field = sub.add_parser("ratio-field", help="pairwise ratio field and minima")
@@ -121,16 +130,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     preset = _preset_from_args(args)
-    config = FlowConfig(
-        cfl=args.cfl,
-        remesh_every=args.remesh_every,
-        record_every=args.record_every,
-        t_end=args.t_end,
-        stop_length_fraction=args.stop_length_fraction,
-        stop_curvature_resolution=args.stop_curvature_resolution,
-        scheme=args.scheme,
-        max_steps=args.max_steps,
-    )
+    flags = {name: getattr(args, name) for name, _ in _FLOW_FLAGS}
+    config = FlowConfig(scheme=args.scheme, **flags)
     try:
         record = simulate_preset(preset, config)
     except (NumericalFailureError, KeyboardInterrupt) as exc:

@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chordarc import METRICS, RatioField
+from .chordarc import METRICS, MIN_FIELD_VERTICES, RatioField
 from .curve import CLOSED, OPEN, PERIODIC, SampledCurve, TOPOLOGIES
 from .errors import InvalidArgumentError
 from .flow import FlowConfig, RecordRow, RunRecord
@@ -342,6 +342,10 @@ def read_ratio_field(path) -> RatioField:
         if len(n_tokens) != 2 or n_tokens[0] != "n" or not n_tokens[1].isdigit():
             raise InvalidArgumentError(f"{path}: malformed n line")
         n = int(n_tokens[1])
+        if n < MIN_FIELD_VERTICES:
+            raise InvalidArgumentError(
+                f"{path}: n {n} is below the {MIN_FIELD_VERTICES} vertices a field needs"
+            )
         values = np.full((n, n), np.nan)
         min_sep = n
         first = 4

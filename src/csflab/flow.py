@@ -21,6 +21,7 @@ inputs produce bit-identical records.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -39,6 +40,7 @@ from .curve import (
     total_squared_curvature,
 )
 from .errors import (
+    DomainError,
     IndicatorUndefinedError,
     InvalidArgumentError,
     InvalidCurveError,
@@ -249,6 +251,17 @@ def singularity_indicator(record: RunRecord) -> np.ndarray:
     return np.array([row_indicator(r, record.t_est) for r in rows], dtype=float)
 
 
+def sphere_residual(curve: SampledCurve, t: float = 0.0, r0: float = 1.0) -> float:
+    """Worst-vertex violation of the conservation law |p|^2 = r0^2 - 2t."""
+    if not r0 > 0.0:
+        raise InvalidArgumentError("sphere radius must be positive")
+    target = r0 * r0 - 2.0 * t
+    if target <= 0.0:
+        raise DomainError(f"sphere of radius {r0:g} is gone at t = {t:g}")
+    rsq = row_dot(curve.points.T, curve.points.T)
+    return float(np.max(np.abs(rsq - target)))
+
+
 def snapshot_diagnostics(
     curve: SampledCurve,
     t: float,
@@ -275,10 +288,8 @@ def snapshot_diagnostics(
     elif curve.topology == PERIODIC:
         row.dl_min = chordarc.min_pair_ratio(curve, chordarc.D_OVER_L)
     if sphere_radius is not None:
-        target = sphere_radius**2 - 2.0 * t
-        if target > 0.0:
-            rsq = row_dot(curve.points.T, curve.points.T)
-            row.sphere_residual = float(np.max(np.abs(rsq - target)))
+        with contextlib.suppress(DomainError):  # the sphere is gone
+            row.sphere_residual = sphere_residual(curve, t, sphere_radius)
     return row
 
 

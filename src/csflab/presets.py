@@ -76,27 +76,19 @@ def make_preset(name: str, n: int = 512, **params) -> Preset:
     return Preset(name=name, n=n, params=params)
 
 
-def _arc_uniform_parameters(
-    position, u_end: float, n: int, cyclic: bool
-) -> np.ndarray:
-    """Parameters whose images are equally spaced along the curve.
+def _arc_uniform_points(position, n: int) -> np.ndarray:
+    """n points of the closed curve ``position`` equally spaced along it.
 
-    Builds a dense polyline of ``position(u)`` over [0, u_end], accumulates
-    chord length, and inverts it at n equal arc targets.  For cyclic curves
-    u = u_end duplicates u = 0 and only n targets below the full length are
-    used.
+    Builds a dense polyline of ``position(u)`` over [0, 2 pi], accumulates
+    chord length, and inverts it at n equal arc targets below the full
+    length (u = 2 pi duplicates u = 0).
     """
     dense = max(4096, 64 * n) + 1
-    u = np.linspace(0.0, u_end, dense)
+    u = np.linspace(0.0, 2.0 * math.pi, dense)
     pts = position(u)
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     s = np.concatenate([[0.0], np.cumsum(seg)])
-    total = s[-1]
-    if cyclic:
-        targets = np.arange(n) * (total / n)
-    else:
-        targets = np.linspace(0.0, total, n)
-    return np.interp(targets, s, u)
+    return position(np.interp(np.arange(n) * (s[-1] / n), s, u))
 
 
 def _circle_points(r: float, n: int) -> np.ndarray:
@@ -108,16 +100,14 @@ def _ellipse_points(a: float, b: float, n: int) -> np.ndarray:
     def position(u):
         return np.column_stack([a * np.cos(u), b * np.sin(u), np.zeros_like(u)])
 
-    u = _arc_uniform_parameters(position, 2.0 * math.pi, n, cyclic=True)
-    return position(u)
+    return _arc_uniform_points(position, n)
 
 
 def _cos2u_points(n: int) -> np.ndarray:
     def position(u):
         return np.column_stack([np.cos(u), np.sin(u), np.cos(2.0 * u)])
 
-    u = _arc_uniform_parameters(position, 2.0 * math.pi, n, cyclic=True)
-    return position(u)
+    return _arc_uniform_points(position, n)
 
 
 def _sphere_perturbed_points(eps: float, harmonic: int, n: int) -> np.ndarray:
@@ -132,28 +122,7 @@ def _sphere_perturbed_points(eps: float, harmonic: int, n: int) -> np.ndarray:
         )
         return raw / np.linalg.norm(raw, axis=1)[:, None]
 
-    u = _arc_uniform_parameters(position, 2.0 * math.pi, n, cyclic=True)
-    return position(u)
-
-
-def _helix_points(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if a <= 0.0 or b == 0.0:
-        raise InvalidArgumentError("helix needs a > 0 and b != 0")
-    u = np.arange(n) * (2.0 * math.pi / n)
-    pts = np.column_stack([a * np.cos(u), a * np.sin(u), b * u])
-    return pts, np.array([0.0, 0.0, 2.0 * math.pi * b])
-
-
-def _graph_curve_points(
-    a: float, b: float, eps: float, harmonic: int, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    if a <= 0.0 or b == 0.0:
-        raise InvalidArgumentError("graph curve needs a > 0 and b != 0")
-    u = np.arange(n) * (2.0 * math.pi / n)
-    f = a * np.cos(u) + eps * np.cos(harmonic * u)
-    g = a * np.sin(u)
-    pts = np.column_stack([f, g, b * u])
-    return pts, np.array([0.0, 0.0, 2.0 * math.pi * b])
+    return _arc_uniform_points(position, n)
 
 
 def build_curve(preset: Preset) -> SampledCurve:
@@ -173,13 +142,10 @@ def build_curve(preset: Preset) -> SampledCurve:
     if preset.name == SPHERE_PERTURBED:
         pts = _sphere_perturbed_points(p["eps"], int(p["harmonic"]), n)
         return SampledCurve(pts, CLOSED)
-    if preset.name == HELIX:
-        pts, offset = _helix_points(p["a"], p["b"], n)
-        return SampledCurve(pts, PERIODIC, offset)
-    if preset.name == GRAPH_CURVE:
-        pts, offset = _graph_curve_points(
-            p["a"], p["b"], p["eps"], int(p["harmonic"]), n
-        )
+    if preset.name in (HELIX, GRAPH_CURVE):
+        spec = graph_spec_for(preset)
+        pts = np.column_stack([spec.f, spec.g, spec.pitch * spec.u])
+        offset = np.array([0.0, 0.0, 2.0 * math.pi * spec.pitch])
         return SampledCurve(pts, PERIODIC, offset)
     if preset.name == CUSTOM_FILE:
         if not p["path"]:
@@ -191,18 +157,22 @@ def build_curve(preset: Preset) -> SampledCurve:
 
 
 def graph_spec_for(preset: Preset) -> GraphCurveSpec:
-    """Analytic graph-curve spec matching the graph-curve preset grid."""
-    if preset.name != GRAPH_CURVE:
-        raise InvalidArgumentError("graph specs exist only for graph-curve presets")
+    """Analytic graph-curve spec on the helix or graph-curve preset grid.
+
+    The helix is the graph curve with eps = 0; both presets take their
+    vertices (f, g, b u) from this spec.
+    """
+    if preset.name not in (HELIX, GRAPH_CURVE):
+        raise InvalidArgumentError(
+            "graph specs exist only for helix and graph-curve presets"
+        )
     p = preset.params
-    return helix_graph_spec(
-        a=p["a"],
-        b=p["b"],
-        n=preset.n,
-        eps=p["eps"],
-        harmonic=int(p["harmonic"]),
-        endpoint=False,
-    )
+    if p["a"] <= 0.0 or p["b"] == 0.0:
+        raise InvalidArgumentError(f"{preset.name} preset needs a > 0 and b != 0")
+    shape = {"a": p["a"], "b": p["b"]}
+    if preset.name == GRAPH_CURVE:
+        shape.update(eps=p["eps"], harmonic=int(p["harmonic"]))
+    return helix_graph_spec(n=preset.n, endpoint=False, **shape)
 
 
 def sphere_radius_for(preset: Preset) -> float | None:

@@ -1,9 +1,9 @@
 """Flows of curves confined to shrinking spheres.
 
 A curve starting on the unit sphere stays on the sphere of squared radius
-1 - 2t under the curvature flow.  This module measures how well a discrete
-run conserves that law, splits curvature vectors into geodesic and normal
-parts, rescales curves back to the unit sphere with the matching dilated
+1 - 2t under the curvature flow; ``flow.sphere_residual`` measures how
+well a discrete run conserves that law.  This module splits curvature
+vectors into geodesic and normal parts, rescales curves back to the unit sphere with the matching dilated
 time, and runs the intrinsic geodesic-curvature flow on the unit sphere so
 the two descriptions can be compared snapshot by snapshot; both step
 through the one time loop of ``flow``.
@@ -22,17 +22,6 @@ from .flow import _integrate, _past_cap, _stepped_curve, run_to_times, stable_st
 
 SPHERE_REL_TOL = 1e-3  # vertex-radius spread allowed by the decomposition
 RESCALE_REL_TOL = 2e-2  # looser: rescaling accepts accumulated flow drift
-
-
-def sphere_residual(curve: SampledCurve, t: float = 0.0, r0: float = 1.0) -> float:
-    """Worst-vertex violation of the conservation law |p|^2 = r0^2 - 2t."""
-    if not r0 > 0.0:
-        raise InvalidArgumentError("sphere radius must be positive")
-    target = r0 * r0 - 2.0 * t
-    if target <= 0.0:
-        raise DomainError(f"sphere of radius {r0:g} is gone at t = {t:g}")
-    rsq = row_dot(curve.points.T, curve.points.T)
-    return float(np.max(np.abs(rsq - target)))
 
 
 def _vertex_radii(rows: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:

@@ -12,24 +12,28 @@ from csflab import (
     CLOSED,
     D_OVER_L,
     D_OVER_PSI,
-    DiagonalPairError,
-    InvalidArgumentError,
-    PERIODIC,
-    RatioField,
     SampledCurve,
-    UnsupportedTopologyError,
-    arc_curvature_integral,
     arc_positions,
-    comparison_chord,
     compute_geometry,
-    find_local_minima,
     min_pair_ratio,
-    pair_diagnostics,
     ratio_field,
+    total_absolute_curvature,
+)
+from csflab.chordarc import (
+    RatioField,
+    arc_curvature_integral,
+    comparison_chord,
+    find_local_minima,
+    pair_diagnostics,
     ratio_minima,
     ratio_minimum_condition_dl,
     ratio_minimum_condition_dpsi,
-    total_absolute_curvature,
+)
+from csflab.curve import PERIODIC
+from csflab.errors import (
+    DiagonalPairError,
+    InvalidArgumentError,
+    UnsupportedTopologyError,
 )
 from csflab import chordarc
 

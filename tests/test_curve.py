@@ -7,17 +7,19 @@ import pytest
 
 from csflab import (
     CLOSED,
-    OPEN,
-    PERIODIC,
-    InvalidCurveError,
     SampledCurve,
     arc_positions,
     compute_geometry,
+    total_absolute_curvature,
+)
+from csflab.curve import (
+    OPEN,
+    PERIODIC,
     resample_uniform,
     segment_lengths,
-    total_absolute_curvature,
     total_squared_curvature,
 )
+from csflab.errors import InvalidCurveError
 from csflab import curve as curve_module
 
 

@@ -20,35 +20,34 @@ from hypothesis import strategies as st
 
 from csflab import (
     CLOSED,
-    EXPLICIT,
-    NO_REMESH,
-    OPEN,
-    PERIODIC,
     SEMI_IMPLICIT,
     SPHERE_PERTURBED,
     FlowConfig,
-    FlowState,
-    InvalidArgumentError,
-    InvalidCurveError,
-    NumericalFailureError,
-    RecordRow,
-    RunRecord,
     SampledCurve,
     build_curve,
     compute_geometry,
-    estimate_vanishing_time,
     make_preset,
-    make_state,
-    RescaledState,
-    rescale,
     run,
-    run_geodesic_flow,
+)
+from csflab.curve import OPEN, PERIODIC
+from csflab.errors import InvalidArgumentError, InvalidCurveError, NumericalFailureError
+from csflab.flow import (
+    EXPLICIT,
+    NO_REMESH,
+    SCHEMES,
+    _STEPPERS,
+    FlowState,
+    RecordRow,
+    RunRecord,
+    _remeshed,
+    estimate_vanishing_time,
+    make_state,
+    row_indicator,
     run_to_times,
     snapshot_diagnostics,
     stable_step,
-    step_geodesic_flow,
 )
-from csflab.flow import SCHEMES, _STEPPERS, _remeshed, row_indicator
+from csflab.sphere import RescaledState, rescale, run_geodesic_flow, step_geodesic_flow
 
 
 # ---------------------------------------------------------------- references

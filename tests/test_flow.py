@@ -11,23 +11,25 @@ from scipy.linalg import solve_banded
 
 from csflab import (
     CLOSED,
-    EXPLICIT,
-    OPEN,
-    PERIODIC,
     SEMI_IMPLICIT,
     FlowConfig,
+    SampledCurve,
+    compute_geometry,
+    run,
+)
+from csflab.curve import OPEN, PERIODIC, segment_lengths
+from csflab.errors import (
     IndicatorUndefinedError,
     InvalidArgumentError,
     InvalidCurveError,
     NumericalFailureError,
+)
+from csflab.flow import (
+    EXPLICIT,
     RecordRow,
-    SampledCurve,
-    compute_geometry,
     estimate_vanishing_time,
     make_state,
-    run,
     run_to_times,
-    segment_lengths,
     singularity_indicator,
     stable_step,
     step_explicit,

@@ -13,27 +13,30 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from csflab import (
-    GRAPH_CURVE,
-    DiagonalPairError,
-    DomainError,
-    GraphCurveSpec,
+    HELIX,
     HelixParams,
-    InvalidArgumentError,
     build_curve,
-    cosine_taylor_gap,
-    graph_curve_condition,
-    graph_spec_for,
-    helix_graph_spec,
+    compute_geometry,
     helix_pair_condition,
     helix_pair_condition_scaled,
     helix_radius_at,
     helix_ratio_time_derivative,
     make_preset,
     negative_condition_cells,
-    scaled_condition_lower_bound,
     scaled_condition_threshold,
+    total_absolute_curvature,
+)
+from csflab.chordarc import pair_diagnostics, ratio_minimum_condition_dl
+from csflab.errors import DiagonalPairError, DomainError, InvalidArgumentError
+from csflab.helix import (
+    GraphCurveSpec,
+    cosine_taylor_gap,
+    graph_curve_condition,
+    helix_graph_spec,
+    scaled_condition_lower_bound,
     shrinking_circle_radius,
 )
+from csflab.presets import GRAPH_CURVE, graph_spec_for
 import csflab
 
 
@@ -132,14 +135,12 @@ def test_pair_condition_series_branch_continuous():
 def test_pair_condition_matches_discrete_minimum_condition():
     # the closed form equals the d/l minimum condition of the sampled helix
     # evaluated at the one-period offset pair
-    import csflab as cs
-
     for a, b in [(1.0, 1.0), (1.0, 0.5)]:
         n = 1024
-        c = cs.build_curve(cs.make_preset(cs.HELIX, n=n, a=a, b=b))
-        diag = cs.pair_diagnostics(c, 0, n)
-        total = cs.total_absolute_curvature(cs.compute_geometry(c))
-        cond = cs.ratio_minimum_condition_dl(diag, total)
+        c = build_curve(make_preset(HELIX, n=n, a=a, b=b))
+        diag = pair_diagnostics(c, 0, n)
+        total = total_absolute_curvature(compute_geometry(c))
+        cond = ratio_minimum_condition_dl(diag, total)
         F = helix_pair_condition(2.0 * math.pi, (b / a) ** 2)
         assert abs(cond - F) < 2e-2 * max(1.0, abs(F))
 
@@ -250,14 +251,34 @@ def test_graph_condition_on_helix_spec():
         graph_curve_condition(spec, spec.u[0], 0.12345)
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.1])
-def test_graph_spec_for_matches_the_preset_curve(eps):
-    preset = make_preset(GRAPH_CURVE, n=256, eps=eps)
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        pytest.param(GRAPH_CURVE, {"eps": 0.0}, id="0.0"),
+        pytest.param(GRAPH_CURVE, {"eps": 0.1}, id="0.1"),
+        pytest.param(HELIX, {"a": 0.7, "b": -2.5}, id="helix"),
+    ],
+)
+def test_graph_spec_for_matches_the_preset_curve(name, params):
+    n = 256
+    preset = make_preset(name, n=n, **params)
     spec = graph_spec_for(preset)
-    sampled = np.column_stack([spec.f, spec.g, spec.pitch * spec.u])
-    assert np.array_equal(sampled, build_curve(preset).points)
+    points = build_curve(preset).points
+    assert np.array_equal(np.column_stack([spec.f, spec.g, spec.pitch * spec.u]), points)
+    # the same bits as the vertex formula (a cos u + eps cos 3u, a sin u, b u)
+    a, b, eps = preset.params["a"], preset.params["b"], params.get("eps", 0.0)
+    u = np.arange(n) * (2.0 * math.pi / n)
+    reference = np.column_stack([a * np.cos(u) + eps * np.cos(3 * u), a * np.sin(u), b * u])
+    assert np.array_equal(points.view(np.int64), reference.view(np.int64))
     assert spec.strict is (eps == 0.0)
     assert math.isfinite(graph_curve_condition(spec, spec.u[5], spec.u[40]))
+
+
+@pytest.mark.parametrize("name", [HELIX, GRAPH_CURVE])
+@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+def test_helix_presets_reject_a_non_positive_or_b_zero(name, a, b):
+    with pytest.raises(InvalidArgumentError, match=f"{name} preset needs a > 0 and b != 0"):
+        build_curve(make_preset(name, n=16, a=a, b=b))
 
 
 def test_shrinking_circle_oracle():

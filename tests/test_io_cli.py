@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -14,23 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import csflab.cli as cli
-from csflab import (
-    CLOSED,
-    D_OVER_PSI,
-    FlowConfig,
-    InvalidArgumentError,
-    NumericalFailureError,
-    OPEN,
-    PERIODIC,
-    RatioField,
-    RecordRow,
-    RunRecord,
-    SampledCurve,
-    ratio_field,
-    run,
-)
+from csflab import CLOSED, D_OVER_PSI, FlowConfig, SampledCurve, ratio_field, run
+from csflab.chordarc import METRICS, RatioField
+from csflab.curve import OPEN, PERIODIC
+from csflab.errors import InvalidArgumentError, NumericalFailureError
+from csflab.flow import RecordRow, RunRecord
 from csflab import fileio, flow
-from csflab.chordarc import METRICS
 from csflab.fileio import (
     CONSISTENCY_CSV,
     CURVE_MAGIC,
@@ -202,6 +192,16 @@ def test_ratio_field_rejects_malformed(tmp_path, text, message):
     path = tmp_path / "f.txt"
     path.write_text(text)
     with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        read_ratio_field(path)
+
+
+@pytest.mark.parametrize("n, body", [(0, ""), (3, "0 1 0.5\n")])
+def test_ratio_field_rejects_too_few_vertices(tmp_path, n, body):
+    # ratio_field refuses fewer than MIN_FIELD_VERTICES vertices, so the
+    # reader does too: n 0 would give a 0 x 0 field with band -1
+    path = tmp_path / "f.txt"
+    path.write_text(f"{FIELD_MAGIC}\nmetric d_over_l\nn {n}\n{body}")
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: n {n} is below")):
         read_ratio_field(path)
 
 
@@ -583,6 +583,14 @@ def test_tables_write_pinned_bytes(tmp_path, table, rows, text):
 
 def run_cli(args):
     return cli.main(args)
+
+
+def test_simulate_flag_defaults_are_the_flow_config_defaults():
+    args = vars(cli._build_parser().parse_args(["simulate", "--out", "x"]))
+    defaults = asdict(FlowConfig())
+    flags = args.keys() & defaults.keys()
+    assert flags == set(defaults) - {"sphere_radius"}  # set by the preset
+    assert {k: args[k] for k in flags} == {k: defaults[k] for k in flags}
 
 
 def test_cli_simulate_and_analyze(tmp_path):

@@ -13,20 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csflab import (
-    CLOSED,
-    OPEN,
-    PERIODIC,
-    SampledCurve,
-    compute_geometry,
-    decompose_curvature,
-    make_state,
-    segment_lengths,
-    stable_step,
-    step_explicit,
-    step_geodesic_flow,
-)
-from csflab.sphere import RescaledState
+from csflab import CLOSED, SampledCurve, compute_geometry
+from csflab.curve import OPEN, PERIODIC, segment_lengths
+from csflab.flow import make_state, stable_step, step_explicit
+from csflab.sphere import RescaledState, decompose_curvature, step_geodesic_flow
 from csflab.tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
 
 

@@ -8,25 +8,27 @@ import pytest
 
 from csflab import (
     CLOSED,
+    SPHERE_PERTURBED,
+    SampledCurve,
+    build_curve,
+    compute_geometry,
+    consistency_profile,
+    make_preset,
+)
+from csflab.errors import (
     DomainError,
     InvalidArgumentError,
     InvalidCurveError,
     NotOnSphereError,
     NumericalFailureError,
-    SampledCurve,
-    SPHERE_PERTURBED,
-    build_curve,
-    compute_geometry,
+)
+from csflab.flow import run_to_times, snapshot_diagnostics, sphere_residual, stable_step
+from csflab.sphere import (
     consistency_check,
-    consistency_profile,
     decompose_curvature,
     inverse_time_dilation,
-    make_preset,
     rescale,
     run_geodesic_flow,
-    run_to_times,
-    sphere_residual,
-    stable_step,
     step_geodesic_flow,
     time_dilation,
 )
@@ -92,6 +94,16 @@ def test_sphere_residual_tracks_radius_law():
     assert sphere_residual(c, t, 1.0) > 0.5  # wrong time shows up immediately
     with pytest.raises(DomainError):
         sphere_residual(c, 0.5, 1.0)
+
+
+def test_record_row_residual_is_sphere_residual_until_the_sphere_is_gone():
+    c = latitude_circle(64, 1.2)
+    for t in (0.0, 0.3, 0.4999):
+        row = snapshot_diagnostics(c, t, 0, sphere_radius=1.0)
+        assert row.sphere_residual == sphere_residual(c, t, 1.0)
+    for t in (0.5, 0.7):  # r0^2 - 2t <= 0: no sphere left to measure against
+        assert snapshot_diagnostics(c, t, 0, sphere_radius=1.0).sphere_residual is None
+    assert snapshot_diagnostics(c, 0.0, 0).sphere_residual is None
 
 
 def test_time_dilation_values_and_roundtrip():

@@ -16,21 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from csflab import (
-    CLOSED,
-    OPEN,
-    PERIODIC,
-    SampledCurve,
-    compute_geometry,
-    decompose_curvature,
-    make_state,
-    stable_step,
-    step_explicit,
-    step_geodesic_flow,
-    step_semi_implicit,
-)
-from csflab.curve import row_dot, row_norm
-from csflab.sphere import RescaledState
+from csflab import CLOSED, SampledCurve, compute_geometry
+from csflab.curve import OPEN, PERIODIC, row_dot, row_norm
+from csflab.flow import make_state, stable_step, step_explicit, step_semi_implicit
+from csflab.sphere import RescaledState, decompose_curvature, step_geodesic_flow
 
 
 def same_bits(x, y):

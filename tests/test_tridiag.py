@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from csflab import NumericalFailureError
+from csflab.errors import NumericalFailureError
 from csflab.tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
 
 
