@@ -179,8 +179,8 @@ def _cmd_helix_scan(args: argparse.Namespace) -> int:
     if args.m_steps < 1 or args.y_steps < 1:
         raise InvalidArgumentError("grid step counts must be positive")
     if args.log_m:
-        if args.m_min <= 0.0:
-            raise InvalidArgumentError("--log-m needs a positive --m-min")
+        if not (args.m_min > 0.0 and args.m_max > 0.0):
+            raise InvalidArgumentError("--log-m needs positive --m-min and --m-max")
         m_grid = np.geomspace(args.m_min, args.m_max, args.m_steps)
     else:
         m_grid = np.linspace(args.m_min, args.m_max, args.m_steps)

@@ -29,10 +29,6 @@ class NotOnSphereError(InvalidArgumentError):
     """The curve is not spherical to the tolerance the operation needs."""
 
 
-class IndicatorUndefinedError(InvalidArgumentError):
-    """The blow-up indicator is undefined for the recorded time range."""
-
-
 class NumericalFailureError(CsfError):
     """A numerical process produced non-finite values or a singular system.
 

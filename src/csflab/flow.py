@@ -15,8 +15,8 @@ Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
 ``run``, ``run_to_times`` and ``sphere.run_geodesic_flow`` share one time
 loop, ``_integrate``: the dt clamp, the landing on target times, the
 ``MAX_STEPS`` step cap, the failure message and the output attached on
-failure or interrupt live there.  Runs are deterministic: identical
-inputs produce bit-identical records.
+failure or interrupt live there; ``_run_to_targets`` drives it on a fixed
+grid.  Runs are deterministic: identical inputs give bit-identical records.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .curve import (
 )
 from .errors import (
     DomainError,
-    IndicatorUndefinedError,
     InvalidArgumentError,
     InvalidCurveError,
     NumericalFailureError,
@@ -138,6 +137,16 @@ def stable_step(geometry: CurveGeometry, cfl: float = 1.0) -> float:
     return cfl * float(geometry.ds.min()) ** 2 / 2.0
 
 
+def _check_explicit_dt(dt: float, geometry: CurveGeometry, name: str) -> None:
+    """Reject an explicit step ``name`` that is not positive or not stable."""
+    if not dt > 0.0:
+        raise InvalidArgumentError(f"{name} must be positive")
+    if dt > stable_step(geometry) * (1.0 + 1e-9):
+        raise InvalidArgumentError(
+            f"{name}={dt:g} exceeds the stability bound {stable_step(geometry):g}"
+        )
+
+
 def _stepped_curve(points: np.ndarray, like: SampledCurve, step: str) -> SampledCurve:
     """The curve a step moved ``like`` to, tested for non-finite vertices once.
 
@@ -158,12 +167,7 @@ def step_explicit(state: FlowState, dt: float) -> FlowState:
 
     Open-curve endpoints are Dirichlet data and do not move.
     """
-    if not dt > 0.0:
-        raise InvalidArgumentError("dt must be positive")
-    if dt > stable_step(state.geometry) * (1.0 + 1e-9):
-        raise InvalidArgumentError(
-            f"dt={dt:g} exceeds the stability bound {stable_step(state.geometry):g}"
-        )
+    _check_explicit_dt(dt, state.geometry, "dt")
     # component-major (3, n), the layout of the geometry and of the solves
     moved = dt * state.geometry.curvature_vectors.T
     if not state.curve.is_cyclic():
@@ -231,24 +235,6 @@ def row_indicator(row: RecordRow, t_est: float) -> float | None:
     if t_est > row.t:
         return row.k_max**2 * (t_est - row.t)
     return None
-
-
-def singularity_indicator(record: RunRecord) -> np.ndarray:
-    """Blow-up rate series k_max^2 * (T_est - t) for each recorded row.
-
-    Bounded values indicate type-I (self-similar) contraction, growing
-    values type-II.  Runs whose length never contracts (T_est infinite)
-    report zero.  Raises when the estimate lies inside the recorded window.
-    """
-    rows = record.rows
-    if not rows:
-        raise IndicatorUndefinedError("empty record")
-    if not math.isinf(record.t_est) and record.t_est <= rows[-1].t:
-        raise IndicatorUndefinedError(
-            f"vanishing-time estimate {record.t_est:g} does not exceed the "
-            f"last recorded time {rows[-1].t:g}"
-        )
-    return np.array([row_indicator(r, record.t_est) for r in rows], dtype=float)
 
 
 def sphere_residual(curve: SampledCurve, t: float = 0.0, r0: float = 1.0) -> float:
@@ -354,18 +340,42 @@ def _integrate(
     return None
 
 
-def _past_cap(out: list, targets, clock) -> NumericalFailureError:
-    """The error of a target loop stopped by the step cap.
+def _run_to_targets(state, advance, cfl, targets, earliest, keep=None, **loop):
+    """The fixed-grid driver: ``keep(state)``, or the state, at each target time.
 
-    ``_integrate`` recorded the state at the cap last; it is no target, so it
-    leaves ``out`` and only its time is reported.
+    Targets increase strictly from ``earliest`` on; steps of
+    ``stable_step(geometry, cfl)`` land within 1e-14; ``loop`` goes to ``_integrate``.
     """
-    t = clock(out.pop())
-    return NumericalFailureError(
-        f"step cap of {MAX_STEPS} steps reached at t={t!r}, "
-        f"short of target t={targets[len(out)]!r}",
-        record=out,
-    )
+    targets = [float(t) for t in targets]
+    # written so that a NaN target fails too
+    if any(not a < b for a, b in zip(targets, targets[1:])) or (
+        targets and not targets[0] >= earliest
+    ):
+        raise InvalidArgumentError("target times must increase from the start time on")
+    clock = loop.get("clock", lambda st: st.t)
+    out, times = [], []
+
+    def record(st) -> None:
+        times.append(clock(st))
+        out.append(st if keep is None else keep(st))
+
+    if _integrate(
+        state,
+        advance,
+        lambda geom: stable_step(geom, cfl),
+        targets,
+        1e-14,
+        record,
+        lambda _: out,
+        **loop,
+    ):
+        out.pop()  # the state at the cap is no target
+        raise NumericalFailureError(
+            f"step cap of {MAX_STEPS} steps reached at t={times[-1]!r}, "
+            f"short of target t={targets[len(out)]!r}",
+            record=out,
+        )
+    return out
 
 
 def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
@@ -449,22 +459,13 @@ def run_to_times(
     pairs reached so far as ``record``.  So does the ``NumericalFailureError``
     raised when ``MAX_STEPS`` steps leave a target unreached.
     """
-    targets = [float(t) for t in targets]
-    if any(b <= a for a, b in zip(targets, targets[1:])) or (
-        targets and targets[0] < 0.0
-    ):
-        raise InvalidArgumentError("target times must be non-negative, increasing")
     if scheme not in SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
-    out: list[tuple[float, SampledCurve]] = []
-    if _integrate(
+    return _run_to_targets(
         make_state(initial),
         _STEPPERS[scheme],
-        lambda geom: stable_step(geom, cfl),
+        cfl,
         targets,
-        1e-14,
-        lambda st: out.append((st.t, st.curve)),
-        lambda _: out,
-    ):
-        raise _past_cap(out, targets, lambda pair: pair[0])
-    return out
+        0.0,
+        keep=lambda st: (st.t, st.curve),
+    )

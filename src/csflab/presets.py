@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CLOSED, PERIODIC, SampledCurve
+from .curve import CLOSED, MIN_VERTICES, PERIODIC, SampledCurve
 from .errors import InvalidArgumentError
 from .helix import GraphCurveSpec, helix_graph_spec
 
@@ -60,8 +60,10 @@ class Preset:
             raise InvalidArgumentError(
                 f"unknown preset {self.name!r}; choose from {PRESET_NAMES}"
             )
-        if self.n < 4:
-            raise InvalidArgumentError("presets need at least 4 vertices")
+        if self.n < MIN_VERTICES[CLOSED]:  # the built-in curves are closed or periodic
+            raise InvalidArgumentError(
+                f"presets need at least {MIN_VERTICES[CLOSED]} vertices, got {self.n}"
+            )
         allowed = set(_DEFAULTS[self.name])
         unknown = set(self.params) - allowed
         if unknown:

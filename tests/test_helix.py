@@ -36,7 +36,7 @@ from csflab.helix import (
     scaled_condition_lower_bound,
     shrinking_circle_radius,
 )
-from csflab.presets import GRAPH_CURVE, graph_spec_for
+from csflab.presets import CUSTOM_FILE, GRAPH_CURVE, PRESET_NAMES, graph_spec_for
 import csflab
 
 
@@ -279,6 +279,15 @@ def test_graph_spec_for_matches_the_preset_curve(name, params):
 def test_helix_presets_reject_a_non_positive_or_b_zero(name, a, b):
     with pytest.raises(InvalidArgumentError, match=f"{name} preset needs a > 0 and b != 0"):
         build_curve(make_preset(name, n=16, a=a, b=b))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_need_as_many_vertices_as_their_curves(name):
+    # every built-in curve is closed or periodic, so 8 vertices at least
+    with pytest.raises(InvalidArgumentError, match="presets need at least 8 vertices, got 7"):
+        make_preset(name, n=7)
+    if name != CUSTOM_FILE:  # its vertex count comes from its file
+        assert build_curve(make_preset(name, n=8)).n == 8
 
 
 def test_shrinking_circle_oracle():

@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 import tracemalloc
+import warnings
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
@@ -677,6 +678,21 @@ def test_cli_helix_scan(tmp_path):
     assert len(rows) == 12
     ms = sorted({r[0] for r in rows})
     assert ms[0] == 0.01 and ms[-1] == 0.1
+
+
+@pytest.mark.parametrize("m_min, m_max", [("0.1", "0"), ("0.1", "-1"), ("0", "1")])
+def test_cli_helix_scan_log_m_needs_positive_bounds(tmp_path, capsys, m_min, m_max):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        code = run_cli([
+            "helix-scan", "--m-min", m_min, "--m-max", m_max, "--m-steps", "3",
+            "--log-m", "--y-min", "0.5", "--y-max", "6.0", "--y-steps", "4",
+            "--out", str(tmp_path / "scan"),
+        ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: --log-m needs positive --m-min and --m-max\n"
+    assert not (tmp_path / "scan").exists()
 
 
 def test_cli_sphere_verify(tmp_path):

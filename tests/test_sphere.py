@@ -24,7 +24,6 @@ from csflab.errors import (
 )
 from csflab.flow import run_to_times, snapshot_diagnostics, sphere_residual, stable_step
 from csflab.sphere import (
-    consistency_check,
     decompose_curvature,
     inverse_time_dilation,
     rescale,
@@ -146,22 +145,41 @@ def test_geodesic_flow_latitude_ode():
 def test_step_geodesic_flow_bounds_dt():
     st = rescale(latitude_circle(64, 1.0), 0.0)
     geom = compute_geometry(st.curve_tilde)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError, match="^dt_tilde=.* exceeds the stability bound"):
         step_geodesic_flow(st, 10.0 * stable_step(geom))
+    for dt_tilde in (0.0, -1.0, math.nan):
+        with pytest.raises(InvalidArgumentError, match="^dt_tilde must be positive$"):
+            step_geodesic_flow(st, dt_tilde)
     nxt = step_geodesic_flow(st, 0.5 * stable_step(geom))
     assert nxt.t_tilde > st.t_tilde
 
 
-def test_consistency_check_validations():
+@pytest.mark.parametrize(
+    "call, grid",
+    [
+        pytest.param("run_to_times", [0.1, 0.05], id="run_to_times-decreasing"),
+        pytest.param("run_to_times", [-0.01, 0.05], id="run_to_times-before-start"),
+        pytest.param("run_geodesic_flow", [0.1, 0.05], id="geodesic-decreasing"),
+        pytest.param("run_geodesic_flow", [-0.01, 0.05], id="geodesic-before-start"),
+        pytest.param("consistency_profile", [0.1, 0.05], id="profile-decreasing"),
+        pytest.param("run_to_times", [math.nan], id="run_to_times-nan"),
+        pytest.param("run_geodesic_flow", [0.05, math.nan], id="geodesic-nan"),
+    ],
+)
+def test_fixed_grid_runs_reject_a_bad_grid(call, grid):
+    # grids are offsets from each run's start time; no step is taken
     c = build_curve(make_preset(SPHERE_PERTURBED, n=64))
-    ext = run_to_times(c, [0.05])
-    intr = run_geodesic_flow(rescale(c, 0.0), [time_dilation(0.05)])
-    assert consistency_check(ext, intr) < 1e-3
-    with pytest.raises(InvalidArgumentError):
-        consistency_check(ext, [])
-    wrong_time = run_geodesic_flow(rescale(c, 0.0), [time_dilation(0.06)])
-    with pytest.raises(InvalidArgumentError):
-        consistency_check(ext, wrong_time)
+    start = rescale(c, 0.0)
+    calls = {
+        "run_to_times": lambda: run_to_times(c, grid),
+        "run_geodesic_flow": lambda: run_geodesic_flow(
+            start, [start.t_tilde + x for x in grid]
+        ),
+        "consistency_profile": lambda: consistency_profile(c, grid),
+    }
+    message = "^target times must increase from the start time on$"
+    with pytest.raises(InvalidArgumentError, match=message):
+        calls[call]()
 
 
 def test_consistency_profile_small_grid():
