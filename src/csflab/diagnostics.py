@@ -28,15 +28,19 @@ _SNAP_RE = re.compile(r"snap_(\d+)\.curve$")
 
 
 def emit_record(record: RunRecord, out_dir) -> Path:
-    """Write run.csv, run.json and snap_<step>.curve files; overwrites."""
+    """Write snap_<step>.curve files, then run.csv and run.json; overwrites.
+
+    The snapshots go first, so a write cut short leaves no run.csv row
+    without its snapshot.
+    """
     if not record.rows:
         raise InvalidArgumentError("refusing to emit an empty record")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    fileio.write_run_csv(record.rows, out / "run.csv")
-    fileio.write_run_json(record, out / "run.json")
     for step, _, curve in record.snapshots:
         fileio.write_curve(curve, out / f"snap_{step}.curve")
+    fileio.write_run_csv(record.rows, out / "run.csv")
+    fileio.write_run_json(record, out / "run.json")
     return out
 
 
@@ -54,7 +58,8 @@ def analyze_directory(run_dir) -> list[RecordRow]:
 
     Reads run.csv for the recorded times, run.json for the configuration
     and vanishing-time estimate, and every snap_<step>.curve; returns rows
-    built by the same measurement code the live run used.
+    built by the same measurement code the live run used.  Every run.csv
+    step needs its snapshot and every snapshot its run.csv step.
     """
     run_dir = Path(run_dir)
     csv_path = run_dir / "run.csv"
@@ -74,6 +79,12 @@ def analyze_directory(run_dir) -> list[RecordRow]:
     snapshots.sort()
     if not snapshots:
         raise InvalidArgumentError(f"{run_dir} contains no snapshots")
+    snapped = {step for step, _ in snapshots}
+    for step in recorded:
+        if step not in snapped:
+            raise InvalidArgumentError(
+                f"run.csv step {step} has no snapshot in {run_dir}"
+            )
 
     rows = []
     for step, path in snapshots:

@@ -340,11 +340,13 @@ def _integrate(
     return None
 
 
-def _run_to_targets(state, advance, cfl, targets, earliest, keep=None, **loop):
+def _run_to_targets(start, advance, cfl, targets, earliest, keep=None, **loop):
     """The fixed-grid driver: ``keep(state)``, or the state, at each target time.
 
-    Targets increase strictly from ``earliest`` on; steps of
-    ``stable_step(geometry, cfl)`` land within 1e-14; ``loop`` goes to ``_integrate``.
+    Targets increase strictly from ``earliest`` on, and are checked before
+    ``start()`` makes the starting state, so a bad grid costs no geometry;
+    steps of ``stable_step(geometry, cfl)`` land within 1e-14; ``loop`` goes
+    to ``_integrate``.
     """
     targets = [float(t) for t in targets]
     # written so that a NaN target fails too
@@ -360,7 +362,7 @@ def _run_to_targets(state, advance, cfl, targets, earliest, keep=None, **loop):
         out.append(st if keep is None else keep(st))
 
     if _integrate(
-        state,
+        start(),
         advance,
         lambda geom: stable_step(geom, cfl),
         targets,
@@ -462,7 +464,7 @@ def run_to_times(
     if scheme not in SCHEMES:
         raise InvalidArgumentError(f"unknown scheme {scheme!r}")
     return _run_to_targets(
-        make_state(initial),
+        lambda: make_state(initial),
         _STEPPERS[scheme],
         cfl,
         targets,

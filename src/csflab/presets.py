@@ -4,7 +4,9 @@ Closed presets are sampled uniformly by arc length: a dense parameter
 table of the analytic curve is inverted so every vertex still lies exactly
 on the curve but consecutive vertices are equidistant along it.  Uniform
 spacing makes the first remesh a near no-op and keeps symmetric features
-(crests, valleys, axis points) on exact vertex indices.
+(crests, valleys, axis points) on exact vertex indices.  The dense table
+is built in chunks of 4096 samples, so only the parameters and their arc
+lengths are held at full length.
 """
 
 from __future__ import annotations
@@ -78,18 +80,27 @@ def make_preset(name: str, n: int = 512, **params) -> Preset:
     return Preset(name=name, n=n, params=params)
 
 
+# samples per chunk of the arc-length table, and the table's smallest size
+_TABLE_CHUNK = 4096
+
+
 def _arc_uniform_points(position, n: int) -> np.ndarray:
     """n points of the closed curve ``position`` equally spaced along it.
 
     Builds a dense polyline of ``position(u)`` over [0, 2 pi], accumulates
     chord length, and inverts it at n equal arc targets below the full
-    length (u = 2 pi duplicates u = 0).
+    length (u = 2 pi duplicates u = 0).  Chunks share their end sample and
+    carry the running sum in ``cumsum``'s order, so ``s`` has the bits of
+    one ``cumsum`` over the whole polyline.
     """
-    dense = max(4096, 64 * n) + 1
+    dense = max(_TABLE_CHUNK, 64 * n) + 1
     u = np.linspace(0.0, 2.0 * math.pi, dense)
-    pts = position(u)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
+    s = np.empty(dense)
+    s[0] = 0.0
+    for lo in range(0, dense - 1, _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, dense - 1)
+        seg = np.linalg.norm(np.diff(position(u[lo : hi + 1]), axis=0), axis=1)
+        s[lo + 1 : hi + 1] = np.cumsum(np.concatenate(([s[lo]], seg)))[1:]
     return position(np.interp(np.arange(n) * (s[-1] / n), s, u))
 
 

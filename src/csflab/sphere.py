@@ -164,7 +164,7 @@ def run_geodesic_flow(
     reached so far as ``record``.
     """
     return _run_to_targets(
-        state,
+        lambda: state,
         step_geodesic_flow,
         cfl,
         t_tilde_targets,

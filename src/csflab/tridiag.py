@@ -15,22 +15,30 @@ runs: that package import, most of it SciPy's array-API layer cloning the
 numpy namespace, would nearly triple csflab's import time, and one LAPACK
 call needs none of it.  ``dgtsv`` is the same function object that
 ``scipy.linalg.lapack`` re-exports, so every solve is unchanged.
+
+The module is loaded by the first ``solve_tridiagonal`` call, not at
+import: explicit runs, the sphere flow and the chord-arc tools never solve
+a system, and SciPy with its OpenBLAS would cost them start-up time and
+resident memory for nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
 
 import numpy as np
-import scipy
 
 from .errors import NumericalFailureError
 
 
+@functools.cache
 def _load_flapack():
+    import scipy
+
     name = "scipy.linalg._flapack"
     spec = importlib.machinery.PathFinder.find_spec(
         name, [os.path.join(scipy.__path__[0], "linalg")]
@@ -45,9 +53,6 @@ def _load_flapack():
     return module
 
 
-dgtsv = _load_flapack().dgtsv
-
-
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solve a tridiagonal system.
 
@@ -55,7 +60,7 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     multiplies x[i+1] (upper[-1] ignored).  ``rhs`` may be (n,) or (n, k).
     Raises ``NumericalFailureError`` on a zero pivot or a non-finite result.
     """
-    *_, x, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    *_, x, info = _load_flapack().dgtsv(lower[1:], diag, upper[:-1], rhs)
     if info > 0:
         raise NumericalFailureError(
             f"singular tridiagonal system: zero pivot in row {info}"

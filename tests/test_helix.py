@@ -36,7 +36,16 @@ from csflab.helix import (
     scaled_condition_lower_bound,
     shrinking_circle_radius,
 )
-from csflab.presets import CUSTOM_FILE, GRAPH_CURVE, PRESET_NAMES, graph_spec_for
+from csflab.presets import (
+    COS2U_CURVE,
+    CUSTOM_FILE,
+    ELLIPSE,
+    GRAPH_CURVE,
+    PRESET_NAMES,
+    SPHERE_PERTURBED,
+    graph_spec_for,
+)
+from csflab import presets
 import csflab
 
 
@@ -290,6 +299,33 @@ def test_presets_need_as_many_vertices_as_their_curves(name):
         assert build_curve(make_preset(name, n=8)).n == 8
 
 
+def _one_shot_arc_uniform_points(position, n):
+    # the table built at full length in one pass, as presets did before
+    # building it in chunks
+    dense = max(4096, 64 * n) + 1
+    u = np.linspace(0.0, 2.0 * math.pi, dense)
+    pts = position(u)
+    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    s = np.concatenate([[0.0], np.cumsum(seg)])
+    return position(np.interp(np.arange(n) * (s[-1] / n), s, u))
+
+
+@pytest.mark.parametrize("n", [64, 65, 512, 2048])  # 65: the first two-chunk table
+@pytest.mark.parametrize("name", [ELLIPSE, COS2U_CURVE, SPHERE_PERTURBED])
+def test_arc_uniform_points_equal_the_one_shot_table(monkeypatch, name, n):
+    positions = []
+    arc_uniform_points = presets._arc_uniform_points
+
+    def spy(position, n):
+        positions.append(position)
+        return arc_uniform_points(position, n)
+
+    monkeypatch.setattr(presets, "_arc_uniform_points", spy)
+    points = build_curve(make_preset(name, n=n)).points
+    reference = _one_shot_arc_uniform_points(positions[0], n)
+    assert np.array_equal(points.view(np.int64), reference.view(np.int64))
+
+
 def test_shrinking_circle_oracle():
     assert abs(shrinking_circle_radius(1.0, 0.25) - math.sqrt(0.5)) < 1e-15
     assert shrinking_circle_radius(1.0, 0.0) == 1.0
@@ -331,7 +367,7 @@ def test_helix_radius_b_zero_is_circle():
     "then, check",
     [
         pytest.param("import csflab.cli", f"{name!r} not in sys.modules", id=name)
-        for name in ("scipy.linalg", "scipy.optimize", "concurrent.futures")
+        for name in ("scipy", "scipy.linalg", "scipy.optimize", "concurrent.futures")
     ]
     + [
         # brentq is imported by helix_radius_at when it runs
@@ -340,13 +376,33 @@ def test_helix_radius_b_zero_is_circle():
             "'scipy.optimize' in sys.modules",
             id="brentq-on-use",
         ),
-        # tridiag loads scipy.linalg._flapack on its own; a later
-        # scipy.linalg import must hand out the very same dgtsv
+        # explicit steps and the sphere flow solve no system
         pytest.param(
-            "import csflab.cli, scipy.linalg.lapack",
-            "csflab.tridiag.dgtsv is scipy.linalg.lapack.dgtsv",
-            id="same-dgtsv",
+            "csflab.consistency_profile("
+            "csflab.build_curve(csflab.make_preset('sphere-perturbed', n=16)), [0.01])",
+            "'scipy' not in sys.modules",
+            id="no-scipy-without-a-solve",
         ),
+        # the first tridiagonal solve loads LAPACK
+        pytest.param(
+            "from csflab import flow; flow.step_semi_implicit("
+            "flow.make_state(csflab.build_curve(csflab.make_preset('circle', n=16))), 1e-3)",
+            "'scipy.linalg._flapack' in sys.modules",
+            id="lapack-on-first-solve",
+        ),
+    ]
+    + [
+        # tridiag loads scipy.linalg._flapack on its own; scipy.linalg,
+        # imported before or after, must hand out the very same dgtsv
+        pytest.param(
+            then,
+            "csflab.tridiag._load_flapack().dgtsv is scipy.linalg.lapack.dgtsv",
+            id=name,
+        )
+        for name, then in (
+            ("same-dgtsv", "csflab.tridiag._load_flapack(); import scipy.linalg.lapack"),
+            ("same-dgtsv-scipy-first", "import csflab.tridiag, scipy.linalg.lapack"),
+        )
     ],
 )
 def test_start_up_imports(then, check):

@@ -19,6 +19,7 @@ import csflab.cli as cli
 from csflab import CLOSED, D_OVER_PSI, FlowConfig, SampledCurve, ratio_field, run
 from csflab.chordarc import METRICS, RatioField
 from csflab.curve import OPEN, PERIODIC
+from csflab.diagnostics import emit_record
 from csflab.errors import InvalidArgumentError, NumericalFailureError
 from csflab.flow import RecordRow, RunRecord
 from csflab import fileio, flow
@@ -614,6 +615,38 @@ def test_cli_simulate_and_analyze(tmp_path):
     for row in analyzed:
         orig = by_step[row.step]
         assert row.L == orig.L and row.dl_min == orig.dl_min
+
+
+def test_cli_analyze_rejects_a_missing_snapshot(tmp_path, capsys):
+    # a run.csv row whose snapshot is gone must not be dropped silently
+    out = tmp_path / "run"
+    assert run_cli([
+        "simulate", "--preset", "ellipse", "--n", "64",
+        "--t-end", "0.01", "--record-every", "1000", "--out", str(out),
+    ]) == 0
+    steps = [row.step for row in read_run_csv(out / "run.csv")]
+    assert len(steps) == 2
+    (out / f"snap_{steps[1]}.curve").unlink()
+    capsys.readouterr()
+    assert run_cli(["analyze", "--dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: run.csv step {steps[1]} has no snapshot in {out}\n"
+    assert not (out / "analyze.csv").exists()
+
+
+def test_emit_record_writes_run_csv_last(tmp_path, monkeypatch):
+    # a write cut short after the snapshots leaves no run.csv behind
+    record = run(circle(32), FlowConfig(t_end=0.01, record_every=1000))
+
+    def failing(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(fileio, "write_run_csv", failing)
+    with pytest.raises(OSError, match="disk full"):
+        emit_record(record, tmp_path / "run")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(
+        f"snap_{step}.curve" for step, _, _ in record.snapshots
+    )
 
 
 @pytest.mark.parametrize("preset", ["helix", "open-arc"])

@@ -166,10 +166,19 @@ def test_step_geodesic_flow_bounds_dt():
         pytest.param("run_geodesic_flow", [0.05, math.nan], id="geodesic-nan"),
     ],
 )
-def test_fixed_grid_runs_reject_a_bad_grid(call, grid):
-    # grids are offsets from each run's start time; no step is taken
+def test_fixed_grid_runs_reject_a_bad_grid(monkeypatch, call, grid):
+    # grids are offsets from each run's start time; the grid is checked
+    # before any geometry, so no step is taken and no geometry computed
     c = build_curve(make_preset(SPHERE_PERTURBED, n=64))
     start = rescale(c, 0.0)
+    geometries = []
+
+    def counted(curve):
+        geometries.append(curve)
+        return compute_geometry(curve)
+
+    for module in (flow, sphere):
+        monkeypatch.setattr(module, "compute_geometry", counted)
     calls = {
         "run_to_times": lambda: run_to_times(c, grid),
         "run_geodesic_flow": lambda: run_geodesic_flow(
@@ -180,6 +189,7 @@ def test_fixed_grid_runs_reject_a_bad_grid(call, grid):
     message = "^target times must increase from the start time on$"
     with pytest.raises(InvalidArgumentError, match=message):
         calls[call]()
+    assert geometries == []
 
 
 def test_consistency_profile_small_grid():
