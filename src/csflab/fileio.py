@@ -17,10 +17,9 @@ strings, never zeros.
 
 Ratio fields are the large files (n=2048 gives 2 M cells, 58 MB).  The
 writer formats each matrix row with one ``repr`` of the row's finite cells
-and one ``write``; the reader parses ``_CHUNK_LINES`` (16,384) lines at a
-time with numpy's text parser and scatters them into the matrix, walking a
-chunk line by line only to name the line of an error.  A chunk in flight
-takes about 3.8 MB beside the matrix, whatever the size of the file.
+and one ``write``; the reader parses the open file ``_CHUNK_LINES`` (8,192)
+lines per numpy call, about 0.7 MB beside the matrix at any file size, and
+rereads only a failing chunk, line by line, to name its bad line.
 Curve snapshots take one ``repr`` of all their coordinates, split into
 ``x y z`` rows, and are read back with one call of the same parser.
 
@@ -52,12 +51,12 @@ from .flow import FlowConfig, RecordRow, RunRecord
 
 CURVE_MAGIC = "# csf-curve v1"
 FIELD_MAGIC = "# csf-ratiofield v1"
-# ratio-field body lines parsed per numpy call.  A chunk costs about 230
-# bytes a line while it is parsed (the line strings, the list holding them,
-# the parser's own buffers and the parsed cells), about 3.8 MB for 2**14
-# lines: small beside the n x n matrix it fills (34 MB at n=2048), and as
-# fast to read as larger chunks
-_CHUNK_LINES = 2**14
+# ratio-field body lines parsed per numpy call, each going on at the open
+# file's next line (numpy pulls lines from the file's iterator up to max_rows
+# rows; checked on numpy 2.4.6 only).  A chunk costs about 84 bytes a line
+# in flight (parser buffers, parsed cells): 0.7 MB for 2**13 lines, small
+# beside the 34 MB n=2048 matrix, and as fast to read as larger chunks
+_CHUNK_LINES = 2**13
 _CELL_DTYPE = [("i", "i8"), ("j", "i8"), ("v", "f8")]
 
 
@@ -292,33 +291,35 @@ def write_ratio_field(field: RatioField, path) -> None:
             fh.write(lead + f"\n{lead}".join(cells) + "\n")
 
 
-def _parse_rows(lines: list[str], dtype, ndmin: int) -> np.ndarray:
-    """Whitespace-separated body lines in one array; blank lines are skipped."""
+def _parse_rows(lines, dtype, ndmin: int, max_rows: int | None = None) -> np.ndarray:
+    """Body lines, a list or an open file, in one array; blank lines are skipped."""
     with warnings.catch_warnings():
-        # a chunk of blank lines is no error
+        # a chunk of blank lines is no error, and blank lines are no rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=ndmin)
+        warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
+        return np.loadtxt(lines, dtype, comments=None, ndmin=ndmin, max_rows=max_rows)
 
 
-def _bad_line(path, first: int, lines: list[str], n: int) -> InvalidArgumentError:
-    """The error naming the first bad line of a chunk starting at line ``first``."""
-    for ln, line in enumerate(lines, start=first):
-        if not line.strip():
-            continue
-        if len(line.split()) != 3:
-            return InvalidArgumentError(f"{path}:{ln}: expected 'i j value'")
-        try:
-            ((i, j, _),) = _parse_rows([line], _CELL_DTYPE, ndmin=1).tolist()
-        except ValueError:
-            return InvalidArgumentError(
-                f"{path}:{ln}: expected integers i j and a float value, "
-                f"got {line.strip()!r}"
-            )
-        if not (0 <= i < n and 0 <= j < n):
-            return InvalidArgumentError(f"{path}:{ln}: pair out of range")
-        if i == j:
-            return InvalidArgumentError(f"{path}:{ln}: diagonal pair ({i}, {j})")
-    return InvalidArgumentError(f"{path}:{first}-{first + len(lines) - 1}: unreadable")
+def _bad_line(path, n: int, good: int) -> InvalidArgumentError:
+    """The error naming the first bad body line past ``good`` rows known to pass."""
+    with open(path) as fh:
+        lines = enumerate(itertools.islice(fh, 3, None), start=4)
+        rows = ((ln, line) for ln, line in lines if line.strip())
+        for ln, line in itertools.islice(rows, good, None):
+            if len(line.split()) != 3:
+                return InvalidArgumentError(f"{path}:{ln}: expected 'i j value'")
+            try:
+                ((i, j, _),) = _parse_rows([line], _CELL_DTYPE, ndmin=1).tolist()
+            except ValueError:
+                return InvalidArgumentError(
+                    f"{path}:{ln}: expected integers i j and a float value, "
+                    f"got {line.strip()!r}"
+                )
+            if not (0 <= i < n and 0 <= j < n):
+                return InvalidArgumentError(f"{path}:{ln}: pair out of range")
+            if i == j:
+                return InvalidArgumentError(f"{path}:{ln}: diagonal pair ({i}, {j})")
+    return InvalidArgumentError(f"{path}: unreadable ratio-field body")
 
 
 def read_ratio_field(path) -> RatioField:
@@ -339,7 +340,7 @@ def read_ratio_field(path) -> RatioField:
             raise InvalidArgumentError(f"{path}: malformed metric line")
         if metric_tokens[1] not in METRICS:
             raise InvalidArgumentError(f"{path}: unknown metric {metric_tokens[1]!r}")
-        if len(n_tokens) != 2 or n_tokens[0] != "n" or not n_tokens[1].isdigit():
+        if len(n_tokens) != 2 or n_tokens[0] != "n" or not n_tokens[1].isdecimal():
             raise InvalidArgumentError(f"{path}: malformed n line")
         n = int(n_tokens[1])
         if n < MIN_FIELD_VERTICES:
@@ -347,19 +348,18 @@ def read_ratio_field(path) -> RatioField:
                 f"{path}: n {n} is below the {MIN_FIELD_VERTICES} vertices a field needs"
             )
         values = np.full((n, n), np.nan)
-        min_sep = n
-        first = 4
-        while lines := list(itertools.islice(fh, _CHUNK_LINES)):
+        min_sep, good = n, 0  # good: rows of the chunks that passed
+        while True:
             try:
-                cells = _parse_rows(lines, _CELL_DTYPE, ndmin=1)
+                cells = _parse_rows(fh, _CELL_DTYPE, ndmin=1, max_rows=_CHUNK_LINES)
             except ValueError as exc:
-                raise _bad_line(path, first, lines, n) from exc
+                raise _bad_line(path, n, good) from exc
+            if not cells.size:
+                break
             i, j, v = cells["i"], cells["j"], cells["v"]
             if not ((i >= 0) & (i < n) & (j >= 0) & (j < n) & (i != j)).all():
-                raise _bad_line(path, first, lines, n)
-            first += len(lines)
-            if not v.size:
-                continue
+                raise _bad_line(path, n, good)
+            good += cells.size
             sep = np.abs(i - j)
             min_sep = min(min_sep, int(sep.min()), int((n - sep).min()))
             lo, hi = np.minimum(i, j), np.maximum(i, j)

@@ -25,14 +25,18 @@ from csflab.errors import (
 )
 from csflab.flow import (
     EXPLICIT,
+    SCHEMES,
     RecordRow,
     estimate_vanishing_time,
     make_state,
     run_to_times,
+    sphere_residual,
     stable_step,
     step_explicit,
     step_semi_implicit,
 )
+from csflab.helix import helix_radius_at, shrinking_circle_radius
+from csflab.presets import HELIX, SPHERE_PERTURBED, build_curve, make_preset
 from csflab import flow, tridiag
 
 
@@ -212,6 +216,48 @@ def test_run_to_times_hits_exact_targets():
         assert abs(t - target) < 1e-14
         expected = math.sqrt(1.0 - 2 * target)
         assert abs(radii(curve).mean() - expected) < 1e-4
+
+
+def observed_orders(errors):
+    # log2 of successive error ratios, as dt halves
+    return [math.log2(abs(a / b)) for a, b in zip(errors, errors[1:])]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_first_order_in_time_against_the_exact_laws(scheme):
+    # dt = cfl min(ds)^2 / 2 at fixed n, so halving cfl halves a first-order
+    # error.  The circle radius and the sphere law |p|^2 = 1 - 2t show no
+    # spatial error at n = 64, so their errors themselves halve.  The helix
+    # radius also errs by a spatial term as large as the time error, which
+    # no dt removes, so its order is read from successive differences of
+    # the signed error, over one more halving (Roache 1998, observed order
+    # of accuracy).
+    def errors(curve, t, cfls, error):
+        out = []
+        for cfl in cfls:
+            ((t_end, c),) = run_to_times(curve, [t], cfl=cfl, scheme=scheme)
+            out.append(error(c, t_end))
+        return out
+
+    circle_err = errors(
+        circle(64), 0.4, (1.0, 0.5, 0.25),
+        lambda c, t: radii(c).mean() / shrinking_circle_radius(1.0, t) - 1.0,
+    )
+    sphere_err = errors(
+        build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.2, (1.0, 0.5, 0.25),
+        lambda c, t: sphere_residual(c, t, 1.0),
+    )
+    helix_err = errors(
+        build_curve(make_preset(HELIX, n=64)), 0.4, (1.0, 0.5, 0.25, 0.125),
+        lambda c, t: radii(c).mean() / helix_radius_at(1.0, 1.0, t) - 1.0,
+    )
+    orders = {
+        "circle": observed_orders(circle_err),
+        "sphere": observed_orders(sphere_err),
+        "helix": observed_orders(np.diff(helix_err)),
+    }
+    for law, pair in orders.items():
+        assert all(abs(p - 1.0) < 0.1 for p in pair), (law, pair)
 
 
 def test_config_validation():

@@ -183,6 +183,8 @@ def test_ratio_field_round_trip(tmp_path):
         (f"{FIELD_MAGIC}\nmetric\nn 16\n", "malformed metric line"),
         (f"{FIELD_MAGIC}\nmetric chord\nn 16\n", "unknown metric 'chord'"),
         (f"{FIELD_MAGIC}\nmetric d_over_l\nn sixteen\n", "malformed n line"),
+        # a superscript digit passes str.isdigit but not int()
+        (f"{FIELD_MAGIC}\nmetric d_over_l\nn \u00b2\n", "malformed n line"),
         (f"{FIELD_MAGIC}\nmetric d_over_l\nn 16\n0 3 0.5\n\n1 4\n", ":6: expected 'i j value'"),
         (f"{FIELD_MAGIC}\nmetric d_over_l\nn 16\n0 3 0.5\n0 16 0.5\n", ":5: pair out of range"),
         # a vertex paired with itself has no ratio: it would set a finite
@@ -324,6 +326,7 @@ def test_curve_text_equals_per_value_writer(seed, n, topology, cells):
     assert np.array_equal(bits(back.points), bits(curve.points))
 
 
+@pytest.mark.filterwarnings("error::UserWarning")  # numpy warns on blank lines
 @settings(max_examples=30, deadline=None)
 @given(
     chunk=st.sampled_from([1, 7]),
@@ -355,6 +358,35 @@ def test_ratio_field_error_names_line_across_chunks(chunk, bad, blank, kind):
             read_ratio_field(path)
 
 
+@pytest.mark.filterwarnings("error::UserWarning")  # numpy warns on blank lines
+@pytest.mark.parametrize("kind", ["token", "range"])
+def test_ratio_field_error_rereads_only_the_failing_chunk(tmp_path, monkeypatch, kind):
+    # 40 rows, a blank line before every fifth, chunks of 7 rows: bad row 33
+    # is in the fifth chunk, on line 4 + 33 + 7 blank lines, and naming it
+    # parses no row of the four chunks that passed
+    body = [f"{k} {k + 3} 0.{k + 1}" for k in range(40)]
+    body[33] = "33 36 x" if kind == "token" else "33 70 0.5"
+    for k in range(35, -1, -5):
+        body.insert(k, "")
+    path = tmp_path / "f.txt"
+    path.write_text(f"{FIELD_MAGIC}\nmetric d_over_l\nn 64\n" + "\n".join(body) + "\n")
+    monkeypatch.setattr(fileio, "_CHUNK_LINES", 7)
+    parsed = []
+    parse_rows = fileio._parse_rows
+
+    def counting(lines, *args, **kwargs):
+        if isinstance(lines, list):
+            parsed.extend(lines)
+        return parse_rows(lines, *args, **kwargs)
+
+    monkeypatch.setattr(fileio, "_parse_rows", counting)
+    message = "expected integers i j and a float value" if kind == "token" else "pair out of range"
+    with pytest.raises(InvalidArgumentError, match=re.escape(f":44: {message}")):
+        read_ratio_field(path)
+    assert parsed[0] == "28 31 0.29\n" and len(parsed) == 6
+
+
+@pytest.mark.filterwarnings("error::UserWarning")  # numpy warns on blank lines
 @pytest.mark.parametrize("chunk", [1, 2, 7, None])
 def test_ratio_field_repeated_and_mirrored_pairs(tmp_path, monkeypatch, chunk):
     # "i j v" and "j i v" set the same symmetric cells; a pair given on
@@ -378,7 +410,8 @@ def test_ratio_field_repeated_and_mirrored_pairs(tmp_path, monkeypatch, chunk):
 
 def test_read_ratio_field_holds_one_chunk_beside_the_matrix(tmp_path):
     # a file of more than 2**16 lines: beside the matrix it returns, the
-    # reader holds one chunk of _CHUNK_LINES parsed lines (about 3.8 MB)
+    # reader holds one chunk of _CHUNK_LINES parsed cells and the parser's
+    # buffers (about 0.7 MB), and no line strings
     field = ratio_field(circle(400), D_OVER_PSI, exclusion_band=2)
     path = tmp_path / "f.txt"
     write_ratio_field(field, path)
@@ -391,7 +424,7 @@ def test_read_ratio_field_holds_one_chunk_beside_the_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert np.array_equal(back.values, field.values, equal_nan=True)
-    assert peak - back.values.nbytes < 6_000_000
+    assert peak - back.values.nbytes < 1_500_000
 
 
 class _FailingWrites:
