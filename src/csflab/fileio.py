@@ -85,6 +85,16 @@ def _atomic_open(path):
         raise
 
 
+@contextmanager
+def _decoded(path):
+    """Turn a decode failure while reading ``path`` into an error naming it."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        reason = f"not {exc.encoding} text ({exc.reason})"
+        raise InvalidArgumentError(f"{path}: {reason}") from exc
+
+
 def _write_lines(lines: list[str], path) -> None:
     with _atomic_open(path) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -155,7 +165,8 @@ def write_table(table: Table, rows, path) -> None:
 
 def read_table(table: Table, path) -> list:
     """Rows of a table file; blank lines are skipped, errors name ``path:line``."""
-    lines = Path(path).read_text().splitlines()
+    with _decoded(path):
+        lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != table.header:
         raise InvalidArgumentError(f"{path}: unexpected {table.name} header")
     parsers = [_KINDS[kind][1] for kind in table.columns.values()]
@@ -196,7 +207,8 @@ def write_curve(curve: SampledCurve, path) -> None:
 
 
 def read_curve(path) -> SampledCurve:
-    lines = Path(path).read_text().splitlines()
+    with _decoded(path):
+        lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != CURVE_MAGIC:
         raise InvalidArgumentError(f"{path}: missing '{CURVE_MAGIC}' header")
     if len(lines) < 2:
@@ -330,7 +342,8 @@ def read_ratio_field(path) -> RatioField:
     exclusion band is one less than the smallest cyclic index gap of the
     lines read.
     """
-    with open(path) as fh:
+    # a decode failure can surface in the header, a chunk or _bad_line's walk
+    with _decoded(path), open(path) as fh:
         header = [fh.readline() for _ in range(3)]
         if "" in header or header[0].strip() != FIELD_MAGIC:
             raise InvalidArgumentError(f"{path}: missing '{FIELD_MAGIC}' header")

@@ -9,12 +9,16 @@ the way in; one factorization serves all columns.  The correction is
 applied by broadcasting along the rows of the transposed solution.
 
 ``dgtsv`` comes from SciPy's compiled LAPACK wrapper module,
-``scipy.linalg._flapack``, loaded on its own after ``import scipy`` (which
-does SciPy's platform library set-up).  ``scipy/linalg/__init__.py`` never
-runs: that package import, most of it SciPy's array-API layer cloning the
-numpy namespace, would nearly triple csflab's import time, and one LAPACK
-call needs none of it.  ``dgtsv`` is the same function object that
-``scipy.linalg.lapack`` re-exports, so every solve is unchanged.
+``scipy.linalg._flapack``, loaded on its own from the install directory
+that ``importlib.util.find_spec`` reports, so neither ``scipy/__init__.py``
+nor ``scipy/linalg/__init__.py`` runs: the first leaves about 1.3 MB
+resident, the second, most of it SciPy's array-API layer cloning the numpy
+namespace, would nearly triple csflab's import time, and one LAPACK call
+needs neither.  Where that load fails, as it can where SciPy's package
+init (its ``_distributor_init`` hook) sets up the library search path,
+``scipy`` is imported and the load repeated.  ``dgtsv`` is the same
+function object that ``scipy.linalg.lapack`` re-exports, so every solve is
+unchanged.
 
 The module is loaded by the first ``solve_tridiagonal`` call, not at
 import: explicit runs, the sphere flow and the chord-arc tools never solve
@@ -35,13 +39,11 @@ import numpy as np
 from .errors import NumericalFailureError
 
 
-@functools.cache
-def _load_flapack():
-    import scipy
-
+def _exec_flapack(scipy_dir: str):
+    """``scipy.linalg._flapack`` loaded from ``scipy_dir`` and registered."""
     name = "scipy.linalg._flapack"
     spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(scipy.__path__[0], "linalg")]
+        name, [os.path.join(scipy_dir, "linalg")]
     )
     if spec is None:
         raise ImportError(f"cannot find {name}", name=name)
@@ -51,6 +53,20 @@ def _load_flapack():
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+@functools.cache
+def _load_flapack():
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("cannot find scipy, which supplies LAPACK gtsv", name="scipy")
+    scipy_dir = spec.submodule_search_locations[0]
+    try:
+        return _exec_flapack(scipy_dir)
+    except ImportError:
+        import scipy  # noqa: F401  its package init sets up the library path
+
+        return _exec_flapack(scipy_dir)
 
 
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:

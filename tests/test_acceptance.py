@@ -6,6 +6,10 @@ flow runs are shared through module-scoped fixtures.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +182,7 @@ def brute_force_field(curve, metric, band):
     return out
 
 
-def test_criterion_10_structural_invariants(tmp_path, monkeypatch):
+def test_criterion_10_structural_invariants(tmp_path):
     problems = []
 
     # Fenchel lower bound on every closed preset
@@ -207,21 +211,32 @@ def test_criterion_10_structural_invariants(tmp_path, monkeypatch):
         if not np.array_equal(fast, slow, equal_nan=True):
             problems.append(f"{metric} field differs from brute force")
 
-    # bit-identical outputs across repeat runs and thread counts
-    digests = {}
-    for label, threads in (("a", "1"), ("b", "1"), ("c", "4")):
-        out = tmp_path / label
-        monkeypatch.setenv("CSF_THREADS", threads)
-        code = cli.main([
+    # bit-identical outputs across repeat runs, and in a fresh interpreter
+    # whose string hashes differ from this one's
+    def simulate(label):
+        return [
             "simulate", "--preset", "sphere-perturbed", "--n", "64",
-            "--t-end", "0.05", "--record-every", "20", "--out", str(out),
-        ])
-        assert code == 0
-        digests[label] = (out / "run.csv").read_bytes()
+            "--t-end", "0.05", "--record-every", "20", "--out", str(tmp_path / label),
+        ]
+
+    for label in ("a", "b"):
+        assert cli.main(simulate(label)) == 0
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-m", "csflab.cli", *simulate("c")],
+        env=env, capture_output=True, text=True,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    digests = {label: (tmp_path / label / "run.csv").read_bytes() for label in "abc"}
     if digests["a"] != digests["b"]:
         problems.append("repeat runs differ")
     if digests["a"] != digests["c"]:
-        problems.append("thread count changes run.csv")
+        problems.append(f"a fresh interpreter with PYTHONHASHSEED={hash_seed} changes run.csv")
 
     ok = not problems
     report(10, ok,

@@ -31,9 +31,10 @@ def test_cli_outputs_do_not_depend_on_the_hash_seed():
     one, two = digest(1), digest(2)
     assert one == two
     paths = [line.split("  ", 1)[1] for line in one]
-    # every command wrote its files: 12 simulate runs, the sphere run, two
-    # ratio fields and the helix scan
-    assert sum(p.endswith("/run.csv") for p in paths) == 13
-    assert sum(p.endswith("/analyze.csv") for p in paths) == 12
+    # every command wrote its files: 14 simulate runs (the open custom-file
+    # curve among them), the sphere run, two ratio fields and the helix scan
+    assert sum(p.endswith("/run.csv") for p in paths) == 15
+    assert sum(p.endswith("/analyze.csv") for p in paths) == 14
+    assert "open.curve" in paths
     assert sum(p.endswith("/ratiofield.txt") for p in paths) == 2
     assert "sphere/consistency.csv" in paths and "scan/fscan.csv" in paths

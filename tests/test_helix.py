@@ -390,6 +390,29 @@ def test_helix_radius_b_zero_is_circle():
             "'scipy.linalg._flapack' in sys.modules",
             id="lapack-on-first-solve",
         ),
+        # ... without running scipy's own package init
+        pytest.param(
+            "from csflab import flow; flow.step_semi_implicit("
+            "flow.make_state(csflab.build_curve(csflab.make_preset('circle', n=16))), 1e-3)",
+            "'scipy' not in sys.modules and 'scipy.linalg._flapack' in sys.modules",
+            id="lapack-without-scipy-init",
+        ),
+        # where the direct load fails (a platform whose scipy package init
+        # must set up the library path), scipy is imported and the load
+        # repeated, giving the dgtsv that scipy.linalg hands out
+        pytest.param(
+            "from csflab import tridiag\n"
+            "direct = tridiag._exec_flapack\n"
+            "def fail_once(scipy_dir):\n"
+            "    tridiag._exec_flapack = direct\n"
+            "    raise ImportError('library search path not set up')\n"
+            "tridiag._exec_flapack = fail_once\n"
+            "dgtsv = tridiag._load_flapack().dgtsv\n"
+            "fell_back = 'scipy' in sys.modules and tridiag._exec_flapack is direct\n"
+            "import scipy.linalg.lapack",
+            "fell_back and dgtsv is scipy.linalg.lapack.dgtsv",
+            id="lapack-after-scipy-init-on-import-error",
+        ),
     ]
     + [
         # tridiag loads scipy.linalg._flapack on its own; scipy.linalg,
@@ -408,6 +431,6 @@ def test_helix_radius_b_zero_is_circle():
 def test_start_up_imports(then, check):
     # a fresh interpreter, so modules loaded by other tests do not count
     env = dict(os.environ, PYTHONPATH=str(Path(csflab.__file__).resolve().parents[1]))
-    code = f"import sys, csflab; {then}; print({check})"
+    code = f"import sys, csflab\n{then}\nprint({check})"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (out.returncode, out.stdout.strip()) == (0, "True"), out.stderr

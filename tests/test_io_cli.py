@@ -209,6 +209,37 @@ def test_ratio_field_rejects_too_few_vertices(tmp_path, n, body):
         read_ratio_field(path)
 
 
+@pytest.mark.parametrize(
+    "write, read",
+    [
+        pytest.param(
+            lambda path: write_run_csv(
+                run(circle(32), FlowConfig(t_end=0.01, record_every=1000)).rows, path
+            ),
+            read_run_csv,
+            id="table",
+        ),
+        pytest.param(lambda path: write_curve(circle(8), path), read_curve, id="curve"),
+        # about 46 KB, so the byte lies past the first block the text layer
+        # decodes for the header: it surfaces inside a parsed chunk, and
+        # again in the walk that looks for the chunk's bad line
+        pytest.param(
+            lambda path: write_ratio_field(ratio_field(circle(64), D_OVER_PSI, 2), path),
+            read_ratio_field,
+            id="ratio-field",
+        ),
+    ],
+)
+def test_readers_reject_undecodable_bytes(tmp_path, write, read):
+    path = tmp_path / "f"
+    write(path)
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: not utf-8 text")) as exc:
+        read(path)
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
 def reference_ratio_field_text(field):
     # reference writer: one f-string per finite upper-triangle cell
     lines = [f"{FIELD_MAGIC}\nmetric {field.metric}\nn {field.n}\n"]
@@ -665,6 +696,20 @@ def test_cli_analyze_rejects_a_missing_snapshot(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == f"error: run.csv step {steps[1]} has no snapshot in {out}\n"
     assert not (out / "analyze.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["run.csv", "snap_0.curve"])
+def test_cli_analyze_rejects_undecodable_bytes(tmp_path, capsys, name):
+    out = tmp_path / "run"
+    assert run_cli([
+        "simulate", "--preset", "circle", "--n", "32", "--t-end", "0.01", "--out", str(out),
+    ]) == 0
+    with open(out / name, "ab") as fh:
+        fh.write(b"\xff")
+    capsys.readouterr()
+    assert run_cli(["analyze", "--dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / name}: not utf-8 text (invalid start byte)\n"
 
 
 def test_emit_record_writes_run_csv_last(tmp_path, monkeypatch):

@@ -142,6 +142,20 @@ def test_geodesic_flow_latitude_ode():
     assert np.abs(np.linalg.norm(out[0].curve_tilde.points, axis=1) - 1.0).max() < 1e-12
 
 
+def test_geodesic_flow_first_order_in_time():
+    # the explicit geodesic step against the latitude-circle law above, as
+    # tests/test_flow.py checks the ambient schemes: halving cfl halves
+    # dt_tilde at fixed n, so a first-order error halves too
+    theta0, dt = 1.0, 0.25
+    st = rescale(latitude_circle(64, theta0), 0.0)
+    errors = []
+    for cfl in (1.0, 0.5, 0.25):
+        (end,) = run_geodesic_flow(st, [st.t_tilde + dt], cfl=cfl)
+        errors.append(end.curve_tilde.points[:, 2].mean() - math.cos(theta0) * math.exp(dt))
+    orders = [math.log2(abs(a / b)) for a, b in zip(errors, errors[1:])]
+    assert all(abs(p - 1.0) < 0.1 for p in orders), (errors, orders)
+
+
 def test_step_geodesic_flow_bounds_dt():
     st = rescale(latitude_circle(64, 1.0), 0.0)
     geom = compute_geometry(st.curve_tilde)

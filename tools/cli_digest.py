@@ -4,9 +4,12 @@
 
 Runs ``csflab.cli.main`` in this process on small inputs: ``simulate`` on
 the ellipse, circle, helix, graph-curve, sphere-perturbed and cos2u
-presets with both schemes (every stop reason, frequent remeshes),
-``analyze`` on each of those runs, ``sphere-verify``, ``ratio-field``
-with both metrics and ``helix-scan``. It prints one
+presets with both schemes (every stop reason, frequent remeshes), and on
+a fixed open curve that the tool writes into its output directory
+(``custom-file``: the curve reader, the one-sided end stencils and the
+banded solve without the cyclic correction), ``analyze`` on each of those
+runs, ``sphere-verify``, ``ratio-field`` with both metrics and
+``helix-scan``. It prints one
 ``sha256  path`` line per file written, sorted by path, the path relative
 to the output directory. The command output itself is discarded.
 
@@ -23,6 +26,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -44,12 +48,23 @@ SIMULATIONS = (
     ("sphere-perturbed", ("--preset", "sphere-perturbed", "--t-end", "0.05", *_SIM)),
     ("cos2u", ("--preset", "cos2u-curve", *_SIM)),
 )
+OPEN_CURVE = "open.curve"
+
+
+def write_open_curve(path: Path) -> None:
+    """A fixed open space arc of 40 unevenly spaced vertices."""
+    lines = ["# csf-curve v1", "topology open"]
+    for k in range(40):
+        u = 3.0 * (k / 39) ** 1.5
+        lines.append(f"{math.cos(u):.6f} {math.sin(u):.6f} {0.3 * u:.6f}")
+    path.write_text("\n".join(lines) + "\n")
 
 
 def commands(out: Path) -> list[tuple[str, ...]]:
     """Every csflab command line the digest runs, in order."""
     runs = []
-    for name, args in SIMULATIONS:
+    custom = ("--preset", "custom-file", "--path", str(out / OPEN_CURVE))
+    for name, args in (*SIMULATIONS, ("open", (*custom, "--t-end", "0.02", *_SIM))):
         for scheme in SCHEMES:
             target = str(out / "simulate" / f"{name}-{scheme}")
             runs.append(("simulate", *args, "--scheme", scheme, "--out", target))
@@ -72,6 +87,8 @@ def commands(out: Path) -> list[tuple[str, ...]]:
 
 def digest(out: Path) -> list[str]:
     """Run every command into ``out``; one ``sha256  path`` line per file."""
+    out.mkdir(parents=True, exist_ok=True)
+    write_open_curve(out / OPEN_CURVE)
     for argv in commands(out):
         with contextlib.redirect_stdout(io.StringIO()):
             status = csflab_main(list(argv))
