@@ -58,16 +58,22 @@ def analyze_directory(run_dir) -> list[RecordRow]:
 
     Reads run.csv for the recorded times, run.json for the configuration
     and vanishing-time estimate, and every snap_<step>.curve; returns rows
-    built by the same measurement code the live run used.  Every run.csv
-    step needs its snapshot and every snapshot its run.csv step.
+    built by the same measurement code the live run used.  run.csv must
+    hold as many rows as run.json records, every run.csv step needs its
+    snapshot and every snapshot its run.csv step.
     """
     run_dir = Path(run_dir)
     csv_path = run_dir / "run.csv"
     json_path = run_dir / "run.json"
     if not csv_path.is_file() or not json_path.is_file():
         raise InvalidArgumentError(f"{run_dir} is not a run directory")
-    recorded = {row.step: row for row in fileio.read_run_csv(csv_path)}
+    csv_rows = fileio.read_run_csv(csv_path)
     payload = fileio.read_run_json(json_path)
+    if len(csv_rows) != payload["rows"]:
+        raise InvalidArgumentError(
+            f"{json_path} records {payload['rows']} rows, but {csv_path} holds {len(csv_rows)}"
+        )
+    recorded = {row.step: row for row in csv_rows}
     config = fileio.config_from_json(payload)
     t_est = float(payload["t_est"])
 

@@ -47,7 +47,7 @@ import numpy as np
 from .chordarc import METRICS, MIN_FIELD_VERTICES, RatioField
 from .curve import CLOSED, OPEN, PERIODIC, SampledCurve, TOPOLOGIES
 from .errors import InvalidArgumentError
-from .flow import FlowConfig, RecordRow, RunRecord
+from .flow import FlowConfig, RecordRow, RunRecord, require_integer
 
 CURVE_MAGIC = "# csf-curve v1"
 FIELD_MAGIC = "# csf-ratiofield v1"
@@ -266,18 +266,21 @@ def write_run_json(record: RunRecord, path) -> None:
 
 
 def read_run_json(path) -> dict:
-    """The run.json payload, checked to give a ``FlowConfig`` and a float
-    ``t_est``; a malformed file raises an error naming ``path``."""
+    """The run.json payload, checked to give a ``FlowConfig``, a float
+    ``t_est`` and a non-negative integer ``rows``; a malformed file raises
+    an error naming ``path``."""
     try:
         payload = json.loads(Path(path).read_text())
     except ValueError as exc:
         raise InvalidArgumentError(f"{path}: invalid JSON: {exc}") from exc
-    keys = ("config", "t_est", "stop_reason")
+    keys = ("config", "t_est", "stop_reason", "rows")
     if not isinstance(payload, dict) or not payload.keys() >= set(keys):
         raise InvalidArgumentError(f"{path}: expected a JSON object with keys {keys}")
     try:
         config_from_json(payload)
         float(payload["t_est"])
+        if require_integer("rows", payload["rows"]) < 0:
+            raise InvalidArgumentError(f"rows must not be negative, got {payload['rows']}")
     except (TypeError, ValueError) as exc:
         raise InvalidArgumentError(f"{path}: {exc}") from exc
     return payload

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,14 @@ NO_REMESH = 10**9
 MAX_STEPS = 1_000_000
 
 
+def require_integer(name: str, value) -> int:
+    """``value`` as an ``int``: Python and numpy integers pass, a ``bool``
+    or any other type raises ``InvalidArgumentError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """Parameters controlling a flow run."""
@@ -73,6 +82,8 @@ class FlowConfig:
     sphere_radius: float | None = None  # fills the sphere_residual column
 
     def __post_init__(self):
+        for name in ("remesh_every", "record_every", "max_steps"):
+            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
         if not (0.0 < self.cfl <= 1.0):
             raise InvalidArgumentError("cfl must lie in (0, 1]")
         if self.remesh_every < 1 or self.record_every < 1:

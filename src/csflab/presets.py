@@ -18,6 +18,7 @@ import numpy as np
 
 from .curve import CLOSED, MIN_VERTICES, PERIODIC, SampledCurve
 from .errors import InvalidArgumentError
+from .flow import require_integer
 from .helix import GraphCurveSpec, helix_graph_spec
 
 CIRCLE = "circle"
@@ -62,6 +63,7 @@ class Preset:
             raise InvalidArgumentError(
                 f"unknown preset {self.name!r}; choose from {PRESET_NAMES}"
             )
+        object.__setattr__(self, "n", require_integer("n", self.n))
         if self.n < MIN_VERTICES[CLOSED]:  # the built-in curves are closed or periodic
             raise InvalidArgumentError(
                 f"presets need at least {MIN_VERTICES[CLOSED]} vertices, got {self.n}"

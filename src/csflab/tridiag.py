@@ -8,26 +8,40 @@ the correction column straight into one Fortran-ordered array, the layout
 the way in; one factorization serves all columns.  The correction is
 applied by broadcasting along the rows of the transposed solution.
 
-``dgtsv`` comes from SciPy's compiled LAPACK wrapper module,
-``scipy.linalg._flapack``, loaded on its own from the install directory
-that ``importlib.util.find_spec`` reports, so neither ``scipy/__init__.py``
-nor ``scipy/linalg/__init__.py`` runs: the first leaves about 1.3 MB
-resident, the second, most of it SciPy's array-API layer cloning the numpy
-namespace, would nearly triple csflab's import time, and one LAPACK call
-needs neither.  Where that load fails, as it can where SciPy's package
-init (its ``_distributor_init`` hook) sets up the library search path,
-``scipy`` is imported and the load repeated.  ``dgtsv`` is the same
-function object that ``scipy.linalg.lapack`` re-exports, so every solve is
-unchanged.
+``dgtsv`` comes from the OpenBLAS that numpy already links.  ``import
+numpy`` loads ``numpy.linalg._umath_linalg``; ``ctypes.CDLL`` on that
+library returns its handle, which also resolves the symbols of the
+OpenBLAS it depends on.  numpy's wheels export LAPACK with 64-bit integers
+(ILP64) under ``scipy_dgtsv_64_``, and OpenBLAS64 builds without the
+``scipy_`` prefix under ``dgtsv_64_``: the ``64_`` suffix is what fixes
+the integer arguments at 64 bits, so no other name is looked up.  The
+argument types are declared, the integers as pointers to ``c_int64`` and
+the arrays as ``c_void_p`` addresses: ctypes passes an undeclared Python
+int as a 32-bit C ``int``, which cuts an address short.  Each solve
+copies the three diagonals and the right-hand sides into one ``float64``
+work array ``[dl | d | du | B]``, ``B`` in Fortran order, with one
+``np.concatenate``, so the caller's arrays are never written; ``gtsv``
+overwrites the copy and leaves the solution in its ``B`` part, returned
+as a view.  The sizes are checked first: LAPACK trusts n.
 
-The module is loaded by the first ``solve_tridiagonal`` call, not at
-import: explicit runs, the sphere flow and the chord-arc tools never solve
-a system, and SciPy with its OpenBLAS would cost them start-up time and
-resident memory for nothing.
+Where numpy exports neither name (Windows, numpy on Accelerate, distro
+builds of numpy), ``dgtsv`` comes from SciPy's compiled LAPACK wrapper
+module, ``scipy.linalg._flapack``, loaded on its own from the install
+directory that ``importlib.util.find_spec`` reports, so neither
+``scipy/__init__.py`` nor ``scipy/linalg/__init__.py`` runs.  Where that
+load fails, as it can where SciPy's package init (its
+``_distributor_init`` hook) sets up the library search path, ``scipy`` is
+imported and the load repeated.  Both routes run the same LAPACK routine
+on the same arrays and give the same bits.
+
+The lookup, and the SciPy load where it is needed, run on the first
+``solve_tridiagonal`` call, not at import, and are cached: explicit runs,
+the sphere flow and the chord-arc tools never solve a system.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import importlib.machinery
 import importlib.util
@@ -35,8 +49,30 @@ import os
 import sys
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import NumericalFailureError
+from .errors import InvalidArgumentError, NumericalFailureError
+
+# dgtsv with 64-bit integers, as numpy's wheels and OpenBLAS64 export it
+_ILP64_GTSV = ("scipy_dgtsv_64_", "dgtsv_64_")
+
+
+@functools.cache
+def _numpy_gtsv():
+    """numpy's LAPACK ``dgtsv`` with its arguments declared, or None."""
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in _ILP64_GTSV:
+        gtsv = getattr(lib, name, None)
+        if gtsv is not None:
+            int64 = ctypes.POINTER(ctypes.c_int64)
+            # N, NRHS, DL, D, DU, B, LDB, INFO
+            gtsv.argtypes = (int64, int64, *[ctypes.c_void_p] * 4, int64, int64)
+            gtsv.restype = None
+            return gtsv
+    return None
 
 
 def _exec_flapack(scipy_dir: str):
@@ -69,6 +105,21 @@ def _load_flapack():
         return _exec_flapack(scipy_dir)
 
 
+def _solve_numpy(gtsv, lower, diag, upper, rhs):
+    """``gtsv`` on a copy of the system: the solution and LAPACK's info."""
+    n = len(diag)
+    work = np.concatenate((lower[1:], diag, upper[:-1], rhs.ravel("F")), dtype=np.float64)
+    dl = ctypes.addressof(ctypes.c_double.from_buffer(work))
+    d = dl + 8 * (n - 1)  # 8 bytes per float64
+    du = d + 8 * n
+    b = du + 8 * (n - 1)
+    info = ctypes.c_int64()
+    size = ctypes.c_int64(n)
+    gtsv(size, ctypes.c_int64(rhs.size // n), dl, d, du, b, size, info)
+    # B holds the columns one after another: the transpose of a C-order view
+    return work[3 * n - 2 :].reshape(rhs.shape[::-1]).T, info.value
+
+
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solve a tridiagonal system.
 
@@ -76,7 +127,22 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     multiplies x[i+1] (upper[-1] ignored).  ``rhs`` may be (n,) or (n, k).
     Raises ``NumericalFailureError`` on a zero pivot or a non-finite result.
     """
-    *_, x, info = _load_flapack().dgtsv(lower[1:], diag, upper[:-1], rhs)
+    rhs = np.asarray(rhs)
+    n, shape = len(diag), rhs.shape
+    if not 0 < len(shape) < 3 or len(lower) != n or len(upper) != n or shape[0] != n:
+        raise InvalidArgumentError(
+            f"tridiagonal system with diagonals of length {len(lower)}, {n} and "
+            f"{len(upper)} does not fit a right-hand side of shape {shape}"
+        )
+    if n < 2:
+        raise InvalidArgumentError("tridiagonal system needs at least 2 rows")
+    gtsv = _numpy_gtsv()
+    if gtsv is None:
+        *_, x, info = _load_flapack().dgtsv(lower[1:], diag, upper[:-1], rhs)
+    else:
+        x, info = _solve_numpy(gtsv, lower, diag, upper, rhs)
+    if info < 0:
+        raise NumericalFailureError(f"LAPACK gtsv rejected its argument {-info}")
     if info > 0:
         raise NumericalFailureError(
             f"singular tridiagonal system: zero pivot in row {info}"

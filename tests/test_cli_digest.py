@@ -2,7 +2,8 @@
 
 Two runs of ``tools/cli_digest.py`` with different ``PYTHONHASHSEED``
 values must print the same digests: no output may depend on the string
-hash order of one interpreter.
+hash order of one interpreter. A third run takes LAPACK ``gtsv`` from
+SciPy's wrapper instead of numpy's OpenBLAS and must print them too.
 """
 
 import os
@@ -10,13 +11,28 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
+# cli_digest with numpy's gtsv lookup failing, as where numpy exports none
+FALLBACK = """\
+import sys
+sys.path.insert(0, "tools")
+from csflab import tridiag
+tridiag._numpy_gtsv = lambda: None
+import cli_digest
+status = cli_digest.main([])
+assert "scipy.linalg._flapack" in sys.modules, "no solve went through scipy"
+sys.exit(status)
+"""
 
-def digest(hash_seed):
+
+def digest(hash_seed, fallback=False):
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(ROOT / "src"))
+    script = ["-c", FALLBACK] if fallback else ["tools/cli_digest.py"]
     proc = subprocess.run(
-        [sys.executable, "-B", "tools/cli_digest.py"],
+        [sys.executable, "-B", *script],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -27,8 +43,13 @@ def digest(hash_seed):
     return proc.stdout.splitlines()
 
 
-def test_cli_outputs_do_not_depend_on_the_hash_seed():
-    one, two = digest(1), digest(2)
+@pytest.fixture(scope="module")
+def default_digest():
+    return digest(1)
+
+
+def test_cli_outputs_do_not_depend_on_the_hash_seed(default_digest):
+    one, two = default_digest, digest(2)
     assert one == two
     paths = [line.split("  ", 1)[1] for line in one]
     # every command wrote its files: 14 simulate runs (the open custom-file
@@ -38,3 +59,7 @@ def test_cli_outputs_do_not_depend_on_the_hash_seed():
     assert "open.curve" in paths
     assert sum(p.endswith("/ratiofield.txt") for p in paths) == 2
     assert "sphere/consistency.csv" in paths and "scan/fscan.csv" in paths
+
+
+def test_cli_outputs_do_not_depend_on_the_lapack_route(default_digest):
+    assert digest(1, fallback=True) == default_digest

@@ -271,6 +271,21 @@ def test_config_validation():
         FlowConfig(record_every=0)
 
 
+@pytest.mark.parametrize("name", ["remesh_every", "record_every", "max_steps"])
+@pytest.mark.parametrize("value", [2.5, 5.0, True, np.bool_(True), "5", None])
+def test_config_step_counts_must_be_integers(name, value):
+    # a fractional cadence would record and remesh on a rounded-up cadence
+    with pytest.raises(InvalidArgumentError, match=f"{name} must be an integer, got "):
+        FlowConfig(**{name: value})
+
+
+@pytest.mark.parametrize("name", ["remesh_every", "record_every", "max_steps"])
+@pytest.mark.parametrize("value", [np.int64(5), np.int32(5), np.uint8(5)])
+def test_config_step_counts_take_numpy_integers_as_int(name, value):
+    value = getattr(FlowConfig(**{name: value}), name)
+    assert value == 5 and type(value) is int
+
+
 def random_curve(seed, n, topology):
     rng = np.random.default_rng(seed)
     pts = rng.normal(size=(n, 3))

@@ -291,6 +291,20 @@ def test_helix_presets_reject_a_non_positive_or_b_zero(name, a, b):
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
+@pytest.mark.parametrize("n", [8.5, 9.0, True, "9"])
+def test_presets_need_an_integer_vertex_count(name, n):
+    # n=8.5 built a 9-vertex ellipse with a short closing segment
+    with pytest.raises(InvalidArgumentError, match=f"n must be an integer, got {n!r}"):
+        make_preset(name, n=n)
+
+
+def test_presets_take_numpy_integers_as_int():
+    preset = make_preset(ELLIPSE, n=np.int64(9))
+    assert preset.n == 9 and type(preset.n) is int
+    assert build_curve(preset).n == 9
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_need_as_many_vertices_as_their_curves(name):
     # every built-in curve is closed or periodic, so 8 vertices at least
     with pytest.raises(InvalidArgumentError, match="presets need at least 8 vertices, got 7"):
@@ -363,6 +377,13 @@ def test_helix_radius_b_zero_is_circle():
         helix_radius_at(1.0, 0.0, 0.5)
 
 
+# one semi-implicit step, the first tridiagonal solve of the interpreter
+STEP = (
+    "from csflab import flow; flow.step_semi_implicit("
+    "flow.make_state(csflab.build_curve(csflab.make_preset('circle', n=16))), 1e-3)"
+)
+
+
 @pytest.mark.parametrize(
     "then, check",
     [
@@ -383,19 +404,27 @@ def test_helix_radius_b_zero_is_circle():
             "'scipy' not in sys.modules",
             id="no-scipy-without-a-solve",
         ),
-        # the first tridiagonal solve loads LAPACK
+        # the first tridiagonal solve looks LAPACK up, not the import
         pytest.param(
-            "from csflab import flow; flow.step_semi_implicit("
-            "flow.make_state(csflab.build_curve(csflab.make_preset('circle', n=16))), 1e-3)",
-            "'scipy.linalg._flapack' in sys.modules",
+            "from csflab import flow, tridiag\n"
+            "before = tridiag._numpy_gtsv.cache_info().currsize\n" + STEP,
+            "(before, tridiag._numpy_gtsv.cache_info().currsize) == (0, 1)",
             id="lapack-on-first-solve",
         ),
-        # ... without running scipy's own package init
+        # where numpy's OpenBLAS exports gtsv, a step loads nothing of scipy
         pytest.param(
-            "from csflab import flow; flow.step_semi_implicit("
-            "flow.make_state(csflab.build_curve(csflab.make_preset('circle', n=16))), 1e-3)",
-            "'scipy' not in sys.modules and 'scipy.linalg._flapack' in sys.modules",
+            STEP,
+            "csflab.tridiag._numpy_gtsv() is None"
+            " or not {'scipy', 'scipy.linalg._flapack'} & sys.modules.keys()",
             id="lapack-without-scipy-init",
+        ),
+        # where it does not, the step loads scipy's LAPACK wrapper on its
+        # own, without running scipy's package init
+        pytest.param(
+            "from csflab import tridiag\n"
+            "tridiag._numpy_gtsv = lambda: None\n" + STEP,
+            "'scipy' not in sys.modules and 'scipy.linalg._flapack' in sys.modules",
+            id="lapack-fallback-without-scipy-init",
         ),
         # where the direct load fails (a platform whose scipy package init
         # must set up the library path), scipy is imported and the load

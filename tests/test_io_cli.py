@@ -698,6 +698,33 @@ def test_cli_analyze_rejects_a_missing_snapshot(tmp_path, capsys):
     assert not (out / "analyze.csv").exists()
 
 
+def test_cli_analyze_rejects_a_lost_run_csv_row(tmp_path, capsys):
+    # the last row and its snapshot gone: run.json still counts both rows
+    out = tmp_path / "run"
+    assert run_cli([
+        "simulate", "--preset", "ellipse", "--n", "64",
+        "--t-end", "0.02", "--record-every", "5", "--out", str(out),
+    ]) == 0
+    rows = read_run_csv(out / "run.csv")
+    assert len(rows) == 2 and read_run_json(out / "run.json")["rows"] == 2
+    write_run_csv(rows[:1], out / "run.csv")
+    (out / f"snap_{rows[1].step}.curve").unlink()
+    capsys.readouterr()
+    assert run_cli(["analyze", "--dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {out / 'run.json'} records 2 rows, but {out / 'run.csv'} holds 1\n"
+    )
+    assert not (out / "analyze.csv").exists()
+
+
+def test_run_json_writes_numpy_integer_config(tmp_path):
+    cfg = FlowConfig(t_end=0.01, record_every=np.int64(20), max_steps=np.int32(50))
+    path = tmp_path / "run.json"
+    write_run_json(run(circle(32), cfg), path)
+    assert config_from_json(read_run_json(path)) == cfg
+
+
 @pytest.mark.parametrize("name", ["run.csv", "snap_0.curve"])
 def test_cli_analyze_rejects_undecodable_bytes(tmp_path, capsys, name):
     out = tmp_path / "run"
@@ -837,6 +864,11 @@ def test_cli_exit_codes(tmp_path):
         lambda payload: json.dumps({**payload, "config": {**payload["config"], "bogus": 1}}),
         lambda payload: json.dumps({**payload, "config": {**payload["config"], "cfl": "x"}}),
         lambda payload: json.dumps({**payload, "t_est": "soon"}),
+        lambda payload: json.dumps({**payload, "config": {**payload["config"], "record_every": 2.5}}),
+        lambda payload: json.dumps({k: v for k, v in payload.items() if k != "rows"}),
+        lambda payload: json.dumps({**payload, "rows": -1}),
+        lambda payload: json.dumps({**payload, "rows": 2.0}),
+        lambda payload: json.dumps({**payload, "rows": True}),
     ],
     ids=[
         "invalid-json",
@@ -845,6 +877,11 @@ def test_cli_exit_codes(tmp_path):
         "unknown-config-key",
         "mistyped-config-value",
         "t_est-not-a-number",
+        "fractional-record_every",
+        "rows-missing",
+        "rows-negative",
+        "rows-not-an-integer",
+        "rows-a-bool",
     ],
 )
 def test_cli_analyze_rejects_malformed_run_json(tmp_path, capsys, corrupt):

@@ -1,10 +1,30 @@
-"""Tridiagonal solvers checked against dense linear algebra."""
+"""Tridiagonal solvers checked against dense linear algebra, and the two
+routes to LAPACK ``gtsv`` against each other."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from csflab.errors import NumericalFailureError
+from csflab import tridiag
+from csflab.errors import InvalidArgumentError, NumericalFailureError
 from csflab.tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
+
+# the default route (numpy's OpenBLAS through ctypes where it exports gtsv)
+# and the forced fallback to SciPy's wrapper
+PATHS = ("default", "scipy")
+
+needs_numpy_gtsv = pytest.mark.skipif(
+    tridiag._numpy_gtsv() is None, reason="numpy exports no ILP64 gtsv here"
+)
+
+
+def on_path(path, solve, *args):
+    """``solve(*args)`` with LAPACK taken from ``path``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if path == "scipy":
+            mp.setattr(tridiag, "_numpy_gtsv", lambda: None)
+        return solve(*args)
 
 
 def dense_tridiagonal(lower, diag, upper, cyclic):
@@ -76,8 +96,15 @@ def test_singular_system_raises(solve):
     diag = np.ones(n)
     diag[1] = 0.0
     zeros = np.zeros(n)
-    with pytest.raises(NumericalFailureError, match="singular"):
-        solve(zeros, diag, zeros, np.ones((n, 2)))
+    messages = []
+    for path in PATHS:
+        with pytest.raises(NumericalFailureError, match="singular") as info:
+            on_path(path, solve, zeros, diag, zeros, np.ones((n, 2)))
+        messages.append(str(info.value))
+    # both routes report the same pivot
+    assert messages[0] == messages[1]
+    if solve is solve_tridiagonal:
+        assert messages[0] == "singular tridiagonal system: zero pivot in row 2"
 
 
 @pytest.mark.parametrize("solve", [solve_tridiagonal, solve_cyclic_tridiagonal])
@@ -89,6 +116,52 @@ def test_solves_leave_their_arguments_unchanged(solve, shape):
     rhs = {"1-D": rhs[:, 0].copy(), "C": rhs, "F": np.asfortranarray(rhs)}[shape]
     args = (lower, diag, upper, rhs)
     before = [a.copy() for a in args]
-    solve(*args)
-    for arg, saved in zip(args, before):
-        assert np.array_equal(arg.view(np.int64), saved.view(np.int64))
+    for path in PATHS:
+        on_path(path, solve, *args)
+        for arg, saved in zip(args, before):
+            assert np.array_equal(arg.view(np.int64), saved.view(np.int64)), path
+
+
+@needs_numpy_gtsv
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 2048),
+    columns=st.sampled_from([None, 1, 3, 4]),
+    order=st.sampled_from("CF"),
+    pivoting=st.booleans(),
+)
+def test_numpy_gtsv_equals_scipy_gtsv_bit_for_bit(seed, n, columns, order, pivoting):
+    from scipy.linalg.lapack import dgtsv
+
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-1.0, 1.0, n)
+    upper = rng.uniform(-1.0, 1.0, n)
+    # a diagonal below the sub-diagonal makes gtsv interchange rows
+    diag = rng.uniform(-0.1, 0.1, n) if pivoting else 3.0 + rng.uniform(0.0, 1.0, n)
+    shape = n if columns is None else (n, columns)
+    rhs = np.asarray(rng.standard_normal(shape), order=order)
+    *_, expected, info = dgtsv(lower[1:], diag, upper[:-1], rhs)
+    assert info == 0
+    if not np.isfinite(expected).all():
+        with pytest.raises(NumericalFailureError, match="non-finite"):
+            solve_tridiagonal(lower, diag, upper, rhs)
+        return
+    x = solve_tridiagonal(lower, diag, upper, rhs)
+    assert x.shape == expected.shape and x.flags.f_contiguous
+    assert np.array_equal(x.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize(
+    "sizes, rhs_shape",
+    [((9, 10, 10), (10, 2)), ((10, 10, 11), (10,)), ((10, 10, 10), (9, 2)),
+     ((10, 10, 10), (10, 2, 1)), ((1, 1, 1), (1,))],
+    ids=["short-lower", "long-upper", "short-rhs", "3-D-rhs", "one-row"],
+)
+def test_mismatched_systems_are_rejected_before_lapack(path, sizes, rhs_shape):
+    # gtsv reads and writes n-sized arrays: a short one must never reach it
+    lower, diag, upper = (np.ones(size) for size in sizes)
+    with pytest.raises(InvalidArgumentError, match="tridiagonal system"):
+        on_path(path, solve_tridiagonal, lower, 3.0 * diag, upper, np.ones(rhs_shape))
+
