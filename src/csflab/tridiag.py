@@ -25,14 +25,9 @@ overwrites the copy and leaves the solution in its ``B`` part, returned
 as a view.  The sizes are checked first: LAPACK trusts n.
 
 Where numpy exports neither name (Windows, numpy on Accelerate, distro
-builds of numpy), ``dgtsv`` comes from SciPy's compiled LAPACK wrapper
-module, ``scipy.linalg._flapack``, loaded on its own from the install
-directory that ``importlib.util.find_spec`` reports, so neither
-``scipy/__init__.py`` nor ``scipy/linalg/__init__.py`` runs.  Where that
-load fails, as it can where SciPy's package init (its
-``_distributor_init`` hook) sets up the library search path, ``scipy`` is
-imported and the load repeated.  Both routes run the same LAPACK routine
-on the same arrays and give the same bits.
+builds of numpy), ``dgtsv`` comes from ``scipy.linalg.lapack``, imported
+on that first solve.  Both routes run the same LAPACK routine on the same
+arrays, after the same argument checks, and give the same bits.
 
 The lookup, and the SciPy load where it is needed, run on the first
 ``solve_tridiagonal`` call, not at import, and are cached: explicit runs,
@@ -43,10 +38,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import importlib.machinery
-import importlib.util
-import os
-import sys
+import math
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -75,34 +67,12 @@ def _numpy_gtsv():
     return None
 
 
-def _exec_flapack(scipy_dir: str):
-    """``scipy.linalg._flapack`` loaded from ``scipy_dir`` and registered."""
-    name = "scipy.linalg._flapack"
-    spec = importlib.machinery.PathFinder.find_spec(
-        name, [os.path.join(scipy_dir, "linalg")]
-    )
-    if spec is None:
-        raise ImportError(f"cannot find {name}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    # registered as the import system would, so a later ``scipy.linalg``
-    # import reuses this module instead of loading a second one
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
 @functools.cache
 def _load_flapack():
-    spec = importlib.util.find_spec("scipy")
-    if spec is None:
-        raise ImportError("cannot find scipy, which supplies LAPACK gtsv", name="scipy")
-    scipy_dir = spec.submodule_search_locations[0]
-    try:
-        return _exec_flapack(scipy_dir)
-    except ImportError:
-        import scipy  # noqa: F401  its package init sets up the library path
+    """SciPy's LAPACK wrappers, for hosts where numpy exports no ``dgtsv``."""
+    from scipy.linalg import lapack
 
-        return _exec_flapack(scipy_dir)
+    return lapack
 
 
 def _solve_numpy(gtsv, lower, diag, upper, rhs):
@@ -120,22 +90,41 @@ def _solve_numpy(gtsv, lower, diag, upper, rhs):
     return work[3 * n - 2 :].reshape(rhs.shape[::-1]).T, info.value
 
 
+def _checked_system(lower, diag, upper, rhs, min_rows, name):
+    """The system as arrays, after the checks both LAPACK routes rely on.
+
+    ``gtsv`` trusts n and the column count, and on a complex entry one route
+    raises where the other drops the imaginary part.
+    """
+    lower, diag, upper, rhs = map(np.asarray, (lower, diag, upper, rhs))
+    n, shape = len(diag), rhs.shape
+    if not 0 < len(shape) < 3 or len(lower) != n or len(upper) != n or shape[0] != n:
+        raise InvalidArgumentError(
+            f"{name} with diagonals of length {len(lower)}, {n} and "
+            f"{len(upper)} does not fit a right-hand side of shape {shape}"
+        )
+    if n < min_rows:
+        raise InvalidArgumentError(f"{name} needs at least {min_rows} rows")
+    if rhs.size == 0:
+        raise InvalidArgumentError(f"{name} has a right-hand side with no columns")
+    dtype = np.result_type(lower, diag, upper, rhs)
+    if dtype.kind not in "biuf":
+        raise InvalidArgumentError(f"{name} must have real entries, not {dtype}")
+    return lower, diag, upper, rhs
+
+
 def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     """Solve a tridiagonal system.
 
     ``lower[i]`` multiplies x[i-1] in row i (lower[0] ignored), ``upper[i]``
     multiplies x[i+1] (upper[-1] ignored).  ``rhs`` may be (n,) or (n, k).
-    Raises ``NumericalFailureError`` on a zero pivot or a non-finite result.
+    Raises ``InvalidArgumentError`` on sizes that do not fit, fewer than 2
+    rows, no column or a non-real entry, and ``NumericalFailureError`` on a
+    zero pivot or a non-finite result.
     """
-    rhs = np.asarray(rhs)
-    n, shape = len(diag), rhs.shape
-    if not 0 < len(shape) < 3 or len(lower) != n or len(upper) != n or shape[0] != n:
-        raise InvalidArgumentError(
-            f"tridiagonal system with diagonals of length {len(lower)}, {n} and "
-            f"{len(upper)} does not fit a right-hand side of shape {shape}"
-        )
-    if n < 2:
-        raise InvalidArgumentError("tridiagonal system needs at least 2 rows")
+    lower, diag, upper, rhs = _checked_system(
+        lower, diag, upper, rhs, 2, "tridiagonal system"
+    )
     gtsv = _numpy_gtsv()
     if gtsv is None:
         *_, x, info = _load_flapack().dgtsv(lower[1:], diag, upper[:-1], rhs)
@@ -159,22 +148,26 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     ``lower[0]`` (row 0, last column) and ``upper[-1]`` (last row, column 0).
     The cyclic corners are removed by a rank-one update and restored with the
     Sherman-Morrison formula, so only one banded factorization is needed.
+    Arguments are checked as in ``solve_tridiagonal``, with at least 3 rows.
     """
+    lower, diag, upper, rhs = _checked_system(
+        lower, diag, upper, rhs, 3, "cyclic tridiagonal system"
+    )
     n = len(diag)
-    if n < 3:
-        raise NumericalFailureError("cyclic system needs at least 3 rows")
-    single = np.ndim(rhs) == 1
-    k = 1 if single else np.shape(rhs)[1]
+    single = rhs.ndim == 1
+    k = 1 if single else rhs.shape[1]
 
     mod_diag = np.array(diag, dtype=float)
-    gamma = -mod_diag[0]
+    # any nonzero gamma gives the same solution; -diag[0] is the usual
+    # choice, and a zero diag[0] takes the scale of its row instead
+    gamma = -mod_diag[0] or -float(abs(lower[0]) + abs(upper[0])) or -1.0
     mod_diag[0] -= gamma
     mod_diag[-1] -= upper[-1] * lower[0] / gamma
 
     # columns 0..k-1 hold the right-hand sides, column k the vector
     # u = (gamma, 0, ..., 0, upper[-1]) of the rank-one update
     b = np.zeros((n, k + 1), order="F")
-    b[:, :k] = np.reshape(rhs, (n, k))
+    b[:, :k] = rhs.reshape(n, k)
     b[0, k] = gamma
     b[-1, k] = upper[-1]
     sol = solve_tridiagonal(lower, mod_diag, upper, b).T
@@ -183,8 +176,9 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     # v = (1, 0, ..., 0, lower[0] / gamma)
     ratio = lower[0] / gamma
     denom = 1.0 + z[0] + ratio * z[-1]
-    if abs(denom) < 1e-300:
-        raise NumericalFailureError("cyclic closure is singular")
+    # a NaN denominator would pass the size test alone
+    if not (math.isfinite(ratio) and math.isfinite(denom)) or abs(denom) < 1e-300:
+        raise NumericalFailureError(f"cyclic closure is singular: denominator {denom}")
     vy = y[:, 0] + ratio * y[:, -1]
     x = (y - (vy / denom)[:, None] * z).T
     return x[:, 0] if single else x

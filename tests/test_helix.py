@@ -418,34 +418,17 @@ STEP = (
             " or not {'scipy', 'scipy.linalg._flapack'} & sys.modules.keys()",
             id="lapack-without-scipy-init",
         ),
-        # where it does not, the step loads scipy's LAPACK wrapper on its
-        # own, without running scipy's package init
+        # where it does not, the step imports scipy.linalg.lapack
         pytest.param(
             "from csflab import tridiag\n"
             "tridiag._numpy_gtsv = lambda: None\n" + STEP,
-            "'scipy' not in sys.modules and 'scipy.linalg._flapack' in sys.modules",
-            id="lapack-fallback-without-scipy-init",
-        ),
-        # where the direct load fails (a platform whose scipy package init
-        # must set up the library path), scipy is imported and the load
-        # repeated, giving the dgtsv that scipy.linalg hands out
-        pytest.param(
-            "from csflab import tridiag\n"
-            "direct = tridiag._exec_flapack\n"
-            "def fail_once(scipy_dir):\n"
-            "    tridiag._exec_flapack = direct\n"
-            "    raise ImportError('library search path not set up')\n"
-            "tridiag._exec_flapack = fail_once\n"
-            "dgtsv = tridiag._load_flapack().dgtsv\n"
-            "fell_back = 'scipy' in sys.modules and tridiag._exec_flapack is direct\n"
-            "import scipy.linalg.lapack",
-            "fell_back and dgtsv is scipy.linalg.lapack.dgtsv",
-            id="lapack-after-scipy-init-on-import-error",
+            "'scipy.linalg.lapack' in sys.modules",
+            id="lapack-fallback-imports-scipy-linalg",
         ),
     ]
     + [
-        # tridiag loads scipy.linalg._flapack on its own; scipy.linalg,
-        # imported before or after, must hand out the very same dgtsv
+        # the fallback and scipy.linalg, imported before or after, hand out
+        # the very same dgtsv
         pytest.param(
             then,
             "csflab.tridiag._load_flapack().dgtsv is scipy.linalg.lapack.dgtsv",

@@ -1,6 +1,11 @@
 """Tridiagonal solvers checked against dense linear algebra, and the two
 routes to LAPACK ``gtsv`` against each other."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,16 +157,83 @@ def test_numpy_gtsv_equals_scipy_gtsv_bit_for_bit(seed, n, columns, order, pivot
     assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
 
+# (diagonal lengths, right-hand side) of systems no route may take
+MISMATCHED = {
+    "short-lower": ((9, 10, 10), np.ones((10, 2))),
+    "long-upper": ((10, 10, 11), np.ones(10)),
+    "short-rhs": ((10, 10, 10), np.ones((9, 2))),
+    "3-D-rhs": ((10, 10, 10), np.ones((10, 2, 1))),
+    "one-row": ((1, 1, 1), np.ones(1)),
+    # numpy's route would refuse the cast, SciPy's drop the imaginary part
+    "complex-rhs": ((10, 10, 10), 1j * np.ones(10)),
+}
+
+
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize(
-    "sizes, rhs_shape",
-    [((9, 10, 10), (10, 2)), ((10, 10, 11), (10,)), ((10, 10, 10), (9, 2)),
-     ((10, 10, 10), (10, 2, 1)), ((1, 1, 1), (1,))],
-    ids=["short-lower", "long-upper", "short-rhs", "3-D-rhs", "one-row"],
+    "solve, sizes, rhs",
+    [pytest.param(solve_tridiagonal, *case, id=name) for name, case in MISMATCHED.items()]
+    + [
+        pytest.param(solve_cyclic_tridiagonal, *case, id=f"cyclic-{name}")
+        for name, case in {**MISMATCHED, "two-rows": ((2, 2, 2), np.ones(2))}.items()
+    ],
 )
-def test_mismatched_systems_are_rejected_before_lapack(path, sizes, rhs_shape):
+def test_mismatched_systems_are_rejected_before_lapack(path, solve, sizes, rhs):
     # gtsv reads and writes n-sized arrays: a short one must never reach it
     lower, diag, upper = (np.ones(size) for size in sizes)
     with pytest.raises(InvalidArgumentError, match="tridiagonal system"):
-        on_path(path, solve_tridiagonal, lower, 3.0 * diag, upper, np.ones(rhs_shape))
+        on_path(path, solve, lower, 3.0 * diag, upper, rhs)
 
+
+# both solvers on an (8, 0) right-hand side; SciPy's dgtsv takes one and
+# then crashes the interpreter at exit, so each route gets a fresh one
+NO_COLUMNS = """\
+import numpy as np
+from csflab import tridiag
+from csflab.errors import InvalidArgumentError
+if {fallback}:
+    tridiag._numpy_gtsv = lambda: None
+for solve in (tridiag.solve_tridiagonal, tridiag.solve_cyclic_tridiagonal):
+    try:
+        solve(np.ones(8), np.full(8, 3.0), np.ones(8), np.ones((8, 0)))
+    except InvalidArgumentError as err:
+        print(err)
+"""
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_right_hand_side_without_columns_is_rejected(path):
+    env = dict(os.environ, PYTHONPATH=str(Path(tridiag.__file__).resolve().parents[1]))
+    code = NO_COLUMNS.format(fallback=path == "scipy")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "tridiagonal system has a right-hand side with no columns",
+        "cyclic tridiagonal system has a right-hand side with no columns",
+    ]
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_cyclic_with_zero_first_diagonal_entry(path):
+    # the Sherman-Morrison shift -diag[0] would be zero here, although the
+    # system is well conditioned (condition number about 8)
+    n = 8
+    lower, upper = np.ones(n), np.ones(n)
+    diag = np.full(n, 3.0)
+    diag[0] = 0.0
+    rhs = np.random.default_rng(13).standard_normal((n, 2))
+    m = dense_tridiagonal(lower, diag, upper, cyclic=True)
+    x = on_path(path, solve_cyclic_tridiagonal, lower, diag, upper, rhs)
+    assert np.abs(x - np.linalg.solve(m, rhs)).max() < 1e-13
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_cyclic_closure_overflow_raises(path):
+    # lower[0] / gamma overflows while the banded solve stays finite: the
+    # Sherman-Morrison denominator is NaN, and the solve must not return it
+    n = 8
+    lower, upper, diag = np.zeros(n), np.zeros(n), np.ones(n)
+    lower[0], diag[0] = 1e308, 1e-10
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalFailureError, match="cyclic closure"):
+            on_path(path, solve_cyclic_tridiagonal, lower, diag, upper, np.ones(n))
