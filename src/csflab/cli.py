@@ -128,18 +128,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    preset = _preset_from_args(args)
-    flags = {name: getattr(args, name) for name, _ in _FLOW_FLAGS}
-    config = FlowConfig(scheme=args.scheme, **flags)
+def _simulate_and_emit(preset, config: FlowConfig, out):
+    """Run ``preset``, write its record to ``out``, and return both.
+
+    A run that fails or is interrupted writes the rows it reached before
+    the error goes on to ``main``, which picks the exit code.
+    """
     try:
         record = simulate_preset(preset, config)
     except (NumericalFailureError, KeyboardInterrupt) as exc:
         partial = getattr(exc, "record", None)
         if partial is not None and partial.rows:
-            emit_record(partial, args.out)
+            emit_record(partial, out)
         raise
-    emit_record(record, args.out)
+    return record, emit_record(record, out)
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    preset = _preset_from_args(args)
+    flags = {name: getattr(args, name) for name, _ in _FLOW_FLAGS}
+    config = FlowConfig(scheme=args.scheme, **flags)
+    record, _ = _simulate_and_emit(preset, config, args.out)
     print(
         f"wrote {Path(args.out) / 'run.csv'}: {len(record.rows)} rows, "
         f"stop={record.stop_reason}, t_est={record.t_est:g}"
@@ -206,8 +215,7 @@ def _cmd_sphere_verify(args: argparse.Namespace) -> int:
     if not 0.0 < args.t_end < 0.5:
         raise InvalidArgumentError("--t-end must lie in (0, 0.5)")
     config = FlowConfig(t_end=args.t_end, sphere_radius=1.0)
-    record = simulate_preset(preset, config)
-    out = emit_record(record, args.out)
+    _, out = _simulate_and_emit(preset, config, args.out)
     targets = args.t_end * np.arange(1, 7) / 6.0
     profile = consistency_profile(build_curve(preset), targets)
     write_table(CONSISTENCY_CSV, profile, out / "consistency.csv")

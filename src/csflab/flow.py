@@ -12,11 +12,17 @@ Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
   because it never blows up when remeshing changes min(ds) under the
   integrator.
 
+The backward-Euler system is built in one place, ``_backward_euler``; the
+intrinsic step of the sphere check, ``sphere.step_geodesic_flow``, solves
+it too, on the unit sphere, at a fixed dilated-time step instead of this
+module's step rule.
+
 ``run``, ``run_to_times`` and ``sphere.run_geodesic_flow`` share one time
 loop, ``_integrate``: the dt clamp, the landing on target times, the
 ``MAX_STEPS`` step cap, the failure message and the output attached on
 failure or interrupt live there; ``_run_to_targets`` drives it on a fixed
-grid.  Runs are deterministic: identical inputs give bit-identical records.
+grid with the caller's dt rule.  Runs are deterministic: identical inputs
+give bit-identical records.
 """
 
 from __future__ import annotations
@@ -148,16 +154,6 @@ def stable_step(geometry: CurveGeometry, cfl: float = 1.0) -> float:
     return cfl * float(geometry.ds.min()) ** 2 / 2.0
 
 
-def _check_explicit_dt(dt: float, geometry: CurveGeometry, name: str) -> None:
-    """Reject an explicit step ``name`` that is not positive or not stable."""
-    if not dt > 0.0:
-        raise InvalidArgumentError(f"{name} must be positive")
-    if dt > stable_step(geometry) * (1.0 + 1e-9):
-        raise InvalidArgumentError(
-            f"{name}={dt:g} exceeds the stability bound {stable_step(geometry):g}"
-        )
-
-
 def _stepped_curve(points: np.ndarray, like: SampledCurve, step: str) -> SampledCurve:
     """The curve a step moved ``like`` to, tested for non-finite vertices once.
 
@@ -173,12 +169,38 @@ def _stepped_curve(points: np.ndarray, like: SampledCurve, step: str) -> Sampled
         raise NumericalFailureError(message) from exc
 
 
+def _backward_euler(
+    curve: SampledCurve, geom: CurveGeometry, dt: float, solve_cyclic, solve_open
+) -> np.ndarray:
+    """Vertices, component-major (3, n), after one backward-Euler step.
+
+    Solves (I - dt*Lap) delta = dt * Lap(points) on the stencil rows of
+    ``geom``, the geometry of ``curve``, and adds delta to the vertices.
+    The caller passes the solvers it imported (``solve_cyclic`` for closed
+    and periodic curves, ``solve_open`` for the interior of open ones,
+    whose endpoints stay fixed), so each module's solves stay its own.
+    """
+    a, c = geom.lap_lower, geom.lap_upper
+    system = (-dt * a, 1.0 + dt * (a + c), -dt * c, dt * geom.laplacian)
+    if curve.is_cyclic():
+        moved = solve_cyclic(*system).T
+    else:
+        moved = np.zeros((3, curve.n))
+        moved[:, 1:-1] = solve_open(*system).T
+    moved += curve.points.T
+    return moved
+
+
 def step_explicit(state: FlowState, dt: float) -> FlowState:
     """Forward Euler step: each vertex moves by dt times its curvature vector.
 
     Open-curve endpoints are Dirichlet data and do not move.
     """
-    _check_explicit_dt(dt, state.geometry, "dt")
+    if not dt > 0.0:
+        raise InvalidArgumentError("dt must be positive")
+    bound = stable_step(state.geometry)
+    if dt > bound * (1.0 + 1e-9):
+        raise InvalidArgumentError(f"dt={dt:g} exceeds the stability bound {bound:g}")
     # component-major (3, n), the layout of the geometry and of the solves
     moved = dt * state.geometry.curvature_vectors.T
     if not state.curve.is_cyclic():
@@ -200,17 +222,10 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     """
     if not dt > 0.0:
         raise InvalidArgumentError("dt must be positive")
-    curve = state.curve
-    geom = state.geometry
-    a, c = geom.lap_lower, geom.lap_upper
-    system = (-dt * a, 1.0 + dt * (a + c), -dt * c, dt * geom.laplacian)
-    if curve.is_cyclic():
-        moved = solve_cyclic_tridiagonal(*system).T
-    else:
-        moved = np.zeros((3, curve.n))
-        moved[:, 1:-1] = solve_tridiagonal(*system).T
-    moved += curve.points.T
-    curve = _stepped_curve(moved.T, curve, "implicit")
+    moved = _backward_euler(
+        state.curve, state.geometry, dt, solve_cyclic_tridiagonal, solve_tridiagonal
+    )
+    curve = _stepped_curve(moved.T, state.curve, "implicit")
     return FlowState(curve, state.t + dt, state.step + 1, compute_geometry(curve))
 
 
@@ -351,13 +366,13 @@ def _integrate(
     return None
 
 
-def _run_to_targets(start, advance, cfl, targets, earliest, keep=None, **loop):
+def _run_to_targets(start, advance, dt_rule, targets, earliest, keep=None, **loop):
     """The fixed-grid driver: ``keep(state)``, or the state, at each target time.
 
     Targets increase strictly from ``earliest`` on, and are checked before
     ``start()`` makes the starting state, so a bad grid costs no geometry;
-    steps of ``stable_step(geometry, cfl)`` land within 1e-14; ``loop`` goes
-    to ``_integrate``.
+    steps of ``dt_rule(geometry)`` land within 1e-14; ``loop`` goes to
+    ``_integrate``.
     """
     targets = [float(t) for t in targets]
     # written so that a NaN target fails too
@@ -375,7 +390,7 @@ def _run_to_targets(start, advance, cfl, targets, earliest, keep=None, **loop):
     if _integrate(
         start(),
         advance,
-        lambda geom: stable_step(geom, cfl),
+        dt_rule,
         targets,
         1e-14,
         record,
@@ -477,7 +492,7 @@ def run_to_times(
     return _run_to_targets(
         lambda: make_state(initial),
         _STEPPERS[scheme],
-        cfl,
+        lambda geom: stable_step(geom, cfl),
         targets,
         0.0,
         keep=lambda st: (st.t, st.curve),

@@ -30,8 +30,8 @@ on that first solve.  Both routes run the same LAPACK routine on the same
 arrays, after the same argument checks, and give the same bits.
 
 The lookup, and the SciPy load where it is needed, run on the first
-``solve_tridiagonal`` call, not at import, and are cached: explicit runs,
-the sphere flow and the chord-arc tools never solve a system.
+``solve_tridiagonal`` call, not at import, and are cached: explicit runs
+and the chord-arc tools never solve a system.
 """
 
 from __future__ import annotations

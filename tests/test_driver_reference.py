@@ -7,7 +7,9 @@ snapshots, stop reason, vanishing-time estimate, landed ``(t, curve)``
 pairs and ``RescaledState``s) must agree bit for bit, compared as int64
 views.  Cases include targets that fall inside one landing tolerance but
 not the other, so the two tolerances (``1e-12`` in ``run``, ``1e-14`` in
-the other two) cannot trade places unnoticed.
+the other two) cannot trade places unnoticed.  The geodesic reference
+steps the fixed ``GEODESIC_DT`` where its old body took
+``stable_step(geometry, cfl)``, as ``run_geodesic_flow`` does now.
 """
 
 import dataclasses
@@ -47,7 +49,13 @@ from csflab.flow import (
     snapshot_diagnostics,
     stable_step,
 )
-from csflab.sphere import RescaledState, rescale, run_geodesic_flow, step_geodesic_flow
+from csflab.sphere import (
+    GEODESIC_DT,
+    RescaledState,
+    rescale,
+    run_geodesic_flow,
+    step_geodesic_flow,
+)
 
 
 # ---------------------------------------------------------------- references
@@ -164,7 +172,7 @@ def reference_run_to_times(initial, targets, cfl=0.5, scheme=EXPLICIT):
     return out
 
 
-def reference_run_geodesic_flow(state, t_tilde_targets, cfl=0.5):
+def reference_run_geodesic_flow(state, t_tilde_targets):
     targets = [float(x) for x in t_tilde_targets]
     if any(b <= a for a, b in zip(targets, targets[1:])):
         raise InvalidArgumentError("dilated target times must be increasing")
@@ -177,7 +185,7 @@ def reference_run_geodesic_flow(state, t_tilde_targets, cfl=0.5):
             while state.t_tilde < target * (1.0 - 1e-14):
                 geom = compute_geometry(state.curve_tilde)
                 good = (step, state.t_tilde, geom)
-                dt = min(stable_step(geom, cfl), target - state.t_tilde)
+                dt = min(GEODESIC_DT, target - state.t_tilde)
                 state = step_geodesic_flow(state, dt)
                 step += 1
             out.append(state)
@@ -369,21 +377,19 @@ def test_run_to_times_equals_reference(
     eps=st.floats(0.01, 0.3),
     harmonic=st.integers(2, 4),
     topology=st.sampled_from([CLOSED, OPEN]),
-    cfl=st.floats(0.1, 1.0),
     at_start=st.booleans(),
     multiples=st.lists(st.floats(0.2, 6.0), min_size=1, max_size=4),
     gap_index=st.one_of(st.none(), st.integers(0, len(GAPS) - 1)),
 )
 def test_run_geodesic_flow_equals_reference(
-    n, eps, harmonic, topology, cfl, at_start, multiples, gap_index
+    n, eps, harmonic, topology, at_start, multiples, gap_index
 ):
     start = rescale(sphere_curve(n, eps, harmonic, topology), 0.0)
-    dt0 = time_unit(start.curve_tilde, cfl)
     targets = [start.t_tilde] * at_start + later_targets(
-        start.t_tilde, dt0, multiples, gap_index
+        start.t_tilde, GEODESIC_DT, multiples, gap_index
     )
-    assert outcome(run_geodesic_flow, states_bits, start, targets, cfl) == outcome(
-        reference_run_geodesic_flow, states_bits, start, targets, cfl
+    assert outcome(run_geodesic_flow, states_bits, start, targets) == outcome(
+        reference_run_geodesic_flow, states_bits, start, targets
     )
 
 
@@ -401,8 +407,7 @@ def test_landing_gaps_take_the_expected_steps(gap_index):
     moved = new[-1][0] != new[-2][0]
     assert moved == (gap_index > 0)
     start = rescale(sphere_curve(32, 0.2, 3, CLOSED), 0.0)
-    dt0 = stable_step(compute_geometry(start.curve_tilde), 0.5)
-    targets = later_targets(start.t_tilde, dt0, [2.5], gap_index)
+    targets = later_targets(start.t_tilde, GEODESIC_DT, [2.5], gap_index)
     new = run_geodesic_flow(start, targets)
     assert states_bits(new) == states_bits(reference_run_geodesic_flow(start, targets))
     assert (new[-1].t_tilde != new[-2].t_tilde) == (gap_index > 0)

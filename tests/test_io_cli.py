@@ -943,6 +943,32 @@ def test_cli_simulate_keeps_rows_on_interrupt(tmp_path, monkeypatch):
     assert [r.L for r in rows] == [r.L for r in good.rows]
 
 
+@pytest.mark.parametrize(
+    "kind, code", [(NumericalFailureError, 2), (KeyboardInterrupt, 130)]
+)
+def test_cli_sphere_verify_keeps_rows_on_failure(tmp_path, monkeypatch, kind, code):
+    calls = []
+    real = flow._STEPPERS[flow.SEMI_IMPLICIT]
+
+    def fails_at_120(state, dt):
+        calls.append(None)
+        if len(calls) == 120:
+            raise kind("vertices collided")
+        return real(state, dt)
+
+    out = tmp_path / "sv"
+    monkeypatch.setitem(flow._STEPPERS, flow.SEMI_IMPLICIT, fails_at_120)
+    assert run_cli([
+        "sphere-verify", "--n", "64", "--t-end", "0.4", "--out", str(out),
+    ]) == code
+    rows = read_run_csv(out / "run.csv")
+    assert [r.step for r in rows] == [0, 50, 100]
+    assert all(r.sphere_residual is not None for r in rows)
+    reason = "numerical_failure" if code == 2 else "interrupted"
+    assert read_run_json(out / "run.json")["stop_reason"] == reason
+    assert not (out / "consistency.csv").exists()
+
+
 def test_cli_determinism_same_bytes(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ["simulate", "--preset", "ellipse", "--n", "64", "--t-end", "0.02", "--out"]

@@ -4,8 +4,9 @@
 geodesic step and the cyclic solve write out row norms, cross products and
 the Sherman-Morrison correction by hand.  Each reference below is the same
 arithmetic spelled with ``np.linalg.norm``, ``np.cross``, ``np.roll``,
-``np.hstack`` and ``np.outer``; results must agree bit for bit, signed
-zeros included.
+``np.hstack`` and ``np.outer`` (the geodesic step's on the stencil rows of
+the reference geometry); results must agree bit for bit, signed zeros
+included.
 """
 
 import numpy as np
@@ -181,13 +182,20 @@ def test_sphere_decomposition_signed_zeros(axes):
 
 
 @settings(max_examples=60, deadline=None)
-@given(**CURVES, fraction=st.floats(0.01, 1.0), t_tilde=st.floats(0.0, 5.0))
+@given(**CURVES, fraction=st.floats(0.01, 100.0), t_tilde=st.floats(0.0, 5.0))
 def test_geodesic_step_equals_cross_reference(seed, n, topology, scale, fraction, t_tilde):
+    # the backward-Euler system on the reference stencil rows, then the
+    # radial projection; any positive dt is stable
     curve = random_curve(seed, n, topology, scale, on_sphere=True)
     geom = reference_geometry(curve)
     dt = fraction * stable_step(compute_geometry(curve))
-    decomp = reference_decomposition(curve, geom)
-    moved = curve.points + dt * decomp["k_g"][:, None] * decomp["q_vec"]
+    a, c = geom["lap_lower"], geom["lap_upper"]
+    system = (-dt * a, 1.0 + dt * (a + c), -dt * c, dt * geom["laplacian"])
+    moved = curve.points.copy()
+    if topology == OPEN:
+        moved[1:-1] += solve_tridiagonal(*system)
+    else:
+        moved += solve_cyclic_tridiagonal(*system)
     projected = moved / np.linalg.norm(moved, axis=1)[:, None]
     nxt = step_geodesic_flow(RescaledState(curve, t_tilde, 0.0), dt)
     assert same_bits(nxt.curve_tilde.points, projected)

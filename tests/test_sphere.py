@@ -22,8 +22,17 @@ from csflab.errors import (
     NotOnSphereError,
     NumericalFailureError,
 )
-from csflab.flow import run_to_times, snapshot_diagnostics, sphere_residual, stable_step
+from csflab.curve import OPEN
+from csflab.flow import (
+    _run_to_targets,
+    run_to_times,
+    snapshot_diagnostics,
+    sphere_residual,
+    stable_step,
+)
 from csflab.sphere import (
+    GEODESIC_DT,
+    RescaledState,
     decompose_curvature,
     inverse_time_dilation,
     rescale,
@@ -31,7 +40,10 @@ from csflab.sphere import (
     step_geodesic_flow,
     time_dilation,
 )
-from csflab import flow, sphere
+from csflab import flow, sphere, tridiag
+
+# criterion 08's grid of flow times
+CRITERION_08_GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
 
 
 def latitude_circle(n, theta, r=1.0):
@@ -42,6 +54,59 @@ def latitude_circle(n, theta, r=1.0):
         np.full(n, r * math.cos(theta)),
     ])
     return SampledCurve(pts, CLOSED)
+
+
+def perturbed_start(n, topology=CLOSED):
+    curve = build_curve(make_preset(SPHERE_PERTURBED, n=n, eps=0.2, harmonic=3))
+    if topology == OPEN:
+        curve = SampledCurve(curve.points[: 2 * n // 3], OPEN)
+    return rescale(curve, 0.0)
+
+
+def explicit_geodesic_step(state, dt_tilde):
+    """The reference step: forward Euler on k_g * q_vec, then the radial
+    projection.  It is stable only for dt_tilde <= stable_step(geometry)."""
+    curve = state.curve_tilde
+    decomp = decompose_curvature(curve)
+    moved = curve.points + decomp.q_vec * (dt_tilde * decomp.k_g)[:, None]
+    moved /= np.linalg.norm(moved, axis=1)[:, None]
+    t_tilde = state.t_tilde + dt_tilde
+    return RescaledState(
+        SampledCurve(moved, curve.topology, curve.offset),
+        t_tilde,
+        inverse_time_dilation(t_tilde),
+    )
+
+
+def explicit_geodesic_flow(state, t_tilde_targets, cfl):
+    """``run_geodesic_flow`` with the reference step at its stability bound."""
+    return _run_to_targets(
+        lambda: state,
+        explicit_geodesic_step,
+        lambda geom: stable_step(geom, cfl),
+        t_tilde_targets,
+        state.t_tilde - 1e-14,
+        geometry=lambda st: compute_geometry(st.curve_tilde),
+        clock=lambda st: st.t_tilde,
+    )
+
+
+def dense_geodesic_step(curve, dt_tilde):
+    """The step from the assembled matrix I - dt_tilde * Lap and a dense solve."""
+    geom = compute_geometry(curve)
+    a, c, pts, n = geom.lap_lower, geom.lap_upper, curve.points, curve.n
+    lap = np.zeros((len(a), n))  # the Laplacian rows, over all n vertices
+    first = 0 if curve.is_cyclic() else 1
+    for row, (lo, up) in enumerate(zip(a, c)):
+        i = row + first
+        lap[row, (i - 1) % n] += lo
+        lap[row, i] -= lo + up
+        lap[row, (i + 1) % n] += up
+    moved = pts.copy()
+    unknowns = slice(first, first + len(a))
+    system = np.eye(len(a)) - dt_tilde * lap[:, unknowns]
+    moved[unknowns] += np.linalg.solve(system, dt_tilde * (lap @ pts))
+    return moved / np.linalg.norm(moved, axis=1)[:, None]
 
 
 def test_latitude_decomposition_oracle():
@@ -131,41 +196,126 @@ def test_rescale_rejects_wrong_radius():
 
 
 def test_geodesic_flow_latitude_ode():
-    # cos(theta) grows like e^{t_tilde} under the intrinsic flow
-    theta0 = 1.0
-    st = rescale(latitude_circle(256, theta0), 0.0)
-    dt = 0.25
-    out = run_geodesic_flow(st, [st.t_tilde + dt])
-    z = out[0].curve_tilde.points[:, 2]
-    assert z.max() - z.min() < 1e-12  # stays a latitude circle
-    assert abs(z.mean() - math.cos(theta0) * math.exp(dt)) < 1e-4
-    assert np.abs(np.linalg.norm(out[0].curve_tilde.points, axis=1) - 1.0).max() < 1e-12
+    # cos(theta) grows like e^{t_tilde} under the intrinsic flow.  At
+    # GEODESIC_DT the z error is -9.93e-5 at n = 64 and n = 256 alike: time
+    # error only, with the sign of a backward-Euler step, which lags
+    theta0, dt = 1.0, 0.25
+    errors = []
+    for n in (64, 256):
+        st = rescale(latitude_circle(n, theta0), 0.0)
+        (end,) = run_geodesic_flow(st, [st.t_tilde + dt])
+        z = end.curve_tilde.points[:, 2]
+        assert z.max() - z.min() < 1e-12  # stays a latitude circle
+        assert np.abs(np.linalg.norm(end.curve_tilde.points, axis=1) - 1.0).max() < 1e-12
+        errors.append(z.mean() - math.cos(theta0) * math.exp(dt))
+    assert all(-1e-4 < err < -9e-5 for err in errors), errors
+    assert abs(errors[0] - errors[1]) < 1e-9, errors
 
 
-def test_geodesic_flow_first_order_in_time():
-    # the explicit geodesic step against the latitude-circle law above, as
-    # tests/test_flow.py checks the ambient schemes: halving cfl halves
-    # dt_tilde at fixed n, so a first-order error halves too
+def test_geodesic_flow_first_order_in_time(monkeypatch):
+    # the backward-Euler geodesic step against the latitude-circle law above,
+    # as tests/test_flow.py checks the ambient schemes: halving dt_tilde at
+    # fixed n halves a first-order error too
     theta0, dt = 1.0, 0.25
     st = rescale(latitude_circle(64, theta0), 0.0)
     errors = []
-    for cfl in (1.0, 0.5, 0.25):
-        (end,) = run_geodesic_flow(st, [st.t_tilde + dt], cfl=cfl)
+    for dt_tilde in (0.01, 0.005, 0.0025):
+        monkeypatch.setattr(sphere, "GEODESIC_DT", dt_tilde)
+        (end,) = run_geodesic_flow(st, [st.t_tilde + dt])
         errors.append(end.curve_tilde.points[:, 2].mean() - math.cos(theta0) * math.exp(dt))
     orders = [math.log2(abs(a / b)) for a, b in zip(errors, errors[1:])]
     assert all(abs(p - 1.0) < 0.1 for p in orders), (errors, orders)
 
 
-def test_step_geodesic_flow_bounds_dt():
+@pytest.mark.parametrize("topology", [CLOSED, OPEN])
+@pytest.mark.parametrize("dt_tilde", [GEODESIC_DT, 0.05])
+def test_geodesic_step_equals_a_dense_solve(topology, dt_tilde):
+    state = perturbed_start(64, topology)
+    nxt = step_geodesic_flow(state, dt_tilde)
+    expected = dense_geodesic_step(state.curve_tilde, dt_tilde)
+    assert np.abs(nxt.curve_tilde.points - expected).max() < 1e-12
+    assert nxt.t_tilde == state.t_tilde + dt_tilde
+    assert nxt.source_t == inverse_time_dilation(nxt.t_tilde)
+    if topology == OPEN:  # the endpoints stay where they were
+        ends = [0, -1]
+        assert np.abs(nxt.curve_tilde.points[ends] - state.curve_tilde.points[ends]).max() < 1e-15
+
+
+def test_geodesic_flow_matches_the_explicit_reference():
+    # on criterion 08's grid at n = 128 the explicit reference at cfl 0.4
+    # takes about as many steps as GEODESIC_DT does; the two runs differ by
+    # at most 3.1e-4 per vertex
+    start = perturbed_start(128)
+    targets = [time_dilation(t) for t in CRITERION_08_GRID]
+    reference = explicit_geodesic_flow(start, targets, 0.4)
+    new = run_geodesic_flow(start, targets)
+    assert [st.t_tilde for st in new] == [st.t_tilde for st in reference]
+    for got, want in zip(new, reference):
+        gap = np.linalg.norm(got.curve_tilde.points - want.curve_tilde.points, axis=1)
+        assert gap.max() < 5e-4
+
+
+def test_consistency_profile_step_counts(monkeypatch):
+    # criterion 08 at n = 512: the intrinsic side takes GEODESIC_DT steps,
+    # plus at most one short landing step per target, where the explicit
+    # step took 17,140; the explicit ambient side still takes 17,140
+    counts = {"geodesic": 0, "explicit": 0}
+
+    def counted(name, fn):
+        def step(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return step
+
+    monkeypatch.setattr(
+        sphere, "step_geodesic_flow", counted("geodesic", step_geodesic_flow)
+    )
+    monkeypatch.setitem(
+        flow._STEPPERS, flow.EXPLICIT, counted("explicit", flow._STEPPERS[flow.EXPLICIT])
+    )
+    curve = build_curve(make_preset(SPHERE_PERTURBED, n=512, eps=0.2, harmonic=3))
+    rows = consistency_profile(curve, CRITERION_08_GRID, cfl=0.4)
+    span = time_dilation(CRITERION_08_GRID[-1]) - time_dilation(0.0)
+    assert counts["geodesic"] <= math.ceil(span / GEODESIC_DT) + len(CRITERION_08_GRID)
+    assert counts["explicit"] == 17_140
+    assert max(r[2] for r in rows) < 1e-2
+
+
+@pytest.mark.parametrize("topology", [CLOSED, OPEN])
+def test_geodesic_step_bits_do_not_depend_on_the_lapack_route(monkeypatch, topology):
+    state = perturbed_start(64, topology)
+    targets = [state.t_tilde + 5.5 * GEODESIC_DT]
+    default = step_geodesic_flow(state, 0.05), run_geodesic_flow(state, targets)
+    monkeypatch.setattr(tridiag, "_numpy_gtsv", lambda: None)
+    scipy = step_geodesic_flow(state, 0.05), run_geodesic_flow(state, targets)
+    for a, b in ((default[0], scipy[0]), (default[1][0], scipy[1][0])):
+        assert a.t_tilde == b.t_tilde
+        assert np.array_equal(
+            a.curve_tilde.points.view(np.int64), b.curve_tilde.points.view(np.int64)
+        )
+
+
+def test_step_geodesic_flow_takes_any_positive_dt():
     st = rescale(latitude_circle(64, 1.0), 0.0)
     geom = compute_geometry(st.curve_tilde)
-    with pytest.raises(InvalidArgumentError, match="^dt_tilde=.* exceeds the stability bound"):
-        step_geodesic_flow(st, 10.0 * stable_step(geom))
     for dt_tilde in (0.0, -1.0, math.nan):
         with pytest.raises(InvalidArgumentError, match="^dt_tilde must be positive$"):
             step_geodesic_flow(st, dt_tilde)
-    nxt = step_geodesic_flow(st, 0.5 * stable_step(geom))
+    # far beyond the explicit bound the step stays on the unit sphere and
+    # keeps the latitude circle one
+    nxt = step_geodesic_flow(st, 100.0 * stable_step(geom))
     assert nxt.t_tilde > st.t_tilde
+    pts = nxt.curve_tilde.points
+    assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
+    assert np.ptp(pts[:, 2]) < 1e-12 and pts[0, 2] > st.curve_tilde.points[0, 2]
+
+
+def test_step_geodesic_flow_rejects_an_off_sphere_curve():
+    th = np.arange(64) * (2.0 * math.pi / 64)
+    pts = np.column_stack([2.0 * np.cos(th), np.sin(th), np.zeros(64)])
+    with pytest.raises(NotOnSphereError, match="^vertex radii spread"):
+        step_geodesic_flow(RescaledState(SampledCurve(pts, CLOSED), 0.0, 0.0), 1e-3)
 
 
 @pytest.mark.parametrize(
@@ -220,28 +370,25 @@ def test_consistency_profile_small_grid():
 
 
 def test_run_geodesic_flow_failure_names_last_good_state(monkeypatch):
-    cfl = 0.5
     start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
     target = start.t_tilde + 0.05
     state = start
     for _ in range(4):
-        geom = compute_geometry(state.curve_tilde)
-        state = step_geodesic_flow(state, stable_step(geom, cfl))
+        state = step_geodesic_flow(state, GEODESIC_DT)
     geom = compute_geometry(state.curve_tilde)
-    dt = min(stable_step(geom, cfl), target - state.t_tilde)
+    dt = min(GEODESIC_DT, target - state.t_tilde)
 
     calls = []
 
-    def nan_on_fifth(curve, geometry=None):
+    def nan_on_fifth(*system):
         calls.append(None)
-        decomp = decompose_curvature(curve, geometry)
-        if len(calls) < 5:
-            return decomp
-        return dataclasses.replace(decomp, k_g=np.full_like(decomp.k_g, np.nan))
+        delta = sphere_solve(*system)
+        return delta if len(calls) < 5 else np.full_like(delta, np.nan)
 
-    monkeypatch.setattr(sphere, "decompose_curvature", nan_on_fifth)
+    sphere_solve = sphere.solve_cyclic_tridiagonal
+    monkeypatch.setattr(sphere, "solve_cyclic_tridiagonal", nan_on_fifth)
     with pytest.raises(NumericalFailureError) as info:
-        run_geodesic_flow(start, [target], cfl)
+        run_geodesic_flow(start, [target])
     assert str(info.value) == (
         "step 5 failed: geodesic step produced non-finite vertices (last good "
         f"state: step 4, t={state.t_tilde!r}, dt={dt!r}, "
@@ -254,18 +401,17 @@ def test_run_geodesic_flow_failure_names_last_good_state(monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_geodesic_step_raises_the_constructors_non_finite_failure(monkeypatch, bad):
     state = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
-    dt = stable_step(compute_geometry(state.curve_tilde), 0.5)
+    sphere_solve = sphere.solve_cyclic_tridiagonal
 
-    def bad_k_g(curve, geometry=None):
-        decomp = decompose_curvature(curve, geometry)
-        k_g = decomp.k_g.copy()
-        k_g[5] = bad
-        return dataclasses.replace(decomp, k_g=k_g)
+    def bad_vertex(*system):
+        delta = sphere_solve(*system).copy()
+        delta[5, 0] = bad
+        return delta
 
-    monkeypatch.setattr(sphere, "decompose_curvature", bad_k_g)
+    monkeypatch.setattr(sphere, "solve_cyclic_tridiagonal", bad_vertex)
     with pytest.raises(NumericalFailureError) as info:
         with np.errstate(invalid="ignore"):
-            step_geodesic_flow(state, dt)
+            step_geodesic_flow(state, GEODESIC_DT)
     assert str(info.value) == "geodesic step produced non-finite vertices"
     cause = info.value.__cause__
     assert isinstance(cause, InvalidCurveError)
@@ -275,14 +421,12 @@ def test_geodesic_step_raises_the_constructors_non_finite_failure(monkeypatch, b
 def test_run_geodesic_flow_step_without_geometry_fails(monkeypatch):
     # the curve made by step 4 has no geometry: step 4 failed, and the last
     # good state is step 3 with the dt that step 4 was given
-    cfl = 0.5
     start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
     state = start
     for _ in range(3):
-        state = step_geodesic_flow(state, stable_step(compute_geometry(state.curve_tilde), cfl))
+        state = step_geodesic_flow(state, GEODESIC_DT)
     geom = compute_geometry(state.curve_tilde)
-    dt = stable_step(geom, cfl)
-    fourth = step_geodesic_flow(state, dt).curve_tilde
+    fourth = step_geodesic_flow(state, GEODESIC_DT).curve_tilde
 
     def degenerate_fourth(curve):
         if np.array_equal(curve.points, fourth.points):
@@ -291,21 +435,19 @@ def test_run_geodesic_flow_step_without_geometry_fails(monkeypatch):
 
     monkeypatch.setattr(sphere, "compute_geometry", degenerate_fourth)
     with pytest.raises(NumericalFailureError) as info:
-        run_geodesic_flow(start, [start.t_tilde + 0.05], cfl)
+        run_geodesic_flow(start, [start.t_tilde + 0.05])
     assert str(info.value).startswith(
         "step 4 failed: degenerate centered-difference tangent (last good "
-        f"state: step 3, t={state.t_tilde!r}, dt={dt!r}, "
+        f"state: step 3, t={state.t_tilde!r}, dt={GEODESIC_DT!r}, "
         f"min ds={float(geom.ds.min())!r}, "
     )
 
 
 @pytest.mark.parametrize("kind", [KeyboardInterrupt, NumericalFailureError])
 def test_run_geodesic_flow_attaches_the_states_reached_so_far(monkeypatch, kind):
-    cfl = 0.5
     start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
-    dt0 = stable_step(compute_geometry(start.curve_tilde), cfl)
-    targets = [start.t_tilde + m * dt0 for m in (1.5, 3.2, 8.0)]
-    full = run_geodesic_flow(start, targets, cfl)
+    targets = [start.t_tilde + m * GEODESIC_DT for m in (1.5, 3.2, 8.0)]
+    full = run_geodesic_flow(start, targets)
     calls = []
 
     def fails_fifth(state, dt_tilde):
@@ -316,7 +458,7 @@ def test_run_geodesic_flow_attaches_the_states_reached_so_far(monkeypatch, kind)
 
     monkeypatch.setattr(sphere, "step_geodesic_flow", fails_fifth)
     with pytest.raises(kind) as info:
-        run_geodesic_flow(start, targets, cfl)
+        run_geodesic_flow(start, targets)
     partial = info.value.record
     # steps 1-2 land on the first target, steps 3-4 on the second
     assert len(partial) == 2
@@ -329,15 +471,13 @@ def test_run_geodesic_flow_attaches_the_states_reached_so_far(monkeypatch, kind)
 
 
 def test_run_geodesic_flow_stops_at_the_step_cap(monkeypatch):
-    cfl = 0.5
     start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
-    dt0 = stable_step(compute_geometry(start.curve_tilde), cfl)
-    reached = [start.t_tilde + m * dt0 for m in (1.5, 3.2)]
-    full = run_geodesic_flow(start, reached, cfl)
+    reached = [start.t_tilde + m * GEODESIC_DT for m in (1.5, 3.2)]
+    full = run_geodesic_flow(start, reached)
     monkeypatch.setattr(flow, "MAX_STEPS", 6)
-    far = start.t_tilde + 1e6 * dt0
+    far = start.t_tilde + 1e6 * GEODESIC_DT
     with pytest.raises(NumericalFailureError) as info:
-        run_geodesic_flow(start, reached + [far], cfl)
+        run_geodesic_flow(start, reached + [far])
     message = str(info.value)
     assert message.startswith("step cap of 6 steps reached at t=")
     assert message.endswith(f", short of target t={far!r}")
