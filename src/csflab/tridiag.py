@@ -1,12 +1,14 @@
 """Tridiagonal solves for the implicit time step.
 
-The banded core is LAPACK's ``gtsv``, called directly; the wrap terms of
-closed and periodic curves are folded in with a rank-one Sherman-Morrison
-correction on top of it.  The cyclic solve writes its right-hand sides and
-the correction column straight into one Fortran-ordered array, the layout
-``gtsv`` works in, so no stacked copy is built and none is transposed on
-the way in; one factorization serves all columns.  The correction is
-applied by broadcasting along the rows of the transposed solution.
+The banded core is LAPACK's ``gtsv``; the wrap terms of closed and periodic
+curves are folded in with a rank-one Sherman-Morrison correction on top of
+it, so one factorization serves all columns.  Each public solve checks its
+arguments once, since LAPACK trusts n, and builds one ``float64`` work
+array ``[dl | d | du | B]``, the layout ``gtsv`` works in, ``B`` in Fortran
+order: the banded solve with one ``np.concatenate``, the cyclic solve by
+writing its diagonals, right-hand sides and correction column straight
+into it.  The caller's arrays are never written.  ``_gtsv``, the one place
+that calls LAPACK, solves in that array and leaves the solution in ``B``.
 
 ``dgtsv`` comes from the OpenBLAS that numpy already links.  ``import
 numpy`` loads ``numpy.linalg._umath_linalg``; ``ctypes.CDLL`` on that
@@ -17,21 +19,14 @@ OpenBLAS it depends on.  numpy's wheels export LAPACK with 64-bit integers
 the integer arguments at 64 bits, so no other name is looked up.  The
 argument types are declared, the integers as pointers to ``c_int64`` and
 the arrays as ``c_void_p`` addresses: ctypes passes an undeclared Python
-int as a 32-bit C ``int``, which cuts an address short.  Each solve
-copies the three diagonals and the right-hand sides into one ``float64``
-work array ``[dl | d | du | B]``, ``B`` in Fortran order, with one
-``np.concatenate``, so the caller's arrays are never written; ``gtsv``
-overwrites the copy and leaves the solution in its ``B`` part, returned
-as a view.  The sizes are checked first: LAPACK trusts n.
+int as a 32-bit C ``int``, which cuts an address short.
 
 Where numpy exports neither name (Windows, numpy on Accelerate, distro
-builds of numpy), ``dgtsv`` comes from ``scipy.linalg.lapack``, imported
-on that first solve.  Both routes run the same LAPACK routine on the same
-arrays, after the same argument checks, and give the same bits.
-
-The lookup, and the SciPy load where it is needed, run on the first
-``solve_tridiagonal`` call, not at import, and are cached: explicit runs
-and the chord-arc tools never solve a system.
+builds of numpy), SciPy's ``dgtsv`` solves in views of the same work
+array, with its overwrite flags set, and gives the same bits.  The lookup,
+and the ``scipy.linalg.lapack`` import where it is needed, run on the
+first solve, not at import, and are cached: explicit runs and the
+chord-arc tools never solve a system.
 """
 
 from __future__ import annotations
@@ -75,19 +70,29 @@ def _load_flapack():
     return lapack
 
 
-def _solve_numpy(gtsv, lower, diag, upper, rhs):
-    """``gtsv`` on a copy of the system: the solution and LAPACK's info."""
-    n = len(diag)
-    work = np.concatenate((lower[1:], diag, upper[:-1], rhs.ravel("F")), dtype=np.float64)
-    dl = ctypes.addressof(ctypes.c_double.from_buffer(work))
-    d = dl + 8 * (n - 1)  # 8 bytes per float64
-    du = d + 8 * n
-    b = du + 8 * (n - 1)
-    info = ctypes.c_int64()
-    size = ctypes.c_int64(n)
-    gtsv(size, ctypes.c_int64(rhs.size // n), dl, d, du, b, size, info)
-    # B holds the columns one after another: the transpose of a C-order view
-    return work[3 * n - 2 :].reshape(rhs.shape[::-1]).T, info.value
+def _gtsv(work, n, k):
+    """Solve ``[dl | d | du | B]`` in ``work`` in place; return B, its k columns in turn."""
+    x = work[3 * n - 2 :]
+    gtsv = _numpy_gtsv()
+    if gtsv is None:
+        dl, d, du = work[: n - 1], work[n - 1 : 2 * n - 1], work[2 * n - 1 : 3 * n - 2]
+        *_, info = _load_flapack().dgtsv(dl, d, du, x.reshape(k, n).T, overwrite_dl=1,
+                                         overwrite_d=1, overwrite_du=1, overwrite_b=1)
+    else:
+        dl = ctypes.addressof(ctypes.c_double.from_buffer(work))
+        d = dl + 8 * (n - 1)  # 8 bytes per float64
+        du = d + 8 * n
+        b = du + 8 * (n - 1)
+        status, size = ctypes.c_int64(), ctypes.c_int64(n)
+        gtsv(size, ctypes.c_int64(k), dl, d, du, b, size, status)
+        info = status.value
+    if info < 0:
+        raise NumericalFailureError(f"LAPACK gtsv rejected its argument {-info}")
+    if info > 0:
+        raise NumericalFailureError(f"singular tridiagonal system: zero pivot in row {info}")
+    if not np.isfinite(x).all():
+        raise NumericalFailureError("tridiagonal solve produced non-finite values")
+    return x
 
 
 def _checked_system(lower, diag, upper, rhs, min_rows, name):
@@ -97,13 +102,14 @@ def _checked_system(lower, diag, upper, rhs, min_rows, name):
     raises where the other drops the imaginary part.
     """
     lower, diag, upper, rhs = map(np.asarray, (lower, diag, upper, rhs))
-    n, shape = len(diag), rhs.shape
-    if not 0 < len(shape) < 3 or len(lower) != n or len(upper) != n or shape[0] != n:
+    # three 1-D diagonals, each as long as the right-hand side has rows
+    if not (lower.ndim == diag.ndim == upper.ndim == 1 and 0 < rhs.ndim < 3
+            and len(lower) == len(diag) == len(upper) == len(rhs)):
         raise InvalidArgumentError(
-            f"{name} with diagonals of length {len(lower)}, {n} and "
-            f"{len(upper)} does not fit a right-hand side of shape {shape}"
+            f"{name} with diagonals of shapes {lower.shape}, {diag.shape} and "
+            f"{upper.shape} does not fit a right-hand side of shape {rhs.shape}"
         )
-    if n < min_rows:
+    if len(diag) < min_rows:
         raise InvalidArgumentError(f"{name} needs at least {min_rows} rows")
     if rhs.size == 0:
         raise InvalidArgumentError(f"{name} has a right-hand side with no columns")
@@ -118,27 +124,15 @@ def solve_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
 
     ``lower[i]`` multiplies x[i-1] in row i (lower[0] ignored), ``upper[i]``
     multiplies x[i+1] (upper[-1] ignored).  ``rhs`` may be (n,) or (n, k).
-    Raises ``InvalidArgumentError`` on sizes that do not fit, fewer than 2
-    rows, no column or a non-real entry, and ``NumericalFailureError`` on a
-    zero pivot or a non-finite result.
+    Raises ``InvalidArgumentError`` on diagonals that are not 1-D or whose
+    sizes do not fit, fewer than 2 rows, no column or a non-real entry, and
+    ``NumericalFailureError`` on a zero pivot or a non-finite result.
     """
-    lower, diag, upper, rhs = _checked_system(
-        lower, diag, upper, rhs, 2, "tridiagonal system"
-    )
-    gtsv = _numpy_gtsv()
-    if gtsv is None:
-        *_, x, info = _load_flapack().dgtsv(lower[1:], diag, upper[:-1], rhs)
-    else:
-        x, info = _solve_numpy(gtsv, lower, diag, upper, rhs)
-    if info < 0:
-        raise NumericalFailureError(f"LAPACK gtsv rejected its argument {-info}")
-    if info > 0:
-        raise NumericalFailureError(
-            f"singular tridiagonal system: zero pivot in row {info}"
-        )
-    if not np.isfinite(x).all():
-        raise NumericalFailureError("tridiagonal solve produced non-finite values")
-    return x
+    lower, diag, upper, rhs = _checked_system(lower, diag, upper, rhs, 2, "tridiagonal system")
+    n = len(diag)
+    work = np.concatenate((lower[1:], diag, upper[:-1], rhs.ravel("F")), dtype=np.float64)
+    # B holds the columns one after another: the transpose of a C-order view
+    return _gtsv(work, n, rhs.size // n).reshape(rhs.shape[::-1]).T
 
 
 def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
@@ -154,24 +148,28 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
         lower, diag, upper, rhs, 3, "cyclic tridiagonal system"
     )
     n = len(diag)
-    single = rhs.ndim == 1
-    k = 1 if single else rhs.shape[1]
+    k = rhs.size // n
 
-    mod_diag = np.array(diag, dtype=float)
+    # [dl | d | du | B] as in solve_tridiagonal; B's columns 0..k-1 hold the
+    # right-hand sides, column k the vector u = (gamma, 0, ..., 0, upper[-1])
+    # of the rank-one update
+    work = np.empty(3 * n - 2 + n * (k + 1))
+    work[: n - 1] = lower[1:]
+    d = work[n - 1 : 2 * n - 1]
+    d[:] = diag
+    work[2 * n - 1 : 3 * n - 2] = upper[:-1]
+    b = work[3 * n - 2 :].reshape(k + 1, n)
+    b[:k] = rhs.reshape(n, k).T
     # any nonzero gamma gives the same solution; -diag[0] is the usual
     # choice, and a zero diag[0] takes the scale of its row instead
-    gamma = -mod_diag[0] or -float(abs(lower[0]) + abs(upper[0])) or -1.0
-    mod_diag[0] -= gamma
-    mod_diag[-1] -= upper[-1] * lower[0] / gamma
-
-    # columns 0..k-1 hold the right-hand sides, column k the vector
-    # u = (gamma, 0, ..., 0, upper[-1]) of the rank-one update
-    b = np.zeros((n, k + 1), order="F")
-    b[:, :k] = rhs.reshape(n, k)
-    b[0, k] = gamma
-    b[-1, k] = upper[-1]
-    sol = solve_tridiagonal(lower, mod_diag, upper, b).T
-    y, z = sol[:k], sol[k]
+    gamma = -d[0] or -float(abs(lower[0]) + abs(upper[0])) or -1.0
+    d[0] -= gamma
+    d[-1] -= upper[-1] * lower[0] / gamma
+    b[k] = 0.0
+    b[k, 0] = gamma
+    b[k, -1] = upper[-1]
+    _gtsv(work, n, k + 1)
+    y, z = b[:k], b[k]
 
     # v = (1, 0, ..., 0, lower[0] / gamma)
     ratio = lower[0] / gamma
@@ -180,5 +178,5 @@ def solve_cyclic_tridiagonal(lower, diag, upper, rhs) -> np.ndarray:
     if not (math.isfinite(ratio) and math.isfinite(denom)) or abs(denom) < 1e-300:
         raise NumericalFailureError(f"cyclic closure is singular: denominator {denom}")
     vy = y[:, 0] + ratio * y[:, -1]
-    x = (y - (vy / denom)[:, None] * z).T
-    return x[:, 0] if single else x
+    # back to the shape of rhs: (n, k), or (n,) for a 1-D right-hand side
+    return (y - (vy / denom)[:, None] * z).T.reshape(rhs.shape)

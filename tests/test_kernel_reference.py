@@ -206,7 +206,7 @@ def test_geodesic_step_equals_cross_reference(seed, n, topology, scale, fraction
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 64),
-    columns=st.sampled_from([None, 1, 3]),
+    columns=st.sampled_from([None, 1, 3, 4]),
     scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
 )
 def test_cyclic_solve_equals_outer_reference(seed, n, columns, scale):

@@ -157,7 +157,67 @@ def test_numpy_gtsv_equals_scipy_gtsv_bit_for_bit(seed, n, columns, order, pivot
     assert np.array_equal(x.view(np.int64), expected.view(np.int64))
 
 
-# (diagonal lengths, right-hand side) of systems no route may take
+@needs_numpy_gtsv
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 2048),
+    columns=st.sampled_from([None, 1, 3, 4]),
+    order=st.sampled_from("CF"),
+    pivoting=st.booleans(),
+)
+def test_cyclic_solve_gives_the_same_bits_on_both_routes(seed, n, columns, order, pivoting):
+    rng = np.random.default_rng(seed)
+    lower = rng.uniform(-1.0, 1.0, n)
+    upper = rng.uniform(-1.0, 1.0, n)
+    diag = rng.uniform(-0.1, 0.1, n) if pivoting else 3.0 + rng.uniform(0.0, 1.0, n)
+    shape = n if columns is None else (n, columns)
+    rhs = np.asarray(rng.standard_normal(shape), order=order)
+    # the solution with its layout, or the failure both routes must share
+    outcomes = []
+    for path in PATHS:
+        try:
+            x = on_path(path, solve_cyclic_tridiagonal, lower, diag, upper, rhs)
+        except NumericalFailureError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((x.shape, x.strides, x.view(np.int64).tobytes()))
+    assert outcomes[0] == outcomes[1]
+    # a diagonally dominant system always solves
+    assert pivoting or outcomes[0][0] == rhs.shape
+
+
+@pytest.mark.parametrize("solve", [solve_tridiagonal, solve_cyclic_tridiagonal])
+def test_each_solve_checks_its_arguments_once(monkeypatch, solve):
+    calls = []
+    checked = tridiag._checked_system
+
+    def counting(*args):
+        calls.append(args)
+        return checked(*args)
+
+    monkeypatch.setattr(tridiag, "_checked_system", counting)
+    lower, diag, upper, rhs = random_system(16, np.random.default_rng(17), cyclic=True)
+    for path in PATHS:
+        on_path(path, solve, lower, diag, upper, rhs)
+    # one check per solve, on each route
+    assert len(calls) == len(PATHS)
+
+
+def test_cyclic_solve_does_not_call_the_public_banded_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("solve_cyclic_tridiagonal called solve_tridiagonal")
+
+    monkeypatch.setattr(tridiag, "solve_tridiagonal", refuse)
+    lower, diag, upper, rhs = random_system(16, np.random.default_rng(19), cyclic=True)
+    m = dense_tridiagonal(lower, diag, upper, cyclic=True)
+    for path in PATHS:
+        x = on_path(path, solve_cyclic_tridiagonal, lower, diag, upper, rhs)
+        assert np.abs(x - np.linalg.solve(m, rhs)).max() < 1e-12
+
+
+# (diagonal shapes, right-hand side) of systems no route may take; a shape
+# of None stands for a Python float
 MISMATCHED = {
     "short-lower": ((9, 10, 10), np.ones((10, 2))),
     "long-upper": ((10, 10, 11), np.ones(10)),
@@ -166,6 +226,10 @@ MISMATCHED = {
     "one-row": ((1, 1, 1), np.ones(1)),
     # numpy's route would refuse the cast, SciPy's drop the imaginary part
     "complex-rhs": ((10, 10, 10), 1j * np.ones(10)),
+    # diagonals that are not 1-D
+    "scalar-lower": ((None, 10, 10), np.ones(10)),
+    "0-d-diag": ((10, (), 10), np.ones(10)),
+    "2-D-lower": (((10, 2), 10, 10), np.ones((10, 2))),
 }
 
 
@@ -180,7 +244,7 @@ MISMATCHED = {
 )
 def test_mismatched_systems_are_rejected_before_lapack(path, solve, sizes, rhs):
     # gtsv reads and writes n-sized arrays: a short one must never reach it
-    lower, diag, upper = (np.ones(size) for size in sizes)
+    lower, diag, upper = (1.0 if size is None else np.ones(size) for size in sizes)
     with pytest.raises(InvalidArgumentError, match="tridiagonal system"):
         on_path(path, solve, lower, 3.0 * diag, upper, rhs)
 
