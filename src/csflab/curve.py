@@ -7,11 +7,12 @@ A curve is an ordered array of 3D vertices with one of three topologies:
 * ``periodic`` -- one period of a translation-invariant curve; the successor
   of the last vertex is the first vertex shifted by a constant offset vector.
 
-All functions here are pure. Vertex arrays are marked read-only on
-construction so shared curves cannot be mutated behind a caller's back.
-The constructor measures every segment once, to validate it, and keeps the
-lengths (read-only as well); ``segment_lengths`` and ``compute_geometry``
-share that array instead of measuring the polyline again.
+No function here modifies its arguments.  The constructor builds the
+closure once: it copies the caller's vertices (never freezing or sharing the
+caller's array) between the two wrap vertices into a read-only (n + 2, 3)
+array, and ``points`` is a read-only C-ordered view of its centre rows.  It
+also measures every segment once, to validate it, and keeps the lengths
+read-only; ``segment_lengths`` and ``compute_geometry`` share that array.
 
 The kernels work component-major, on (3, n) arrays with one contiguous row
 per coordinate.  ``points`` stay C-ordered (n, 3); the (n, 3) arrays of a
@@ -58,13 +59,16 @@ class SampledCurve:
 
     Construction validates the vertices and measures every segment once on
     the way; the lengths are kept read-only and returned by
-    ``segment_lengths``, so no later step measures them again.
+    ``segment_lengths``, so no later step measures them again.  ``_wrapped``
+    is the closure: the vertex before vertex 0, the vertices, the one after
+    the last (a period away on a periodic curve, the endpoints on an open one).
     """
 
     points: np.ndarray
     topology: str = CLOSED
     offset: np.ndarray | None = None
     _segments: np.ndarray = field(init=False, repr=False)
+    _wrapped: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -84,7 +88,7 @@ class SampledCurve:
         if self.topology == PERIODIC:
             if off is None:
                 raise InvalidCurveError("periodic topology requires an offset")
-            off = np.ascontiguousarray(off, dtype=float)
+            off = np.array(off, dtype=float)
             # checked as Python floats, whose sum of squares underflows to
             # zero exactly when np.linalg.norm(off) does
             xyz = off.tolist()
@@ -103,23 +107,29 @@ class SampledCurve:
         # laid out: contiguous for a step's (3, n) output, strided for (n, 3)
         rows = pts.T
         seg[: n - 1] = row_norm(np.subtract(rows[:, 1:], rows[:, :-1], order="C"))
-        pts = np.ascontiguousarray(pts)
         if seg[: n - 1].min() == 0.0:
             raise InvalidCurveError("consecutive vertices must be distinct")
+        wrapped = np.empty((n + 2, 3))
+        wrapped[1:-1] = pts
+        first, last = wrapped[1], wrapped[-2]
+        if off is not None:  # a periodic curve's wrap vertices lie one period away
+            first, last = first + off, last - off
+        wrapped[0], wrapped[-1] = (last, first) if cyclic else (first, last)
         if cyclic:
-            closing = pts[0] - pts[-1] if off is None else pts[0] + off - pts[-1]
+            closing = wrapped[-1] - wrapped[-2]
             seg[-1] = math.sqrt(closing.dot(closing))  # as np.linalg.norm does
             if seg[-1] == 0.0:
                 kind = "closing" if off is None else "period-closing"
                 raise InvalidCurveError(f"{kind} segment is degenerate")
 
-        pts.setflags(write=False)
+        wrapped.setflags(write=False)
         seg.setflags(write=False)
         if off is not None:
             off.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", wrapped[1:-1])
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "_segments", seg)
+        object.__setattr__(self, "_wrapped", wrapped)
 
     @property
     def n(self) -> int:
@@ -188,37 +198,31 @@ def compute_geometry(curve: SampledCurve) -> CurveGeometry:
     one-sided stencils: the chord of the end segment and the Laplacian of
     the adjacent interior vertex.
     """
-    pts = curve.points
     seg = segment_lengths(curve)
     cyclic = curve.is_cyclic()
 
-    # the vertices component-major between two wrap vertices; an open curve
-    # repeats its endpoints there, which makes its end chords the end segments
-    before, after = (pts[-1], pts[0]) if cyclic else (pts[0], pts[-1])
-    if curve.topology == PERIODIC:
-        before, after = before - curve.offset, after + curve.offset
-    ext = np.empty((3, len(pts) + 2))
-    np.concatenate((before[:, None], pts.T, after[:, None]), axis=1, out=ext)
+    # the closure component-major: an open curve's end chords are its end segments
+    ext = np.ascontiguousarray(curve._wrapped.T)
     tangents = ext[:, 2:] - ext[:, :-2]
     chord_len = row_norm(tangents)
     if chord_len.min() <= 0.0:
         raise InvalidCurveError("degenerate centered-difference tangent")
     tangents /= chord_len
 
+    steps = ext[:, 1:] - ext[:, :-1]
     if cyclic:
-        prev, cur, nxt = ext[:, :-2], ext[:, 1:-1], ext[:, 2:]
         hm, hp = np.concatenate((seg[-1:], seg[:-1])), seg
     else:
-        prev, cur, nxt = ext[:, 1:-3], ext[:, 2:-2], ext[:, 3:-1]
+        steps = steps[:, 1:-1]  # the interior vertices' neighbour differences
         hm, hp = seg[:-1], seg[1:]
     span = hm + hp
     a = 2.0 / (hm * span)
     c = 2.0 / (hp * span)
     ds = 0.5 * span
     raw = np.empty_like(tangents)
-    lap = np.subtract(prev, cur, out=raw if cyclic else raw[:, 1:-1])
-    lap *= a
-    lap += c * (nxt - cur)
+    # c (p_+ - p) - a (p - p_-): a (p_- - p) + c (p_+ - p) up to the sign of a zero
+    lap = np.multiply(a, steps[:, :-1], out=raw if cyclic else raw[:, 1:-1])
+    np.subtract(c * steps[:, 1:], lap, out=lap)
     if not cyclic:
         # the ends repeat the adjacent Laplacian row and take half a segment
         raw[:, 0], raw[:, -1] = raw[:, 1], raw[:, -2]
@@ -264,13 +268,7 @@ def resample_uniform(curve: SampledCurve, n: int) -> SampledCurve:
         raise InvalidArgumentError(
             f"cannot resample {curve.topology} curve to {n} vertices"
         )
-    pts = curve.points
-    if curve.topology == CLOSED:
-        ext = np.vstack([pts, pts[0]])
-    elif curve.topology == PERIODIC:
-        ext = np.vstack([pts, pts[0] + curve.offset])
-    else:
-        ext = pts
+    ext = curve._wrapped[1:]  # the vertices, then the one after the last
     seg = segment_lengths(curve)  # the lengths the curve itself reports
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = cum[-1]
@@ -286,6 +284,5 @@ def resample_uniform(curve: SampledCurve, n: int) -> SampledCurve:
     frac = (targets - cum[idx]) / seg[idx]
     new_pts = ext[idx] + frac[:, None] * (ext[idx + 1] - ext[idx])
     if curve.topology == OPEN:
-        new_pts[0] = pts[0]
-        new_pts[-1] = pts[-1]
+        new_pts[0], new_pts[-1] = ext[0], ext[-1]
     return SampledCurve(new_pts, curve.topology, curve.offset)

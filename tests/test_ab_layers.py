@@ -12,7 +12,10 @@ _spec = importlib.util.spec_from_file_location("ab_layers", ROOT / "tools" / "ab
 ab_layers = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(ab_layers)
 
-LAYERS = {"cyclic_solve", "open_solve", "semi_implicit_step", "geodesic_step"}
+LAYERS = {
+    "compute_geometry", "cyclic_solve", "open_solve",
+    "semi_implicit_step", "explicit_step", "geodesic_step",
+}
 FIELDS = {"bits_equal", "parent_us", "change_us", "diff_us", "diff_iqr_us", "diffs_us"}
 
 

@@ -277,3 +277,24 @@ def test_points_are_read_only():
     c = circle(16)
     with pytest.raises(ValueError):
         c.points[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])
+def test_the_callers_arrays_are_copied_not_frozen(topology):
+    u = np.arange(12) * 0.5
+    pts = np.column_stack([np.cos(u), np.sin(u), 0.1 * u])
+    offset = np.array([0.0, 0.0, 1.0]) if topology == PERIODIC else None
+    c = SampledCurve(pts, topology, offset)
+    assert c.points is not pts and not np.shares_memory(c.points, pts)
+    assert c.points.flags.c_contiguous and not c.points.flags.writeable
+    points, seg, geom = c.points.copy(), segment_lengths(c).copy(), compute_geometry(c)
+    pts[0, 0] = 5.0  # the caller's arrays stay writable, and the curve keeps its own
+    pts[-1] = -pts[-1]
+    if offset is not None:
+        offset[2] = 7.0
+        assert c.offset[2] == 1.0
+    assert np.array_equal(c.points, points)
+    assert np.array_equal(segment_lengths(c), seg)
+    again = compute_geometry(c)
+    for name in ("tangents", "curvature_vectors", "ds", "laplacian"):
+        assert np.array_equal(getattr(again, name), getattr(geom, name)), name

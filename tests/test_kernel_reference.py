@@ -2,11 +2,12 @@
 
 ``compute_geometry``, the explicit step, the sphere decomposition, the
 geodesic step and the cyclic solve write out row norms, cross products and
-the Sherman-Morrison correction by hand.  Each reference below is the same
+the Sherman-Morrison correction by hand, and ``resample_uniform`` reads the
+curve's closure from the constructor.  Each reference below is the same
 arithmetic spelled with ``np.linalg.norm``, ``np.cross``, ``np.roll``,
-``np.hstack`` and ``np.outer`` (the geodesic step's on the stencil rows of
-the reference geometry); results must agree bit for bit, signed zeros
-included.
+``np.hstack``, ``np.vstack`` and ``np.outer`` (the geodesic step's on the
+stencil rows of the reference geometry); results must agree bit for bit,
+signed zeros included.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csflab import CLOSED, SampledCurve, compute_geometry
-from csflab.curve import OPEN, PERIODIC, segment_lengths
+from csflab.curve import MIN_VERTICES, OPEN, PERIODIC, resample_uniform, segment_lengths
 from csflab.flow import make_state, stable_step, step_explicit
 from csflab.sphere import RescaledState, decompose_curvature, step_geodesic_flow
 from csflab.tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
@@ -85,6 +86,31 @@ def reference_geometry(curve):
     )
 
 
+def reference_resample(curve, m):
+    # the closing vertex stacked onto the vertices, cumulative arc length and
+    # a sorted search for the segment of each equally spaced target
+    pts = curve.points
+    if curve.topology == CLOSED:
+        ext = np.vstack([pts, pts[0]])
+    elif curve.topology == PERIODIC:
+        ext = np.vstack([pts, pts[0] + curve.offset])
+    else:
+        ext = pts
+    seg = reference_segments(curve)
+    cum = np.cumsum(np.append(0.0, seg))
+    if curve.topology == OPEN:
+        targets = np.arange(m) * (cum[-1] / (m - 1))
+        targets[-1] = cum[-1]
+    else:
+        targets = np.arange(m) * (cum[-1] / m)
+    idx = np.minimum(np.searchsorted(cum, targets, side="right") - 1, len(seg) - 1)
+    frac = (targets - cum[idx]) / seg[idx]
+    new = ext[idx] + frac[:, None] * (ext[idx + 1] - ext[idx])
+    if curve.topology == OPEN:
+        new[[0, -1]] = pts[[0, -1]]
+    return new
+
+
 def reference_decomposition(curve, geom):
     radii = np.linalg.norm(curve.points, axis=1)
     inward = -curve.points / radii[:, None]
@@ -141,6 +167,18 @@ def test_geometry_equals_norm_reference(seed, n, topology, scale):
     geom = compute_geometry(curve)
     for name, value in expected.items():
         assert same_bits(getattr(geom, name), value), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(**CURVES, data=st.data())
+def test_resample_equals_stacked_reference(seed, n, topology, scale, data):
+    curve = random_curve(seed, n, topology, scale)
+    m = data.draw(st.integers(MIN_VERTICES[topology], 2 * n), label="m")
+    resampled = resample_uniform(curve, m)
+    assert same_bits(resampled.points, reference_resample(curve, m))
+    assert resampled.topology == topology
+    if topology == PERIODIC:
+        assert same_bits(resampled.offset, curve.offset)
 
 
 @settings(max_examples=60, deadline=None)

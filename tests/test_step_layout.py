@@ -3,8 +3,9 @@
 The kernels compute on (3, n) arrays, one contiguous row per coordinate.
 ``row_dot`` and ``row_norm`` must give the bits of ``np.einsum`` and
 ``np.linalg.norm`` over C-ordered (n, 3) rows; the (n, 3) arrays handed out
-are read-only views whose base is read-only too; and a curve's geometry and
-steps do not depend on the memory layout or dtype of its input vertices.
+are read-only views whose base is read-only too; and a curve's geometry,
+steps and resampling do not depend on the memory layout or dtype of its
+input vertices.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csflab import CLOSED, SampledCurve, compute_geometry
-from csflab.curve import OPEN, PERIODIC, row_dot, row_norm
+from csflab.curve import OPEN, PERIODIC, resample_uniform, row_dot, row_norm
 from csflab.flow import make_state, stable_step, step_explicit, step_semi_implicit
 from csflab.sphere import RescaledState, decompose_curvature, step_geodesic_flow
 
@@ -104,6 +105,7 @@ def test_kernels_do_not_depend_on_input_layout(topology):
     steps = (step_explicit, step_semi_implicit)
     ref_steps = [step(make_state(ref), dt) for step in steps]
     ref_geodesic = step_geodesic_flow(RescaledState(ref, 0.0, 0.0), dt)
+    ref_resampled = [resample_uniform(ref, m).points for m in (17, 31)]
     for name, variant in layouts(pts).items():
         curve = SampledCurve(variant, topology, offset)
         assert curve.points.flags.c_contiguous, name
@@ -115,3 +117,5 @@ def test_kernels_do_not_depend_on_input_layout(topology):
             assert same_bits(moved.curve.points, expected.curve.points), name
         moved = step_geodesic_flow(RescaledState(curve, 0.0, 0.0), dt)
         assert same_bits(moved.curve_tilde.points, ref_geodesic.curve_tilde.points)
+        for m, expected in zip((17, 31), ref_resampled):
+            assert same_bits(resample_uniform(curve, m).points, expected), (name, m)

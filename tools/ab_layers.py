@@ -1,4 +1,4 @@
-"""In-process A/B timings of the solve layers of two csflab source trees.
+"""In-process A/B timings of the step layers of two csflab source trees.
 
     python3 tools/ab_layers.py PARENT_SRC CHANGE_SRC [--out FILE]
 
@@ -10,12 +10,15 @@ same path on both sides is an A/A run, which shows the noise floor.
 
 The layers, each at n = 256, 512, 1024 and 2048:
 
+- ``compute_geometry``: ``curve.compute_geometry`` on the helix preset,
+  checked over every array of its ``CurveGeometry``;
 - ``cyclic_solve``: ``tridiag.solve_cyclic_tridiagonal`` on the system
   that ``flow._backward_euler`` builds for one semi-implicit helix step,
   with its 3 columns;
 - ``open_solve``: ``tridiag.solve_tridiagonal`` on the system it builds
   for the helix vertices taken as an open curve, whose interior it solves;
 - ``semi_implicit_step``: ``flow.step_semi_implicit`` on the helix preset;
+- ``explicit_step``: ``flow.step_explicit`` on the perturbed-sphere preset;
 - ``geodesic_step``: ``sphere.step_geodesic_flow`` on the perturbed-sphere
   preset, rescaled to the unit sphere.
 
@@ -33,6 +36,7 @@ narrows the spread.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.metadata
 import importlib.util
@@ -48,7 +52,10 @@ import numpy as np
 
 SIDES = ("parent", "change")
 MODULES = ("curve", "flow", "presets", "sphere", "tridiag")
-LAYERS = ("cyclic_solve", "open_solve", "semi_implicit_step", "geodesic_step")
+LAYERS = (
+    "compute_geometry", "cyclic_solve", "open_solve",
+    "semi_implicit_step", "explicit_step", "geodesic_step",
+)
 SIZES = (256, 512, 1024, 2048)
 ALTERNATIONS = 11
 REPEAT = 5  # timings per side and alternation, best kept
@@ -80,12 +87,17 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int):
     """
     presets = cs.presets
     helix = presets.build_curve(presets.make_preset(presets.HELIX, n=n))
-    if layer == "semi_implicit_step":
-        state = cs.flow.make_state(helix)
+    sphere = presets.build_curve(presets.make_preset(presets.SPHERE_PERTURBED, n=n))
+    if layer == "compute_geometry":
+        return lambda: cs.curve.compute_geometry(helix)
+    steps = {"semi_implicit_step": (cs.flow.step_semi_implicit, helix),
+             "explicit_step": (cs.flow.step_explicit, sphere)}
+    if layer in steps:
+        step, curve = steps[layer]
+        state = cs.flow.make_state(curve)
         dt = cs.flow.stable_step(state.geometry, 0.5)
-        return lambda: cs.flow.step_semi_implicit(state, dt)
+        return lambda: step(state, dt)
     if layer == "geodesic_step":
-        sphere = presets.build_curve(presets.make_preset(presets.SPHERE_PERTURBED, n=n))
         state = cs.sphere.rescale(sphere, 0.0)
         return lambda: cs.sphere.step_geodesic_flow(state, cs.sphere.GEODESIC_DT)
     if layer == "open_solve":
@@ -106,10 +118,14 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int):
 
 
 def output_bits(result) -> tuple:
-    """The shape and bytes of a layer's output: a solution, or a step's vertices."""
+    """The shapes and bytes of a layer's output: a solution, a step's vertices,
+    or every array of a geometry."""
     for name in ("curve", "curve_tilde"):
         if hasattr(result, name):
             result = getattr(result, name).points
+    if dataclasses.is_dataclass(result):
+        return tuple(output_bits(np.asarray(getattr(result, f.name)))
+                     for f in dataclasses.fields(result))
     return result.shape, result.tobytes()
 
 
