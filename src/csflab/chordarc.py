@@ -48,6 +48,7 @@ from .curve import (
     SampledCurve,
     arc_positions,
     compute_geometry,
+    row_norm,
     total_absolute_curvature,
 )
 from .errors import (
@@ -109,9 +110,10 @@ def _check_reduction(curve: SampledCurve, metric: str, band: int) -> None:
 
 
 def _periodic_extension(curve: SampledCurve) -> tuple[np.ndarray, np.ndarray]:
-    """The curve plus one offset copy, and the arc positions of its 2n vertices."""
-    ext = np.vstack([curve.points, curve.points + curve.offset])
-    seg = np.linalg.norm(np.diff(ext, axis=0), axis=1)
+    """(3, 2n) columns of the curve plus one offset copy, and their arc positions."""
+    rows = curve.points.T
+    ext = np.hstack([rows, rows + curve.offset[:, None]])
+    seg = row_norm(ext[:, 1:] - ext[:, :-1])
     return ext, np.concatenate([[0.0], np.cumsum(seg)])
 
 
@@ -133,8 +135,8 @@ def _pair_blocks(curve: SampledCurve, band: int, fn) -> list:
         ext = np.hstack([ext, ext])  # the vertices laid twice
         top = (n + 1) // 2  # a gap g < top pairs every vertex i with i + g
     else:
-        pts, s = _periodic_extension(curve)
-        ext = np.vstack([pts.T, s])
+        ext, s = _periodic_extension(curve)
+        ext = np.vstack([ext, s])
         length = None  # only d/l, which needs no length, is defined
         top = n + 1
     rows = ext[:, None, :n]  # x, y, z and s of vertex i, as (1, n) rows
@@ -453,7 +455,7 @@ def pair_diagnostics(
             )
         ext, s = _periodic_extension(curve)
         start, end, arc = i, j % n, float(s[j] - s[i])
-        chord = ext[j] - ext[i]
+        chord = ext[:, j] - ext[:, i]
     else:
         raise UnsupportedTopologyError(
             f"pair diagnostics need a cyclic curve, not {curve.topology!r}"

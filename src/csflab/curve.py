@@ -9,14 +9,14 @@ A curve is an ordered array of 3D vertices with one of three topologies:
 
 No function here modifies its arguments.  The constructor builds the
 closure once: it copies the caller's vertices (never freezing or sharing the
-caller's array) between the two wrap vertices into a read-only (n + 2, 3)
-array, and ``points`` is a read-only C-ordered view of its centre rows.  It
-also measures every segment once, to validate it, and keeps the lengths
-read-only; ``segment_lengths`` and ``compute_geometry`` share that array.
+caller's array) between the two wrap vertices into a read-only (3, n + 2)
+array, and ``points`` is a read-only, F-ordered (n, 3) view of its centre
+columns.  It also measures every segment once, to validate it, and
+``segment_lengths`` and ``compute_geometry`` share those read-only lengths.
 
 The kernels work component-major, on (3, n) arrays with one contiguous row
-per coordinate.  ``points`` stay C-ordered (n, 3); the (n, 3) arrays of a
-``CurveGeometry`` are ``.T`` views of read-only (3, n) buffers.
+per coordinate, and read the closure where it lies.  The (n, 3) arrays of a
+``CurveGeometry`` are ``.T`` views of read-only (3, n) buffers too.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ class SampledCurve:
     Construction validates the vertices and measures every segment once on
     the way; the lengths are kept read-only and returned by
     ``segment_lengths``, so no later step measures them again.  ``_wrapped``
-    is the closure: the vertex before vertex 0, the vertices, the one after
-    the last (a period away on a periodic curve, the endpoints on an open one).
+    is the (3, n + 2) closure: the vertex before vertex 0, the vertices, the
+    one after the last (a period away on periodic curves, the ends on open).
     """
 
     points: np.ndarray
@@ -103,20 +103,18 @@ class SampledCurve:
 
         cyclic = self.topology != OPEN
         seg = np.empty(n if cyclic else n - 1)
-        # differences written component-major, read from the input as it is
-        # laid out: contiguous for a step's (3, n) output, strided for (n, 3)
-        rows = pts.T
-        seg[: n - 1] = row_norm(np.subtract(rows[:, 1:], rows[:, :-1], order="C"))
+        wrapped = np.empty((3, n + 2))
+        rows = wrapped[:, 1:-1]
+        rows[...] = pts.T  # a straight copy of a step's (3, n) output
+        seg[: n - 1] = row_norm(rows[:, 1:] - rows[:, :-1])
         if seg[: n - 1].min() == 0.0:
             raise InvalidCurveError("consecutive vertices must be distinct")
-        wrapped = np.empty((n + 2, 3))
-        wrapped[1:-1] = pts
-        first, last = wrapped[1], wrapped[-2]
+        first, last = wrapped[:, 1], wrapped[:, -2]
         if off is not None:  # a periodic curve's wrap vertices lie one period away
             first, last = first + off, last - off
-        wrapped[0], wrapped[-1] = (last, first) if cyclic else (first, last)
+        wrapped[:, 0], wrapped[:, -1] = (last, first) if cyclic else (first, last)
         if cyclic:
-            closing = wrapped[-1] - wrapped[-2]
+            closing = wrapped[:, -1] - wrapped[:, -2]
             seg[-1] = math.sqrt(closing.dot(closing))  # as np.linalg.norm does
             if seg[-1] == 0.0:
                 kind = "closing" if off is None else "period-closing"
@@ -126,7 +124,8 @@ class SampledCurve:
         seg.setflags(write=False)
         if off is not None:
             off.setflags(write=False)
-        object.__setattr__(self, "points", wrapped[1:-1])
+        # a view taken after the freeze, so that it is read-only too
+        object.__setattr__(self, "points", wrapped[:, 1:-1].T)
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "_segments", seg)
         object.__setattr__(self, "_wrapped", wrapped)
@@ -201,8 +200,7 @@ def compute_geometry(curve: SampledCurve) -> CurveGeometry:
     seg = segment_lengths(curve)
     cyclic = curve.is_cyclic()
 
-    # the closure component-major: an open curve's end chords are its end segments
-    ext = np.ascontiguousarray(curve._wrapped.T)
+    ext = curve._wrapped  # the closure: open curves' end chords are end segments
     tangents = ext[:, 2:] - ext[:, :-2]
     chord_len = row_norm(tangents)
     if chord_len.min() <= 0.0:
@@ -268,7 +266,7 @@ def resample_uniform(curve: SampledCurve, n: int) -> SampledCurve:
         raise InvalidArgumentError(
             f"cannot resample {curve.topology} curve to {n} vertices"
         )
-    ext = curve._wrapped[1:]  # the vertices, then the one after the last
+    ext = curve._wrapped[:, 1:]  # the vertices, then the one after the last
     seg = segment_lengths(curve)  # the lengths the curve itself reports
     cum = np.concatenate(([0.0], np.cumsum(seg)))
     total = cum[-1]
@@ -282,7 +280,7 @@ def resample_uniform(curve: SampledCurve, n: int) -> SampledCurve:
     idx = np.searchsorted(cum, targets, side="right") - 1
     idx = np.clip(idx, 0, len(seg) - 1)
     frac = (targets - cum[idx]) / seg[idx]
-    new_pts = ext[idx] + frac[:, None] * (ext[idx + 1] - ext[idx])
+    new_rows = ext[:, idx] + frac * (ext[:, idx + 1] - ext[:, idx])
     if curve.topology == OPEN:
-        new_pts[0], new_pts[-1] = ext[0], ext[-1]
-    return SampledCurve(new_pts, curve.topology, curve.offset)
+        new_rows[:, 0], new_rows[:, -1] = ext[:, 0], ext[:, -1]
+    return SampledCurve(new_rows.T, curve.topology, curve.offset)

@@ -200,9 +200,9 @@ def write_curve(curve: SampledCurve, path) -> None:
         lines.append(f"topology {PERIODIC} {ox} {oy} {oz}")
     else:
         lines.append(f"topology {curve.topology}")
-    # one repr of all coordinates, as format_float of each, split into rows
-    texts = iter(repr(curve.points.ravel().tolist())[1:-1].split(", "))
-    lines.extend(map(" ".join, zip(texts, texts, texts)))
+    # one repr per coordinate row, as format_float of each, zipped into lines
+    columns = (repr(row.tolist())[1:-1].split(", ") for row in curve.points.T)
+    lines.extend(map(" ".join, zip(*columns)))
     _write_lines(lines, path)
 
 

@@ -73,7 +73,7 @@ def decompose_curvature(
     curve: SampledCurve, geometry: CurveGeometry | None = None
 ) -> SphereDecomposition:
     """Split curvature into geodesic (in-sphere) and normal (radial) parts."""
-    inward = np.negative(curve.points.T, order="C")
+    inward = np.negative(curve.points.T)
     radii, radius = _vertex_radii(inward, SPHERE_REL_TOL)
     geom = geometry if geometry is not None else compute_geometry(curve)
     tangents = geom.tangents.T

@@ -15,6 +15,7 @@ _spec.loader.exec_module(ab_layers)
 LAYERS = {
     "compute_geometry", "cyclic_solve", "open_solve",
     "semi_implicit_step", "explicit_step", "geodesic_step",
+    "ratio_minima", "min_pair_ratio", "write_curve",
 }
 FIELDS = {"bits_equal", "parent_us", "change_us", "diff_us", "diff_iqr_us", "diffs_us"}
 

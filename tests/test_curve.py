@@ -286,7 +286,9 @@ def test_the_callers_arrays_are_copied_not_frozen(topology):
     offset = np.array([0.0, 0.0, 1.0]) if topology == PERIODIC else None
     c = SampledCurve(pts, topology, offset)
     assert c.points is not pts and not np.shares_memory(c.points, pts)
-    assert c.points.flags.c_contiguous and not c.points.flags.writeable
+    # a read-only (n, 3) view of the (3, n + 2) closure, one column per vertex
+    assert not c.points.flags.writeable and np.shares_memory(c.points, c._wrapped)
+    assert c.points.strides == (c.points.itemsize, 14 * c.points.itemsize)
     points, seg, geom = c.points.copy(), segment_lengths(c).copy(), compute_geometry(c)
     pts[0, 0] = 5.0  # the caller's arrays stay writable, and the curve keeps its own
     pts[-1] = -pts[-1]

@@ -1,11 +1,13 @@
 """The component-major step kernel: shared helpers, read-only views, layout.
 
 The kernels compute on (3, n) arrays, one contiguous row per coordinate.
-``row_dot`` and ``row_norm`` must give the bits of ``np.einsum`` and
-``np.linalg.norm`` over C-ordered (n, 3) rows; the (n, 3) arrays handed out
-are read-only views whose base is read-only too; and a curve's geometry,
-steps and resampling do not depend on the memory layout or dtype of its
-input vertices.
+A curve's ``points`` is a read-only, F-ordered (n, 3) view of its (3, n + 2)
+closure, which shares no memory with the caller's array.  ``row_dot`` and
+``row_norm`` must give the bits of ``np.einsum`` and ``np.linalg.norm`` over
+C-ordered (n, 3) rows; the (n, 3) arrays handed out are read-only views
+whose base is read-only too; and a curve's geometry, steps, resampling,
+chord-arc reductions and written file do not depend on the memory layout
+or dtype of its input vertices.
 """
 
 import dataclasses
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from csflab import CLOSED, SampledCurve, compute_geometry
+from csflab.chordarc import min_pair_ratio, ratio_field, ratio_minima
 from csflab.curve import OPEN, PERIODIC, resample_uniform, row_dot, row_norm
+from csflab.fileio import write_curve
 from csflab.flow import make_state, stable_step, step_explicit, step_semi_implicit
 from csflab.sphere import RescaledState, decompose_curvature, step_geodesic_flow
 
@@ -96,8 +100,22 @@ def layouts(pts):
     }
 
 
+def pair_reductions(curve):
+    # the chord-arc reductions defined for the curve's topology
+    if curve.topology == CLOSED:
+        return [*ratio_minima(curve), ratio_field(curve).values]
+    if curve.topology == PERIODIC:
+        return [min_pair_ratio(curve)]
+    return []
+
+
+def curve_bytes(curve, path):
+    write_curve(curve, path)
+    return path.read_bytes()
+
+
 @pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])
-def test_kernels_do_not_depend_on_input_layout(topology):
+def test_kernels_do_not_depend_on_input_layout(topology, tmp_path):
     pts, offset = sphere_curve(topology, scale=1e6)
     ref = SampledCurve(pts, topology, offset)
     ref_geom = compute_geometry(ref)
@@ -106,9 +124,12 @@ def test_kernels_do_not_depend_on_input_layout(topology):
     ref_steps = [step(make_state(ref), dt) for step in steps]
     ref_geodesic = step_geodesic_flow(RescaledState(ref, 0.0, 0.0), dt)
     ref_resampled = [resample_uniform(ref, m).points for m in (17, 31)]
+    ref_reductions = pair_reductions(ref)
     for name, variant in layouts(pts).items():
         curve = SampledCurve(variant, topology, offset)
-        assert curve.points.flags.c_contiguous, name
+        assert not curve.points.flags.writeable, name
+        assert np.shares_memory(curve.points, curve._wrapped), name
+        assert not np.shares_memory(curve.points, variant), name
         geom = compute_geometry(curve)
         for field in dataclasses.fields(geom):
             assert same_bits(getattr(geom, field.name), getattr(ref_geom, field.name))
@@ -119,3 +140,10 @@ def test_kernels_do_not_depend_on_input_layout(topology):
         assert same_bits(moved.curve_tilde.points, ref_geodesic.curve_tilde.points)
         for m, expected in zip((17, 31), ref_resampled):
             assert same_bits(resample_uniform(curve, m).points, expected), (name, m)
+        for got, expected in zip(pair_reductions(curve), ref_reductions, strict=True):
+            assert same_bits(got, expected), name
+        # the file of a C-ordered float copy of the variant, since the
+        # integer copy holds +0.0 where the rounding left -0.0
+        c_ordered = SampledCurve(np.ascontiguousarray(variant, float), topology, offset)
+        written = curve_bytes(curve, tmp_path / "variant.txt")
+        assert written == curve_bytes(c_ordered, tmp_path / "c_ordered.txt"), name

@@ -20,7 +20,13 @@ The layers, each at n = 256, 512, 1024 and 2048:
 - ``semi_implicit_step``: ``flow.step_semi_implicit`` on the helix preset;
 - ``explicit_step``: ``flow.step_explicit`` on the perturbed-sphere preset;
 - ``geodesic_step``: ``sphere.step_geodesic_flow`` on the perturbed-sphere
-  preset, rescaled to the unit sphere.
+  preset, rescaled to the unit sphere;
+- ``ratio_minima``: ``chordarc.ratio_minima``, a closed record row, on the
+  ellipse preset;
+- ``min_pair_ratio``: ``chordarc.min_pair_ratio``, a periodic record row,
+  on the helix preset;
+- ``write_curve``: ``fileio.write_curve``, a snapshot, of the helix preset
+  into a temporary directory, checked on the bytes of the file.
 
 Each side builds its inputs with its own package. For each layer and n the
 tool first checks that both sides give the same bits. It then takes, on
@@ -44,6 +50,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,10 +58,11 @@ from types import SimpleNamespace
 import numpy as np
 
 SIDES = ("parent", "change")
-MODULES = ("curve", "flow", "presets", "sphere", "tridiag")
+MODULES = ("chordarc", "curve", "fileio", "flow", "presets", "sphere", "tridiag")
 LAYERS = (
     "compute_geometry", "cyclic_solve", "open_solve",
     "semi_implicit_step", "explicit_step", "geodesic_step",
+    "ratio_minima", "min_pair_ratio", "write_curve",
 )
 SIZES = (256, 512, 1024, 2048)
 ALTERNATIONS = 11
@@ -77,19 +85,32 @@ def load_tree(src: Path, side: str) -> SimpleNamespace:
     return SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}") for m in MODULES})
 
 
-def layer_call(cs: SimpleNamespace, layer: str, n: int):
+def layer_call(cs: SimpleNamespace, layer: str, n: int, path: Path):
     """A no-argument call of ``layer`` at size n, on inputs built by ``cs``.
 
     The steps take the time step of a run with the default settings: half
     the stable explicit step, or the sphere check's fixed rescaled step.
     The bare solves take the system that ``flow._backward_euler`` builds,
-    caught by passing it a capturing function as its solvers.
+    caught by passing it a capturing function as its solvers. The record
+    rows take the default exclusion band, and ``write_curve`` writes to
+    ``path`` and returns it.
     """
     presets = cs.presets
     helix = presets.build_curve(presets.make_preset(presets.HELIX, n=n))
     sphere = presets.build_curve(presets.make_preset(presets.SPHERE_PERTURBED, n=n))
     if layer == "compute_geometry":
         return lambda: cs.curve.compute_geometry(helix)
+    if layer == "ratio_minima":
+        ellipse = presets.build_curve(presets.make_preset(presets.ELLIPSE, n=n))
+        return lambda: cs.chordarc.ratio_minima(ellipse)
+    if layer == "min_pair_ratio":
+        return lambda: cs.chordarc.min_pair_ratio(helix)
+    if layer == "write_curve":
+        def write() -> Path:
+            cs.fileio.write_curve(helix, path)
+            return path
+
+        return write
     steps = {"semi_implicit_step": (cs.flow.step_semi_implicit, helix),
              "explicit_step": (cs.flow.step_explicit, sphere)}
     if layer in steps:
@@ -119,13 +140,16 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int):
 
 def output_bits(result) -> tuple:
     """The shapes and bytes of a layer's output: a solution, a step's vertices,
-    or every array of a geometry."""
+    every array of a geometry, the minima of a record row, or a written file."""
+    if isinstance(result, Path):
+        return (result.read_bytes(),)
     for name in ("curve", "curve_tilde"):
         if hasattr(result, name):
             result = getattr(result, name).points
     if dataclasses.is_dataclass(result):
-        return tuple(output_bits(np.asarray(getattr(result, f.name)))
+        return tuple(output_bits(getattr(result, f.name))
                      for f in dataclasses.fields(result))
+    result = np.asarray(result)
     return result.shape, result.tobytes()
 
 
@@ -180,8 +204,10 @@ def measure(srcs: dict, sizes, alternations: int, repeat: int, number: int) -> d
     for layer in LAYERS:
         layers[layer] = {}
         for n in sizes:
-            calls = {side: layer_call(cs, layer, n) for side, cs in trees.items()}
-            result = compare(calls, alternations, repeat, number)
+            with tempfile.TemporaryDirectory() as tmp:
+                calls = {side: layer_call(cs, layer, n, Path(tmp) / f"{side}.txt")
+                         for side, cs in trees.items()}
+                result = compare(calls, alternations, repeat, number)
             layers[layer][str(n)] = result
             print(f"{layer:>18} n={n:<5} parent {result['parent_us']:9.1f} us  change "
                   f"{result['change_us']:9.1f} us  diff {result['diff_us']:+8.2f} "
