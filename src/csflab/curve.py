@@ -148,12 +148,12 @@ class CurveGeometry:
     arc element (half the sum of the two adjacent segment lengths), which
     makes ``ds.sum()`` equal to ``total_length`` exactly.
 
-    ``lap_lower``, ``lap_upper`` and ``laplacian`` hold the three-point
-    arc-length Laplacian of the centre rows: all ``n`` vertices of a closed
-    or periodic curve, the ``n - 2`` interior vertices of an open one.  Row
-    i is ``lap_lower[i] (p_prev - p_i) + lap_upper[i] (p_next - p_i)``; the
-    semi-implicit step reuses these rows as its tridiagonal system.
-    ``segment_lengths`` is the curve's own read-only segment array.  The
+    ``laplacian`` holds the three-point arc-length Laplacian of the centre
+    rows: all ``n`` vertices of a closed or periodic curve, the ``n - 2``
+    interior vertices of an open one, row i being
+    ``(p_prev - p_i) / (h_prev ds_i) + (p_next - p_i) / (h_next ds_i)``.
+    ``segment_lengths`` is the curve's own read-only segment array; with
+    ``ds`` it gives the semi-implicit step its mass-lumped system.  The
     (n, 3) arrays are non-contiguous; ``.T`` gives their (3, n) buffers.
     """
 
@@ -163,8 +163,6 @@ class CurveGeometry:
     ds: np.ndarray
     total_length: float
     segment_lengths: np.ndarray
-    lap_lower: np.ndarray
-    lap_upper: np.ndarray
     laplacian: np.ndarray
 
 
@@ -229,7 +227,7 @@ def compute_geometry(curve: SampledCurve) -> CurveGeometry:
     # the curvature vector: the Laplacian with its tangential residue removed
     kvec = raw - row_dot(raw, tangents) * tangents
     scalar = row_norm(kvec)
-    for arr in (tangents, kvec, scalar, ds, a, c, raw, lap):
+    for arr in (tangents, kvec, scalar, ds, raw, lap):
         arr.setflags(write=False)
     return CurveGeometry(
         tangents=tangents.T,
@@ -238,8 +236,6 @@ def compute_geometry(curve: SampledCurve) -> CurveGeometry:
         ds=ds,
         total_length=float(seg.sum()),
         segment_lengths=seg,
-        lap_lower=a,
-        lap_upper=c,
         laplacian=lap.T,
     )
 

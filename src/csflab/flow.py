@@ -4,11 +4,11 @@ Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
 
 * ``explicit``       -- forward Euler on the projected curvature vector;
 * ``semi_implicit``  -- backward Euler on the arc-length Laplacian with
-  coefficients frozen at the current geometry, solved as one tridiagonal
-  system per step (cyclic closure for closed/periodic curves, fixed
-  endpoints for open ones).  The system reuses the stencil rows that
-  ``compute_geometry`` builds for the curvature vectors, so each step forms
-  the Laplacian once.  It stays stable for any dt and is the default
+  coefficients frozen at the current geometry, solved as one symmetric
+  positive-definite (mass-lumped) tridiagonal system per step, with cyclic
+  closure for closed/periodic curves and fixed endpoints for open ones.
+  It is built from what ``compute_geometry`` already holds, so each step
+  forms the Laplacian once.  It stays stable for any dt and is the default
   because it never blows up when remeshing changes min(ds) under the
   integrator.
 
@@ -174,19 +174,30 @@ def _backward_euler(
 ) -> np.ndarray:
     """Vertices, component-major (3, n), after one backward-Euler step.
 
-    Solves (I - dt*Lap) delta = dt * Lap(points) on the stencil rows of
-    ``geom``, the geometry of ``curve``, and adds delta to the vertices.
-    The caller passes the solvers it imported (``solve_cyclic`` for closed
-    and periodic curves, ``solve_open`` for the interior of open ones,
-    whose endpoints stay fixed), so each module's solves stay its own.
+    Solves (I - dt*Lap) delta = dt * Lap(points) on the rows of ``geom``,
+    the geometry of ``curve``, each scaled by its lumped mass ds_i into the
+    symmetric positive-definite mass-lumped system (Dziuk 1994): coupling
+    -dt/h per segment, diagonal ds_i + dt/h_{i-1} + dt/h_i, right-hand side
+    dt * ds_i * Lap_i.  delta is added to the vertices.  The caller passes
+    the solvers it imported (``solve_cyclic`` for the n rows of closed and
+    periodic curves, ``solve_open`` for the n - 2 interior rows of open
+    ones, whose endpoints stay fixed), so each module's solves stay its own.
     """
-    a, c = geom.lap_lower, geom.lap_upper
-    system = (-dt * a, 1.0 + dt * (a + c), -dt * c, dt * geom.laplacian)
-    if curve.is_cyclic():
-        moved = solve_cyclic(*system).T
+    cyclic = curve.is_cyclic()
+    inv = dt / geom.segment_lengths  # one coupling per segment
+    if cyclic:
+        ds, off = geom.ds, -inv
+        inv = np.concatenate((inv[-1:], inv))  # the corner couples row 0 too
+    else:
+        ds, off = geom.ds[1:-1], -inv[1:-1]
+    diag = ds + inv[:-1]  # each row's couplings: inv[i-1], then inv[i]
+    diag += inv[1:]
+    rhs = geom.laplacian * (dt * ds)[:, None]
+    if cyclic:
+        moved = solve_cyclic(diag, off, rhs).T
     else:
         moved = np.zeros((3, curve.n))
-        moved[:, 1:-1] = solve_open(*system).T
+        moved[:, 1:-1] = solve_open(diag, off, rhs).T
     moved += curve.points.T
     return moved
 
@@ -216,9 +227,9 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     Solves (I - dt*Lap) delta = dt * Lap(points) for the displacement field,
     which is periodic even for periodic-with-offset curves (the offset
     cancels in second differences), then adds delta to the vertices.  The
-    stencil rows are the ones ``compute_geometry`` already built for the
-    curvature vectors.  Open curves solve on the interior and keep both
-    endpoints fixed.
+    rows are scaled by their lumped masses, which makes the system
+    symmetric (see ``_backward_euler``).  Open curves solve on the interior
+    and keep both endpoints fixed.
     """
     if not dt > 0.0:
         raise InvalidArgumentError("dt must be positive")

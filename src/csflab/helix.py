@@ -152,31 +152,6 @@ def helix_pair_condition_scaled(y, m: float) -> float | np.ndarray:
     return _maybe_scalar(value, y)
 
 
-def _cosine_tail(y: np.ndarray) -> np.ndarray:
-    """(1-cos y)/y^2 - 1/2 + y^2/24, non-negative for all real y."""
-    y2 = y * y
-    y4 = y2 * y2
-    series = y4 / 720.0 - y4 * y2 / 40320.0 + y4 * y4 / 3628800.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        direct = (1.0 - np.cos(y)) / y2 - 0.5 + y2 / 24.0
-    return np.where(np.abs(y) < 0.1, series, direct)
-
-
-def scaled_condition_lower_bound(y, m: float) -> float | np.ndarray:
-    """Closed-form lower bound for the scaled pair condition.
-
-    (m - (1+m)/3) y^2 + 8(1+m) * ((1-cos y)/y^2 - 1/2 + y^2/24); the gap to
-    the scaled condition is exactly (2-2cos y)(m+2) >= 0, so the bound is
-    valid for every y > 0, not just where a truncated series would behave.
-    Its leading coefficient m - (1+m)/3 turns non-negative at m = 1/2.
-    """
-    m = _check_m(m)
-    arr = _as_positive_y(y)
-    y2 = arr * arr
-    value = (m - (1.0 + m) / 3.0) * y2 + 8.0 * (1.0 + m) * _cosine_tail(arr)
-    return _maybe_scalar(value, y)
-
-
 def scaled_condition_threshold(m_grid, y_grid) -> float:
     """Smallest grid m above which the scaled condition stays non-negative.
 

@@ -155,7 +155,8 @@ def build_curve(preset: Preset) -> SampledCurve:
     if preset.name == COS2U_CURVE:
         return SampledCurve(_cos2u_points(n), CLOSED)
     if preset.name == SPHERE_PERTURBED:
-        pts = _sphere_perturbed_points(p["eps"], int(p["harmonic"]), n)
+        harmonic = require_integer("harmonic", p["harmonic"])
+        pts = _sphere_perturbed_points(p["eps"], harmonic, n)
         return SampledCurve(pts, CLOSED)
     if preset.name in (HELIX, GRAPH_CURVE):
         spec = graph_spec_for(preset)
@@ -186,7 +187,7 @@ def graph_spec_for(preset: Preset) -> GraphCurveSpec:
         raise InvalidArgumentError(f"{preset.name} preset needs a > 0 and b != 0")
     shape = {"a": p["a"], "b": p["b"]}
     if preset.name == GRAPH_CURVE:
-        shape.update(eps=p["eps"], harmonic=int(p["harmonic"]))
+        shape.update(eps=p["eps"], harmonic=require_integer("harmonic", p["harmonic"]))
     return helix_graph_spec(n=preset.n, endpoint=False, **shape)
 
 

@@ -146,8 +146,8 @@ def rescale(curve: SampledCurve, t: float) -> RescaledState:
 def step_geodesic_flow(state: RescaledState, dt_tilde: float) -> RescaledState:
     """One backward-Euler step of the unit-sphere geodesic-curvature flow.
 
-    Solves (I - dt_tilde*Lap) delta = dt_tilde * Lap(points) on the stencil
-    rows of the curve's geometry, as ``flow.step_semi_implicit`` does, and
+    Solves (I - dt_tilde*Lap) delta = dt_tilde * Lap(points), in the
+    mass-lumped symmetric rows of ``flow.step_semi_implicit``, and
     projects each moved vertex radially back onto the unit sphere, which
     removes the normal part of the curvature vector.  Any positive dt_tilde
     is stable.  Open curves keep both endpoints, up to the projection's

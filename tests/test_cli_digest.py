@@ -2,7 +2,7 @@
 
 Two runs of ``tools/cli_digest.py`` with different ``PYTHONHASHSEED``
 values must print the same digests: no output may depend on the string
-hash order of one interpreter. A third run takes LAPACK ``gtsv`` from
+hash order of one interpreter. A third run takes LAPACK ``ptsv`` from
 SciPy's wrapper instead of numpy's OpenBLAS and must print them too.
 """
 
@@ -15,12 +15,12 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# cli_digest with numpy's gtsv lookup failing, as where numpy exports none
+# cli_digest with numpy's ptsv lookup failing, as where numpy exports none
 FALLBACK = """\
 import sys
 sys.path.insert(0, "tools")
 from csflab import tridiag
-tridiag._numpy_gtsv = lambda: None
+tridiag._numpy_ptsv = lambda: None
 import cli_digest
 status = cli_digest.main([])
 assert "scipy.linalg._flapack" in sys.modules, "no solve went through scipy"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dptsv
 
 from csflab import (
     CLOSED,
@@ -304,37 +304,56 @@ def rolled_neighbors(curve):
     return prev, nxt
 
 
-def banded(lower, diag, upper, rhs):
-    ab = np.zeros((3, diag.size))
-    ab[0, 1:] = upper[:-1]
-    ab[1] = diag
-    ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
-
-
-def reference_semi_implicit(curve, dt):
-    # a, c and the Laplacian recomputed here, solved through solve_banded
+def neighbor_steps(curve):
+    """Segment lengths before and after each centre row, the stencil weights
+    a and c, and the Laplacian a (p- - p) + c (p+ - p) of the rows: all
+    vertices of a closed or periodic curve, the interior ones of an open
+    curve."""
     pts = curve.points
     seg = segment_lengths(curve)
     if curve.is_cyclic():
-        h_minus, h_plus = np.roll(seg, 1), seg
-        a = 2.0 / (h_minus * (h_minus + h_plus))
-        c = 2.0 / (h_plus * (h_minus + h_plus))
-        prev, nxt = rolled_neighbors(curve)
-        lap = a[:, None] * (prev - pts) + c[:, None] * (nxt - pts)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tridiag, "solve_tridiagonal", banded)
-            delta = tridiag.solve_cyclic_tridiagonal(
-                -dt * a, 1.0 + dt * (a + c), -dt * c, dt * lap
-            )
+        (prev, nxt), cur = rolled_neighbors(curve), pts
+        hm, hp = np.roll(seg, 1), seg
     else:
+        prev, cur, nxt = pts[:-2], pts[1:-1], pts[2:]
         hm, hp = seg[:-1], seg[1:]
-        a = 2.0 / (hm * (hm + hp))
-        c = 2.0 / (hp * (hm + hp))
-        lap = a[:, None] * (pts[:-2] - pts[1:-1]) + c[:, None] * (pts[2:] - pts[1:-1])
-        delta = np.zeros_like(pts)
-        delta[1:-1] = banded(-dt * a, 1.0 + dt * (a + c), -dt * c, dt * lap)
-    return pts + delta
+    a = 2.0 / (hm * (hm + hp))
+    c = 2.0 / (hp * (hm + hp))
+    lap = a[:, None] * (prev - cur) + c[:, None] * (nxt - cur)
+    return hm, hp, a, c, lap
+
+
+def reference_semi_implicit(curve, dt):
+    # the mass-lumped rows recomputed here from the segment lengths; open
+    # curves solve through SciPy's own dptsv
+    hm, hp, _, _, lap = neighbor_steps(curve)
+    ds = 0.5 * (hm + hp)
+    diag = ds + dt / hm + dt / hp
+    rhs = lap * (dt * ds)[:, None]
+    delta = np.zeros_like(curve.points)
+    if curve.is_cyclic():
+        delta += tridiag.solve_cyclic_tridiagonal(diag, -(dt / hp), rhs)
+    else:
+        *_, delta[1:-1], info = dptsv(diag, -(dt / hp[:-1]), rhs)
+        assert info == 0
+    return curve.points + delta
+
+
+def dense_backward_euler(curve, dt):
+    # the unscaled (I - dt L) delta = dt L p, L assembled densely from the
+    # segment lengths and solved by numpy.linalg.solve
+    _, _, a, c, lap = neighbor_steps(curve)
+    n = curve.n
+    first = 0 if curve.is_cyclic() else 1
+    matrix = np.zeros((len(a), n))
+    for row, i in enumerate(range(first, first + len(a))):
+        matrix[row, (i - 1) % n] -= dt * a[row]
+        matrix[row, (i + 1) % n] -= dt * c[row]
+        matrix[row, i] += 1.0 + dt * (a[row] + c[row])
+    moved = curve.points.copy()
+    unknowns = slice(first, first + len(a))
+    moved[unknowns] += np.linalg.solve(matrix[:, unknowns], dt * lap)
+    return moved
 
 
 def reference_curvature_vectors(curve, tangents):
@@ -359,6 +378,9 @@ def reference_curvature_vectors(curve, tangents):
     return raw - np.einsum("ij,ij->i", raw, tangents)[:, None] * tangents
 
 
+# the two solvers, in the order flow._backward_euler takes them
+SOLVES = (tridiag.solve_cyclic_tridiagonal, tridiag.solve_tridiagonal)
+
 CURVE_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(8, 64),
@@ -377,6 +399,24 @@ def test_semi_implicit_step_equals_reference_bit_for_bit(seed, n, topology, dt_s
 
 
 @settings(max_examples=60, deadline=None)
+@given(**CURVE_CASES, dt_scale=st.floats(0.01, 100.0))
+def test_mass_lumped_step_equals_the_unscaled_dense_system(seed, n, topology, dt_scale):
+    # scaling each row by its lumped mass changes the system, not its
+    # solution: the step agrees with a dense solve of the unscaled rows
+    curve = random_curve(seed, n, topology)
+    geom = compute_geometry(curve)
+    dt = dt_scale * stable_step(geom)
+    expected = dense_backward_euler(curve, dt)
+    moved = [flow._backward_euler(curve, geom, dt, *SOLVES)]
+    assert np.abs(moved[0].T - expected).max() <= 1e-13 * np.abs(expected).max()
+    # and both LAPACK routes give it the same bits, for either solver
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tridiag, "_numpy_ptsv", lambda: None)
+        moved.append(flow._backward_euler(curve, geom, dt, *SOLVES))
+    assert np.array_equal(moved[0].view(np.int64), moved[1].view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
 @given(**CURVE_CASES)
 def test_curvature_vectors_match_quotient_form(seed, n, topology):
     curve = random_curve(seed, n, topology)
@@ -385,8 +425,7 @@ def test_curvature_vectors_match_quotient_form(seed, n, topology):
     k_max = np.linalg.norm(expected, axis=1).max()
     assert np.abs(g.curvature_vectors - expected).max() <= 1e-14 * k_max
     rows = n if curve.is_cyclic() else n - 2
-    for arr in (g.lap_lower, g.lap_upper, g.laplacian):
-        assert len(arr) == rows and not arr.flags.writeable
+    assert len(g.laplacian) == rows and not g.laplacian.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -403,8 +442,8 @@ def test_step_raises_the_constructors_non_finite_failure(monkeypatch, scheme, ba
         state = dataclasses.replace(state, geometry=geometry)
         step, message = step_explicit, "explicit step produced non-finite vertices"
     else:
-        def bad_solve(lower, diag, upper, rhs):
-            delta = tridiag.solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+        def bad_solve(diag, off, rhs):
+            delta = tridiag.solve_cyclic_tridiagonal(diag, off, rhs)
             delta[7, 1] = bad
             return delta
 
@@ -423,7 +462,7 @@ def test_step_keeps_other_curve_failures(monkeypatch):
     # non-finite one
     state = make_state(circle(32))
 
-    def collapse(lower, diag, upper, rhs):
+    def collapse(diag, off, rhs):
         return np.zeros_like(rhs) - state.curve.points
 
     monkeypatch.setattr(flow, "solve_cyclic_tridiagonal", collapse)
@@ -434,10 +473,10 @@ def test_step_keeps_other_curve_failures(monkeypatch):
 def test_run_failure_names_last_good_state(monkeypatch):
     calls = []
 
-    def failing_solve(lower, diag, upper, rhs):
+    def failing_solve(diag, off, rhs):
         calls.append(None)
         if len(calls) < 5:
-            return tridiag.solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+            return tridiag.solve_cyclic_tridiagonal(diag, off, rhs)
         return np.full_like(rhs, np.nan)
 
     cfg = FlowConfig(record_every=2, t_end=1.0)
@@ -463,10 +502,10 @@ def test_run_failure_names_last_good_state(monkeypatch):
 def test_run_to_times_failure_names_last_good_state(monkeypatch):
     calls = []
 
-    def failing_solve(lower, diag, upper, rhs):
+    def failing_solve(diag, off, rhs):
         calls.append(None)
         if len(calls) < 5:
-            return tridiag.solve_cyclic_tridiagonal(lower, diag, upper, rhs)
+            return tridiag.solve_cyclic_tridiagonal(diag, off, rhs)
         return np.full_like(rhs, np.nan)
 
     cfl, target = 0.5, 0.3

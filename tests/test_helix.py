@@ -33,7 +33,6 @@ from csflab.helix import (
     cosine_taylor_gap,
     graph_curve_condition,
     helix_graph_spec,
-    scaled_condition_lower_bound,
     shrinking_circle_radius,
 )
 from csflab.presets import (
@@ -167,18 +166,6 @@ def test_scaled_condition_nonnegative_at_m_one():
     assert helix_pair_condition_scaled(ys, 1.0).min() >= 0.0
 
 
-def test_lower_bound_gap_identity():
-    # G - bound = (2 - 2 cos y)(m + 2) exactly
-    ys = np.linspace(1e-4, 4 * math.pi, 500)
-    for m in (0.0, 0.12, 1.0, 30.0):
-        G = helix_pair_condition_scaled(ys, m)
-        bound = scaled_condition_lower_bound(ys, m)
-        gap = (2.0 - 2.0 * np.cos(ys)) * (m + 2.0)
-        scale = np.maximum(np.abs(G), 1.0)
-        assert np.abs(G - bound - gap).max() < 1e-9 * scale.max()
-        assert (G - bound).min() >= -1e-12
-
-
 def test_threshold_on_declared_grid():
     m_grid = np.linspace(0.01, 2.0, 400)
     y_grid = np.linspace(4 * math.pi / 400, 4 * math.pi, 400)
@@ -304,6 +291,21 @@ def test_presets_take_numpy_integers_as_int():
     assert build_curve(preset).n == 9
 
 
+@pytest.mark.parametrize(
+    "name, params",
+    [(SPHERE_PERTURBED, {}), (GRAPH_CURVE, {"eps": 0.1})],
+)
+def test_preset_harmonics_must_be_integers(name, params):
+    # 2.5 and 3.9 were cut to 2 and 3 without a word
+    for bad in (2.5, 3.9, True):
+        with pytest.raises(InvalidArgumentError, match="harmonic must be an integer"):
+            build_curve(make_preset(name, n=64, harmonic=bad, **params))
+    default = build_curve(make_preset(name, n=64, **params)).points
+    for good in (3, np.int64(3)):
+        points = build_curve(make_preset(name, n=64, harmonic=good, **params)).points
+        assert np.array_equal(points.view(np.int64), default.view(np.int64))
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_need_as_many_vertices_as_their_curves(name):
     # every built-in curve is closed or periodic, so 8 vertices at least
@@ -398,46 +400,46 @@ STEP = (
             id="brentq-on-use",
         ),
         # explicit steps solve no system, and the sphere flow's solves take
-        # numpy's gtsv where it exports one, as a semi-implicit step does
+        # numpy's ptsv where it exports one, as a semi-implicit step does
         pytest.param(
             "csflab.consistency_profile("
             "csflab.build_curve(csflab.make_preset('sphere-perturbed', n=16)), [0.01])",
-            "csflab.tridiag._numpy_gtsv() is None or 'scipy' not in sys.modules",
+            "csflab.tridiag._numpy_ptsv() is None or 'scipy' not in sys.modules",
             id="no-scipy-without-a-solve",
         ),
         # the first tridiagonal solve looks LAPACK up, not the import
         pytest.param(
             "from csflab import flow, tridiag\n"
-            "before = tridiag._numpy_gtsv.cache_info().currsize\n" + STEP,
-            "(before, tridiag._numpy_gtsv.cache_info().currsize) == (0, 1)",
+            "before = tridiag._numpy_ptsv.cache_info().currsize\n" + STEP,
+            "(before, tridiag._numpy_ptsv.cache_info().currsize) == (0, 1)",
             id="lapack-on-first-solve",
         ),
-        # where numpy's OpenBLAS exports gtsv, a step loads nothing of scipy
+        # where numpy's OpenBLAS exports ptsv, a step loads nothing of scipy
         pytest.param(
             STEP,
-            "csflab.tridiag._numpy_gtsv() is None"
+            "csflab.tridiag._numpy_ptsv() is None"
             " or not {'scipy', 'scipy.linalg._flapack'} & sys.modules.keys()",
             id="lapack-without-scipy-init",
         ),
         # where it does not, the step imports scipy.linalg.lapack
         pytest.param(
             "from csflab import tridiag\n"
-            "tridiag._numpy_gtsv = lambda: None\n" + STEP,
+            "tridiag._numpy_ptsv = lambda: None\n" + STEP,
             "'scipy.linalg.lapack' in sys.modules",
             id="lapack-fallback-imports-scipy-linalg",
         ),
     ]
     + [
         # the fallback and scipy.linalg, imported before or after, hand out
-        # the very same dgtsv
+        # the very same dptsv
         pytest.param(
             then,
-            "csflab.tridiag._load_flapack().dgtsv is scipy.linalg.lapack.dgtsv",
+            "csflab.tridiag._load_flapack().dptsv is scipy.linalg.lapack.dptsv",
             id=name,
         )
         for name, then in (
-            ("same-dgtsv", "csflab.tridiag._load_flapack(); import scipy.linalg.lapack"),
-            ("same-dgtsv-scipy-first", "import csflab.tridiag, scipy.linalg.lapack"),
+            ("same-dptsv", "csflab.tridiag._load_flapack(); import scipy.linalg.lapack"),
+            ("same-dptsv-scipy-first", "import csflab.tridiag, scipy.linalg.lapack"),
         )
     ],
 )

@@ -111,8 +111,6 @@ def reference_geometry(curve):
         ds=ds,
         total_length=float(np.sum(seg)),
         segment_lengths=seg,
-        lap_lower=a,
-        lap_upper=c,
         laplacian=lap,
     )
 
@@ -162,7 +160,7 @@ def reference_decomposition(curve, geom):
     )
 
 
-def reference_cyclic_solve(lower, diag, upper, rhs):
+def reference_cyclic_solve(diag, off, rhs):
     # the Sherman-Morrison wrap as a stacked copy and an outer product
     n = diag.size
     single = rhs.ndim == 1
@@ -170,14 +168,14 @@ def reference_cyclic_solve(lower, diag, upper, rhs):
     gamma = -diag[0]
     mod_diag = diag.copy()
     mod_diag[0] -= gamma
-    mod_diag[-1] -= upper[-1] * lower[0] / gamma
+    mod_diag[-1] -= off[-1] * off[-1] / gamma
     u = np.zeros(n)
     u[0] = gamma
-    u[-1] = upper[-1]
-    sol = solve_tridiagonal(lower, mod_diag, upper, np.hstack([b, u[:, None]]))
+    u[-1] = off[-1]
+    sol = solve_tridiagonal(mod_diag, off[:-1], np.hstack([b, u[:, None]]))
     y, z = sol[:, :-1], sol[:, -1]
-    denom = 1.0 + z[0] + (lower[0] / gamma) * z[-1]
-    vy = y[0] + (lower[0] / gamma) * y[-1]
+    denom = 1.0 + z[0] + (off[-1] / gamma) * z[-1]
+    vy = y[0] + (off[-1] / gamma) * y[-1]
     x = y - np.outer(z, vy / denom)
     return x[:, 0] if single else x
 
@@ -258,13 +256,18 @@ def test_sphere_decomposition_signed_zeros(axes):
 def test_geodesic_step_equals_cross_reference(
     seed, n, topology, scale, planar, fraction, t_tilde
 ):
-    # the backward-Euler system on the reference stencil rows, then the
-    # radial projection; any positive dt is stable
+    # the mass-lumped backward-Euler system on the reference geometry, with
+    # the couplings dt / h of its segments, then the radial projection; any
+    # positive dt is stable
     curve = random_curve(seed, n, topology, scale, planar, on_sphere=True)
     geom = reference_geometry(curve)
     dt = fraction * stable_step(compute_geometry(curve))
-    a, c = geom["lap_lower"], geom["lap_upper"]
-    system = (-dt * a, 1.0 + dt * (a + c), -dt * c, dt * geom["laplacian"])
+    seg = geom["segment_lengths"]
+    if topology == OPEN:
+        ds, hm, hp, off = geom["ds"][1:-1], seg[:-1], seg[1:], seg[1:-1]
+    else:
+        ds, hm, hp, off = geom["ds"], np.roll(seg, 1), seg, seg
+    system = (ds + dt / hm + dt / hp, -(dt / off), geom["laplacian"] * (dt * ds)[:, None])
     moved = curve.points.copy()
     if topology == OPEN:
         moved[1:-1] += solve_tridiagonal(*system)
@@ -284,10 +287,10 @@ def test_geodesic_step_equals_cross_reference(
     scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
 )
 def test_cyclic_solve_equals_outer_reference(seed, n, columns, scale):
+    # diagonally dominant with a positive diagonal: positive definite
     rng = np.random.default_rng(seed)
-    lower = rng.uniform(-1.0, 1.0, n) * scale
-    upper = rng.uniform(-1.0, 1.0, n) * scale
-    diag = (2.5 + rng.uniform(0.0, 1.0, n)) * scale * rng.choice([-1.0, 1.0], n)
+    off = rng.uniform(-1.0, 1.0, n) * scale
+    diag = (2.5 + rng.uniform(0.0, 1.0, n)) * scale
     rhs = rng.standard_normal(n if columns is None else (n, columns))
-    x = solve_cyclic_tridiagonal(lower, diag, upper, rhs)
-    assert same_bits(x, reference_cyclic_solve(lower, diag, upper, rhs))
+    x = solve_cyclic_tridiagonal(diag, off, rhs)
+    assert same_bits(x, reference_cyclic_solve(diag, off, rhs))

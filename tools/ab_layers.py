@@ -14,7 +14,9 @@ The layers, each at n = 256, 512, 1024 and 2048:
   checked over every array of its ``CurveGeometry``;
 - ``cyclic_solve``: ``tridiag.solve_cyclic_tridiagonal`` on the system
   that ``flow._backward_euler`` builds for one semi-implicit helix step,
-  with its 3 columns;
+  with its 3 columns; each side solves the system its own
+  ``_backward_euler`` builds, whatever its arguments, the right-hand side
+  last;
 - ``open_solve``: ``tridiag.solve_tridiagonal`` on the system it builds
   for the helix vertices taken as an open curve, whose interior it solves;
 - ``semi_implicit_step``: ``flow.step_semi_implicit`` on the helix preset;
@@ -131,7 +133,7 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int, path: Path):
 
     def capture(*system):
         systems.append(system)
-        return np.zeros_like(system[3])
+        return np.zeros_like(system[-1])  # the right-hand side comes last
 
     cs.flow._backward_euler(curve, geom, cs.flow.stable_step(geom, 0.5), capture, capture)
     (system,) = systems
