@@ -8,16 +8,23 @@ arc l, two ratios are tracked:
   length subtending the same arc, psi = (L/pi) * sin(pi*l/L).
 
 Periodic curves use a one-way arc along the periodic extension (the curve
-plus one offset copy), where only d/l makes sense.
+plus one offset copy), where only d/l makes sense.  The extension's arcs
+come from the curve's own segment lengths, the n of one period and then its
+first n - 1 again, so nothing here measures a segment.
+
+Every pair is read from one frame, ``_pair_frame``: the rows x, y, z and s
+of the vertices laid twice.  Its chord is sqrt((dx^2 + dy^2) + dz^2) in
+that order, both in the pair kernel and in ``pair_diagnostics``, so a
+pair's diagnostics hold the bits of its cell.
 
 One pair kernel, ``_pair_blocks``, serves every reduction.  It walks gaps,
 not rows: a block is a run of whole cyclic diagonals, the pairs (i, i+g)
 for every vertex i and each gap g of the block, read as windows of the
-vertex and arc-position arrays, in blocks of about ``_BLOCK_CELLS`` cells.
-Periodic curves take gaps band+1 .. n along the extension, with the forward
-arc s[i+g] - s[i].  Closed curves lay the vertices twice and take gaps
-band+1 .. n//2, since a larger gap is a smaller one the other way round;
-the arc |s[i+g mod n] - s[i]| is folded to the shorter one, min(l, L - l),
+frame, in blocks of about ``_BLOCK_CELLS`` cells.  Periodic curves take
+gaps band+1 .. n along the extension, with the forward arc s[i+g] - s[i].
+Closed curves, whose frame repeats s, take gaps band+1 .. n//2, since a
+larger gap is a smaller one the other way round; the arc
+|s[i+g mod n] - s[i]| is folded to the shorter one, min(l, L - l),
 and on even n the gap n/2 takes only i < n/2.  So every cell of a block is
 a pair outside the band, each pair comes once, and no cell is masked.
 Chords, folded arcs and psi are symmetric in i and j, so a closed pair
@@ -49,6 +56,7 @@ from .curve import (
     arc_positions,
     compute_geometry,
     row_norm,
+    segment_lengths,
     total_absolute_curvature,
 )
 from .errors import (
@@ -109,12 +117,24 @@ def _check_reduction(curve: SampledCurve, metric: str, band: int) -> None:
         )
 
 
-def _periodic_extension(curve: SampledCurve) -> tuple[np.ndarray, np.ndarray]:
-    """(3, 2n) columns of the curve plus one offset copy, and their arc positions."""
+def _pair_frame(curve: SampledCurve) -> tuple[np.ndarray, float | None]:
+    """(4, 2n) rows x, y, z and s of the vertices laid twice, and the length.
+
+    A closed curve repeats its vertices and their arc positions, and comes
+    with its length L.  A periodic curve puts the second lap one offset on,
+    and its s runs on along it: one cumsum over the curve's own segment
+    lengths followed by the first n - 1 of them again.  Its length is None,
+    since only d/l, which needs none, is defined there.
+    """
+    n = curve.n
     rows = curve.points.T
-    ext = np.hstack([rows, rows + curve.offset[:, None]])
-    seg = row_norm(ext[:, 1:] - ext[:, :-1])
-    return ext, np.concatenate([[0.0], np.cumsum(seg)])
+    if curve.topology == CLOSED:
+        s, length = arc_positions(curve)
+        lap = np.vstack([rows, s])
+        return np.hstack([lap, lap]), length
+    seg = segment_lengths(curve)
+    s = np.concatenate(([0.0], np.cumsum(np.concatenate((seg, seg[: n - 1])))))
+    return np.vstack([np.hstack([rows, rows + curve.offset[:, None]]), s]), None
 
 
 def _pair_blocks(curve: SampledCurve, band: int, fn) -> list:
@@ -129,18 +149,11 @@ def _pair_blocks(curve: SampledCurve, band: int, fn) -> list:
     """
     n = curve.n
     closed = curve.topology == CLOSED
-    if closed:
-        s, length = arc_positions(curve)
-        ext = np.vstack([curve.points.T, s])
-        ext = np.hstack([ext, ext])  # the vertices laid twice
-        top = (n + 1) // 2  # a gap g < top pairs every vertex i with i + g
-    else:
-        ext, s = _periodic_extension(curve)
-        ext = np.vstack([ext, s])
-        length = None  # only d/l, which needs no length, is defined
-        top = n + 1
-    rows = ext[:, None, :n]  # x, y, z and s of vertex i, as (1, n) rows
-    windows = sliding_window_view(ext, n, axis=1)  # [:, g, i] is vertex i + g
+    frame, length = _pair_frame(curve)
+    # on closed curves a gap g < top pairs every vertex i with i + g
+    top = (n + 1) // 2 if closed else n + 1
+    rows = frame[:, None, :n]  # x, y, z and s of vertex i, as (1, n) rows
+    windows = sliding_window_view(frame, n, axis=1)  # [:, g, i] is vertex i + g
 
     def block(gaps: range):
         m = n if gaps.start < top else n // 2
@@ -426,25 +439,30 @@ def pair_diagnostics(
 
     Closed curves measure along the shorter of the two arcs; periodic
     curves measure forward along the periodic extension, allowing j up to
-    i + n (the pure-offset pair).
+    i + n (the pure-offset pair).  The pair is read from the pair kernel's
+    frame and its chord measured with the kernel's formula, so ``d_over_l``
+    and ``d_over_psi`` hold the bits of the pair's ``ratio_field`` cell.
     """
+    if not curve.is_cyclic():
+        raise UnsupportedTopologyError(
+            f"pair diagnostics need a cyclic curve, not {curve.topology!r}"
+        )
     geom = geometry if geometry is not None else compute_geometry(curve)
     i, j, n = int(i), int(j), curve.n
     psi = alpha = arc_curvature = residual_dpsi = None
+    frame, length = _pair_frame(curve)
     if curve.topology == CLOSED:
         _validate_closed_pair(curve, i, j)
-        s, length = arc_positions(curve)
         lo, hi = (i, j) if i < j else (j, i)
-        fwd = float(s[hi] - s[lo])
+        fwd = float(frame[3, hi] - frame[3, lo])
         if fwd <= length - fwd:
-            start, end, arc = lo, hi, fwd
+            start, far, arc = lo, hi, fwd
         else:
-            start, end, arc = hi, lo, length - fwd
-        chord = curve.points[end] - curve.points[start]
+            start, far, arc = hi, lo, length - fwd
         psi = float(comparison_chord(arc, length))
         alpha = float(arc_angle(arc, length))
         arc_curvature = arc_curvature_integral(curve, i, j, geom)
-    elif curve.topology == PERIODIC:
+    else:
         if not 0 <= i < n:
             raise InvalidArgumentError(f"first index {i} out of range for n={n}")
         if j == i:
@@ -453,14 +471,12 @@ def pair_diagnostics(
             raise InvalidArgumentError(
                 f"periodic pair needs i < j <= i + n, got ({i}, {j})"
             )
-        ext, s = _periodic_extension(curve)
-        start, end, arc = i, j % n, float(s[j] - s[i])
-        chord = ext[:, j] - ext[:, i]
-    else:
-        raise UnsupportedTopologyError(
-            f"pair diagnostics need a cyclic curve, not {curve.topology!r}"
-        )
-    d = float(np.linalg.norm(chord))
+        start, far, arc = i, j, float(frame[3, j] - frame[3, i])
+    end = far % n  # the vertex at frame column far
+    # a (3, 1) column, so that row_norm adds ((dx^2 + dy^2) + dz^2) as the kernel
+    chord = frame[:3, far : far + 1] - frame[:3, start : start + 1]
+    d = float(row_norm(chord)[0])
+    chord = chord[:, 0]
     if d == 0.0:
         raise InvalidArgumentError(f"vertices {i} and {j} coincide")
     omega = chord / d

@@ -53,13 +53,31 @@ def row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(s, out=s)
 
 
+def _unmeasured(
+    steps: np.ndarray, lengths: np.ndarray, first: int, degenerate: str
+) -> InvalidCurveError:
+    # the error for the first of ``lengths`` that measured 0 or inf, from the
+    # (3, m) coordinate differences it was measured from: segment ``first`` on
+    k = int(np.flatnonzero(~((lengths > 0.0) & (lengths < math.inf)))[0])
+    largest = float(np.abs(steps[:, k]).max())
+    if largest == 0.0:
+        return InvalidCurveError(degenerate)
+    cause = "overflows" if lengths[k] > 0.0 else "underflows to zero"
+    return InvalidCurveError(
+        f"segment {first + k} length {cause}: its largest coordinate "
+        f"difference, {largest!r}, leaves the float range when squared"
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class SampledCurve:
     """Ordered vertex polyline with topology and optional period offset.
 
     Construction validates the vertices and measures every segment once on
     the way; the lengths are kept read-only and returned by
-    ``segment_lengths``, so no later step measures them again.  ``_wrapped``
+    ``segment_lengths``, so no later step measures them again.  A length
+    whose square leaves the float range, inf or 0 for distinct vertices,
+    is rejected with the segment and the cause named.  ``_wrapped``
     is the (3, n + 2) closure: the vertex before vertex 0, the vertices, the
     one after the last (a period away on periodic curves, the ends on open).
     """
@@ -106,9 +124,12 @@ class SampledCurve:
         wrapped = np.empty((3, n + 2))
         rows = wrapped[:, 1:-1]
         rows[...] = pts.T  # a straight copy of a step's (3, n) output
-        seg[: n - 1] = row_norm(rows[:, 1:] - rows[:, :-1])
-        if seg[: n - 1].min() == 0.0:
-            raise InvalidCurveError("consecutive vertices must be distinct")
+        inner = seg[: n - 1]
+        inner[:] = row_norm(rows[:, 1:] - rows[:, :-1])
+        # a finite length is below 1.4e154, so the sum is inf only if a length is
+        if inner.min() == 0.0 or inner.sum() == math.inf:
+            steps = rows[:, 1:] - rows[:, :-1]
+            raise _unmeasured(steps, inner, 0, "consecutive vertices must be distinct")
         first, last = wrapped[:, 1], wrapped[:, -2]
         if off is not None:  # a periodic curve's wrap vertices lie one period away
             first, last = first + off, last - off
@@ -116,9 +137,11 @@ class SampledCurve:
         if cyclic:
             closing = wrapped[:, -1] - wrapped[:, -2]
             seg[-1] = math.sqrt(closing.dot(closing))  # as np.linalg.norm does
-            if seg[-1] == 0.0:
+            if not 0.0 < seg[-1] < math.inf:
                 kind = "closing" if off is None else "period-closing"
-                raise InvalidCurveError(f"{kind} segment is degenerate")
+                raise _unmeasured(
+                    closing[:, None], seg[-1:], n - 1, f"{kind} segment is degenerate"
+                )
 
         wrapped.setflags(write=False)
         seg.setflags(write=False)

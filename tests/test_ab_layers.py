@@ -17,7 +17,10 @@ LAYERS = {
     "semi_implicit_step", "explicit_step", "geodesic_step",
     "ratio_minima", "min_pair_ratio", "write_curve",
 }
-FIELDS = {"bits_equal", "parent_us", "change_us", "diff_us", "diff_iqr_us", "diffs_us"}
+FIELDS = {
+    "bits_equal", "unshared_fields", "parent_us", "change_us", "diff_us",
+    "diff_iqr_us", "diffs_us",
+}
 
 
 def measure(parent, change):
@@ -35,6 +38,7 @@ def test_a_a_run_reports_every_layer_with_equal_bits():
         result = per_n["64"]
         assert set(result) == FIELDS
         assert result["bits_equal"] is True
+        assert result["unshared_fields"] == {"parent": [], "change": []}
         assert len(result["diffs_us"]) == 3
 
 
@@ -48,3 +52,18 @@ def test_a_changed_layer_reads_as_changed_bits(tmp_path):
     layers = measure(SRC, tmp_path / "src")["layers"]
     differ = {name for name, per_n in layers.items() if not per_n["64"]["bits_equal"]}
     assert differ == {"geodesic_step"}
+
+
+def test_a_geometry_with_an_extra_field_keeps_equal_bits(tmp_path):
+    # a tree whose CurveGeometry gained a field: the shared arrays decide
+    shutil.copytree(SRC / "csflab", tmp_path / "src" / "csflab")
+    curve = tmp_path / "src" / "csflab" / "curve.py"
+    text = curve.read_text()
+    last = "    laplacian: np.ndarray\n"
+    assert text.count(last) == 1
+    curve.write_text(text.replace(last, last + "    extra: float = 0.0\n"))
+    layers = measure(SRC, tmp_path / "src")["layers"]
+    assert all(per_n["64"]["bits_equal"] for per_n in layers.values())
+    unshared = {name: per_n["64"]["unshared_fields"] for name, per_n in layers.items()}
+    assert unshared.pop("compute_geometry") == {"parent": [], "change": ["extra"]}
+    assert all(u == {"parent": [], "change": []} for u in unshared.values())

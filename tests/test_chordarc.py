@@ -20,6 +20,7 @@ from csflab import (
     total_absolute_curvature,
 )
 from csflab.chordarc import (
+    METRICS,
     RatioField,
     arc_curvature_integral,
     comparison_chord,
@@ -29,7 +30,7 @@ from csflab.chordarc import (
     ratio_minimum_condition_dl,
     ratio_minimum_condition_dpsi,
 )
-from csflab.curve import PERIODIC
+from csflab.curve import PERIODIC, segment_lengths
 from csflab.errors import (
     DiagonalPairError,
     InvalidArgumentError,
@@ -343,10 +344,12 @@ def loop_field(curve, metric, band):
 
 
 def loop_periodic_min(curve, band):
-    # forward pairs (i, i + gap), gap in [band + 1, n], on the periodic extension
+    # forward pairs (i, i + gap), gap in [band + 1, n], on the periodic extension,
+    # whose arcs run on over the curve's own segments: one period, then n - 1
     n = curve.n
     ext = np.vstack([curve.points, curve.points + curve.offset])
-    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(ext, axis=0), axis=1))])
+    seg = segment_lengths(curve)
+    s = np.concatenate([[0.0], np.cumsum(np.concatenate([seg, seg[: n - 1]]))])
     best = math.inf
     for i in range(n):
         for j in range(i + band + 1, i + n + 1):
@@ -402,6 +405,42 @@ def test_periodic_minimum_equals_loop_bit_for_bit(seed, n, band, block_cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chordarc, "_BLOCK_CELLS", block_cells)
         assert min_pair_ratio(h, D_OVER_L, band) == slow
+
+
+def periodic_kernel_cells(curve, band):
+    # the d/l cell of every forward pair (i, i + g) the pair kernel hands out
+    def block(gaps, ratio):
+        vals = ratio(D_OVER_L).copy()  # the buffer is reused by the next block
+        return {(i, i + g): v for g, row in zip(gaps, vals) for i, v in enumerate(row)}
+
+    cells = {}
+    for found in chordarc._pair_blocks(curve, band, block):
+        cells.update(found)
+    return cells
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(16, 32), band=st.integers(1, 31))
+def test_pair_diagnostics_hold_the_kernels_bits(seed, n, band):
+    # one chord formula and one frame: every pair's ratios are its cells
+    closed = random_curve(seed, n, CLOSED)
+    closed_band = min(band, n // 2 - 1)
+    geom = compute_geometry(closed)
+    fields = {m: ratio_field(closed, m, closed_band).values for m in METRICS}
+    for i in range(n):
+        for j in range(n):
+            if min(abs(i - j), n - abs(i - j)) <= closed_band:
+                continue
+            diag = pair_diagnostics(closed, i, j, geom)
+            assert diag.d_over_l == fields[D_OVER_L][i, j]
+            assert diag.d_over_psi == fields[D_OVER_PSI][i, j]
+    periodic = random_curve(seed, n, PERIODIC)
+    periodic_band = min(band, n - 1)
+    geom = compute_geometry(periodic)
+    cells = periodic_kernel_cells(periodic, periodic_band)
+    assert len(cells) == n * (n - periodic_band)
+    for (i, j), value in cells.items():
+        assert pair_diagnostics(periodic, i, j, geom).d_over_l == value
 
 
 def kernel_cells(curve, band):

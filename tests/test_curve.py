@@ -234,6 +234,37 @@ def test_validation_rejects_bad_input():
     assert SampledCurve(good, CLOSED, (0.0, 0.0, 0.0)).offset is None
 
 
+@pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])
+@pytest.mark.parametrize(
+    "scale, cause", [(1e200, "overflows"), (1e-200, "underflows to zero")]
+)
+def test_segments_whose_squares_leave_the_float_range_are_rejected(
+    topology, scale, cause
+):
+    # distinct, finite vertices whose squared differences overflow or underflow
+    good = np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8)), np.zeros(8)])
+    offset = (0.0, 0.0, 1.0) if topology == PERIODIC else None
+    with pytest.raises(InvalidCurveError, match=f"^segment 0 length {cause}"):
+        SampledCurve(good * scale, topology, offset)
+
+
+@pytest.mark.parametrize("topology", [CLOSED, PERIODIC])
+def test_closing_segments_that_overflow_or_underflow_are_rejected(topology):
+    offset = (0.0, 0.0, 1.0) if topology == PERIODIC else None
+    shift = np.zeros(3) if offset is None else np.array(offset)
+    # seven segments of 1e154, whose squares fit, and a closing one of 7e154
+    far = np.zeros((8, 3))
+    far[:, 0] = np.arange(8) * 1e154
+    with pytest.raises(InvalidCurveError, match="^segment 7 length overflows"):
+        SampledCurve(far, topology, offset)
+    # the last vertex 1e-200 from where the closing segment ends
+    near = np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8)), np.zeros(8)])
+    near[-1] = near[0] + shift + (0.0, 1e-200, 0.0)
+    with pytest.raises(InvalidCurveError, match="^segment 7 length underflows to zero"):
+        SampledCurve(near, topology, offset)
+    assert SampledCurve(far, OPEN).n == SampledCurve(near, OPEN).n == 8
+
+
 @pytest.mark.parametrize(
     "topology, offset, accepted",
     [

@@ -805,6 +805,34 @@ def test_cli_ratio_field_outputs(tmp_path):
     assert minima and all(m["cond31"] is not None for m in minima)
 
 
+@pytest.mark.parametrize("metric, arc", [("d_over_l", "l"), ("d_over_psi", "psi")])
+def test_cli_minima_values_are_their_rows_ratios(tmp_path, metric, arc):
+    # each pair is measured once: a minimum's value is its own row's d / l or
+    # d / psi, bit for bit
+    out = tmp_path / metric
+    assert run_cli([
+        "ratio-field", "--preset", "cos2u-curve", "--n", "256",
+        "--metric", metric, "--out", str(out),
+    ]) == 0
+    minima = read_minima_csv(out / "minima.csv")
+    assert len(minima) > 40
+    assert [m["value"] for m in minima] == [m["d"] / m[arc] for m in minima]
+
+
+@pytest.mark.parametrize("r, cause", [("1e200", "overflows"), ("1e-200", "underflows")])
+def test_cli_rejects_segments_that_cannot_be_measured(tmp_path, capsys, r, cause):
+    # distinct, finite vertices whose squared differences leave the float range
+    out = tmp_path / "run"
+    assert run_cli([
+        "simulate", "--preset", "circle", "--n", "16", "--r", r,
+        "--t-end", "1", "--max-steps", "5", "--out", str(out),
+    ]) == 1
+    # the last line: numpy may warn of the overflow on its way
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: segment 0 length {cause}")
+    assert not out.exists()
+
+
 def test_cli_helix_scan(tmp_path):
     out = tmp_path / "scan"
     code = run_cli([

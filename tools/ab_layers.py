@@ -11,7 +11,7 @@ same path on both sides is an A/A run, which shows the noise floor.
 The layers, each at n = 256, 512, 1024 and 2048:
 
 - ``compute_geometry``: ``curve.compute_geometry`` on the helix preset,
-  checked over every array of its ``CurveGeometry``;
+  checked field by field over its ``CurveGeometry``;
 - ``cyclic_solve``: ``tridiag.solve_cyclic_tridiagonal`` on the system
   that ``flow._backward_euler`` builds for one semi-implicit helix step,
   with its 3 columns; each side solves the system its own
@@ -31,14 +31,17 @@ The layers, each at n = 256, 512, 1024 and 2048:
   into a temporary directory, checked on the bytes of the file.
 
 Each side builds its inputs with its own package. For each layer and n the
-tool first checks that both sides give the same bits. It then takes, on
+tool first checks that both sides give the same bits. A dataclass output is
+compared on the fields both sides have, so a geometry that gained or lost a
+field still reads equal when every shared array is; the fields only one
+side has are listed by name in the report. It then takes, on
 each of 11 alternations, the best of 5 timings of 20 calls on each side,
 the side that goes first switching each time. The JSON file
 holds, per layer and n, both sides' median µs per call, the per-alternation
-differences (change minus parent), their median and IQR, and the bit check,
-with the machine facts. A table goes to stdout. Exit status 1 when some
-layer's outputs differ. Pinning the process to one CPU (``taskset -c 0``)
-narrows the spread.
+differences (change minus parent), their median and IQR, the bit check and
+the unshared fields, with the machine facts. A table goes to stdout. Exit
+status 1 when some layer's outputs differ. Pinning the process to one CPU
+(``taskset -c 0``) narrows the spread.
 """
 
 from __future__ import annotations
@@ -140,19 +143,25 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int, path: Path):
     return lambda: solve(*system)
 
 
-def output_bits(result) -> tuple:
-    """The shapes and bytes of a layer's output: a solution, a step's vertices,
-    every array of a geometry, the minima of a record row, or a written file."""
+def output_bits(result) -> dict:
+    """The shapes and bytes of a layer's output, by field name: one entry per
+    field of a dataclass, such as the arrays of a geometry, and one named
+    ``output`` for a solution, a step's vertices, the minima of a record row
+    or a written file."""
     if isinstance(result, Path):
-        return (result.read_bytes(),)
+        return {"output": result.read_bytes()}
     for name in ("curve", "curve_tilde"):
         if hasattr(result, name):
             result = getattr(result, name).points
     if dataclasses.is_dataclass(result):
-        return tuple(output_bits(getattr(result, f.name))
-                     for f in dataclasses.fields(result))
-    result = np.asarray(result)
-    return result.shape, result.tobytes()
+        return {f.name: _array_bits(getattr(result, f.name))
+                for f in dataclasses.fields(result)}
+    return {"output": _array_bits(result)}
+
+
+def _array_bits(value) -> tuple:
+    value = np.asarray(value)
+    return value.shape, value.tobytes()
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -163,6 +172,7 @@ def quartiles(values) -> tuple[float, float, float]:
 def compare(calls: dict, alternations: int, repeat: int, number: int) -> dict:
     """The bit check and the alternating timings of one layer at one n."""
     bits = {side: output_bits(call()) for side, call in calls.items()}
+    shared = bits["parent"].keys() & bits["change"].keys()
     times = {side: [] for side in SIDES}
     for i in range(alternations):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -171,7 +181,9 @@ def compare(calls: dict, alternations: int, repeat: int, number: int) -> dict:
     diffs = [c - p for p, c in zip(times["parent"], times["change"])]
     q1, median, q3 = quartiles(diffs)
     return {
-        "bits_equal": bits["parent"] == bits["change"],
+        "bits_equal": bool(shared)
+        and all(bits["parent"][f] == bits["change"][f] for f in shared),
+        "unshared_fields": {side: sorted(bits[side].keys() - shared) for side in SIDES},
         **{f"{side}_us": quartiles(times[side])[1] for side in SIDES},
         "diff_us": median,
         "diff_iqr_us": q3 - q1,
@@ -214,7 +226,10 @@ def measure(srcs: dict, sizes, alternations: int, repeat: int, number: int) -> d
             print(f"{layer:>18} n={n:<5} parent {result['parent_us']:9.1f} us  change "
                   f"{result['change_us']:9.1f} us  diff {result['diff_us']:+8.2f} "
                   f"(IQR {result['diff_iqr_us']:.2f})  bits "
-                  f"{'equal' if result['bits_equal'] else 'DIFFER'}")
+                  f"{'equal' if result['bits_equal'] else 'DIFFER'}"
+                  + "".join(f"  {side} only: {', '.join(fields)}"
+                            for side, fields in result["unshared_fields"].items()
+                            if fields))
     return {
         "sides": {side: str(Path(src).resolve()) for side, src in srcs.items()},
         "settings": {"n": list(sizes), "alternations": alternations,
