@@ -214,7 +214,7 @@ def _cmd_sphere_verify(args: argparse.Namespace) -> int:
     preset = make_preset(SPHERE_PERTURBED, n=args.n, eps=args.eps, harmonic=args.k)
     if not 0.0 < args.t_end < 0.5:
         raise InvalidArgumentError("--t-end must lie in (0, 0.5)")
-    config = FlowConfig(t_end=args.t_end, sphere_radius=1.0)
+    config = FlowConfig(t_end=args.t_end)
     _, out = _simulate_and_emit(preset, config, args.out)
     targets = args.t_end * np.arange(1, 7) / 6.0
     profile = consistency_profile(build_curve(preset), targets)

@@ -107,14 +107,17 @@ class SampledCurve:
             if off is None:
                 raise InvalidCurveError("periodic topology requires an offset")
             off = np.array(off, dtype=float)
-            # checked as Python floats, whose sum of squares underflows to
-            # zero exactly when np.linalg.norm(off) does
             xyz = off.tolist()
             if off.shape != (3,) or not all(map(math.isfinite, xyz)):
                 raise InvalidCurveError("offset must be a finite 3-vector")
-            if sum(v * v for v in xyz) == 0.0:
+            if not any(xyz):
                 raise InvalidCurveError("periodic offset must be nonzero")
-        elif off is not None and np.linalg.norm(np.asarray(off, float)) != 0.0:
+            if sum(v * v for v in xyz) == 0.0:  # as in np.linalg.norm(off)
+                raise InvalidCurveError(
+                    "periodic offset length underflows to zero: its largest component, "
+                    f"{max(map(abs, xyz))!r}, leaves the float range when squared"
+                )
+        elif off is not None and np.asarray(off, float).any():
             raise InvalidCurveError(f"{self.topology} topology takes no offset")
         else:
             off = None

@@ -2,12 +2,11 @@
 
 A curve starting on the unit sphere stays on the sphere of squared radius
 1 - 2t under the curvature flow; ``flow.sphere_residual`` measures how
-well a discrete run conserves that law.  This module splits curvature
-vectors into geodesic and normal parts, rescales curves back to the unit
-sphere with the matching dilated time, and runs the intrinsic
-geodesic-curvature flow on the unit sphere so the two descriptions can be
-compared snapshot by snapshot; both step through the one time loop of
-``flow``.
+well a discrete run conserves that law.  This module rescales curves back
+to the unit sphere with the matching dilated time and runs the intrinsic
+geodesic-curvature flow on the unit sphere, so that the two descriptions
+can be compared snapshot by snapshot; both step through the one time loop
+of ``flow``.
 
 The intrinsic step is backward Euler on the arc-length Laplacian, the
 system of ``flow.step_semi_implicit``, followed by a radial projection back
@@ -27,19 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import CurveGeometry, SampledCurve, compute_geometry, row_dot, row_norm
+from .curve import SampledCurve, compute_geometry, row_norm
 from .errors import DomainError, InvalidArgumentError, NotOnSphereError
 from .flow import _backward_euler, _run_to_targets, _stepped_curve, run_to_times
 from .tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
 
-SPHERE_REL_TOL = 1e-3  # vertex-radius spread the decomposition and the step allow
+SPHERE_REL_TOL = 1e-3  # vertex-radius spread the geodesic step allows
 RESCALE_REL_TOL = 2e-2  # looser: rescaling accepts accumulated flow drift
 
 # the intrinsic flow's fixed dilated-time step, the same at every n
 GEODESIC_DT = 4e-4
 
 
-def _vertex_radii(rows: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
+def _mean_radius(rows: np.ndarray, rel_tol: float) -> float:
     radii = row_norm(rows)
     mean = float(radii.sum()) / len(radii)  # np.mean's bits
     worst = float(np.abs(radii - mean).max())
@@ -47,57 +46,7 @@ def _vertex_radii(rows: np.ndarray, rel_tol: float) -> tuple[np.ndarray, float]:
         raise NotOnSphereError(
             f"vertex radii spread {worst:.3g} exceeds {rel_tol:g} of {mean:.3g}"
         )
-    return radii, mean
-
-
-@dataclass(frozen=True, eq=False)
-class SphereDecomposition:
-    """Per-vertex split of the curvature vector in the sphere's frame.
-
-    ``n_vec`` is the inner normal (toward the center), adjusted to be
-    exactly orthogonal to the discrete tangent so that
-    k_g * q_vec + k_n * n_vec rebuilds the curvature vector to roundoff;
-    without the adjustment the discrete tangent's O(h^2) tilt against the
-    position direction leaks into the reconstruction.  ``q_vec`` completes
-    the frame as normal x tangent.
-    """
-
-    k_g: np.ndarray
-    k_n: np.ndarray
-    n_vec: np.ndarray
-    q_vec: np.ndarray
-    radius: float
-
-
-def decompose_curvature(
-    curve: SampledCurve, geometry: CurveGeometry | None = None
-) -> SphereDecomposition:
-    """Split curvature into geodesic (in-sphere) and normal (radial) parts."""
-    inward = np.negative(curve.points.T)
-    radii, radius = _vertex_radii(inward, SPHERE_REL_TOL)
-    geom = geometry if geometry is not None else compute_geometry(curve)
-    tangents = geom.tangents.T
-    inward /= radii
-    n_vec = inward - row_dot(inward, tangents) * tangents
-    n_norm = row_norm(n_vec)
-    if (n_norm < 1e-12).any():
-        raise NotOnSphereError("tangent is radial at some vertex")
-    n_vec /= n_norm
-    # q = n x t per component, the products and differences np.cross forms
-    (u0, u1, u2), (v0, v1, v2) = n_vec, tangents
-    q_vec = np.empty_like(n_vec)
-    np.subtract(u1 * v2, u2 * v1, out=q_vec[0])
-    np.subtract(u2 * v0, u0 * v2, out=q_vec[1])
-    np.subtract(u0 * v1, u1 * v0, out=q_vec[2])
-    q_vec /= row_norm(q_vec)
-    kvec = geom.curvature_vectors.T
-    k_g = row_dot(kvec, q_vec)
-    k_n = row_dot(kvec, n_vec)
-    for arr in (k_g, k_n, n_vec, q_vec):
-        arr.setflags(write=False)
-    return SphereDecomposition(
-        k_g=k_g, k_n=k_n, n_vec=n_vec.T, q_vec=q_vec.T, radius=radius
-    )
+    return mean
 
 
 def time_dilation(t: float) -> float:
@@ -131,7 +80,7 @@ def rescale(curve: SampledCurve, t: float) -> RescaledState:
     if t >= 0.5:
         raise DomainError(f"no sphere remains at t = {t:g} >= 1/2")
     rows = curve.points.T
-    _, mean = _vertex_radii(rows, RESCALE_REL_TOL)
+    mean = _mean_radius(rows, RESCALE_REL_TOL)
     expected = math.sqrt(1.0 - 2.0 * t)
     if abs(mean - expected) > RESCALE_REL_TOL * expected:
         raise NotOnSphereError(
@@ -157,7 +106,7 @@ def step_geodesic_flow(state: RescaledState, dt_tilde: float) -> RescaledState:
     if not dt_tilde > 0.0:
         raise InvalidArgumentError("dt_tilde must be positive")
     curve = state.curve_tilde
-    _vertex_radii(curve.points.T, SPHERE_REL_TOL)
+    _mean_radius(curve.points.T, SPHERE_REL_TOL)
     moved = _backward_euler(
         curve,
         compute_geometry(curve),

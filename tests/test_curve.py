@@ -271,13 +271,16 @@ def test_closing_segments_that_overflow_or_underflow_are_rejected(topology):
         (PERIODIC, (math.nan, 0.0, 1.0), False),
         (PERIODIC, (0.0, -math.inf, 1.0), False),
         (PERIODIC, (0.0, 0.0, -0.0), False),
-        # squares underflow to zero, as in np.linalg.norm
+        # nonzero, but its squares underflow to zero, as in np.linalg.norm
         (PERIODIC, (1e-200, 1e-200, 1e-200), False),
         (PERIODIC, (1e-160, 1e-160, 1e-160), True),
         (PERIODIC, (0.0, 0.0, 1.0), True),
         (CLOSED, (0.0, 0.0, 1e-160), False),
         (CLOSED, (0.0, 0.0, -0.0), True),
         (OPEN, (0.0, 0.0, 0.0), True),
+        # an offset is zero only when every component is
+        (CLOSED, (0.0, 0.0, 1e-200), False),
+        (OPEN, (5e-324, 0.0, 0.0), False),
     ],
 )
 def test_offset_validation_table(topology, offset, accepted):
@@ -288,6 +291,26 @@ def test_offset_validation_table(topology, offset, accepted):
     else:
         with pytest.raises(InvalidCurveError, match="offset"):
             SampledCurve(good, topology, offset)
+
+
+@pytest.mark.parametrize(
+    "topology, offset, message",
+    [
+        (PERIODIC, (0.0, -0.0, 0.0), "^periodic offset must be nonzero$"),
+        (
+            PERIODIC,
+            (1e-200, -3e-200, 1e-200),
+            "^periodic offset length underflows to zero: its largest component, "
+            "3e-200, leaves the float range when squared$",
+        ),
+        (CLOSED, (0.0, 0.0, 1e-200), "^closed topology takes no offset$"),
+    ],
+    ids=["zero", "underflow", "closed-tiny"],
+)
+def test_offset_errors_name_their_cause(topology, offset, message):
+    good = np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8)), np.zeros(8)])
+    with pytest.raises(InvalidCurveError, match=message):
+        SampledCurve(good, topology, offset)
 
 
 @pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])

@@ -874,6 +874,8 @@ def test_cli_sphere_verify(tmp_path):
     assert max(r[2] for r in cons) < 1e-3
     rows = read_run_csv(out / "run.csv")
     assert all(r.sphere_residual is not None for r in rows)
+    # the preset's radius, filled in by simulate_preset
+    assert read_run_json(out / "run.json")["config"]["sphere_radius"] == 1.0
 
 
 def test_cli_exit_codes(tmp_path):

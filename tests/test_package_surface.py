@@ -1,5 +1,7 @@
-"""The ``csflab`` namespace holds exactly what its callers reach through it."""
+"""The ``csflab`` namespace holds exactly what its callers reach through it,
+and every public function and class of the package has a caller."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -37,3 +39,58 @@ def test_every_name_the_callers_use_is_exported():
 def test_the_namespace_holds_nothing_beyond_its_callers():
     assert sorted(set(csflab.__all__) - _names_used() - {"__version__"}) == []
     assert len(csflab.__all__) == len(set(csflab.__all__))
+
+
+# public names that nothing calls yet, each with the reason it stays
+UNCALLED = {
+    # the paper's graph-curve condition: ROADMAP item 9 gives it a caller
+    ("helix", "graph_curve_condition"),
+}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _public_definitions() -> set[tuple[str, str]]:
+    found = set()
+    for path in sorted((ROOT / "src" / "csflab").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                found.add((path.stem, node.name))
+    return found
+
+
+def _names_read(top: ast.stmt) -> set[str]:
+    # the Name and Attribute nodes of one top-level statement, less the name
+    # that the statement itself defines, which a recursive call would read
+    names = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    if isinstance(top, DEFINITIONS):
+        names.discard(top.name)
+    return names
+
+
+def _names_called() -> set[str]:
+    # an import reads no Name, so being imported is not a call
+    return {
+        name
+        for folder in ("src", "tools", "perfbench")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for name in _names_read(top)
+    }
+
+
+def test_every_public_function_and_class_has_a_caller():
+    called = _names_called() | set(csflab.__all__)
+    uncalled = {
+        (module, name)
+        for module, name in _public_definitions()
+        if name not in called
+    }
+    assert sorted(uncalled - UNCALLED) == []
+    # an exception whose name has found a caller, or is gone, leaves the list
+    assert sorted(UNCALLED - uncalled) == []

@@ -1,4 +1,8 @@
-"""Spherical flows: decomposition, time dilation, and consistency."""
+"""Spherical flows: the geodesic/normal split, time dilation, and consistency.
+
+The split is the reference of ``test_kernel_reference``, on its reference
+geometry; no code in the package splits curvature.
+"""
 
 import dataclasses
 import math
@@ -33,7 +37,6 @@ from csflab.flow import (
 from csflab.sphere import (
     GEODESIC_DT,
     RescaledState,
-    decompose_curvature,
     inverse_time_dilation,
     rescale,
     run_geodesic_flow,
@@ -41,6 +44,7 @@ from csflab.sphere import (
     time_dilation,
 )
 from csflab import flow, sphere, tridiag
+from test_kernel_reference import reference_decomposition, reference_geometry
 
 # criterion 08's grid of flow times
 CRITERION_08_GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
@@ -63,12 +67,19 @@ def perturbed_start(n, topology=CLOSED):
     return rescale(curve, 0.0)
 
 
+def split_curvature(curve):
+    """k_g, k_n and the frame q_vec, n_vec of the reference split, on the
+    reference geometry's C-ordered arrays: on ``compute_geometry``'s
+    F-ordered views ``np.einsum`` adds in another order."""
+    return reference_decomposition(curve, reference_geometry(curve))
+
+
 def explicit_geodesic_step(state, dt_tilde):
     """The reference step: forward Euler on k_g * q_vec, then the radial
     projection.  It is stable only for dt_tilde <= stable_step(geometry)."""
     curve = state.curve_tilde
-    decomp = decompose_curvature(curve)
-    moved = curve.points + decomp.q_vec * (dt_tilde * decomp.k_g)[:, None]
+    decomp = split_curvature(curve)
+    moved = curve.points + decomp["q_vec"] * (dt_tilde * decomp["k_g"])[:, None]
     moved /= np.linalg.norm(moved, axis=1)[:, None]
     t_tilde = state.t_tilde + dt_tilde
     return RescaledState(
@@ -114,40 +125,34 @@ def dense_geodesic_step(curve, dt_tilde):
 def test_latitude_decomposition_oracle():
     theta = 1.0
     c = latitude_circle(256, theta)
-    dec = decompose_curvature(c)
-    assert abs(dec.radius - 1.0) < 1e-12
+    dec = split_curvature(c)
+    assert abs(dec["radius"] - 1.0) < 1e-12
     # normal curvature 1/R, geodesic curvature cot(theta)
-    assert np.abs(dec.k_n - 1.0).max() < 1e-9
-    assert np.abs(np.abs(dec.k_g) - 1.0 / math.tan(theta)).max() < 1e-9
+    assert np.abs(dec["k_n"] - 1.0).max() < 1e-9
+    assert np.abs(np.abs(dec["k_g"]) - 1.0 / math.tan(theta)).max() < 1e-9
     # frame vectors are unit and mutually orthogonal
-    g = compute_geometry(c)
-    assert np.abs(np.linalg.norm(dec.n_vec, axis=1) - 1.0).max() < 1e-12
-    assert np.abs(np.einsum("ij,ij->i", dec.n_vec, g.tangents)).max() < 1e-12
-    assert np.abs(np.einsum("ij,ij->i", dec.q_vec, dec.n_vec)).max() < 1e-12
+    n_vec, q_vec = dec["n_vec"], dec["q_vec"]
+    assert np.abs(np.linalg.norm(n_vec, axis=1) - 1.0).max() < 1e-12
+    tangents = compute_geometry(c).tangents
+    assert np.abs(np.einsum("ij,ij->i", n_vec, tangents)).max() < 1e-12
+    assert np.abs(np.einsum("ij,ij->i", q_vec, n_vec)).max() < 1e-12
 
 
 def test_decomposition_reconstructs_curvature_vector():
     c = build_curve(make_preset(SPHERE_PERTURBED, n=256, eps=0.3, harmonic=4))
-    dec = decompose_curvature(c)
-    g = compute_geometry(c)
-    recon = dec.k_g[:, None] * dec.q_vec + dec.k_n[:, None] * dec.n_vec
-    scale = np.linalg.norm(g.curvature_vectors, axis=1)
-    err = np.linalg.norm(recon - g.curvature_vectors, axis=1)
+    dec = split_curvature(c)
+    kvec = compute_geometry(c).curvature_vectors
+    recon = dec["k_g"][:, None] * dec["q_vec"] + dec["k_n"][:, None] * dec["n_vec"]
+    scale = np.linalg.norm(kvec, axis=1)
+    err = np.linalg.norm(recon - kvec, axis=1)
     assert (err <= 1e-6 * np.maximum(scale, 1.0)).all()
 
 
 def test_great_circle_has_zero_geodesic_curvature():
     c = latitude_circle(128, math.pi / 2.0)
-    dec = decompose_curvature(c)
-    assert np.abs(dec.k_g).max() < 1e-9
-    assert np.abs(dec.k_n - 1.0).max() < 1e-9
-
-
-def test_decompose_rejects_off_sphere_curve():
-    th = np.arange(64) * (2.0 * math.pi / 64)
-    pts = np.column_stack([2.0 * np.cos(th), np.sin(th), np.zeros(64)])
-    with pytest.raises(NotOnSphereError):
-        decompose_curvature(SampledCurve(pts, CLOSED))
+    dec = split_curvature(c)
+    assert np.abs(dec["k_g"]).max() < 1e-9
+    assert np.abs(dec["k_n"] - 1.0).max() < 1e-9
 
 
 def test_sphere_residual_tracks_radius_law():

@@ -24,7 +24,7 @@ from csflab.chordarc import min_pair_ratio, ratio_field, ratio_minima
 from csflab.curve import OPEN, PERIODIC, resample_uniform, row_dot, row_norm
 from csflab.fileio import write_curve
 from csflab.flow import make_state, stable_step, step_explicit, step_semi_implicit
-from csflab.sphere import RescaledState, decompose_curvature, step_geodesic_flow
+from csflab.sphere import RescaledState, step_geodesic_flow
 
 
 def same_bits(x, y):
@@ -77,9 +77,8 @@ def all_arrays(obj):
 def test_geometry_and_decomposition_arrays_are_read_only_views(topology):
     pts, offset = sphere_curve(topology)
     curve = SampledCurve(pts, topology, offset)
-    geom = compute_geometry(curve)
-    found = all_arrays(geom) + all_arrays(decompose_curvature(curve, geom))
-    assert len(found) == 10  # the geometry's 6 arrays and the split's 4
+    found = all_arrays(compute_geometry(curve))
+    assert len(found) == 6  # the geodesic/normal split is a test reference
     for arr in found:
         # each (n, 3) array views a (3, n) buffer with contiguous rows
         assert arr.ndim == 1 or arr.strides[0] == arr.itemsize
