@@ -36,6 +36,10 @@ TOPOLOGIES = (CLOSED, OPEN, PERIODIC)
 # Minimum vertex counts per topology; below these the stencils degenerate.
 MIN_VERTICES = {CLOSED: 8, PERIODIC: 8, OPEN: 4}
 
+# Coordinates and offset below this in magnitude keep every coordinate
+# difference of a segment below 2e153, and its squared length below 1.2e307.
+_SQUARES_FIT = 1e153
+
 
 def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # dot products of the vertices of two (3, m) arrays, with the bits of
@@ -69,6 +73,66 @@ def _unmeasured(
     )
 
 
+def _checked_offset(offset, topology: str) -> np.ndarray | None:
+    # None or a finite float 3-vector, the same rule for every topology; a
+    # periodic curve needs a nonzero one, any other drops a zero one
+    if offset is None:
+        if topology == PERIODIC:
+            raise InvalidCurveError("periodic topology requires an offset")
+        return None
+    try:
+        off = np.array(offset, dtype=float)
+        xyz = off.tolist()
+        valid = off.shape == (3,) and all(map(math.isfinite, xyz))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise InvalidCurveError("offset must be a finite 3-vector")
+    if topology != PERIODIC:
+        if any(xyz):
+            raise InvalidCurveError(f"{topology} topology takes no offset")
+        return None
+    if not any(xyz):
+        raise InvalidCurveError("periodic offset must be nonzero")
+    if sum(v * v for v in xyz) == 0.0:  # as in np.linalg.norm(off)
+        raise InvalidCurveError(
+            "periodic offset length underflows to zero: its largest component, "
+            f"{max(map(abs, xyz))!r}, leaves the float range when squared"
+        )
+    return off
+
+
+def _closure(
+    pts: np.ndarray, off: np.ndarray | None, cyclic: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    # the (3, n + 2) closure of the (n, 3) vertices and its segment lengths,
+    # each length checked to be positive and finite
+    n = len(pts)
+    seg = np.empty(n if cyclic else n - 1)
+    wrapped = np.empty((3, n + 2))
+    rows = wrapped[:, 1:-1]
+    rows[...] = pts.T  # a straight copy of a step's (3, n) output
+    inner = seg[: n - 1]
+    inner[:] = row_norm(rows[:, 1:] - rows[:, :-1])
+    # a finite length is below 1.4e154, so the sum is inf only if a length is
+    if inner.min() == 0.0 or inner.sum() == math.inf:
+        steps = rows[:, 1:] - rows[:, :-1]
+        raise _unmeasured(steps, inner, 0, "consecutive vertices must be distinct")
+    first, last = wrapped[:, 1], wrapped[:, -2]
+    if off is not None:  # a periodic curve's wrap vertices lie one period away
+        first, last = first + off, last - off
+    wrapped[:, 0], wrapped[:, -1] = (last, first) if cyclic else (first, last)
+    if cyclic:
+        closing = wrapped[:, -1] - wrapped[:, -2]
+        seg[-1] = math.sqrt(closing.dot(closing))  # as np.linalg.norm does
+        if not 0.0 < seg[-1] < math.inf:
+            kind = "closing" if off is None else "period-closing"
+            raise _unmeasured(
+                closing[:, None], seg[-1:], n - 1, f"{kind} segment is degenerate"
+            )
+    return wrapped, seg
+
+
 @dataclass(frozen=True, eq=False)
 class SampledCurve:
     """Ordered vertex polyline with topology and optional period offset.
@@ -77,7 +141,8 @@ class SampledCurve:
     the way; the lengths are kept read-only and returned by
     ``segment_lengths``, so no later step measures them again.  A length
     whose square leaves the float range, inf or 0 for distinct vertices,
-    is rejected with the segment and the cause named.  ``_wrapped``
+    is rejected with the segment and the cause named, and without numpy's
+    overflow warning.  ``_wrapped``
     is the (3, n + 2) closure: the vertex before vertex 0, the vertices, the
     one after the last (a period away on periodic curves, the ends on open).
     """
@@ -92,7 +157,9 @@ class SampledCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidCurveError("points must be an (n, 3) array")
-        if not np.isfinite(pts).all():
+        # one pass: below the range, no square can overflow; NaN and inf fail it
+        extent = np.abs(pts).max(initial=0.0)
+        if not extent < _SQUARES_FIT and not np.isfinite(pts).all():
             raise InvalidCurveError("points contain non-finite values")
         if self.topology not in TOPOLOGIES:
             raise InvalidCurveError(f"unknown topology {self.topology!r}")
@@ -102,49 +169,14 @@ class SampledCurve:
                 f"{self.topology} curve needs at least "
                 f"{MIN_VERTICES[self.topology]} vertices, got {n}"
             )
-        off = self.offset
-        if self.topology == PERIODIC:
-            if off is None:
-                raise InvalidCurveError("periodic topology requires an offset")
-            off = np.array(off, dtype=float)
-            xyz = off.tolist()
-            if off.shape != (3,) or not all(map(math.isfinite, xyz)):
-                raise InvalidCurveError("offset must be a finite 3-vector")
-            if not any(xyz):
-                raise InvalidCurveError("periodic offset must be nonzero")
-            if sum(v * v for v in xyz) == 0.0:  # as in np.linalg.norm(off)
-                raise InvalidCurveError(
-                    "periodic offset length underflows to zero: its largest component, "
-                    f"{max(map(abs, xyz))!r}, leaves the float range when squared"
-                )
-        elif off is not None and np.asarray(off, float).any():
-            raise InvalidCurveError(f"{self.topology} topology takes no offset")
-        else:
-            off = None
-
-        cyclic = self.topology != OPEN
-        seg = np.empty(n if cyclic else n - 1)
-        wrapped = np.empty((3, n + 2))
-        rows = wrapped[:, 1:-1]
-        rows[...] = pts.T  # a straight copy of a step's (3, n) output
-        inner = seg[: n - 1]
-        inner[:] = row_norm(rows[:, 1:] - rows[:, :-1])
-        # a finite length is below 1.4e154, so the sum is inf only if a length is
-        if inner.min() == 0.0 or inner.sum() == math.inf:
-            steps = rows[:, 1:] - rows[:, :-1]
-            raise _unmeasured(steps, inner, 0, "consecutive vertices must be distinct")
-        first, last = wrapped[:, 1], wrapped[:, -2]
-        if off is not None:  # a periodic curve's wrap vertices lie one period away
-            first, last = first + off, last - off
-        wrapped[:, 0], wrapped[:, -1] = (last, first) if cyclic else (first, last)
-        if cyclic:
-            closing = wrapped[:, -1] - wrapped[:, -2]
-            seg[-1] = math.sqrt(closing.dot(closing))  # as np.linalg.norm does
-            if not 0.0 < seg[-1] < math.inf:
-                kind = "closing" if off is None else "period-closing"
-                raise _unmeasured(
-                    closing[:, None], seg[-1:], n - 1, f"{kind} segment is degenerate"
-                )
+        off = _checked_offset(self.offset, self.topology)
+        if off is not None:  # it shifts the wrap vertices and the closing segment
+            extent += max(map(abs, off.tolist()))
+        if extent < _SQUARES_FIT:
+            wrapped, seg = _closure(pts, off, self.topology != OPEN)
+        else:  # measured in silence, then rejected or accepted on the lengths
+            with np.errstate(over="ignore", invalid="ignore"):
+                wrapped, seg = _closure(pts, off, self.topology != OPEN)
 
         wrapped.setflags(write=False)
         seg.setflags(write=False)

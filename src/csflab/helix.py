@@ -13,11 +13,12 @@ branch below a documented threshold keeps them accurate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DiagonalPairError, DomainError, InvalidArgumentError
+from .flow import require_integer
 
 # below this separation, 2-2cos(y) and friends switch to series evaluation
 SERIES_Y = 1e-3
@@ -88,54 +89,14 @@ def cosine_taylor_gap(y) -> float | np.ndarray:
     return _maybe_scalar(np.where(np.abs(arr) < 0.1, series, direct), y)
 
 
-def helix_pair_condition(y, m: float) -> float | np.ndarray:
-    """Sign condition for a helix vertex pair separated by parameter y.
+def helix_pair_condition_scaled(y, m: float) -> float | np.ndarray:
+    """Sign condition for a helix vertex pair, times (1+m)^2: G(y, m).
 
     Closed form of the chord-arc minimum condition evaluated on an exact
-    helix with pitch ratio m; negative values mark pairs where that
-    condition fails.  Vanishes as y -> 0, a removable singularity.
+    helix with pitch ratio m and parameter separation y, with its
+    denominators cleared; negative values mark pairs where that condition
+    fails.  Vanishes as y -> 0, a removable singularity.
     """
-    m = _check_m(m)
-    arr = _as_positive_y(y)
-    v = _two_minus_two_cos(arr)
-    y2 = arr * arr
-    one_m = 1.0 + m
-    value = (
-        -4.0
-        + v / one_m
-        + 4.0 * m / one_m
-        + 4.0 * v / (one_m * y2)
-        + (v + m * y2) / (one_m * one_m)
-    )
-    return _maybe_scalar(value, y)
-
-
-def negative_condition_cells(
-    m_grid, y_grid, threshold: float = -1e-6
-) -> tuple[list[tuple[float, float]], float | None]:
-    """Exhaustive scan for grid cells where the pair condition is negative.
-
-    Returns the (m, y) cells below ``threshold`` and the largest m among
-    them (None when the scan finds nothing).  The small negative threshold
-    keeps y -> 0 roundoff from registering as a hit.
-    """
-    m_arr = np.asarray(m_grid, dtype=float)
-    y_arr = _as_positive_y(y_grid)
-    if m_arr.ndim != 1 or y_arr.ndim != 1:
-        raise InvalidArgumentError("grids must be one-dimensional")
-    if not np.all(np.isfinite(m_arr)) or np.any(m_arr < 0.0):
-        raise InvalidArgumentError("m grid must be finite and non-negative")
-    cells: list[tuple[float, float]] = []
-    for m in m_arr:
-        values = helix_pair_condition(y_arr, float(m))
-        for yv in y_arr[values < threshold]:
-            cells.append((float(m), float(yv)))
-    sup_m = max((m for m, _ in cells), default=None)
-    return cells, sup_m
-
-
-def helix_pair_condition_scaled(y, m: float) -> float | np.ndarray:
-    """The pair condition multiplied by (1+m)^2, clearing denominators."""
     m = _check_m(m)
     arr = _as_positive_y(y)
     v = _two_minus_two_cos(arr)
@@ -152,6 +113,41 @@ def helix_pair_condition_scaled(y, m: float) -> float | np.ndarray:
     return _maybe_scalar(value, y)
 
 
+def helix_pair_condition(y, m: float) -> float | np.ndarray:
+    """The pair condition itself, F(y, m) = G(y, m) / (1+m)^2, G's sign."""
+    return helix_pair_condition_scaled(y, m) / (1.0 + float(m)) ** 2
+
+
+def _scan_grids(m_grid, y_grid) -> tuple[np.ndarray, np.ndarray]:
+    # the (m, y) grids of a scan: non-empty and 1-D, m >= 0 and y > 0, finite
+    m_arr = np.asarray(m_grid, dtype=float)
+    y_arr = np.asarray(y_grid, dtype=float)
+    if m_arr.ndim != 1 or y_arr.ndim != 1 or not (m_arr.size and y_arr.size):
+        raise InvalidArgumentError("grids must be non-empty and one-dimensional")
+    if not (np.all(np.isfinite(m_arr)) and np.all(m_arr >= 0.0)):
+        raise InvalidArgumentError("m grid must be finite and non-negative")
+    return m_arr, _as_positive_y(y_arr)
+
+
+def negative_condition_cells(
+    m_grid, y_grid, threshold: float = -1e-6
+) -> tuple[list[tuple[float, float]], float | None]:
+    """Exhaustive scan for grid cells where the pair condition is negative.
+
+    Returns the (m, y) cells below ``threshold`` and the largest m among
+    them (None when the scan finds nothing).  The small negative threshold
+    keeps y -> 0 roundoff from registering as a hit.
+    """
+    m_arr, y_arr = _scan_grids(m_grid, y_grid)
+    cells: list[tuple[float, float]] = []
+    for m in m_arr:
+        values = helix_pair_condition(y_arr, float(m))
+        for yv in y_arr[values < threshold]:
+            cells.append((float(m), float(yv)))
+    sup_m = max((m for m, _ in cells), default=None)
+    return cells, sup_m
+
+
 def scaled_condition_threshold(m_grid, y_grid) -> float:
     """Smallest grid m above which the scaled condition stays non-negative.
 
@@ -159,12 +155,9 @@ def scaled_condition_threshold(m_grid, y_grid) -> float:
     in m is assumed.  Returns inf when even the largest grid m fails
     somewhere on the y grid.
     """
-    m_arr = np.sort(np.asarray(m_grid, dtype=float))
-    y_arr = _as_positive_y(y_grid)
-    if m_arr.size == 0:
-        raise InvalidArgumentError("empty m grid")
+    m_arr, y_arr = _scan_grids(m_grid, y_grid)
     threshold = math.inf
-    for m in m_arr[::-1]:
+    for m in np.sort(m_arr)[::-1]:
         if float(np.min(helix_pair_condition_scaled(y_arr, float(m)))) < 0.0:
             break
         threshold = float(m)
@@ -193,31 +186,25 @@ def helix_ratio_time_derivative(params: HelixParams, y) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class GraphCurveSpec:
-    """Sampled graph-over-the-axis curve (f(u), g(u), b u) with bounds.
+    """Sampled graph-over-the-axis curve (f(u), g(u), pitch u) with bounds.
 
-    Carries first derivatives only to audit the constant-speed identity
-    f'^2 + g'^2 = speed^2; second derivatives are supplied analytically by
-    the preset, never re-differenced.  With strict=True a violated identity
-    or acceleration bound raises; otherwise it is recorded in the _ok flags.
+    The second derivatives are supplied analytically by the preset, never
+    re-differenced.  ``accel_bound`` must cover their sampled peak
+    max(f''^2 + g''^2): a smaller bound certifies nothing, so it raises.
     """
 
     u: np.ndarray
     f: np.ndarray
     g: np.ndarray
-    df: np.ndarray
-    dg: np.ndarray
     d2f: np.ndarray
     d2g: np.ndarray
     speed: float
     accel_bound: float
     pitch: float
-    strict: bool = True
-    speed_identity_ok: bool = field(init=False, default=True)
-    accel_bound_ok: bool = field(init=False, default=True)
 
     def __post_init__(self):
         arrays = {}
-        for name in ("u", "f", "g", "df", "dg", "d2f", "d2g"):
+        for name in ("u", "f", "g", "d2f", "d2g"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1 or not np.all(np.isfinite(arr)):
                 raise InvalidArgumentError(f"{name} must be a finite 1-D array")
@@ -232,94 +219,70 @@ class GraphCurveSpec:
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        speed_err = np.max(
-            np.abs(self.df**2 + self.dg**2 - self.speed * self.speed)
-        )
-        speed_ok = bool(speed_err <= 1e-8 * max(1.0, self.speed * self.speed))
         accel_peak = float(np.max(self.d2f**2 + self.d2g**2))
-        accel_ok = bool(accel_peak <= self.accel_bound * (1.0 + 1e-12) + 1e-12)
-        if self.strict and not (speed_ok and accel_ok):
+        if accel_peak > self.accel_bound:
             raise InvalidArgumentError(
-                "graph-curve spec violates its declared speed or bound "
-                f"(speed error {speed_err:.3g}, peak accel {accel_peak:.3g})"
+                f"acceleration bound {self.accel_bound!r} is below the sampled "
+                f"peak {accel_peak!r}"
             )
-        object.__setattr__(self, "speed_identity_ok", speed_ok)
-        object.__setattr__(self, "accel_bound_ok", accel_ok)
 
 
 def helix_graph_spec(
     a: float = 1.0,
     b: float = 1.0,
     n: int = 256,
-    periods: float = 1.0,
     eps: float = 0.0,
     harmonic: int = 3,
-    endpoint: bool = True,
 ) -> GraphCurveSpec:
-    """Graph-curve sampling of a helix, optionally perturbed in f.
+    """Graph-curve sampling of a helix on the preset grid, optionally
+    perturbed in f.
 
-    With eps != 0 the first component becomes a cos(u) + eps cos(harmonic u)
-    and the constant-speed identity no longer holds; the spec is then built
-    non-strict so the violation is flagged instead of raised.  Pass
-    endpoint=False to match an n-vertex periodic sampling that stops one
-    step short of a full period.
+    The grid is one period without its end, u = 2 pi k / n for k < n.
+    With eps != 0 the first component becomes a cos(u) + eps cos(harmonic u),
+    so the curve's speed is no longer the declared constant a.
     """
     if n < 2:
         raise InvalidArgumentError("need at least two grid points")
-    u = np.linspace(0.0, 2.0 * math.pi * periods, n, endpoint=endpoint)
+    u = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     h = float(harmonic)
-    f = a * np.cos(u) + eps * np.cos(h * u)
-    g = a * np.sin(u)
-    df = -a * np.sin(u) - eps * h * np.sin(h * u)
-    dg = a * np.cos(u)
     d2f = -a * np.cos(u) - eps * h * h * np.cos(h * u)
     d2g = -a * np.sin(u)
-    accel_bound = float(np.max(d2f**2 + d2g**2)) * (1.0 + 1e-12)
     return GraphCurveSpec(
         u=u,
-        f=f,
-        g=g,
-        df=df,
-        dg=dg,
+        f=a * np.cos(u) + eps * np.cos(h * u),
+        g=a * np.sin(u),
         d2f=d2f,
         d2g=d2g,
         speed=a,
-        accel_bound=accel_bound,
+        accel_bound=float(np.max(d2f**2 + d2g**2)),
         pitch=b,
-        strict=(eps == 0.0),
     )
 
 
-def _grid_index(spec: GraphCurveSpec, u_value: float) -> int:
-    u = spec.u
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(u))))
-    idx = int(np.searchsorted(u, u_value))
-    for candidate in (idx - 1, idx):
-        if 0 <= candidate < u.size and abs(u[candidate] - u_value) <= tol:
-            return candidate
-    raise InvalidArgumentError(f"u = {u_value!r} is not a grid point")
+def graph_curve_condition(spec: GraphCurveSpec, i: int, j: int) -> float:
+    """Pair condition for graph curves at grid indices i and j.
 
-
-def graph_curve_condition(spec: GraphCurveSpec, u1: float, u2: float) -> float:
-    """Pair condition for graph curves, from sampled values and bounds.
-
-    (f''(u2)-f''(u1))(f(u2)-f(u1)) + (g''(u2)-g''(u1))(g(u2)-g(u1))
-    + (A/(speed^2+pitch^2)) ((f(u1)-f(u2))^2 + (g(u1)-g(u2))^2
-    + pitch^2 (u1-u2)^2), where A is the declared acceleration bound.
+    (f''(u_j)-f''(u_i))(f(u_j)-f(u_i)) + (g''(u_j)-g''(u_i))(g(u_j)-g(u_i))
+    + (A/(speed^2+pitch^2)) ((f(u_i)-f(u_j))^2 + (g(u_i)-g(u_j))^2
+    + pitch^2 (u_i-u_j)^2), where A is the declared acceleration bound.
     Non-negative values certify the pair.
     """
-    i1 = _grid_index(spec, float(u1))
-    i2 = _grid_index(spec, float(u2))
-    if i1 == i2:
+    n = spec.u.size
+    i, j = require_integer("i", i), require_integer("j", j)
+    if not (0 <= i < n and 0 <= j < n):
+        raise InvalidArgumentError(
+            f"grid indices must lie in [0, {n}), got {i} and {j}"
+        )
+    if i == j:
         raise DiagonalPairError("graph-curve condition needs two distinct points")
     f, g, d2f, d2g = spec.f, spec.g, spec.d2f, spec.d2g
-    duf = f[i2] - f[i1]
-    dug = g[i2] - g[i1]
-    du = spec.u[i1] - spec.u[i2]
+    duf = f[j] - f[i]
+    dug = g[j] - g[i]
+    du = spec.u[i] - spec.u[j]
     scale = spec.accel_bound / (spec.speed**2 + spec.pitch**2)
     return float(
-        (d2f[i2] - d2f[i1]) * duf
-        + (d2g[i2] - d2g[i1]) * dug
+        (d2f[j] - d2f[i]) * duf
+        + (d2g[j] - d2g[i]) * dug
         + scale * (duf * duf + dug * dug + spec.pitch**2 * du * du)
     )
 

@@ -188,7 +188,7 @@ def graph_spec_for(preset: Preset) -> GraphCurveSpec:
     shape = {"a": p["a"], "b": p["b"]}
     if preset.name == GRAPH_CURVE:
         shape.update(eps=p["eps"], harmonic=require_integer("harmonic", p["harmonic"]))
-    return helix_graph_spec(n=preset.n, endpoint=False, **shape)
+    return helix_graph_spec(n=preset.n, **shape)
 
 
 def sphere_radius_for(preset: Preset) -> float | None:

@@ -314,6 +314,52 @@ def test_offset_errors_name_their_cause(topology, offset, message):
 
 
 @pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])
+@pytest.mark.parametrize(
+    "offset",
+    [[0.0, 0.0], [[0.0]], [[0.0, 0.0, 1.0]], "abc", ["0", "x", "1"], {"z": 1.0}],
+    ids=["short", "nested", "row", "text", "texts", "dict"],
+)
+def test_an_offset_is_none_or_a_finite_3_vector(topology, offset):
+    # one rule for every topology; a closed or open curve dropped the first
+    # two, and numpy's conversion error escaped as a bare ValueError
+    good = np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8)), np.zeros(8)])
+    with pytest.raises(InvalidCurveError, match="^offset must be a finite 3-vector$"):
+        SampledCurve(good, topology, offset)
+
+
+@pytest.mark.parametrize(
+    "topology, offset",
+    [(OPEN, None), (CLOSED, None), (PERIODIC, (0.0, 0.0, 1e140))],
+)
+def test_coordinates_near_the_square_limit_with_small_steps_are_valid(topology, offset):
+    # coordinates of 1e154 have squares past the float range, their 1e140
+    # differences do not: measured without a warning, and accepted
+    good = np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8)), np.zeros(8)])
+    far = good * 1e140 + 1e154
+    lengths = segment_lengths(SampledCurve(far, topology, offset))
+    assert np.array_equal(lengths[:7], np.linalg.norm(np.diff(far, axis=0), axis=1))
+    assert np.all((lengths > 1e139) & (lengths < 1e141))
+
+
+def test_only_coordinates_past_the_safe_range_are_measured_in_an_errstate(monkeypatch):
+    errstate, calls = np.errstate, []
+
+    def spy(**kwargs):
+        calls.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", spy)
+    good = np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8)), np.zeros(8)])
+    SampledCurve(good, CLOSED)
+    SampledCurve(good * 1e152, PERIODIC, (0.0, 0.0, 1e152))
+    assert calls == []
+    # the offset's share in the closing segment counts
+    SampledCurve(good * 1e152, PERIODIC, (0.0, 0.0, 1e153))
+    SampledCurve(good * 1e140 + 1e154, OPEN)
+    assert calls == [{"over": "ignore", "invalid": "ignore"}] * 2
+
+
+@pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])
 def test_segment_lengths_are_shared_and_read_only(topology):
     u = np.arange(12) * 0.5
     pts = np.column_stack([np.cos(u), np.sin(u), 0.1 * u])

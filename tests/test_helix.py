@@ -29,7 +29,9 @@ from csflab import (
 from csflab.chordarc import pair_diagnostics, ratio_minimum_condition_dl
 from csflab.errors import DiagonalPairError, DomainError, InvalidArgumentError
 from csflab.helix import (
+    SERIES_Y,
     GraphCurveSpec,
+    _two_minus_two_cos,
     cosine_taylor_gap,
     graph_curve_condition,
     helix_graph_spec,
@@ -161,6 +163,68 @@ def test_scaled_condition_is_clearing_of_denominators():
         assert np.abs(G - (1.0 + m) ** 2 * F).max() < 1e-10 * np.abs(G).max()
 
 
+def reference_pair_condition(y, m):
+    # F(y, m) as its own hand-expanded formula, before it became G / (1+m)^2
+    v = _two_minus_two_cos(y)
+    y2 = y * y
+    one_m = 1.0 + m
+    return (
+        -4.0
+        + v / one_m
+        + 4.0 * m / one_m
+        + 4.0 * v / (one_m * y2)
+        + (v + m * y2) / (one_m * one_m)
+    )
+
+
+# twice the largest |F - reference| measured over 8 million random (m, y)
+# with m in [0, 1e3] and y in (0, 40]: a few units in the last place of the
+# largest term, m y^2 / (1+m)^2 <= y^2 / 4
+F_REFERENCE_BOUND = 2.3e-13
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.floats(0.0, 1e3),
+    y=st.one_of(st.floats(1e-12, SERIES_Y), st.floats(1e-12, 40.0)),
+)
+def test_pair_condition_matches_the_expanded_reference(m, y):
+    got = helix_pair_condition(y, m)
+    expected = reference_pair_condition(y, m)
+    assert abs(got - expected) <= F_REFERENCE_BOUND
+    if abs(expected) > F_REFERENCE_BOUND:
+        assert math.copysign(1.0, got) == math.copysign(1.0, expected)
+
+
+def test_pair_condition_matches_the_reference_on_a_grid():
+    ys = np.concatenate([np.geomspace(1e-8, SERIES_Y, 200), np.linspace(SERIES_Y, 40.0, 5000)])
+    for m in np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 299)]):
+        got = helix_pair_condition(ys, m)
+        expected = reference_pair_condition(ys, m)
+        assert np.abs(got - expected).max() <= F_REFERENCE_BOUND
+        clear = np.abs(expected) > F_REFERENCE_BOUND
+        assert np.array_equal(np.sign(got[clear]), np.sign(expected[clear]))
+
+
+@pytest.mark.parametrize(
+    "m_grid, y_grid",
+    [
+        pytest.param([[0.1, 0.2]], [0.5, 1.0], id="2d-m"),
+        pytest.param([0.5], [[0.5, 1.0]], id="2d-y"),
+        pytest.param([], [0.5, 1.0], id="empty-m"),
+        pytest.param([0.5], [], id="empty-y"),
+        pytest.param([0.5, math.nan], [0.5, 1.0], id="nan-m"),
+        pytest.param([0.5], [0.5, math.nan], id="nan-y"),
+        pytest.param([0.5, -0.1], [0.5, 1.0], id="negative-m"),
+        pytest.param([0.5], [0.0, 1.0], id="zero-y"),
+    ],
+)
+@pytest.mark.parametrize("scan", [negative_condition_cells, scaled_condition_threshold])
+def test_condition_scans_check_their_grids(scan, m_grid, y_grid):
+    with pytest.raises(InvalidArgumentError):
+        scan(m_grid, y_grid)
+
+
 def test_scaled_condition_nonnegative_at_m_one():
     ys = np.linspace(4 * math.pi / 400, 4 * math.pi, 400)
     assert helix_pair_condition_scaled(ys, 1.0).min() >= 0.0
@@ -210,41 +274,32 @@ def test_evaluate_helix_pair_bundle():
     assert abs(got - 1.0 / (4.0 * math.sqrt(2.0))) < 1e-15
 
 
-def test_graph_spec_flags_and_strictness():
-    spec = helix_graph_spec(1.0, 1.0, n=128, periods=1)
-    assert spec.speed_identity_ok and spec.accel_bound_ok
-    pert = helix_graph_spec(1.0, 1.0, n=128, periods=1, eps=0.05, harmonic=3)
-    assert not pert.strict
-    assert not pert.speed_identity_ok  # perturbation breaks constant speed
-    u = np.linspace(0.0, 1.0, 16)
-    with pytest.raises(InvalidArgumentError):
-        GraphCurveSpec(
-            u=u, f=np.cos(u), g=np.sin(u),
-            df=-np.sin(u), dg=np.cos(u) + 0.5,  # violates speed identity
-            d2f=-np.cos(u), d2g=-np.sin(u),
-            speed=1.0, accel_bound=1.0, pitch=1.0, strict=True,
-        )
-    with pytest.raises(InvalidArgumentError):
-        GraphCurveSpec(
-            u=u[::-1], f=np.cos(u), g=np.sin(u),
-            df=-np.sin(u), dg=np.cos(u),
-            d2f=-np.cos(u), d2g=-np.sin(u),
-            speed=1.0, accel_bound=1.0, pitch=1.0,
-        )
+def test_graph_spec_rejects_a_bound_below_its_peak():
+    # a built spec declares the sampled peak of f''^2 + g''^2 as its bound
+    for eps in (0.0, 0.05):
+        spec = helix_graph_spec(1.0, 1.0, n=128, eps=eps, harmonic=3)
+        assert spec.accel_bound == np.max(spec.d2f**2 + spec.d2g**2)
+    fields = dict(u=spec.u, f=spec.f, g=spec.g, d2f=spec.d2f, d2g=spec.d2g, speed=1.0, pitch=1.0)
+    # the condition certifies nothing under a bound the curve exceeds
+    with pytest.raises(InvalidArgumentError, match="is below the sampled peak"):
+        GraphCurveSpec(accel_bound=np.nextafter(spec.accel_bound, 0.0), **fields)
+    with pytest.raises(InvalidArgumentError, match="strictly increasing"):
+        GraphCurveSpec(accel_bound=spec.accel_bound, **dict(fields, u=spec.u[::-1]))
 
 
 def test_graph_condition_on_helix_spec():
-    spec = helix_graph_spec(1.0, 1.0, n=256, periods=1)
-    vals = [
-        graph_curve_condition(spec, spec.u[0], spec.u[k]) for k in range(1, 256)
-    ]
+    spec = helix_graph_spec(1.0, 1.0, n=256)
+    vals = [graph_curve_condition(spec, 0, k) for k in range(1, 256)]
     assert min(vals) >= 0.0
     # adjacent grid points approach the vanishing limit from above
     assert 0.0 <= vals[0] < 1e-6
     with pytest.raises(DiagonalPairError):
-        graph_curve_condition(spec, spec.u[3], spec.u[3])
-    with pytest.raises(InvalidArgumentError):
-        graph_curve_condition(spec, spec.u[0], 0.12345)
+        graph_curve_condition(spec, 3, 3)
+    # the condition takes grid indices, not parameter values
+    for i, j in [(0, 0.5), (0, 256), (-1, 3), (True, 3)]:
+        with pytest.raises(InvalidArgumentError):
+            graph_curve_condition(spec, i, j)
+    assert graph_curve_condition(spec, np.int64(5), 40) == graph_curve_condition(spec, 5, 40)
 
 
 @pytest.mark.parametrize(
@@ -266,8 +321,7 @@ def test_graph_spec_for_matches_the_preset_curve(name, params):
     u = np.arange(n) * (2.0 * math.pi / n)
     reference = np.column_stack([a * np.cos(u) + eps * np.cos(3 * u), a * np.sin(u), b * u])
     assert np.array_equal(points.view(np.int64), reference.view(np.int64))
-    assert spec.strict is (eps == 0.0)
-    assert math.isfinite(graph_curve_condition(spec, spec.u[5], spec.u[40]))
+    assert math.isfinite(graph_curve_condition(spec, 5, 40))
 
 
 @pytest.mark.parametrize("name", [HELIX, GRAPH_CURVE])
