@@ -43,7 +43,7 @@ n x n temporary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -51,7 +51,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .curve import (
     CLOSED,
     PERIODIC,
-    CurveGeometry,
     SampledCurve,
     arc_positions,
     compute_geometry,
@@ -82,11 +81,6 @@ _BLOCK_CELLS = 2**15
 def comparison_chord(arc: np.ndarray | float, length: float):
     """Chord of a round circle of circumference ``length`` spanning ``arc``."""
     return (length / math.pi) * np.sin(arc * math.pi / length)
-
-
-def arc_angle(arc: np.ndarray | float, length: float):
-    """Half the central angle pi*l/L spanned by the arc on that circle."""
-    return arc * math.pi / length
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,41 +322,17 @@ def ratio_minima(
     return float(min(dl)), float(min(dpsi))
 
 
-def arc_curvature_integral(
-    curve: SampledCurve,
-    i: int,
-    j: int,
-    geometry: CurveGeometry | None = None,
-) -> float:
-    """Integral of |k| ds over the shorter arc from vertex i to vertex j.
-
-    The two end vertices contribute half their lumped weight, so the
-    integrals over the two complementary arcs add up exactly to the total
-    absolute curvature.
-    """
-    if curve.topology != CLOSED:
-        raise UnsupportedTopologyError("arc integrals require a closed curve")
-    geom = geometry if geometry is not None else compute_geometry(curve)
-    _validate_closed_pair(curve, i, j)
-    kds = geom.scalar_curvature * geom.ds
-    s, length = arc_positions(curve)
-    lo, hi = (i, j) if i < j else (j, i)
-    span = slice(lo, hi + 1)
-    forward = float(np.sum(kds[span])) - 0.5 * float(kds[lo]) - 0.5 * float(kds[hi])
-    if s[hi] - s[lo] <= length - (s[hi] - s[lo]):
-        return forward
-    return total_absolute_curvature(geom) - forward
-
-
 @dataclass(frozen=True)
 class PairDiagnostics:
     """Everything measured about one vertex pair.
 
-    ``psi``, ``alpha``, ``d_over_psi``, the comparison residuals and
-    ``cond_dpsi`` are None for periodic pairs, where no comparison circle
-    exists.  The chord direction used for tangent products points along the
-    (shorter) arc from its first vertex to its last, so results do not
-    depend on argument order.
+    ``total_curvature`` is the |k| integral over the curve (one period on
+    periodic curves) and ``arc_curvature`` the one over the shorter arc, its
+    end vertices at half weight.  ``psi``, ``alpha``, ``d_over_psi``, the
+    comparison residuals, ``arc_curvature`` and ``cond_dpsi`` are None for
+    periodic pairs, where no comparison circle exists.  The chord direction
+    used for tangent products points along the (shorter) arc from its first
+    vertex to its last, so results do not depend on argument order.
     """
 
     i: int
@@ -378,8 +348,17 @@ class PairDiagnostics:
     tangent_sum_sq: float
     first_var_residual_dl: tuple[float, float]
     first_var_residual_dpsi: tuple[float, float] | None
-    cond_dl: float
-    cond_dpsi: float | None
+    total_curvature: float
+    arc_curvature: float | None
+
+    @property
+    def cond_dl(self) -> float:
+        return ratio_minimum_condition_dl(self, self.total_curvature)
+
+    @property
+    def cond_dpsi(self) -> float | None:
+        arc = self.arc_curvature
+        return None if arc is None else ratio_minimum_condition_dpsi(self, arc)
 
 
 def ratio_minimum_condition_dl(diag: PairDiagnostics, total_curvature: float) -> float:
@@ -398,9 +377,7 @@ def ratio_minimum_condition_dl(diag: PairDiagnostics, total_curvature: float) ->
     )
 
 
-def ratio_minimum_condition_dpsi(
-    diag: PairDiagnostics, arc_curvature: float
-) -> float:
+def ratio_minimum_condition_dpsi(diag: PairDiagnostics, arc_curvature: float) -> float:
     """Sign test for a d/psi local minimum, from the shorter-arc |k| integral.
 
     Evaluates cos(a)*I^2 - cos(a)*4*pi^2*l^2/L^2 - psi*l*|e1+e2|^2/d^2
@@ -421,96 +398,78 @@ def ratio_minimum_condition_dpsi(
     )
 
 
-def _validate_closed_pair(curve: SampledCurve, i: int, j: int) -> None:
-    n = curve.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise InvalidArgumentError(f"pair ({i}, {j}) out of range for n={n}")
-    if i == j:
-        raise DiagonalPairError(f"vertex pair ({i}, {j}) has no chord")
-
-
 def pair_diagnostics(
-    curve: SampledCurve,
-    i: int,
-    j: int,
-    geometry: CurveGeometry | None = None,
-) -> PairDiagnostics:
-    """Chord, arc, ratios, tangent products and both stability conditions.
+    curve: SampledCurve, pairs: list[tuple[int, int]]
+) -> list[PairDiagnostics]:
+    """Chord, arc, ratios, tangent products and both stability conditions,
+    one ``PairDiagnostics`` per (i, j) of ``pairs``.
 
     Closed curves measure along the shorter of the two arcs; periodic
     curves measure forward along the periodic extension, allowing j up to
-    i + n (the pure-offset pair).  The pair is read from the pair kernel's
-    frame and its chord measured with the kernel's formula, so ``d_over_l``
-    and ``d_over_psi`` hold the bits of the pair's ``ratio_field`` cell.
+    i + n (the pure-offset pair).  The geometry, the |k| ds weights and the
+    pair kernel's frame are computed once for all pairs.  Each chord is
+    measured with the kernel's formula, so ``d_over_l`` and ``d_over_psi``
+    hold the bits of the pair's ``ratio_field`` cell.
     """
     if not curve.is_cyclic():
         raise UnsupportedTopologyError(
             f"pair diagnostics need a cyclic curve, not {curve.topology!r}"
         )
-    geom = geometry if geometry is not None else compute_geometry(curve)
-    i, j, n = int(i), int(j), curve.n
-    psi = alpha = arc_curvature = residual_dpsi = None
+    n, closed = curve.n, curve.topology == CLOSED
+    geom = compute_geometry(curve)
+    kds = geom.scalar_curvature * geom.ds
+    total = total_absolute_curvature(geom)
     frame, length = _pair_frame(curve)
-    if curve.topology == CLOSED:
-        _validate_closed_pair(curve, i, j)
-        lo, hi = (i, j) if i < j else (j, i)
-        fwd = float(frame[3, hi] - frame[3, lo])
-        if fwd <= length - fwd:
-            start, far, arc = lo, hi, fwd
-        else:
-            start, far, arc = hi, lo, length - fwd
-        psi = float(comparison_chord(arc, length))
-        alpha = float(arc_angle(arc, length))
-        arc_curvature = arc_curvature_integral(curve, i, j, geom)
-    else:
+    found = []
+    for i, j in pairs:
+        i, j = int(i), int(j)
+        if closed and not (0 <= i < n and 0 <= j < n):
+            raise InvalidArgumentError(f"pair ({i}, {j}) out of range for n={n}")
         if not 0 <= i < n:
             raise InvalidArgumentError(f"first index {i} out of range for n={n}")
-        if j == i:
+        if i == j:
             raise DiagonalPairError(f"vertex pair ({i}, {j}) has no chord")
-        if not i < j <= i + n:
+        if not (closed or i < j <= i + n):
             raise InvalidArgumentError(
                 f"periodic pair needs i < j <= i + n, got ({i}, {j})"
             )
-        start, far, arc = i, j, float(frame[3, j] - frame[3, i])
-    end = far % n  # the vertex at frame column far
-    # a (3, 1) column, so that row_norm adds ((dx^2 + dy^2) + dz^2) as the kernel
-    chord = frame[:3, far : far + 1] - frame[:3, start : start + 1]
-    d = float(row_norm(chord)[0])
-    chord = chord[:, 0]
-    if d == 0.0:
-        raise InvalidArgumentError(f"vertices {i} and {j} coincide")
-    omega = chord / d
-    e_start, e_end = geom.tangents[start], geom.tangents[end]
-    e_sum = e_start + e_end
-    ct_start = float(e_start @ omega)
-    ct_end = float(e_end @ omega)
-    d_over_l = d / arc
-    if psi is not None:
-        target = (d / psi) * math.cos(alpha)
-        residual_dpsi = (ct_start - target, ct_end - target)
-    diag = PairDiagnostics(
-        i=i,
-        j=j,
-        d=d,
-        l=arc,
-        d_over_l=d_over_l,
-        psi=psi,
-        alpha=alpha,
-        d_over_psi=None if psi is None else d / psi,
-        chord_tangent_start=ct_start,
-        chord_tangent_end=ct_end,
-        tangent_sum_sq=float(e_sum @ e_sum),
-        first_var_residual_dl=(ct_start - d_over_l, ct_end - d_over_l),
-        first_var_residual_dpsi=residual_dpsi,
-        cond_dl=math.nan,
-        cond_dpsi=None,
-    )
-    return replace(
-        diag,
-        cond_dl=ratio_minimum_condition_dl(diag, total_absolute_curvature(geom)),
-        cond_dpsi=(
-            None
-            if arc_curvature is None
-            else ratio_minimum_condition_dpsi(diag, arc_curvature)
-        ),
-    )
+        psi = alpha = arc_curvature = residual_dpsi = None
+        if closed:
+            lo, hi = (i, j) if i < j else (j, i)
+            fwd = float(frame[3, hi] - frame[3, lo])
+            # |k| ds from lo to hi, the end vertices at half weight
+            inner = float(np.sum(kds[lo : hi + 1]))
+            inner = inner - 0.5 * float(kds[lo]) - 0.5 * float(kds[hi])
+            if fwd <= length - fwd:
+                start, far, arc, arc_curvature = lo, hi, fwd, inner
+            else:
+                start, far, arc, arc_curvature = hi, lo, length - fwd, total - inner
+            psi = float(comparison_chord(arc, length))
+            alpha = arc * math.pi / length
+        else:
+            start, far, arc = i, j, float(frame[3, j] - frame[3, i])
+        # a (3, 1) column, so that row_norm adds ((dx^2 + dy^2) + dz^2) as the kernel
+        chord = frame[:3, far : far + 1] - frame[:3, start : start + 1]
+        d = float(row_norm(chord)[0])
+        if d == 0.0:
+            raise InvalidArgumentError(f"vertices {i} and {j} coincide")
+        omega = chord[:, 0] / d
+        e_start, e_end = geom.tangents[start], geom.tangents[far % n]
+        e_sum = e_start + e_end
+        ct_start, ct_end = float(e_start @ omega), float(e_end @ omega)
+        d_over_l = d / arc
+        if psi is not None:
+            target = (d / psi) * math.cos(alpha)
+            residual_dpsi = (ct_start - target, ct_end - target)
+        found.append(
+            PairDiagnostics(
+                i=i, j=j, d=d, l=arc, d_over_l=d_over_l, psi=psi, alpha=alpha,
+                d_over_psi=None if psi is None else d / psi,
+                chord_tangent_start=ct_start, chord_tangent_end=ct_end,
+                tangent_sum_sq=float(e_sum @ e_sum),
+                first_var_residual_dl=(ct_start - d_over_l, ct_end - d_over_l),
+                first_var_residual_dpsi=residual_dpsi,
+                total_curvature=total, arc_curvature=arc_curvature,
+            )
+        )
+    return found

@@ -21,7 +21,6 @@ from .chordarc import (
     pair_diagnostics,
     ratio_field,
 )
-from .curve import compute_geometry
 from .diagnostics import analyze_directory, emit_record, simulate_preset
 from .errors import CsfError, InvalidArgumentError, NumericalFailureError
 from .fileio import (
@@ -162,23 +161,22 @@ def _cmd_ratio_field(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_ratio_field(field, out / "ratiofield.txt")
-    geometry = compute_geometry(curve)
-    rows = []
-    for i, j, value in find_local_minima(field):
-        diag = pair_diagnostics(curve, i, j, geometry)
-        rows.append(
-            {
-                "i": i,
-                "j": j,
-                "value": value,
-                "d": diag.d,
-                "l": diag.l,
-                "psi": diag.psi,
-                "alpha": diag.alpha,
-                "cond22": diag.cond_dl,
-                "cond31": diag.cond_dpsi,
-            }
-        )
+    minima = find_local_minima(field)
+    diags = pair_diagnostics(curve, [(i, j) for i, j, _ in minima])
+    rows = [
+        {
+            "i": i,
+            "j": j,
+            "value": value,
+            "d": diag.d,
+            "l": diag.l,
+            "psi": diag.psi,
+            "alpha": diag.alpha,
+            "cond22": diag.cond_dl,
+            "cond31": diag.cond_dpsi,
+        }
+        for (i, j, value), diag in zip(minima, diags)
+    ]
     write_minima_csv(rows, out / "minima.csv")
     print(f"wrote {out / 'ratiofield.txt'} and {len(rows)} minima")
     return 0

@@ -64,6 +64,9 @@ NO_REMESH = 10**9
 # step cap of the time loop, and FlowConfig.max_steps' default
 MAX_STEPS = 1_000_000
 
+# the last record rows that estimate_vanishing_time fits L^2 over
+VANISHING_FIT_ROWS = 8
+
 
 def require_integer(name: str, value) -> int:
     """``value`` as an ``int``: Python and numpy integers pass, a ``bool``
@@ -248,13 +251,13 @@ def _remeshed(state: FlowState) -> FlowState:
     return FlowState(curve, state.t, state.step, compute_geometry(curve))
 
 
-def estimate_vanishing_time(rows: list[RecordRow], window: int = 8) -> float:
-    """Root of the linear fit of L^2 over the last recorded window.
+def estimate_vanishing_time(rows: list[RecordRow]) -> float:
+    """Root of the linear fit of L^2 over the last ``VANISHING_FIT_ROWS`` rows.
 
     Returns inf when the fit slope is non-negative (the curve is not
-    contracting toward a point on the recorded window).
+    contracting toward a point on those rows).
     """
-    tail = rows[-window:]
+    tail = rows[-VANISHING_FIT_ROWS:]
     if len(tail) < 2:
         return math.inf
     t = np.array([r.t for r in tail])

@@ -126,8 +126,6 @@ def _cos2u_points(n: int) -> np.ndarray:
 
 
 def _sphere_perturbed_points(eps: float, harmonic: int, n: int) -> np.ndarray:
-    if not 0.0 < eps <= 0.5:
-        raise InvalidArgumentError("perturbation eps must lie in (0, 0.5]")
     if harmonic < 2:
         raise InvalidArgumentError("harmonic must be an integer >= 2")
 
@@ -140,24 +138,37 @@ def _sphere_perturbed_points(eps: float, harmonic: int, n: int) -> np.ndarray:
     return _arc_uniform_points(position, n)
 
 
+def _param(preset: Preset, key: str, rule: str, in_range=lambda value: True):
+    """The float parameter ``key``, which must be finite and ``in_range``;
+    otherwise the error states ``rule`` and names the parameter."""
+    value = preset.params[key]
+    if math.isfinite(value) and in_range(value):
+        return value
+    raise InvalidArgumentError(f"{rule}, got {key}={value!r}")
+
+
+def _positive(value) -> bool:
+    return value > 0.0
+
+
 def build_curve(preset: Preset) -> SampledCurve:
     """Materialize the preset as a sampled curve."""
     p = preset.params
     n = preset.n
     if preset.name == CIRCLE:
-        if p["r"] <= 0.0:
-            raise InvalidArgumentError("circle radius must be positive")
-        return SampledCurve(_circle_points(p["r"], n), CLOSED)
+        r = _param(preset, "r", "circle radius must be positive and finite", _positive)
+        return SampledCurve(_circle_points(r, n), CLOSED)
     if preset.name == ELLIPSE:
-        if p["a"] <= 0.0 or p["b"] <= 0.0:
-            raise InvalidArgumentError("ellipse semi-axes must be positive")
-        return SampledCurve(_ellipse_points(p["a"], p["b"], n), CLOSED)
+        rule = "ellipse semi-axes must be positive and finite"
+        a, b = (_param(preset, key, rule, _positive) for key in ("a", "b"))
+        return SampledCurve(_ellipse_points(a, b, n), CLOSED)
     if preset.name == COS2U_CURVE:
         return SampledCurve(_cos2u_points(n), CLOSED)
     if preset.name == SPHERE_PERTURBED:
+        rule = "perturbation eps must lie in (0, 0.5]"
+        eps = _param(preset, "eps", rule, lambda eps: 0.0 < eps <= 0.5)
         harmonic = require_integer("harmonic", p["harmonic"])
-        pts = _sphere_perturbed_points(p["eps"], harmonic, n)
-        return SampledCurve(pts, CLOSED)
+        return SampledCurve(_sphere_perturbed_points(eps, harmonic, n), CLOSED)
     if preset.name in (HELIX, GRAPH_CURVE):
         spec = graph_spec_for(preset)
         pts = np.column_stack([spec.f, spec.g, spec.pitch * spec.u])
@@ -182,12 +193,15 @@ def graph_spec_for(preset: Preset) -> GraphCurveSpec:
         raise InvalidArgumentError(
             "graph specs exist only for helix and graph-curve presets"
         )
-    p = preset.params
-    if p["a"] <= 0.0 or p["b"] == 0.0:
-        raise InvalidArgumentError(f"{preset.name} preset needs a > 0 and b != 0")
-    shape = {"a": p["a"], "b": p["b"]}
+    rule = f"{preset.name} preset needs a > 0 and b != 0, both finite"
+    shape = {
+        "a": _param(preset, "a", rule, _positive),
+        "b": _param(preset, "b", rule, lambda b: b != 0.0),
+    }
     if preset.name == GRAPH_CURVE:
-        shape.update(eps=p["eps"], harmonic=require_integer("harmonic", p["harmonic"]))
+        eps = _param(preset, "eps", "graph-curve eps must be finite")
+        harmonic = require_integer("harmonic", preset.params["harmonic"])
+        shape.update(eps=eps, harmonic=harmonic)
     return helix_graph_spec(n=preset.n, **shape)
 
 

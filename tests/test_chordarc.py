@@ -22,7 +22,6 @@ from csflab import (
 from csflab.chordarc import (
     METRICS,
     RatioField,
-    arc_curvature_integral,
     comparison_chord,
     find_local_minima,
     pair_diagnostics,
@@ -30,7 +29,7 @@ from csflab.chordarc import (
     ratio_minimum_condition_dl,
     ratio_minimum_condition_dpsi,
 )
-from csflab.curve import PERIODIC, segment_lengths
+from csflab.curve import OPEN, PERIODIC, segment_lengths
 from csflab.errors import (
     DiagonalPairError,
     InvalidArgumentError,
@@ -231,8 +230,8 @@ def test_dumbbell_neck_minimum_satisfies_first_variation():
         if l < 0.48 * L:
             interior.append((i, j, v))
     assert interior, "dumbbell neck should produce an interior d/l minimum"
-    for i, j, v in interior:
-        diag = pair_diagnostics(c, i, j)
+    diags = pair_diagnostics(c, [(i, j) for i, j, _ in interior])
+    for (i, j, v), diag in zip(interior, diags, strict=True):
         r1, r2 = diag.first_var_residual_dl
         assert abs(r1) < 5.0 / n
         assert abs(r2) < 5.0 / n
@@ -244,10 +243,9 @@ def test_circle_conditions_close_to_continuum():
     c = circle(n)
     g = compute_geometry(c)
     total = total_absolute_curvature(g)
-    for i, j in [(0, 64), (0, 128), (17, 100)]:
-        diag = pair_diagnostics(c, i, j)
+    for diag in pair_diagnostics(c, [(0, 64), (0, 128), (17, 100)]):
         # d/psi condition vanishes on a round circle up to O(h^2)
-        cond31 = ratio_minimum_condition_dpsi(diag, arc_curvature_integral(c, i, j))
+        cond31 = ratio_minimum_condition_dpsi(diag, diag.arc_curvature)
         assert abs(cond31) < 2e-4
         # d/l condition reduces to (2 pi d / l)^2 > 0
         cond22 = ratio_minimum_condition_dl(diag, total)
@@ -256,11 +254,10 @@ def test_circle_conditions_close_to_continuum():
         assert cond22 > 0.0
     # and the O(h^2) error actually contracts under refinement
     fine = circle(2 * n)
-    d_fine = pair_diagnostics(fine, 0, 2 * 64)
-    coarse = abs(ratio_minimum_condition_dpsi(
-        pair_diagnostics(c, 0, 64), arc_curvature_integral(c, 0, 64)))
-    refined = abs(ratio_minimum_condition_dpsi(
-        d_fine, arc_curvature_integral(fine, 0, 128)))
+    (d_fine,) = pair_diagnostics(fine, [(0, 2 * 64)])
+    (d_coarse,) = pair_diagnostics(c, [(0, 64)])
+    coarse = abs(ratio_minimum_condition_dpsi(d_coarse, d_coarse.arc_curvature))
+    refined = abs(ratio_minimum_condition_dpsi(d_fine, d_fine.arc_curvature))
     assert refined < coarse / 3.0
 
 
@@ -269,25 +266,65 @@ def test_cos2u_symmetric_pairs_are_borderline():
 
     n = 256
     c = build_curve(make_preset(COS2U_CURVE, n=n))
-    for i, j in [(0, n // 2), (n // 4, 3 * n // 4)]:
-        diag = pair_diagnostics(c, i, j)
+    for diag in pair_diagnostics(c, [(0, n // 2), (n // 4, 3 * n // 4)]):
         assert abs(diag.alpha - math.pi / 2.0) < 1e-9
-        cond = ratio_minimum_condition_dpsi(diag, arc_curvature_integral(c, i, j))
+        cond = ratio_minimum_condition_dpsi(diag, diag.arc_curvature)
         assert abs(cond) < 5e-2  # exact symmetry makes these nearly critical
         assert abs(cond) < 1e-9
 
 
+@pytest.mark.parametrize("topology", [CLOSED, PERIODIC])
+def test_one_call_builds_one_frame_and_one_geometry(monkeypatch, topology):
+    calls = {"_pair_frame": 0, "compute_geometry": 0}
+    for name in calls:
+
+        def counted(curve, name=name, original=getattr(chordarc, name)):
+            calls[name] += 1
+            return original(curve)
+
+        monkeypatch.setattr(chordarc, name, counted)
+    n = 96
+    c = dumbbell(n) if topology == CLOSED else helix(n, 1.0, 0.7)
+    pairs = [(i, i + 30) for i in range(0, n - 30, 4)]
+    diags = pair_diagnostics(c, pairs)
+    assert [(d.i, d.j) for d in diags] == pairs
+    assert calls == {"_pair_frame": 1, "compute_geometry": 1}
+
+
+@pytest.mark.parametrize(
+    "topology, pair, error, message",
+    [
+        (CLOSED, (-1, 5), InvalidArgumentError, r"pair \(-1, 5\) out of range for n=64"),
+        (CLOSED, (5, 64), InvalidArgumentError, r"pair \(5, 64\) out of range for n=64"),
+        (CLOSED, (64, 64), InvalidArgumentError, r"pair \(64, 64\) out of range"),
+        (CLOSED, (5, 5), DiagonalPairError, r"vertex pair \(5, 5\) has no chord"),
+        (PERIODIC, (64, 70), InvalidArgumentError, "first index 64 out of range for n=64"),
+        (PERIODIC, (5, 5), DiagonalPairError, r"vertex pair \(5, 5\) has no chord"),
+        (PERIODIC, (5, 4), InvalidArgumentError, r"needs i < j <= i \+ n, got \(5, 4\)"),
+        (PERIODIC, (5, 70), InvalidArgumentError, r"needs i < j <= i \+ n, got \(5, 70\)"),
+        (OPEN, (0, 20), UnsupportedTopologyError, "need a cyclic curve, not 'open'"),
+    ],
+)
+def test_pair_diagnostics_check_every_pair(topology, pair, error, message):
+    # a bad pair after a good one still raises, with its own message
+    if topology == PERIODIC:
+        c = helix(64, 1.0, 0.7)
+    else:
+        c = SampledCurve(dumbbell(64).points, topology)
+    with pytest.raises(error, match=message):
+        pair_diagnostics(c, [(0, 20), pair])
+
+
 def test_pair_diagnostics_closed_orientation_invariance():
     c = dumbbell(128)
-    a = pair_diagnostics(c, 20, 90)
-    b = pair_diagnostics(c, 90, 20)
+    a, b = pair_diagnostics(c, [(20, 90), (90, 20)])
     assert a.d == b.d and a.l == b.l and a.cond_dl == b.cond_dl
 
 
 def test_pair_diagnostics_periodic_helix():
     n, a, b = 256, 1.0, 0.7
     c = helix(n, a, b)
-    diag = pair_diagnostics(c, 3, 3 + n)
+    (diag,) = pair_diagnostics(c, [(3, 3 + n)])
     # one full period: chord is the pure offset
     assert abs(diag.d - 2.0 * math.pi * b) < 1e-12
     seg = 2.0 * a * math.sin(math.pi / n)
@@ -298,7 +335,7 @@ def test_pair_diagnostics_periodic_helix():
     assert diag.cond_dpsi is None
     assert diag.cond_dl is not None and math.isfinite(diag.cond_dl)
     with pytest.raises(DiagonalPairError):
-        pair_diagnostics(c, 5, 5)
+        pair_diagnostics(c, [(5, 5)])
     with pytest.raises(UnsupportedTopologyError):
         ratio_minimum_condition_dpsi(diag, 1.0)
 
@@ -425,22 +462,23 @@ def test_pair_diagnostics_hold_the_kernels_bits(seed, n, band):
     # one chord formula and one frame: every pair's ratios are its cells
     closed = random_curve(seed, n, CLOSED)
     closed_band = min(band, n // 2 - 1)
-    geom = compute_geometry(closed)
     fields = {m: ratio_field(closed, m, closed_band).values for m in METRICS}
-    for i in range(n):
-        for j in range(n):
-            if min(abs(i - j), n - abs(i - j)) <= closed_band:
-                continue
-            diag = pair_diagnostics(closed, i, j, geom)
-            assert diag.d_over_l == fields[D_OVER_L][i, j]
-            assert diag.d_over_psi == fields[D_OVER_PSI][i, j]
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if min(abs(i - j), n - abs(i - j)) > closed_band
+    ]
+    for (i, j), diag in zip(pairs, pair_diagnostics(closed, pairs), strict=True):
+        assert diag.d_over_l == fields[D_OVER_L][i, j]
+        assert diag.d_over_psi == fields[D_OVER_PSI][i, j]
     periodic = random_curve(seed, n, PERIODIC)
     periodic_band = min(band, n - 1)
-    geom = compute_geometry(periodic)
     cells = periodic_kernel_cells(periodic, periodic_band)
     assert len(cells) == n * (n - periodic_band)
-    for (i, j), value in cells.items():
-        assert pair_diagnostics(periodic, i, j, geom).d_over_l == value
+    diags = pair_diagnostics(periodic, list(cells))
+    for value, diag in zip(cells.values(), diags, strict=True):
+        assert diag.d_over_l == value
 
 
 def kernel_cells(curve, band):
@@ -588,9 +626,10 @@ def test_arc_curvature_integral_circle_oracle():
     c = circle(n, r)
     h = 2.0 * r * math.sin(math.pi / n)
     # half-weight endpoints make the arc integral exactly m*h/r
-    for i, j in [(0, 10), (7, 50), (0, 64)]:
+    pairs = [(0, 10), (7, 50), (0, 64)]
+    for (i, j), diag in zip(pairs, pair_diagnostics(c, pairs), strict=True):
         m = min((j - i) % n, (i - j) % n)
-        got = arc_curvature_integral(c, i, j)
+        got = diag.arc_curvature
         assert abs(got - m * h / r) < 1e-10
 
 
@@ -600,10 +639,11 @@ def test_arc_integral_takes_shorter_arc_with_half_endpoints():
     total = total_absolute_curvature(g)
     kds = g.scalar_curvature * g.ds
     # short index span: integral is the in-span sum with half endpoints
+    short, back, wide = pair_diagnostics(c, [(10, 40), (40, 10), (2, 90)])
     span_sum = kds[10:41].sum() - 0.5 * kds[10] - 0.5 * kds[40]
-    assert abs(arc_curvature_integral(c, 10, 40) - span_sum) < 1e-12
-    assert arc_curvature_integral(c, 40, 10) == arc_curvature_integral(c, 10, 40)
+    assert abs(short.arc_curvature - span_sum) < 1e-12
+    assert back.arc_curvature == short.arc_curvature
     # wide index span: the complement is the shorter arc
     wide_sum = kds[2:91].sum() - 0.5 * kds[2] - 0.5 * kds[90]
-    assert abs(arc_curvature_integral(c, 2, 90) - (total - wide_sum)) < 1e-12
+    assert abs(wide.arc_curvature - (total - wide_sum)) < 1e-12
 

@@ -38,6 +38,7 @@ from csflab.helix import (
     shrinking_circle_radius,
 )
 from csflab.presets import (
+    CIRCLE,
     COS2U_CURVE,
     CUSTOM_FILE,
     ELLIPSE,
@@ -148,7 +149,7 @@ def test_pair_condition_matches_discrete_minimum_condition():
     for a, b in [(1.0, 1.0), (1.0, 0.5)]:
         n = 1024
         c = build_curve(make_preset(HELIX, n=n, a=a, b=b))
-        diag = pair_diagnostics(c, 0, n)
+        (diag,) = pair_diagnostics(c, [(0, n)])
         total = total_absolute_curvature(compute_geometry(c))
         cond = ratio_minimum_condition_dl(diag, total)
         F = helix_pair_condition(2.0 * math.pi, (b / a) ** 2)
@@ -325,10 +326,36 @@ def test_graph_spec_for_matches_the_preset_curve(name, params):
 
 
 @pytest.mark.parametrize("name", [HELIX, GRAPH_CURVE])
-@pytest.mark.parametrize("a, b", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)])
+@pytest.mark.parametrize(
+    "a, b",
+    [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0)]
+    + [(bad, 1.0) for bad in (math.nan, math.inf, -math.inf)]
+    + [(1.0, bad) for bad in (math.nan, math.inf, -math.inf)],
+)
 def test_helix_presets_reject_a_non_positive_or_b_zero(name, a, b):
     with pytest.raises(InvalidArgumentError, match=f"{name} preset needs a > 0 and b != 0"):
         build_curve(make_preset(name, n=16, a=a, b=b))
+
+
+@pytest.mark.parametrize(
+    "name, key",
+    [
+        (CIRCLE, "r"),
+        (ELLIPSE, "a"),
+        (ELLIPSE, "b"),
+        (HELIX, "a"),
+        (HELIX, "b"),
+        (GRAPH_CURVE, "a"),
+        (GRAPH_CURVE, "b"),
+        (GRAPH_CURVE, "eps"),
+        (SPHERE_PERTURBED, "eps"),
+    ],
+)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_float_preset_parameters_must_be_finite(name, key, value):
+    # one check names the parameter, before any vertex is computed
+    with pytest.raises(InvalidArgumentError, match=f", got {key}={value!r}$"):
+        build_curve(make_preset(name, n=16, **{key: value}))
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

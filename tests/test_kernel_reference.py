@@ -10,7 +10,9 @@ of the vertices, since ``np.einsum`` adds in another order on other layouts.
 ``reference_decomposition``, the geodesic/normal split of the curvature
 vector, has no kernel to match: it is the one split, read by the oracles and
 the explicit reference step of ``test_sphere``, always on
-``reference_geometry``'s arrays.
+``reference_geometry``'s arrays.  ``reference_arc_curvature_integral``
+measures the arc positions and picks the shorter arc on its own, as a
+separate routine; ``pair_diagnostics`` reads both from its pair frame.
 Results must agree bit for bit, signed zeros included, with one stated
 exception.  The kernel forms the Laplacian as c (p+ - p) - a (p - p-),
 which is the reference's a (p- - p) + c (p+ - p) up to the sign of a zero:
@@ -29,7 +31,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csflab import CLOSED, SampledCurve, compute_geometry
+from csflab import (
+    CLOSED,
+    SampledCurve,
+    arc_positions,
+    compute_geometry,
+    total_absolute_curvature,
+)
+from csflab.chordarc import pair_diagnostics
 from csflab.curve import MIN_VERTICES, OPEN, PERIODIC, resample_uniform, segment_lengths
 from csflab.flow import make_state, stable_step, step_explicit
 from csflab.sphere import RescaledState, step_geodesic_flow
@@ -186,6 +195,20 @@ def reference_cyclic_solve(diag, off, rhs):
     return x[:, 0] if single else x
 
 
+def reference_arc_curvature_integral(curve, i, j):
+    # the |k| ds integral over the shorter arc from vertex i to vertex j, the
+    # two end vertices at half weight, so the two arcs add up to the total
+    geom = compute_geometry(curve)
+    kds = geom.scalar_curvature * geom.ds
+    s, length = arc_positions(curve)
+    lo, hi = (i, j) if i < j else (j, i)
+    span = slice(lo, hi + 1)
+    forward = float(np.sum(kds[span])) - 0.5 * float(kds[lo]) - 0.5 * float(kds[hi])
+    if s[hi] - s[lo] <= length - (s[hi] - s[lo]):
+        return forward
+    return total_absolute_curvature(geom) - forward
+
+
 CURVES = dict(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(8, 64),
@@ -276,3 +299,24 @@ def test_cyclic_solve_equals_outer_reference(seed, n, columns, scale):
     rhs = rng.standard_normal(n if columns is None else (n, columns))
     x = solve_cyclic_tridiagonal(diag, off, rhs)
     assert same_bits(x, reference_cyclic_solve(diag, off, rhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=CURVES["seed"],
+    n=CURVES["n"],
+    scale=CURVES["scale"],
+    planar=CURVES["planar"],
+    data=st.data(),
+)
+def test_arc_curvature_equals_the_integral_reference(seed, n, scale, planar, data):
+    # every pair in both orientations, from one call
+    curve = random_curve(seed, n, CLOSED, scale, planar)
+    index = st.integers(0, n - 1)
+    pairs = data.draw(
+        st.lists(st.tuples(index, index).filter(lambda p: p[0] != p[1]), min_size=1),
+        label="pairs",
+    )
+    pairs += [(j, i) for i, j in pairs]
+    for (i, j), diag in zip(pairs, pair_diagnostics(curve, pairs), strict=True):
+        assert same_bits(diag.arc_curvature, reference_arc_curvature_integral(curve, i, j))

@@ -94,3 +94,34 @@ def test_every_public_function_and_class_has_a_caller():
     assert sorted(uncalled - UNCALLED) == []
     # an exception whose name has found a caller, or is gone, leaves the list
     assert sorted(UNCALLED - uncalled) == []
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    # the strings of a module's __all__, which reads what it re-exports
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
+def test_every_imported_name_is_read_in_its_module():
+    unread = []
+    for path in sorted((ROOT / "src" / "csflab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = _exported(tree) | {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unread.append((path.stem, bound))
+    assert unread == []
