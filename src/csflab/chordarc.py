@@ -353,49 +353,37 @@ class PairDiagnostics:
 
     @property
     def cond_dl(self) -> float:
-        return ratio_minimum_condition_dl(self, self.total_curvature)
+        """Sign test certifying that a d/l local minimum rises under the flow.
+
+        Evaluates -|e1+e2|^2 + <e1+e2, w>^2 + (d/l)^2 * (total |k| integral)^2
+        from measured tangents; non-negative values certify monotonicity at
+        this pair.
+        """
+        omega_dot = self.chord_tangent_start + self.chord_tangent_end
+        return (
+            -self.tangent_sum_sq
+            + omega_dot**2
+            + (self.d**2 / self.l**2) * self.total_curvature**2
+        )
 
     @property
     def cond_dpsi(self) -> float | None:
-        arc = self.arc_curvature
-        return None if arc is None else ratio_minimum_condition_dpsi(self, arc)
+        """Sign test for a d/psi local minimum, from the shorter-arc |k| integral.
 
-
-def ratio_minimum_condition_dl(diag: PairDiagnostics, total_curvature: float) -> float:
-    """Sign test certifying that a d/l local minimum rises under the flow.
-
-    Evaluates -|e1+e2|^2 + <e1+e2, w>^2 + (d/l)^2 * (total |k| integral)^2
-    from measured tangents; non-negative values certify monotonicity at this
-    pair.  ``total_curvature`` is the |k| integral over the whole curve (or
-    one full period for periodic pairs).
-    """
-    omega_dot = diag.chord_tangent_start + diag.chord_tangent_end
-    return (
-        -diag.tangent_sum_sq
-        + omega_dot**2
-        + (diag.d**2 / diag.l**2) * total_curvature**2
-    )
-
-
-def ratio_minimum_condition_dpsi(diag: PairDiagnostics, arc_curvature: float) -> float:
-    """Sign test for a d/psi local minimum, from the shorter-arc |k| integral.
-
-    Evaluates cos(a)*I^2 - cos(a)*4*pi^2*l^2/L^2 - psi*l*|e1+e2|^2/d^2
-    + (4l/psi)*cos(a)^2 where I = ``arc_curvature`` and the length L enters
-    through psi and alpha.  Needs a closed-curve pair.
-    """
-    if diag.psi is None or diag.alpha is None:
-        raise UnsupportedTopologyError(
-            "comparison-circle condition needs a closed-curve pair"
+        Evaluates cos(a)*I^2 - cos(a)*4*pi^2*l^2/L^2 - psi*l*|e1+e2|^2/d^2
+        + (4l/psi)*cos(a)^2 where I = ``arc_curvature`` and the length L enters
+        through psi and alpha.
+        """
+        if self.arc_curvature is None:
+            return None
+        cos_a = math.cos(self.alpha)
+        # alpha = pi*l/L, so 4*pi^2*l^2/L^2 = 4*alpha^2
+        return (
+            cos_a * self.arc_curvature**2
+            - cos_a * 4.0 * self.alpha**2
+            - self.psi * self.l * self.tangent_sum_sq / (self.d * self.d)
+            + (4.0 * self.l / self.psi) * cos_a**2
         )
-    cos_a = math.cos(diag.alpha)
-    # alpha = pi*l/L, so 4*pi^2*l^2/L^2 = 4*alpha^2
-    return (
-        cos_a * arc_curvature**2
-        - cos_a * 4.0 * diag.alpha**2
-        - diag.psi * diag.l * diag.tangent_sum_sq / (diag.d * diag.d)
-        + (4.0 * diag.l / diag.psi) * cos_a**2
-    )
 
 
 def pair_diagnostics(

@@ -17,11 +17,13 @@ strings, never zeros.
 
 Ratio fields are the large files (n=2048 gives 2 M cells, 58 MB).  The
 writer formats each matrix row with one ``repr`` of the row's finite cells
-and one ``write``; the reader parses the open file ``_CHUNK_LINES`` (8,192)
-lines per numpy call, about 0.7 MB beside the matrix at any file size, and
-rereads only a failing chunk, line by line, to name its bad line.
-Curve snapshots take one ``repr`` of all their coordinates, split into
-``x y z`` rows, and are read back with one call of the same parser.
+and one ``write``; curve snapshots take one ``repr`` of all coordinates,
+split into ``x y z`` rows.  Both readers take exactly the lines their
+writer writes (a field line has ``0 <= i < j < n``, its pair after the
+previous line's in row-major order) and skip blank lines.  One parser
+reads both bodies ``_CHUNK_LINES`` (8,192) lines per numpy call, about
+0.7 MB beside the matrix, and names a bad line's ``path:line`` by
+rereading only the failing chunk.
 
 Every writer goes through ``_atomic_open``: the text goes to a temporary
 file in the target directory that replaces the target only once it is
@@ -51,13 +53,15 @@ from .flow import FlowConfig, RecordRow, RunRecord, require_integer
 
 CURVE_MAGIC = "# csf-curve v1"
 FIELD_MAGIC = "# csf-ratiofield v1"
-# ratio-field body lines parsed per numpy call, each going on at the open
-# file's next line (numpy pulls lines from the file's iterator up to max_rows
-# rows; checked on numpy 2.4.6 only).  A chunk costs about 84 bytes a line
-# in flight (parser buffers, parsed cells): 0.7 MB for 2**13 lines, small
-# beside the 34 MB n=2048 matrix, and as fast to read as larger chunks
+# body lines parsed per numpy call, each going on at the open file's next
+# line (numpy pulls lines from the file's iterator up to max_rows rows;
+# checked on numpy 2.4.6 only).  A ratio-field chunk costs about 84 bytes a
+# line in flight (parser buffers, parsed cells): 0.7 MB for 2**13 lines,
+# small beside the 34 MB n=2048 matrix, and as fast to read as larger chunks
 _CHUNK_LINES = 2**13
-_CELL_DTYPE = [("i", "i8"), ("j", "i8"), ("v", "f8")]
+# the body row of each format; the field names spell the expected line
+_POINT_DTYPE = np.dtype([("x", "f8"), ("y", "f8"), ("z", "f8")])
+_CELL_DTYPE = np.dtype([("i", "i8"), ("j", "i8"), ("value", "f8")])
 
 
 def format_float(value: float) -> str:
@@ -207,52 +211,32 @@ def write_curve(curve: SampledCurve, path) -> None:
 
 
 def read_curve(path) -> SampledCurve:
-    with _decoded(path):
-        lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != CURVE_MAGIC:
-        raise InvalidArgumentError(f"{path}: missing '{CURVE_MAGIC}' header")
-    if len(lines) < 2:
-        raise InvalidArgumentError(f"{path}: missing topology line")
-    tokens = lines[1].split()
-    if not tokens or tokens[0] != "topology":
-        raise InvalidArgumentError(f"{path}: malformed topology line")
-    offset = None
-    if len(tokens) == 2 and tokens[1] in (CLOSED, OPEN):
-        topology = tokens[1]
-    elif len(tokens) == 5 and tokens[1] == PERIODIC:
-        topology = PERIODIC
-        try:
-            offset = [float(v) for v in tokens[2:5]]
-        except ValueError as exc:
-            raise InvalidArgumentError(f"{path}: bad offset: {exc}") from exc
-    else:
-        raise InvalidArgumentError(
-            f"{path}: topology must be one of {TOPOLOGIES} "
-            "(periodic takes an offset triple)"
-        )
-    try:
-        points = _parse_rows(lines[2:], float, ndmin=2)
-    except ValueError:
-        points = None
-    if points is None or (points.size and points.shape[1] != 3):
-        raise _bad_point_line(path, lines[2:])
-    return SampledCurve(points, topology, offset)
-
-
-def _bad_point_line(path, lines: list[str]) -> InvalidArgumentError:
-    """The error naming the first bad body line of a curve file (line 3 on)."""
-    for ln, line in enumerate(lines, start=3):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 3:
-            return InvalidArgumentError(f"{path}:{ln}: expected 'x y z'")
-        try:
-            [float(v) for v in parts]  # float's message names the token
-            _parse_rows([line], float, ndmin=2)
-        except ValueError as exc:
-            return InvalidArgumentError(f"{path}:{ln}: {exc}")
-    return InvalidArgumentError(f"{path}: unreadable curve body")
+    with _decoded(path), open(path) as fh:
+        magic, topology_line = fh.readline(), fh.readline()
+        if magic.strip() != CURVE_MAGIC:
+            raise InvalidArgumentError(f"{path}: missing '{CURVE_MAGIC}' header")
+        if not topology_line:
+            raise InvalidArgumentError(f"{path}: missing topology line")
+        tokens = topology_line.split()
+        if not tokens or tokens[0] != "topology":
+            raise InvalidArgumentError(f"{path}: malformed topology line")
+        offset = None
+        if len(tokens) == 2 and tokens[1] in (CLOSED, OPEN):
+            topology = tokens[1]
+        elif len(tokens) == 5 and tokens[1] == PERIODIC:
+            topology = PERIODIC
+            try:
+                offset = [float(v) for v in tokens[2:5]]
+            except ValueError as exc:
+                raise InvalidArgumentError(f"{path}: bad offset: {exc}") from exc
+        else:
+            raise InvalidArgumentError(
+                f"{path}: topology must be one of {TOPOLOGIES} "
+                "(periodic takes an offset triple)"
+            )
+        chunks = _body_chunks(path, fh, 2, _POINT_DTYPE)
+        points = np.concatenate([np.empty(0), *(rows.view(np.float64) for _, rows in chunks)])
+    return SampledCurve(points.reshape(-1, 3), topology, offset)
 
 
 def write_run_json(record: RunRecord, path) -> None:
@@ -306,44 +290,66 @@ def write_ratio_field(field: RatioField, path) -> None:
             fh.write(lead + f"\n{lead}".join(cells) + "\n")
 
 
-def _parse_rows(lines, dtype, ndmin: int, max_rows: int | None = None) -> np.ndarray:
-    """Body lines, a list or an open file, in one array; blank lines are skipped."""
+def _parse_rows(lines, dtype, max_rows: int | None = None) -> np.ndarray:
+    """Body lines, a list or an open file, as rows of ``dtype``; blank lines are skipped."""
     with warnings.catch_warnings():
         # a chunk of blank lines is no error, and blank lines are no rows
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
-        return np.loadtxt(lines, dtype, comments=None, ndmin=ndmin, max_rows=max_rows)
+        return np.loadtxt(lines, dtype, comments=None, ndmin=1, max_rows=max_rows)
 
 
-def _bad_line(path, n: int, good: int) -> InvalidArgumentError:
-    """The error naming the first bad body line past ``good`` rows known to pass."""
+def _body_chunks(path, fh, head: int, dtype):
+    """Yield (rows before it, its rows) for each chunk of ``dtype`` rows in
+    the open file ``path`` past ``head`` header lines; a bad line raises."""
+    done = 0
+    while True:
+        try:
+            rows = _parse_rows(fh, dtype, max_rows=_CHUNK_LINES)
+        except ValueError as exc:
+            raise _bad_line(path, head, done, dtype) from exc
+        if rows.size:
+            yield done, rows
+        if rows.size < _CHUNK_LINES:  # the parser stopped at the end of the file
+            return
+        done += rows.size
+
+
+def _bad_line(path, head: int, first: int, dtype, reason=None) -> InvalidArgumentError:
+    """The error naming body row ``first`` for ``reason``; with no reason,
+    the first row of the chunk from ``first`` on that does not parse alone.
+    Only that chunk's lines are parsed again."""
     with open(path) as fh:
-        lines = enumerate(itertools.islice(fh, 3, None), start=4)
+        lines = enumerate(itertools.islice(fh, head, None), start=head + 1)
         rows = ((ln, line) for ln, line in lines if line.strip())
-        for ln, line in itertools.islice(rows, good, None):
-            if len(line.split()) != 3:
-                return InvalidArgumentError(f"{path}:{ln}: expected 'i j value'")
-            try:
-                ((i, j, _),) = _parse_rows([line], _CELL_DTYPE, ndmin=1).tolist()
-            except ValueError:
-                return InvalidArgumentError(
-                    f"{path}:{ln}: expected integers i j and a float value, "
-                    f"got {line.strip()!r}"
-                )
-            if not (0 <= i < n and 0 <= j < n):
-                return InvalidArgumentError(f"{path}:{ln}: pair out of range")
-            if i == j:
-                return InvalidArgumentError(f"{path}:{ln}: diagonal pair ({i}, {j})")
-    return InvalidArgumentError(f"{path}: unreadable ratio-field body")
+        for ln, line in itertools.islice(rows, first, first + _CHUNK_LINES):
+            if reason is None:
+                try:
+                    _parse_rows([line], dtype)
+                except ValueError:
+                    reason = f"expected '{' '.join(dtype.names)}', got {line.strip()!r}"
+                else:
+                    continue
+            return InvalidArgumentError(f"{path}:{ln}: {reason}")
+    return InvalidArgumentError(f"{path}: unreadable body")
+
+
+def _pair_error(i: int, j: int, n: int, last: int) -> str:
+    """Why cell (i, j), after the cell keyed ``last``, is not a writer's line."""
+    if not (0 <= i < n and 0 <= j < n):
+        return f"pair out of range: ({i}, {j}) with n {n}"
+    if i >= j:
+        return f"{'diagonal' if i == j else 'mirrored'} pair ({i}, {j})"
+    return f"{'repeated' if i * n + j == last else 'out-of-order'} pair ({i}, {j})"
 
 
 def read_ratio_field(path) -> RatioField:
     """Read a field written by ``write_ratio_field``.
 
-    ``i j v`` and ``j i v`` set the same pair of symmetric cells.  A pair
-    given on more than one line takes the value of its last line.  The
-    exclusion band is one less than the smallest cyclic index gap of the
-    lines read.
+    Each body line is one finite cell, ``i j value`` with ``0 <= i < j < n``,
+    in increasing row-major order of (i, j); any other line raises an error
+    naming it.  The exclusion band is one less than the smallest cyclic
+    index gap of the lines read.
     """
     # a decode failure can surface in the header, a chunk or _bad_line's walk
     with _decoded(path), open(path) as fh:
@@ -364,30 +370,19 @@ def read_ratio_field(path) -> RatioField:
                 f"{path}: n {n} is below the {MIN_FIELD_VERTICES} vertices a field needs"
             )
         values = np.full((n, n), np.nan)
-        min_sep, good = n, 0  # good: rows of the chunks that passed
-        while True:
-            try:
-                cells = _parse_rows(fh, _CELL_DTYPE, ndmin=1, max_rows=_CHUNK_LINES)
-            except ValueError as exc:
-                raise _bad_line(path, n, good) from exc
-            if not cells.size:
-                break
-            i, j, v = cells["i"], cells["j"], cells["v"]
-            if not ((i >= 0) & (i < n) & (j >= 0) & (j < n) & (i != j)).all():
-                raise _bad_line(path, n, good)
-            good += cells.size
-            sep = np.abs(i - j)
+        min_sep, last = n, -1  # last: the row-major key i * n + j of the last cell
+        for done, cells in _body_chunks(path, fh, 3, _CELL_DTYPE):
+            i, j, v = cells["i"], cells["j"], cells["value"]
+            key = i * n + j
+            ok = (i >= 0) & (i < j) & (j < n) & (np.diff(key, prepend=last) > 0)
+            if not ok.all():
+                k = int(ok.argmin())
+                reason = _pair_error(int(i[k]), int(j[k]), n, int(key[k - 1]) if k else last)
+                raise _bad_line(path, 3, done + k, _CELL_DTYPE, reason)
+            last = int(key[-1])
+            sep = j - i
             min_sep = min(min_sep, int(sep.min()), int((n - sep).min()))
-            lo, hi = np.minimum(i, j), np.maximum(i, j)
-            key = lo * n + hi
-            if (np.diff(key) <= 0).any():
-                # out of the writer's order, maybe repeated: keep each
-                # pair's last line, since repeated fancy-index assignment
-                # has no defined winner
-                _, last = np.unique(key[::-1], return_index=True)
-                keep = key.size - 1 - last
-                lo, hi, v = lo[keep], hi[keep], v[keep]
-            values[lo, hi] = v
-            values[hi, lo] = v
+            values[i, j] = v
+            values[j, i] = v
     values.setflags(write=False)
     return RatioField(values=values, metric=metric_tokens[1], exclusion_band=min_sep - 1)

@@ -76,6 +76,14 @@ def require_integer(name: str, value) -> int:
     return int(value)
 
 
+def require_real(name: str, value) -> float:
+    """``value`` as a ``float``: Python and numpy reals pass, a ``bool``
+    or any other type raises ``InvalidArgumentError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     """Parameters controlling a flow run."""
@@ -91,8 +99,13 @@ class FlowConfig:
     sphere_radius: float | None = None  # fills the sphere_residual column
 
     def __post_init__(self):
-        for name in ("remesh_every", "record_every", "max_steps"):
-            object.__setattr__(self, name, require_integer(name, getattr(self, name)))
+        # the annotations are strings: "int", "float", "float | None", "str"
+        for name, kind in FlowConfig.__annotations__.items():
+            value = getattr(self, name)
+            if kind == "int":
+                object.__setattr__(self, name, require_integer(name, value))
+            elif kind == "float" or (kind == "float | None" and value is not None):
+                object.__setattr__(self, name, require_real(name, value))
         if not (0.0 < self.cfl <= 1.0):
             raise InvalidArgumentError("cfl must lie in (0, 1]")
         if self.remesh_every < 1 or self.record_every < 1:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .curve import CLOSED, MIN_VERTICES, PERIODIC, SampledCurve
 from .errors import InvalidArgumentError
-from .flow import require_integer
+from .flow import require_integer, require_real
 from .helix import GraphCurveSpec, helix_graph_spec
 
 CIRCLE = "circle"
@@ -139,9 +139,9 @@ def _sphere_perturbed_points(eps: float, harmonic: int, n: int) -> np.ndarray:
 
 
 def _param(preset: Preset, key: str, rule: str, in_range=lambda value: True):
-    """The float parameter ``key``, which must be finite and ``in_range``;
-    otherwise the error states ``rule`` and names the parameter."""
-    value = preset.params[key]
+    """The float parameter ``key``, which must be a finite real and
+    ``in_range``; otherwise the error states ``rule`` and names the parameter."""
+    value = require_real(key, preset.params[key])
     if math.isfinite(value) and in_range(value):
         return value
     raise InvalidArgumentError(f"{rule}, got {key}={value!r}")

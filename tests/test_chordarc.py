@@ -26,8 +26,6 @@ from csflab.chordarc import (
     find_local_minima,
     pair_diagnostics,
     ratio_minima,
-    ratio_minimum_condition_dl,
-    ratio_minimum_condition_dpsi,
 )
 from csflab.curve import OPEN, PERIODIC, segment_lengths
 from csflab.errors import (
@@ -245,10 +243,11 @@ def test_circle_conditions_close_to_continuum():
     total = total_absolute_curvature(g)
     for diag in pair_diagnostics(c, [(0, 64), (0, 128), (17, 100)]):
         # d/psi condition vanishes on a round circle up to O(h^2)
-        cond31 = ratio_minimum_condition_dpsi(diag, diag.arc_curvature)
+        cond31 = diag.cond_dpsi
         assert abs(cond31) < 2e-4
         # d/l condition reduces to (2 pi d / l)^2 > 0
-        cond22 = ratio_minimum_condition_dl(diag, total)
+        assert diag.total_curvature == total
+        cond22 = diag.cond_dl
         expected = (diag.d_over_l * total) ** 2
         assert abs(cond22 - expected) < 1e-8
         assert cond22 > 0.0
@@ -256,8 +255,8 @@ def test_circle_conditions_close_to_continuum():
     fine = circle(2 * n)
     (d_fine,) = pair_diagnostics(fine, [(0, 2 * 64)])
     (d_coarse,) = pair_diagnostics(c, [(0, 64)])
-    coarse = abs(ratio_minimum_condition_dpsi(d_coarse, d_coarse.arc_curvature))
-    refined = abs(ratio_minimum_condition_dpsi(d_fine, d_fine.arc_curvature))
+    coarse = abs(d_coarse.cond_dpsi)
+    refined = abs(d_fine.cond_dpsi)
     assert refined < coarse / 3.0
 
 
@@ -268,7 +267,7 @@ def test_cos2u_symmetric_pairs_are_borderline():
     c = build_curve(make_preset(COS2U_CURVE, n=n))
     for diag in pair_diagnostics(c, [(0, n // 2), (n // 4, 3 * n // 4)]):
         assert abs(diag.alpha - math.pi / 2.0) < 1e-9
-        cond = ratio_minimum_condition_dpsi(diag, diag.arc_curvature)
+        cond = diag.cond_dpsi
         assert abs(cond) < 5e-2  # exact symmetry makes these nearly critical
         assert abs(cond) < 1e-9
 
@@ -336,8 +335,6 @@ def test_pair_diagnostics_periodic_helix():
     assert diag.cond_dl is not None and math.isfinite(diag.cond_dl)
     with pytest.raises(DiagonalPairError):
         pair_diagnostics(c, [(5, 5)])
-    with pytest.raises(UnsupportedTopologyError):
-        ratio_minimum_condition_dpsi(diag, 1.0)
 
 
 def test_min_pair_ratio_periodic_matches_brute_force():

@@ -269,6 +269,20 @@ def test_config_validation():
         FlowConfig(scheme="leapfrog")
     with pytest.raises(InvalidArgumentError):
         FlowConfig(record_every=0)
+    # a float field takes a real number, not a bool, and t_end and
+    # sphere_radius also take None; each refusal names the field
+    reals = ("cfl", "t_end", "stop_length_fraction", "stop_curvature_resolution", "sphere_radius")
+    for name in reals:
+        bad = [True, np.bool_(False), "0.5", 0.5j, [0.5]]
+        if name not in ("t_end", "sphere_radius"):
+            bad.append(None)
+        for value in bad:
+            with pytest.raises(InvalidArgumentError, match=f"^{name} must be a real number, got "):
+                FlowConfig(**{name: value})
+    assert FlowConfig(t_end=None).t_end is None and FlowConfig(t_end=math.inf).t_end == math.inf
+    assert FlowConfig(sphere_radius=None).sphere_radius is None
+    cfl = FlowConfig(cfl=np.float32(0.5)).cfl
+    assert cfl == 0.5 and type(cfl) is float
 
 
 @pytest.mark.parametrize("name", ["remesh_every", "record_every", "max_steps"])

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from csflab import (
     scaled_condition_threshold,
     total_absolute_curvature,
 )
-from csflab.chordarc import pair_diagnostics, ratio_minimum_condition_dl
+from csflab.chordarc import pair_diagnostics
 from csflab.errors import DiagonalPairError, DomainError, InvalidArgumentError
 from csflab.helix import (
     SERIES_Y,
@@ -150,8 +151,8 @@ def test_pair_condition_matches_discrete_minimum_condition():
         n = 1024
         c = build_curve(make_preset(HELIX, n=n, a=a, b=b))
         (diag,) = pair_diagnostics(c, [(0, n)])
-        total = total_absolute_curvature(compute_geometry(c))
-        cond = ratio_minimum_condition_dl(diag, total)
+        assert diag.total_curvature == total_absolute_curvature(compute_geometry(c))
+        cond = diag.cond_dl
         F = helix_pair_condition(2.0 * math.pi, (b / a) ** 2)
         assert abs(cond - F) < 2e-2 * max(1.0, abs(F))
 
@@ -351,10 +352,17 @@ def test_helix_presets_reject_a_non_positive_or_b_zero(name, a, b):
         (SPHERE_PERTURBED, "eps"),
     ],
 )
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, "1", None, 1j, True, np.bool_(True), [1.0]]
+)
 def test_float_preset_parameters_must_be_finite(name, key, value):
-    # one check names the parameter, before any vertex is computed
-    with pytest.raises(InvalidArgumentError, match=f", got {key}={value!r}$"):
+    # one check names the parameter, before any vertex is computed; a value
+    # that is no real number, a bool included, is refused for its type
+    if isinstance(value, float):
+        message = f", got {key}={value!r}$"
+    else:
+        message = f"^{key} must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(InvalidArgumentError, match=message):
         build_curve(make_preset(name, n=16, **{key: value}))
 
 

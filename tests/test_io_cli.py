@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import csflab.cli as cli
@@ -252,19 +252,21 @@ def reference_ratio_field_text(field):
 
 def reference_read_ratio_field(path):
     # reference reader: one split/int/float per body line, header lines
-    # assumed well formed; returns (values, metric, exclusion band)
+    # assumed well formed; each line must hold a pair 0 <= i < j < n past the
+    # previous line's in row-major order; returns (values, metric, band)
     lines = path.read_text().splitlines()
     n = int(lines[2].split()[1])
     values = np.full((n, n), np.nan)
-    min_sep = n
+    min_sep, last = n, (-1, -1)
     for line in lines[3:]:
         if not line.strip():
             continue
         i, j, v = line.split()
         i, j, v = int(i), int(j), float(v)
+        assert 0 <= i < j < n and (i, j) > last, line
+        last = (i, j)
         values[i, j] = values[j, i] = v
-        sep = abs(i - j)
-        min_sep = min(min_sep, sep, n - sep)
+        min_sep = min(min_sep, j - i, n - (j - i))
     return values, lines[1].split()[1], min_sep - 1
 
 
@@ -357,50 +359,85 @@ def test_curve_text_equals_per_value_writer(seed, n, topology, cells):
     assert np.array_equal(bits(back.points), bits(curve.points))
 
 
-@pytest.mark.filterwarnings("error::UserWarning")  # numpy warns on blank lines
-@settings(max_examples=30, deadline=None)
+# a bad ratio-field body line of each kind, in place of "k k+3 0.k+1" (k = bad,
+# n 32), and its message; "repeated" and "order" need a line before them
+_BAD_CELLS = {
+    "token": ("{k} {j} x{k}", "expected 'i j value', got '{k} {j} x{k}'"),
+    "count": ("{k} {j}", "expected 'i j value', got '{k} {j}'"),
+    "range": ("{k} 40 0.5", "pair out of range: ({k}, 40) with n 32"),
+    "diagonal": ("{k} {k} 0.5", "diagonal pair ({k}, {k})"),
+    "mirrored": ("{j} {k} 0.5", "mirrored pair ({j}, {k})"),
+    "repeated": ("{p} {i} 0.5", "repeated pair ({p}, {i})"),
+    "order": ("{p} {k} 0.5", "out-of-order pair ({p}, {k})"),
+}
+
+
+@settings(max_examples=60, deadline=None)
 @given(
-    chunk=st.sampled_from([1, 7]),
+    chunk=st.sampled_from([1, 7, fileio._CHUNK_LINES]),
     bad=st.integers(0, 20),
     blank=st.integers(0, 21),
-    kind=st.sampled_from(["token", "count", "range"]),
+    kind=st.sampled_from(sorted(_BAD_CELLS)),
 )
 def test_ratio_field_error_names_line_across_chunks(chunk, bad, blank, kind):
     # 21 body lines, one made bad, one blank line inserted; with chunks of
-    # 1 and 7 lines the bad and blank lines fall on and beside chunk edges
+    # 1 and 7 lines the bad and blank lines fall on and beside chunk edges,
+    # and a repeated or out-of-order line may follow its previous line across one
+    assume(bad > 0 or kind not in ("repeated", "order"))
     body = [f"{k} {k + 3} 0.{k + 1}" for k in range(21)]
-    body[bad] = {
-        "token": f"{bad} {bad + 3} x{bad}",
-        "count": f"{bad} {bad + 3}",
-        "range": f"{bad} 40 0.5",
-    }[kind]
+    names = {"k": bad, "j": bad + 3, "p": bad - 1, "i": bad + 2}
+    text, message = (part.format(**names) for part in _BAD_CELLS[kind])
+    body[bad] = text
     body.insert(blank, "")
     line = 4 + bad + (blank <= bad)
-    message = {
-        "token": "expected integers i j and a float value",
-        "count": "expected 'i j value'",
-        "range": "pair out of range",
-    }[kind]
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         mp.setattr(fileio, "_CHUNK_LINES", chunk)
         path = Path(tmp) / "f.txt"
         path.write_text(f"{FIELD_MAGIC}\nmetric d_over_l\nn 32\n" + "\n".join(body) + "\n")
-        with pytest.raises(InvalidArgumentError, match=re.escape(f":{line}: {message}")):
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:{line}: {message}")):
             read_ratio_field(path)
 
 
-@pytest.mark.filterwarnings("error::UserWarning")  # numpy warns on blank lines
-@pytest.mark.parametrize("kind", ["token", "range"])
+@settings(max_examples=30, deadline=None)
+@given(
+    chunk=st.sampled_from([1, 7, fileio._CHUNK_LINES]),
+    bad=st.integers(0, 20),
+    blank=st.integers(0, 21),
+    text=st.sampled_from(["0.5 x 1.5", "0.5 1.5", "0.5 1.5 2.5 3.5", "1 2 3e"]),
+)
+def test_curve_error_names_line_across_chunks(chunk, bad, blank, text):
+    # the ratio-field case's layout on a curve body: 21 vertex lines after
+    # the two header lines, one a bad token or the wrong column count
+    body = [f"{k}.5 {k} -{k}.25" for k in range(21)]
+    body[bad] = text
+    body.insert(blank, "")
+    line = 3 + bad + (blank <= bad)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_CHUNK_LINES", chunk)
+        path = Path(tmp) / "c.curve"
+        path.write_text(f"{CURVE_MAGIC}\ntopology open\n" + "\n".join(body) + "\n")
+        message = f"{path}:{line}: expected 'x y z', got {text!r}"
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            read_curve(path)
+
+
+@pytest.mark.parametrize("kind", ["token", "range", "curve"])
 def test_ratio_field_error_rereads_only_the_failing_chunk(tmp_path, monkeypatch, kind):
     # 40 rows, a blank line before every fifth, chunks of 7 rows: bad row 33
-    # is in the fifth chunk, on line 4 + 33 + 7 blank lines, and naming it
-    # parses no row of the four chunks that passed
+    # is in the fifth chunk, on line 4 + 33 + 7 blank lines (3 + 33 + 7 in a
+    # curve file), and naming it parses no row of the four chunks that
+    # passed; a row that parses but breaks the pair order is named from the
+    # chunk's own parse, with no row parsed again
+    if kind == "curve":
+        head, read, line = f"{CURVE_MAGIC}\ntopology open\n", read_curve, 43
+    else:
+        head, read, line = f"{FIELD_MAGIC}\nmetric d_over_l\nn 64\n", read_ratio_field, 44
     body = [f"{k} {k + 3} 0.{k + 1}" for k in range(40)]
-    body[33] = "33 36 x" if kind == "token" else "33 70 0.5"
+    body[33] = "33 70 0.5" if kind == "range" else "33 36 x"
     for k in range(35, -1, -5):
         body.insert(k, "")
     path = tmp_path / "f.txt"
-    path.write_text(f"{FIELD_MAGIC}\nmetric d_over_l\nn 64\n" + "\n".join(body) + "\n")
+    path.write_text(head + "\n".join(body) + "\n")
     monkeypatch.setattr(fileio, "_CHUNK_LINES", 7)
     parsed = []
     parse_rows = fileio._parse_rows
@@ -411,31 +448,39 @@ def test_ratio_field_error_rereads_only_the_failing_chunk(tmp_path, monkeypatch,
         return parse_rows(lines, *args, **kwargs)
 
     monkeypatch.setattr(fileio, "_parse_rows", counting)
-    message = "expected integers i j and a float value" if kind == "token" else "pair out of range"
-    with pytest.raises(InvalidArgumentError, match=re.escape(f":44: {message}")):
-        read_ratio_field(path)
-    assert parsed[0] == "28 31 0.29\n" and len(parsed) == 6
+    message = "pair out of range" if kind == "range" else "expected "
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:{line}: {message}")):
+        read(path)
+    if kind == "range":
+        assert parsed == []
+    else:
+        assert parsed[0] == "28 31 0.29\n" and len(parsed) == 6
 
 
-@pytest.mark.filterwarnings("error::UserWarning")  # numpy warns on blank lines
 @pytest.mark.parametrize("chunk", [1, 2, 7, None])
 def test_ratio_field_repeated_and_mirrored_pairs(tmp_path, monkeypatch, chunk):
-    # "i j v" and "j i v" set the same symmetric cells; a pair given on
-    # several lines, in either order, keeps the value of its last line
+    # the writer puts each finite cell on one line, i < j, in row-major
+    # order: a mirrored, repeated or out-of-order line is not one it writes,
+    # and raises naming its line, also after a blank line or a chunk edge
     if chunk:
         monkeypatch.setattr(fileio, "_CHUNK_LINES", chunk)
     path = tmp_path / "f.txt"
-    path.write_text(
-        f"{FIELD_MAGIC}\nmetric d_over_l\nn 16\n"
-        "0 5 0.5\n5 0 0.25\n2 9 0.75\n\n1 6 0.5\n2 9 0.125\n6 1 0.375\n2 15 0.625\n"
-    )
+    head = f"{FIELD_MAGIC}\nmetric d_over_l\nn 16\n0 5 0.5\n2 9 0.75\n\n"
+    for last, message in [
+        ("5 0 0.25", "mirrored pair (5, 0)"),
+        ("9 2 0.25", "mirrored pair (9, 2)"),
+        ("2 9 0.125", "repeated pair (2, 9)"),
+        ("1 6 0.375", "out-of-order pair (1, 6)"),
+        ("2 8 0.375", "out-of-order pair (2, 8)"),
+    ]:
+        path.write_text(head + last + "\n2 15 0.625\n")
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}:7: {message}")):
+            read_ratio_field(path)
+    path.write_text(head + "2 10 0.25\n2 15 0.625\n")
     field = read_ratio_field(path)
     ref_values, _, ref_band = reference_read_ratio_field(path)
     assert np.array_equal(bits(field.values), bits(ref_values))
     assert field.exclusion_band == ref_band == 2  # (2, 15) is 3 apart cyclically
-    assert field.values[0, 5] == field.values[5, 0] == 0.25
-    assert field.values[2, 9] == field.values[9, 2] == 0.125
-    assert field.values[1, 6] == field.values[6, 1] == 0.375
     assert np.isfinite(field.values).sum() == 8
 
 
@@ -550,12 +595,11 @@ def test_curve_reader_skips_blank_lines_and_names_bad_line(tmp_path, bad):
     assert np.array_equal(bits(back.points), bits(c.points))
     if bad == 5:  # the blank line itself: give it one token
         lines[bad - 1] = "1.5"
-        message = f"{path}:{bad}: expected 'x y z'"
     else:
         fields = lines[bad - 1].split()
         fields[1] = "0.5e"
         lines[bad - 1] = " ".join(fields)
-        message = f"{path}:{bad}: could not convert string to float: '0.5e'"
+    message = f"{path}:{bad}: expected 'x y z', got {lines[bad - 1]!r}"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(InvalidArgumentError, match=re.escape(message)):
         read_curve(path)
