@@ -32,12 +32,7 @@ from .fileio import (
     write_table,
 )
 from .flow import SCHEMES, FlowConfig
-from .helix import (
-    HelixParams,
-    helix_pair_condition,
-    helix_pair_condition_scaled,
-    helix_ratio_time_derivative,
-)
+from .helix import HelixParams, helix_pair_condition_scaled, helix_ratio_time_derivative
 from .presets import PRESET_NAMES, SPHERE_PERTURBED, make_preset, build_curve
 from .sphere import consistency_profile
 
@@ -192,15 +187,14 @@ def _cmd_helix_scan(args: argparse.Namespace) -> int:
     else:
         m_grid = np.linspace(args.m_min, args.m_max, args.m_steps)
     y_grid = np.linspace(args.y_min, args.y_max, args.y_steps)
+    # G once per cell, F = G / (1+m)^2 by C pow as helix_pair_condition does
+    g_table = helix_pair_condition_scaled(y_grid, m_grid[:, None])
+    f_table = g_table / np.float_power(1.0 + m_grid[:, None], 2)
     rows = []
-    for m in m_grid:
-        m = float(m)
-        f_vals = np.atleast_1d(helix_pair_condition(y_grid, m))
-        g_vals = np.atleast_1d(helix_pair_condition_scaled(y_grid, m))
-        params = HelixParams(a=1.0, b=float(np.sqrt(m)))
-        d_vals = np.atleast_1d(helix_ratio_time_derivative(params, y_grid))
-        for y, fv, gv, dv in zip(y_grid, f_vals, g_vals, d_vals):
-            rows.append((m, float(y), float(fv), float(gv), float(dv)))
+    for m, f_vals, g_vals in zip(m_grid.tolist(), f_table.tolist(), g_table.tolist()):
+        params = HelixParams(a=1.0, b=np.sqrt(m))
+        d_vals = helix_ratio_time_derivative(params, y_grid).tolist()
+        rows += zip([m] * len(d_vals), y_grid.tolist(), f_vals, g_vals, d_vals)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_table(FSCAN_CSV, rows, out / "fscan.csv")

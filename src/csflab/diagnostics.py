@@ -75,7 +75,6 @@ def analyze_directory(run_dir) -> list[RecordRow]:
         )
     recorded = {row.step: row for row in csv_rows}
     config = fileio.config_from_json(payload)
-    t_est = float(payload["t_est"])
 
     snapshots: list[tuple[int, Path]] = []
     for path in run_dir.iterdir():
@@ -99,6 +98,6 @@ def analyze_directory(run_dir) -> list[RecordRow]:
         t = recorded[step].t
         curve = fileio.read_curve(path)
         row = snapshot_diagnostics(curve, t, step, config.sphere_radius)
-        row.sing_indicator = row_indicator(row, t_est)
+        row.sing_indicator = row_indicator(row, payload["t_est"])
         rows.append(row)
     return rows

@@ -49,7 +49,7 @@ import numpy as np
 from .chordarc import METRICS, MIN_FIELD_VERTICES, RatioField
 from .curve import CLOSED, OPEN, PERIODIC, SampledCurve, TOPOLOGIES
 from .errors import InvalidArgumentError
-from .flow import FlowConfig, RecordRow, RunRecord, require_integer
+from .flow import STOP_REASONS, FlowConfig, RecordRow, RunRecord, require_integer, require_real
 
 CURVE_MAGIC = "# csf-curve v1"
 FIELD_MAGIC = "# csf-ratiofield v1"
@@ -251,8 +251,8 @@ def write_run_json(record: RunRecord, path) -> None:
 
 def read_run_json(path) -> dict:
     """The run.json payload, checked to give a ``FlowConfig``, a float
-    ``t_est`` and a non-negative integer ``rows``; a malformed file raises
-    an error naming ``path``."""
+    ``t_est``, a ``stop_reason`` from ``STOP_REASONS`` and a non-negative
+    integer ``rows``; a malformed file raises an error naming ``path``."""
     try:
         payload = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -262,7 +262,9 @@ def read_run_json(path) -> dict:
         raise InvalidArgumentError(f"{path}: expected a JSON object with keys {keys}")
     try:
         config_from_json(payload)
-        float(payload["t_est"])
+        payload["t_est"] = require_real("t_est", payload["t_est"])
+        if payload["stop_reason"] not in STOP_REASONS:
+            raise InvalidArgumentError(f"unknown stop_reason {payload['stop_reason']!r}")
         if require_integer("rows", payload["rows"]) < 0:
             raise InvalidArgumentError(f"rows must not be negative, got {payload['rows']}")
     except (TypeError, ValueError) as exc:

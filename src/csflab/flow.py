@@ -67,6 +67,10 @@ MAX_STEPS = 1_000_000
 # the last record rows that estimate_vanishing_time fits L^2 over
 VANISHING_FIT_ROWS = 8
 
+# every stop_reason that run gives its RunRecord
+STOP_REASONS = ("t_end", "length_exhausted", "resolution_exhausted", "max_steps",
+                "numerical_failure", "interrupted")
+
 
 def require_integer(name: str, value) -> int:
     """``value`` as an ``int``: Python and numpy integers pass, a ``bool``

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DiagonalPairError, DomainError, InvalidArgumentError
-from .flow import require_integer
+from .flow import require_integer, require_real
 
 # below this separation, 2-2cos(y) and friends switch to series evaluation
 SERIES_Y = 1e-3
@@ -32,6 +32,8 @@ class HelixParams:
     b: float
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name)))
         if not (math.isfinite(self.a) and self.a > 0.0):
             raise InvalidArgumentError("helix radius a must be positive")
         if not math.isfinite(self.b):
@@ -43,9 +45,15 @@ class HelixParams:
         return self.b * self.b / (self.a * self.a)
 
 
-def _check_m(m: float) -> float:
-    m = float(m)
-    if not (math.isfinite(m) and m >= 0.0):
+def _check_m(m) -> float | np.ndarray:
+    # m as require_real takes it, or an integer or float array, as floats
+    if isinstance(m, np.ndarray) or np.ndim(m):
+        if (arr := np.asarray(m)).dtype.kind not in "iuf":
+            raise InvalidArgumentError(f"m must be a real array, got dtype {arr.dtype}")
+        m = arr.astype(float)
+    else:
+        m = require_real("m", m)
+    if not (np.all(np.isfinite(m)) and np.all(m >= 0.0)):
         raise InvalidArgumentError("pitch ratio m must be finite and non-negative")
     return m
 
@@ -57,10 +65,8 @@ def _as_positive_y(y):
     return arr
 
 
-def _maybe_scalar(value: np.ndarray, template) -> float | np.ndarray:
-    if np.ndim(template) == 0:
-        return float(value)
-    return value
+def _maybe_scalar(value: np.ndarray) -> float | np.ndarray:
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def _two_minus_two_cos(y: np.ndarray) -> np.ndarray:
@@ -86,16 +92,17 @@ def cosine_taylor_gap(y) -> float | np.ndarray:
     y4 = y2 * y2
     series = y4 / 24.0 - y4 * y2 / 720.0 + y4 * y4 / 40320.0
     direct = np.cos(arr) - 1.0 + y2 / 2.0
-    return _maybe_scalar(np.where(np.abs(arr) < 0.1, series, direct), y)
+    return _maybe_scalar(np.where(np.abs(arr) < 0.1, series, direct))
 
 
-def helix_pair_condition_scaled(y, m: float) -> float | np.ndarray:
+def helix_pair_condition_scaled(y, m) -> float | np.ndarray:
     """Sign condition for a helix vertex pair, times (1+m)^2: G(y, m).
 
     Closed form of the chord-arc minimum condition evaluated on an exact
     helix with pitch ratio m and parameter separation y, with its
     denominators cleared; negative values mark pairs where that condition
-    fails.  Vanishes as y -> 0, a removable singularity.
+    fails.  Vanishes as y -> 0, a removable singularity.  m may be an
+    array that broadcasts against y: a column of m gives the (m, y) table.
     """
     m = _check_m(m)
     arr = _as_positive_y(y)
@@ -110,23 +117,22 @@ def helix_pair_condition_scaled(y, m: float) -> float | np.ndarray:
         + v
         + m * y2
     )
-    return _maybe_scalar(value, y)
+    return _maybe_scalar(value)
 
 
-def helix_pair_condition(y, m: float) -> float | np.ndarray:
-    """The pair condition itself, F(y, m) = G(y, m) / (1+m)^2, G's sign."""
-    return helix_pair_condition_scaled(y, m) / (1.0 + float(m)) ** 2
+def helix_pair_condition(y, m) -> float | np.ndarray:
+    """The pair condition itself, F(y, m) = G(y, m) / (1+m)^2; m broadcasts."""
+    m = _check_m(m)
+    # C pow, as a Python float's ** 2 is; numpy's ** 2 squares, an ulp apart at times
+    return _maybe_scalar(helix_pair_condition_scaled(y, m) / np.float_power(1.0 + m, 2))
 
 
 def _scan_grids(m_grid, y_grid) -> tuple[np.ndarray, np.ndarray]:
     # the (m, y) grids of a scan: non-empty and 1-D, m >= 0 and y > 0, finite
-    m_arr = np.asarray(m_grid, dtype=float)
-    y_arr = np.asarray(y_grid, dtype=float)
+    m_arr, y_arr = np.asarray(m_grid), np.asarray(y_grid, dtype=float)
     if m_arr.ndim != 1 or y_arr.ndim != 1 or not (m_arr.size and y_arr.size):
         raise InvalidArgumentError("grids must be non-empty and one-dimensional")
-    if not (np.all(np.isfinite(m_arr)) and np.all(m_arr >= 0.0)):
-        raise InvalidArgumentError("m grid must be finite and non-negative")
-    return m_arr, _as_positive_y(y_arr)
+    return _check_m(m_arr), _as_positive_y(y_arr)
 
 
 def negative_condition_cells(
@@ -139,29 +145,22 @@ def negative_condition_cells(
     keeps y -> 0 roundoff from registering as a hit.
     """
     m_arr, y_arr = _scan_grids(m_grid, y_grid)
-    cells: list[tuple[float, float]] = []
-    for m in m_arr:
-        values = helix_pair_condition(y_arr, float(m))
-        for yv in y_arr[values < threshold]:
-            cells.append((float(m), float(yv)))
-    sup_m = max((m for m, _ in cells), default=None)
-    return cells, sup_m
+    rows, cols = np.nonzero(helix_pair_condition(y_arr, m_arr[:, None]) < threshold)
+    cells = list(zip(m_arr[rows].tolist(), y_arr[cols].tolist()))
+    return cells, max((m for m, _ in cells), default=None)
 
 
 def scaled_condition_threshold(m_grid, y_grid) -> float:
     """Smallest grid m above which the scaled condition stays non-negative.
 
-    Scans m descending and stops at the first failure, so no monotonicity
-    in m is assumed.  Returns inf when even the largest grid m fails
-    somewhere on the y grid.
+    The grid m next above the largest m whose row fails anywhere on the y
+    grid, so no monotonicity in m is assumed; inf when that is the largest
+    grid m, and the smallest grid m when no row fails.
     """
     m_arr, y_arr = _scan_grids(m_grid, y_grid)
-    threshold = math.inf
-    for m in np.sort(m_arr)[::-1]:
-        if float(np.min(helix_pair_condition_scaled(y_arr, float(m)))) < 0.0:
-            break
-        threshold = float(m)
-    return threshold
+    row_min = np.min(helix_pair_condition_scaled(y_arr, m_arr[:, None]), axis=1)
+    worst = np.max(m_arr[row_min < 0.0], initial=-math.inf)
+    return float(np.min(m_arr[m_arr > worst], initial=math.inf))
 
 
 def helix_ratio_time_derivative(params: HelixParams, y) -> float | np.ndarray:
@@ -174,14 +173,14 @@ def helix_ratio_time_derivative(params: HelixParams, y) -> float | np.ndarray:
     arr = _as_positive_y(y)
     m = params.m
     if m == 0.0:
-        return _maybe_scalar(np.zeros_like(arr), y)
+        return _maybe_scalar(np.zeros_like(arr))
     a2 = params.a * params.a
     b2 = params.b * params.b
     arc = arr * math.sqrt(a2 + b2)
     chord = np.sqrt(a2 * _two_minus_two_cos(arr) + b2 * arr * arr)
     gap = cosine_taylor_gap(arr)
     value = (2.0 * m / (arc * chord * (1.0 + m))) * (a2 / (a2 + b2)) * gap
-    return _maybe_scalar(value, y)
+    return _maybe_scalar(value)
 
 
 @dataclass(frozen=True)

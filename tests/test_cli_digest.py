@@ -53,12 +53,14 @@ def test_cli_outputs_do_not_depend_on_the_hash_seed(default_digest):
     assert one == two
     paths = [line.split("  ", 1)[1] for line in one]
     # every command wrote its files: 14 simulate runs (the open custom-file
-    # curve among them), the sphere run, two ratio fields and the helix scan
+    # curve among them), the sphere run, two ratio fields and the helix
+    # scans on a log and a linear m grid
     assert sum(p.endswith("/run.csv") for p in paths) == 15
     assert sum(p.endswith("/analyze.csv") for p in paths) == 14
     assert "open.curve" in paths
     assert sum(p.endswith("/ratiofield.txt") for p in paths) == 2
-    assert "sphere/consistency.csv" in paths and "scan/fscan.csv" in paths
+    assert "sphere/consistency.csv" in paths
+    assert "scan/fscan.csv" in paths and "scan-linear/fscan.csv" in paths
 
 
 def test_cli_outputs_do_not_depend_on_the_lapack_route(default_digest):

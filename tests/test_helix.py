@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -60,6 +60,18 @@ def test_params_validation():
     with pytest.raises(InvalidArgumentError):
         HelixParams(math.nan, 1.0)
     assert HelixParams(2.0, 1.0).m == 0.25
+    # a bool or a non-real is no radius or pitch, as for require_real
+    for a, b, bad in [
+        (True, 1.0, "a must be a real number, got True"),
+        ("1", 1.0, "a must be a real number, got '1'"),
+        (1j, 1.0, "a must be a real number, got 1j"),
+        (1.0, None, "b must be a real number, got None"),
+        (1.0, np.bool_(False), "b must be a real number, got "),
+    ]:
+        with pytest.raises(InvalidArgumentError, match=re.escape(bad)):
+            HelixParams(a, b)
+    params = HelixParams(np.float64(2.0), 1)
+    assert type(params.a) is float and type(params.b) is float
 
 
 def chord_arc_ratio(a, b, y):
@@ -219,12 +231,82 @@ def test_pair_condition_matches_the_reference_on_a_grid():
         pytest.param([0.5], [0.5, math.nan], id="nan-y"),
         pytest.param([0.5, -0.1], [0.5, 1.0], id="negative-m"),
         pytest.param([0.5], [0.0, 1.0], id="zero-y"),
+        pytest.param([True, False], [0.5, 1.0], id="bool-m"),
+        pytest.param(["0.5"], [0.5, 1.0], id="string-m"),
     ],
 )
 @pytest.mark.parametrize("scan", [negative_condition_cells, scaled_condition_threshold])
 def test_condition_scans_check_their_grids(scan, m_grid, y_grid):
     with pytest.raises(InvalidArgumentError):
         scan(m_grid, y_grid)
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        ("0.5", "m must be a real number, got '0.5'"),
+        (True, "m must be a real number, got True"),
+        (None, "m must be a real number, got None"),
+        (np.bool_(True), "m must be a real number, got "),
+        (1j, "m must be a real number, got 1j"),
+        (np.array([True, False]), "m must be a real array, got dtype bool"),
+        (np.array(["0.5"]), "m must be a real array, got dtype <U3"),
+        ([0.5, None], "m must be a real array, got dtype object"),
+        (np.array([1j]), "m must be a real array, got dtype complex128"),
+        (-0.5, "pitch ratio m must be finite and non-negative"),
+        (math.inf, "pitch ratio m must be finite and non-negative"),
+        (np.array([[0.5], [-1.0]]), "pitch ratio m must be finite and non-negative"),
+        ([0.5, math.nan], "pitch ratio m must be finite and non-negative"),
+    ],
+)
+@pytest.mark.parametrize("condition", [helix_pair_condition, helix_pair_condition_scaled])
+def test_pair_condition_checks_m(condition, m, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        condition(1.0, m)
+
+
+def reference_scans(m_grid, y_grid):
+    # both scans as they were, one pair-condition call per grid m: the
+    # negative cells and their largest m, then the descending threshold scan
+    y_arr = np.asarray(y_grid, dtype=float)
+    cells = []
+    for m in m_grid:
+        values = helix_pair_condition(y_arr, float(m))
+        cells += [(float(m), float(y)) for y in y_arr[values < -1e-6]]
+    threshold = math.inf
+    for m in np.sort(np.asarray(m_grid, dtype=float))[::-1]:
+        if float(np.min(helix_pair_condition_scaled(y_arr, float(m)))) < 0.0:
+            break
+        threshold = float(m)
+    return cells, max((m for m, _ in cells), default=None), threshold
+
+
+M_VALUES = st.one_of(st.floats(0.0, 0.2), st.floats(0.0, 3.0))
+Y_VALUES = st.one_of(st.floats(1e-8, SERIES_Y), st.floats(1e-8, 13.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # unsorted m with repeats: each list gains every other value again
+    m_grid=st.lists(M_VALUES, min_size=1, max_size=8).flatmap(
+        lambda ms: st.permutations(ms + ms[::2])
+    ),
+    y_grid=st.lists(Y_VALUES, min_size=1, max_size=24),
+)
+@example(m_grid=[0.5, 0.01, 2.0, 0.01, 0.3, 0.05, 0.5], y_grid=np.linspace(0.1, 13.0, 40))
+@example(m_grid=[1.759, 0.0, 1.759], y_grid=[0.25, 2.0, 6.3])
+@example(m_grid=[0.02, 0.01, 0.02], y_grid=[6.3, 0.5])
+def test_condition_table_equals_scalar_calls_and_scans(m_grid, y_grid):
+    m_arr, y_arr = np.array(m_grid, dtype=float), np.array(y_grid, dtype=float)
+    for condition in (helix_pair_condition, helix_pair_condition_scaled):
+        table = condition(y_arr, m_arr[:, None])
+        scalars = [[condition(y, m) for y in y_arr.tolist()] for m in m_arr.tolist()]
+        assert all(type(v) is float for row in scalars for v in row)
+        assert table.shape == (m_arr.size, y_arr.size)
+        assert table.tobytes() == np.array(scalars).tobytes()
+    cells, sup_m, threshold = reference_scans(m_grid, y_grid)
+    assert negative_condition_cells(m_grid, y_grid) == (cells, sup_m)
+    assert scaled_condition_threshold(m_grid, y_grid) == threshold
 
 
 def test_scaled_condition_nonnegative_at_m_one():

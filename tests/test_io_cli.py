@@ -155,6 +155,36 @@ def test_run_json_infinite_t_est(tmp_path):
     assert math.isinf(read_run_json(path)["t_est"])
 
 
+@pytest.mark.parametrize("reason", flow.STOP_REASONS)
+def test_run_json_reads_every_stop_reason(tmp_path, reason):
+    cfg = FlowConfig(max_steps=1, record_every=1)
+    rec = run(circle(32), cfg)
+    path = tmp_path / "run.json"
+    write_run_json(RunRecord(rec.rows, rec.snapshots, 1, reason, cfg), path)
+    payload = read_run_json(path)
+    assert payload["stop_reason"] == reason
+    assert type(payload["t_est"]) is float and payload["t_est"] == 1.0
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("t_est", True, "t_est must be a real number, got True"),
+        ("t_est", "1.5", "t_est must be a real number, got '1.5'"),
+        ("t_est", None, "t_est must be a real number, got None"),
+        ("stop_reason", 42, "unknown stop_reason 42"),
+        ("stop_reason", "bogus", "unknown stop_reason 'bogus'"),
+        ("stop_reason", None, "unknown stop_reason None"),
+    ],
+)
+def test_run_json_names_a_bad_t_est_or_stop_reason(tmp_path, key, value, message):
+    path = tmp_path / "run.json"
+    write_run_json(run(circle(32), FlowConfig(max_steps=1)), path)
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    with pytest.raises(InvalidArgumentError, match=re.escape(f"{path}: {message}")):
+        read_run_json(path)
+
+
 def test_ratio_field_round_trip(tmp_path):
     th = np.arange(32) * (2.0 * math.pi / 32)
     r = 1.0 + 0.3 * np.cos(2 * th)
@@ -938,6 +968,10 @@ def test_cli_exit_codes(tmp_path):
         lambda payload: json.dumps({**payload, "config": {**payload["config"], "bogus": 1}}),
         lambda payload: json.dumps({**payload, "config": {**payload["config"], "cfl": "x"}}),
         lambda payload: json.dumps({**payload, "t_est": "soon"}),
+        lambda payload: json.dumps({**payload, "t_est": "1.5"}),
+        lambda payload: json.dumps({**payload, "t_est": True}),
+        lambda payload: json.dumps({**payload, "stop_reason": 42}),
+        lambda payload: json.dumps({**payload, "stop_reason": "bogus"}),
         lambda payload: json.dumps({**payload, "config": {**payload["config"], "record_every": 2.5}}),
         lambda payload: json.dumps({k: v for k, v in payload.items() if k != "rows"}),
         lambda payload: json.dumps({**payload, "rows": -1}),
@@ -951,6 +985,10 @@ def test_cli_exit_codes(tmp_path):
         "unknown-config-key",
         "mistyped-config-value",
         "t_est-not-a-number",
+        "t_est-a-numeric-string",
+        "t_est-a-bool",
+        "stop_reason-not-a-string",
+        "stop_reason-unknown",
         "fractional-record_every",
         "rows-missing",
         "rows-negative",

@@ -9,7 +9,7 @@ a fixed open curve that the tool writes into its output directory
 (``custom-file``: the curve reader, the one-sided end stencils and the
 banded solve without the cyclic correction), ``analyze`` on each of those
 runs, ``sphere-verify``, ``ratio-field`` with both metrics and
-``helix-scan``. It prints one
+``helix-scan`` on a log and a linear m grid. It prints one
 ``sha256  path`` line per file written, sorted by path, the path relative
 to the output directory. The command output itself is discarded.
 
@@ -77,11 +77,16 @@ def commands(out: Path) -> list[tuple[str, ...]]:
             ("ratio-field", "--preset", preset, "--n", "256", "--metric", metric,
              "--out", str(out / "field" / f"{preset}-{metric}"))
         )
-    runs.append(
-        ("helix-scan", "--m-min", "0.01", "--m-max", "10", "--m-steps", "5",
-         "--log-m", "--y-min", "0.25", "--y-max", "6.3", "--y-steps", "7",
-         "--out", str(out / "scan"))
-    )
+    # the linear grid runs from the circle, m = 0, to m = 1.759, where a
+    # float's ``(1 + m) ** 2`` (C pow) and numpy's square round apart
+    for name, m_args in (
+        ("scan", ("--m-min", "0.01", "--m-max", "10", "--m-steps", "5", "--log-m")),
+        ("scan-linear", ("--m-min", "0", "--m-max", "1.759", "--m-steps", "6")),
+    ):
+        runs.append(
+            ("helix-scan", *m_args, "--y-min", "0.25", "--y-max", "6.3",
+             "--y-steps", "7", "--out", str(out / name))
+        )
     return runs
 
 
