@@ -62,6 +62,7 @@ from .errors import (
     DiagonalPairError,
     InvalidArgumentError,
     UnsupportedTopologyError,
+    require_integer,
 )
 
 D_OVER_L = "d_over_l"
@@ -105,7 +106,7 @@ def _check_reduction(curve: SampledCurve, metric: str, band: int) -> None:
             f"no {metric} pair ratios for {curve.topology!r} curves"
         )
     limit = curve.n // 2 if curve.topology == CLOSED else curve.n  # largest gap
-    if not 1 <= band < limit:
+    if not 1 <= require_integer("exclusion_band", band) < limit:
         raise InvalidArgumentError(
             f"exclusion_band must be in [1, {limit}) at n={curve.n}, got {band}"
         )
@@ -410,7 +411,7 @@ def pair_diagnostics(
     frame, length = _pair_frame(curve)
     found = []
     for i, j in pairs:
-        i, j = int(i), int(j)
+        i, j = require_integer("i", i), require_integer("j", j)
         if closed and not (0 <= i < n and 0 <= j < n):
             raise InvalidArgumentError(f"pair ({i}, {j}) out of range for n={n}")
         if not 0 <= i < n:

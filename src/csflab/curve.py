@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidCurveError
+from .errors import InvalidArgumentError, InvalidCurveError, require_integer
 
 CLOSED = "closed"
 OPEN = "open"
@@ -316,7 +316,7 @@ def resample_uniform(curve: SampledCurve, n: int) -> SampledCurve:
     the anchor; open curves keep both endpoints exactly.  Topology and offset
     are preserved.
     """
-    if n < MIN_VERTICES[curve.topology]:
+    if require_integer("n", n) < MIN_VERTICES[curve.topology]:
         raise InvalidArgumentError(
             f"cannot resample {curve.topology} curve to {n} vertices"
         )

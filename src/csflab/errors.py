@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks raising them."""
+
+import numbers
 
 
 class CsfError(Exception):
@@ -39,3 +41,19 @@ class NumericalFailureError(CsfError):
     def __init__(self, message, record=None):
         super().__init__(message)
         self.record = record
+
+
+def require_integer(name: str, value) -> int:
+    """``value`` as an ``int``: Python and numpy integers pass, a ``bool``
+    or any other type raises ``InvalidArgumentError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_real(name: str, value) -> float:
+    """``value`` as a ``float``: Python and numpy reals pass, a ``bool``
+    or any other type raises ``InvalidArgumentError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+    return float(value)

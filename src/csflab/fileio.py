@@ -48,8 +48,8 @@ import numpy as np
 
 from .chordarc import METRICS, MIN_FIELD_VERTICES, RatioField
 from .curve import CLOSED, OPEN, PERIODIC, SampledCurve, TOPOLOGIES
-from .errors import InvalidArgumentError
-from .flow import STOP_REASONS, FlowConfig, RecordRow, RunRecord, require_integer, require_real
+from .errors import InvalidArgumentError, require_integer, require_real
+from .flow import STOP_REASONS, FlowConfig, RecordRow, RunRecord
 
 CURVE_MAGIC = "# csf-curve v1"
 FIELD_MAGIC = "# csf-ratiofield v1"

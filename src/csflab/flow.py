@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +50,10 @@ from .errors import (
     InvalidArgumentError,
     InvalidCurveError,
     NumericalFailureError,
+    require_integer,
+    require_real,
 )
+from .helix import radius_squared_at
 from .tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
 
 EXPLICIT = "explicit"
@@ -70,22 +72,6 @@ VANISHING_FIT_ROWS = 8
 # every stop_reason that run gives its RunRecord
 STOP_REASONS = ("t_end", "length_exhausted", "resolution_exhausted", "max_steps",
                 "numerical_failure", "interrupted")
-
-
-def require_integer(name: str, value) -> int:
-    """``value`` as an ``int``: Python and numpy integers pass, a ``bool``
-    or any other type raises ``InvalidArgumentError``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def require_real(name: str, value) -> float:
-    """``value`` as a ``float``: Python and numpy reals pass, a ``bool``
-    or any other type raises ``InvalidArgumentError``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -124,8 +110,9 @@ class FlowConfig:
             raise InvalidArgumentError(f"unknown scheme {self.scheme!r}")
         if self.max_steps < 1:
             raise InvalidArgumentError("max_steps must be positive")
-        if self.sphere_radius is not None and not self.sphere_radius > 0.0:
-            raise InvalidArgumentError("sphere_radius must be positive or None")
+        # radius_squared_at takes no infinite radius, which would fail mid-run
+        if self.sphere_radius is not None and not 0.0 < self.sphere_radius < math.inf:
+            raise InvalidArgumentError("sphere_radius must be finite, positive or None")
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,12 +282,9 @@ def row_indicator(row: RecordRow, t_est: float) -> float | None:
 
 
 def sphere_residual(curve: SampledCurve, t: float = 0.0, r0: float = 1.0) -> float:
-    """Worst-vertex violation of the conservation law |p|^2 = r0^2 - 2t."""
-    if not r0 > 0.0:
-        raise InvalidArgumentError("sphere radius must be positive")
-    target = r0 * r0 - 2.0 * t
-    if target <= 0.0:
-        raise DomainError(f"sphere of radius {r0:g} is gone at t = {t:g}")
+    """Worst-vertex violation of the conservation law |p|^2 = r0^2 - 2t
+    (``helix.radius_squared_at``, which raises once the sphere is gone)."""
+    target = radius_squared_at(r0, t)
     rsq = row_dot(curve.points.T, curve.points.T)
     return float(np.max(np.abs(rsq - target)))
 
@@ -405,7 +389,7 @@ def _run_to_targets(start, advance, dt_rule, targets, earliest, keep=None, **loo
     steps of ``dt_rule(geometry)`` land within 1e-14; ``loop`` goes to
     ``_integrate``.
     """
-    targets = [float(t) for t in targets]
+    targets = [require_real("target time", t) for t in targets]
     # written so that a NaN target fails too
     if any(not a < b for a, b in zip(targets, targets[1:])) or (
         targets and not targets[0] >= earliest

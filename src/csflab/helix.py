@@ -4,7 +4,9 @@ A helix (a cos u, a sin u, b u) has constant curvature a/(a^2+b^2) and
 torsion b/(a^2+b^2), so everything about its chord-arc behavior reduces to
 scalar functions of the parameter separation y = u2 - u1 and the pitch
 ratio m = b^2/a^2.  This module evaluates those functions, the sign
-condition they feed, and exact radius laws used as test oracles elsewhere.
+condition they feed, and exact radius laws: the shrinking law
+R(t)^2 = r0^2 - 2t of circles and spheres, which ``flow`` and ``sphere``
+read, and the helix radius, a test oracle.
 
 Near y = 0 several expressions subtract almost-equal quantities; a series
 branch below a documented threshold keeps them accurate.
@@ -17,8 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiagonalPairError, DomainError, InvalidArgumentError
-from .flow import require_integer, require_real
+from .errors import (
+    DiagonalPairError,
+    DomainError,
+    InvalidArgumentError,
+    require_integer,
+    require_real,
+)
 
 # below this separation, 2-2cos(y) and friends switch to series evaluation
 SERIES_Y = 1e-3
@@ -45,21 +52,26 @@ class HelixParams:
         return self.b * self.b / (self.a * self.a)
 
 
+def _real(name: str, value) -> float | np.ndarray:
+    # value as require_real takes it, or an integer or float array, as floats
+    if isinstance(value, np.ndarray) or np.ndim(value):
+        if (arr := np.asarray(value)).dtype.kind not in "iuf":
+            raise InvalidArgumentError(
+                f"{name} must be a real array, got dtype {arr.dtype}"
+            )
+        return arr.astype(float)
+    return require_real(name, value)
+
+
 def _check_m(m) -> float | np.ndarray:
-    # m as require_real takes it, or an integer or float array, as floats
-    if isinstance(m, np.ndarray) or np.ndim(m):
-        if (arr := np.asarray(m)).dtype.kind not in "iuf":
-            raise InvalidArgumentError(f"m must be a real array, got dtype {arr.dtype}")
-        m = arr.astype(float)
-    else:
-        m = require_real("m", m)
+    m = _real("m", m)
     if not (np.all(np.isfinite(m)) and np.all(m >= 0.0)):
         raise InvalidArgumentError("pitch ratio m must be finite and non-negative")
     return m
 
 
 def _as_positive_y(y):
-    arr = np.asarray(y, dtype=float)
+    arr = np.asarray(_real("y", y))
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise InvalidArgumentError("separation y must be positive and finite")
     return arr
@@ -85,7 +97,7 @@ def cosine_taylor_gap(y) -> float | np.ndarray:
     Non-negative for every real y because the truncated cosine series is a
     lower bound; evaluated by series below |y| = 0.1 to avoid cancellation.
     """
-    arr = np.asarray(y, dtype=float)
+    arr = np.asarray(_real("y", y))
     if not np.all(np.isfinite(arr)):
         raise InvalidArgumentError("y must be finite")
     y2 = arr * arr
@@ -129,7 +141,7 @@ def helix_pair_condition(y, m) -> float | np.ndarray:
 
 def _scan_grids(m_grid, y_grid) -> tuple[np.ndarray, np.ndarray]:
     # the (m, y) grids of a scan: non-empty and 1-D, m >= 0 and y > 0, finite
-    m_arr, y_arr = np.asarray(m_grid), np.asarray(y_grid, dtype=float)
+    m_arr, y_arr = np.asarray(m_grid), np.asarray(y_grid)
     if m_arr.ndim != 1 or y_arr.ndim != 1 or not (m_arr.size and y_arr.size):
         raise InvalidArgumentError("grids must be non-empty and one-dimensional")
     return _check_m(m_arr), _as_positive_y(y_arr)
@@ -286,16 +298,22 @@ def graph_curve_condition(spec: GraphCurveSpec, i: int, j: int) -> float:
     )
 
 
+def radius_squared_at(r0: float, t: float) -> float:
+    """R(t)^2 = r0^2 - 2t of a round circle of radius r0, or of the sphere
+    of radius r0 about 0 that a curve on it stays on, after time t of flow.
+    Both are gone at T = r0^2/2; from there on ``DomainError`` is raised."""
+    r0, t = require_real("r0", r0), require_real("t", t)
+    if not (math.isfinite(r0) and r0 > 0.0):
+        raise InvalidArgumentError("initial radius must be positive and finite")
+    remaining = r0 * r0 - 2.0 * t
+    if not remaining > 0.0:  # a NaN t fails too
+        raise DomainError(f"radius {r0:g} is gone at T = {r0 * r0 / 2.0:g}; t = {t:g}")
+    return remaining
+
+
 def shrinking_circle_radius(r0: float, t: float) -> float:
     """Radius sqrt(r0^2 - 2t) of a round circle after time t of flow."""
-    if not r0 > 0.0:
-        raise InvalidArgumentError("initial radius must be positive")
-    remaining = r0 * r0 - 2.0 * t
-    if remaining <= 0.0:
-        raise DomainError(
-            f"circle of radius {r0:g} vanishes at t = {r0 * r0 / 2.0:g}"
-        )
-    return math.sqrt(remaining)
+    return math.sqrt(radius_squared_at(r0, t))
 
 
 def helix_radius_at(a0: float, b: float, t: float) -> float:
@@ -305,12 +323,13 @@ def helix_radius_at(a0: float, b: float, t: float) -> float:
     and root-finds it; with b = 0 this is the shrinking circle, which does
     reach zero in finite time (a true helix never does).
     """
+    a0, b, t = require_real("a0", a0), require_real("b", b), require_real("t", t)
+    if not (math.isfinite(a0) and a0 > 0.0 and math.isfinite(b) and math.isfinite(t)):
+        raise InvalidArgumentError("a0 must be positive, and a0, b and t finite")
     # imported on use: scipy.optimize (which pulls in scipy.linalg) takes
     # about three times as long to import as the whole package
     from scipy.optimize import brentq
 
-    if not a0 > 0.0:
-        raise InvalidArgumentError("initial radius must be positive")
     if b == 0.0:
         return shrinking_circle_radius(a0, t)
     b2 = b * b

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import CLOSED, MIN_VERTICES, PERIODIC, SampledCurve
-from .errors import InvalidArgumentError
-from .flow import require_integer, require_real
+from .errors import InvalidArgumentError, require_integer, require_real
 from .helix import GraphCurveSpec, helix_graph_spec
 
 CIRCLE = "circle"

@@ -1,12 +1,12 @@
 """Flows of curves confined to shrinking spheres.
 
 A curve starting on the unit sphere stays on the sphere of squared radius
-1 - 2t under the curvature flow; ``flow.sphere_residual`` measures how
-well a discrete run conserves that law.  This module rescales curves back
-to the unit sphere with the matching dilated time and runs the intrinsic
-geodesic-curvature flow on the unit sphere, so that the two descriptions
-can be compared snapshot by snapshot; both step through the one time loop
-of ``flow``.
+1 - 2t under the curvature flow (``helix.radius_squared_at``, the one home
+of that law); ``flow.sphere_residual`` measures how well a discrete run
+conserves it.  This module rescales curves back to the unit sphere with
+the matching dilated time and runs the intrinsic geodesic-curvature flow
+on the unit sphere, so that the two descriptions can be compared snapshot
+by snapshot; both step through the one time loop of ``flow``.
 
 The intrinsic step is backward Euler on the arc-length Laplacian, the
 system of ``flow.step_semi_implicit``, followed by a radial projection back
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import SampledCurve, compute_geometry, row_norm
-from .errors import DomainError, InvalidArgumentError, NotOnSphereError
+from .errors import InvalidArgumentError, NotOnSphereError, require_real
 from .flow import _backward_euler, _run_to_targets, _stepped_curve, run_to_times
+from .helix import radius_squared_at
 from .tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
 
 SPHERE_REL_TOL = 1e-3  # vertex-radius spread the geodesic step allows
@@ -51,23 +52,15 @@ def _mean_radius(rows: np.ndarray, rel_tol: float) -> float:
 
 def time_dilation(t: float) -> float:
     """Dilated clock -0.5 * ln(0.5 - t); maps [0, 1/2) onto [0.5*ln 2, inf)."""
-    if t >= 0.5:
-        raise DomainError(f"dilated time undefined at t = {t:g} >= 1/2")
-    return -0.5 * math.log(0.5 - t)
-
-
-def inverse_time_dilation(t_tilde: float) -> float:
-    """Inverse of the dilated clock: t = 1/2 - exp(-2 * t_tilde)."""
-    return 0.5 - math.exp(-2.0 * t_tilde)
+    return -0.5 * math.log(0.5 * radius_squared_at(1.0, t))  # 0.5 - t, or DomainError
 
 
 @dataclass(frozen=True, eq=False)
 class RescaledState:
-    """Unit-sphere curve with its dilated time and the original flow time."""
+    """Unit-sphere curve with its dilated time, the one clock it keeps."""
 
     curve_tilde: SampledCurve
     t_tilde: float
-    source_t: float
 
 
 def rescale(curve: SampledCurve, t: float) -> RescaledState:
@@ -77,11 +70,9 @@ def rescale(curve: SampledCurve, t: float) -> RescaledState:
     constraint holds to roundoff; the curve must sit near the expected
     sphere to begin with.
     """
-    if t >= 0.5:
-        raise DomainError(f"no sphere remains at t = {t:g} >= 1/2")
+    expected = math.sqrt(radius_squared_at(1.0, t))
     rows = curve.points.T
     mean = _mean_radius(rows, RESCALE_REL_TOL)
-    expected = math.sqrt(1.0 - 2.0 * t)
     if abs(mean - expected) > RESCALE_REL_TOL * expected:
         raise NotOnSphereError(
             f"mean radius {mean:.4g} is not the expected {expected:.4g}"
@@ -89,7 +80,7 @@ def rescale(curve: SampledCurve, t: float) -> RescaledState:
     scaled = rows / expected
     scaled /= row_norm(scaled)
     tilde = SampledCurve(scaled.T, curve.topology, curve.offset)
-    return RescaledState(curve_tilde=tilde, t_tilde=time_dilation(t), source_t=t)
+    return RescaledState(curve_tilde=tilde, t_tilde=time_dilation(t))
 
 
 def step_geodesic_flow(state: RescaledState, dt_tilde: float) -> RescaledState:
@@ -116,12 +107,7 @@ def step_geodesic_flow(state: RescaledState, dt_tilde: float) -> RescaledState:
     )
     moved /= row_norm(moved)  # a non-finite vertex stays non-finite
     tilde = _stepped_curve(moved.T, curve, "geodesic")
-    t_tilde = state.t_tilde + dt_tilde
-    return RescaledState(
-        curve_tilde=tilde,
-        t_tilde=t_tilde,
-        source_t=inverse_time_dilation(t_tilde),
-    )
+    return RescaledState(curve_tilde=tilde, t_tilde=state.t_tilde + dt_tilde)
 
 
 def run_geodesic_flow(state: RescaledState, t_tilde_targets) -> list[RescaledState]:
@@ -154,16 +140,15 @@ def consistency_profile(
 
     Runs the ambient flow explicitly at ``cfl`` without remeshing and the
     intrinsic flow on the matching dilated grid, both from ``initial``
-    (which must lie on the unit sphere).
+    (which must lie on the unit sphere).  The grid is dilated first, so a
+    time at or past the sphere's end raises ``DomainError`` before any step.
     """
-    targets = [float(t) for t in t_targets]
+    targets = [require_real("target time", t) for t in t_targets]
     if not targets or targets[0] <= 0.0:
         raise InvalidArgumentError("need a non-empty grid of positive flow times")
-    if targets[-1] >= 0.5:
-        raise DomainError("the unit sphere is gone by t = 1/2")
+    dilated = [time_dilation(t) for t in targets]
     ambient = run_to_times(initial, targets, cfl=cfl)
-    start = rescale(initial, 0.0)
-    intrinsic = run_geodesic_flow(start, [time_dilation(t) for t in targets])
+    intrinsic = run_geodesic_flow(rescale(initial, 0.0), dilated)
     rows = []
     for (t, curve), state in zip(ambient, intrinsic):
         diff = rescale(curve, t).curve_tilde.points - state.curve_tilde.points

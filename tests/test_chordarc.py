@@ -302,6 +302,10 @@ def test_one_call_builds_one_frame_and_one_geometry(monkeypatch, topology):
         (PERIODIC, (5, 4), InvalidArgumentError, r"needs i < j <= i \+ n, got \(5, 4\)"),
         (PERIODIC, (5, 70), InvalidArgumentError, r"needs i < j <= i \+ n, got \(5, 70\)"),
         (OPEN, (0, 20), UnsupportedTopologyError, "need a cyclic curve, not 'open'"),
+        (CLOSED, (0.9, 5.5), InvalidArgumentError, "i must be an integer, got 0.9"),
+        (CLOSED, (True, 5), InvalidArgumentError, "i must be an integer, got True"),
+        (PERIODIC, (1, 5.0), InvalidArgumentError, r"j must be an integer, got 5\.0"),
+        (PERIODIC, (1, "5"), InvalidArgumentError, "j must be an integer, got '5'"),
     ],
 )
 def test_pair_diagnostics_check_every_pair(topology, pair, error, message):
@@ -312,6 +316,15 @@ def test_pair_diagnostics_check_every_pair(topology, pair, error, message):
         c = SampledCurve(dumbbell(64).points, topology)
     with pytest.raises(error, match=message):
         pair_diagnostics(c, [(0, 20), pair])
+
+
+def test_pair_diagnostics_take_numpy_integer_indices():
+    c = dumbbell(64)
+    pairs = [(np.int64(3), np.int32(40)), (np.uint8(7), np.int16(12))]
+    found = pair_diagnostics(c, pairs)
+    assert [(d.i, d.j) for d in found] == [(3, 40), (7, 12)]
+    assert all(type(d.i) is int and type(d.j) is int for d in found)
+    assert found == pair_diagnostics(c, [(3, 40), (7, 12)])
 
 
 def test_pair_diagnostics_closed_orientation_invariance():
@@ -577,6 +590,25 @@ def test_band_leaving_no_pair_is_rejected(reduce, topology):
     for band in (0, widest + 1):
         with pytest.raises(InvalidArgumentError):
             reduce(c, band)
+
+
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        lambda c, band: min_pair_ratio(c, D_OVER_L, band),
+        lambda c, band: ratio_minima(c, band),
+        lambda c, band: ratio_field(c, D_OVER_L, band).values,
+    ],
+    ids=["min_pair_ratio", "ratio_minima", "ratio_field"],
+)
+def test_band_must_be_an_integer(reduce):
+    # a bool is no band, and a float or str band is an argument error, not a TypeError
+    c = circle(64)
+    for band in (True, np.bool_(True), 2.0, "2", None):
+        with pytest.raises(InvalidArgumentError, match="exclusion_band must be an integer"):
+            reduce(c, band)
+    for band in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert np.array_equal(reduce(c, band), reduce(c, 2), equal_nan=True)
 
 
 def test_min_pair_ratio_periodic_rejects_dpsi():

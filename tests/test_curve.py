@@ -19,7 +19,7 @@ from csflab.curve import (
     segment_lengths,
     total_squared_curvature,
 )
-from csflab.errors import InvalidCurveError
+from csflab.errors import InvalidArgumentError, InvalidCurveError
 from csflab import curve as curve_module
 
 
@@ -166,6 +166,16 @@ def test_resample_uniform_spacing_and_length():
     seg = segment_lengths(rc)
     assert (seg.max() - seg.min()) / seg.mean() < 1e-3
     assert abs(compute_geometry(rc).total_length - L0) / L0 < 1e-3
+
+
+def test_resample_takes_only_an_integer_count():
+    # a float or a bool is no vertex count, even where it equals one
+    c = circle(40)
+    for n in (32.0, True, np.bool_(True), "32", None):
+        with pytest.raises(InvalidArgumentError, match="^n must be an integer, got "):
+            resample_uniform(c, n)
+    for n in (np.int64(32), np.int32(32), np.uint16(32)):
+        assert np.array_equal(resample_uniform(c, n).points, resample_uniform(c, 32).points)
 
 
 def test_resample_periodic_keeps_offset():

@@ -227,9 +227,7 @@ def pairs_bits(out):
 
 
 def states_bits(out):
-    return [
-        (bits(s.t_tilde), bits(s.source_t), bits(s.curve_tilde.points)) for s in out
-    ]
+    return [(bits(s.t_tilde), bits(s.curve_tilde.points)) for s in out]
 
 
 def outcome(fn, digest, *args, **kwargs):

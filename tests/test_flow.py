@@ -281,6 +281,10 @@ def test_config_validation():
                 FlowConfig(**{name: value})
     assert FlowConfig(t_end=None).t_end is None and FlowConfig(t_end=math.inf).t_end == math.inf
     assert FlowConfig(sphere_radius=None).sphere_radius is None
+    # an infinite sphere has no R(t)^2 = r0^2 - 2t for the residual column
+    for radius in (math.inf, math.nan, 0.0):
+        with pytest.raises(InvalidArgumentError, match="^sphere_radius must be finite"):
+            FlowConfig(sphere_radius=radius)
     cfl = FlowConfig(cfl=np.float32(0.5)).cfl
     assert cfl == 0.5 and type(cfl) is float
 

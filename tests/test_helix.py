@@ -233,6 +233,8 @@ def test_pair_condition_matches_the_reference_on_a_grid():
         pytest.param([0.5], [0.0, 1.0], id="zero-y"),
         pytest.param([True, False], [0.5, 1.0], id="bool-m"),
         pytest.param(["0.5"], [0.5, 1.0], id="string-m"),
+        pytest.param([0.5], [True, False], id="bool-y"),
+        pytest.param([0.5], ["0.5", "1.0"], id="string-y"),
     ],
 )
 @pytest.mark.parametrize("scan", [negative_condition_cells, scaled_condition_threshold])
@@ -263,6 +265,38 @@ def test_condition_scans_check_their_grids(scan, m_grid, y_grid):
 def test_pair_condition_checks_m(condition, m, message):
     with pytest.raises(InvalidArgumentError, match=re.escape(message)):
         condition(1.0, m)
+
+
+# y takes m's type rule: a real scalar, or an integer or float array
+Y_TAKERS = {
+    "helix_pair_condition_scaled": lambda y: helix_pair_condition_scaled(y, 1.0),
+    "helix_pair_condition": lambda y: helix_pair_condition(y, 1.0),
+    "cosine_taylor_gap": cosine_taylor_gap,
+    "helix_ratio_time_derivative": lambda y: helix_ratio_time_derivative(
+        HelixParams(1.0, 1.0), y
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "y, message",
+    [
+        ("0.5", "y must be a real number, got '0.5'"),
+        (True, "y must be a real number, got True"),
+        (np.bool_(True), "y must be a real number, got "),
+        (None, "y must be a real number, got None"),
+        (1j, "y must be a real number, got 1j"),
+        (np.array([0.5, None]), "y must be a real array, got dtype object"),
+        (np.array([True, False]), "y must be a real array, got dtype bool"),
+    ],
+)
+@pytest.mark.parametrize("taker", sorted(Y_TAKERS))
+def test_y_takes_only_reals(taker, y, message):
+    with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+        Y_TAKERS[taker](y)
+    # an integer y and an integer array are read as floats
+    assert Y_TAKERS[taker](2) == Y_TAKERS[taker](2.0)
+    assert np.array_equal(Y_TAKERS[taker](np.array([1, 2])), Y_TAKERS[taker]([1.0, 2.0]))
 
 
 def reference_scans(m_grid, y_grid):
@@ -518,8 +552,12 @@ def test_shrinking_circle_oracle():
     assert shrinking_circle_radius(1.0, 0.0) == 1.0
     with pytest.raises(DomainError):
         shrinking_circle_radius(1.0, 0.5)
-    with pytest.raises(InvalidArgumentError):
-        shrinking_circle_radius(0.0, 0.1)
+    # a NaN t is past any end; a radius is a finite positive real
+    with pytest.raises(DomainError):
+        shrinking_circle_radius(1.0, math.nan)
+    for r0 in (0.0, math.inf, math.nan, True, "1"):
+        with pytest.raises(InvalidArgumentError):
+            shrinking_circle_radius(r0, 0.1)
 
 
 def test_helix_radius_conservation_identity():
@@ -532,6 +570,20 @@ def test_helix_radius_conservation_identity():
         assert 0.0 < a < a0
     # helix with b > 0 never collapses: still positive far beyond r0^2/2
     assert helix_radius_at(1.0, 1.0, 100.0) > 0.0
+    # each argument is a finite real, a0 positive, checked before the root
+    # search, so that a NaN t is an argument error, not SciPy's ValueError
+    for args in (
+        (1.0, 1.0, math.nan),
+        (1.0, 1.0, math.inf),
+        (1.0, math.nan, 0.1),
+        (math.inf, 1.0, 0.1),
+        (0.0, 1.0, 0.1),
+        (1.0, True, 0.1),
+        ("1", 1.0, 0.1),
+        (1.0, 1.0, None),
+    ):
+        with pytest.raises(InvalidArgumentError, match="^a0 must be positive|must be a real"):
+            helix_radius_at(*args)
 
 
 def test_helix_radius_matches_direct_ode_integration():

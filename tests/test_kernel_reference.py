@@ -279,7 +279,7 @@ def test_geodesic_step_equals_cross_reference(
     else:
         moved += solve_cyclic_tridiagonal(*system)
     projected = moved / np.linalg.norm(moved, axis=1)[:, None]
-    nxt = step_geodesic_flow(RescaledState(curve, t_tilde, 0.0), dt)
+    nxt = step_geodesic_flow(RescaledState(curve, t_tilde), dt)
     assert same_values(nxt.curve_tilde.points, projected)
     assert nxt.t_tilde == t_tilde + dt
 

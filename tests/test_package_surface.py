@@ -125,3 +125,30 @@ def test_every_imported_name_is_read_in_its_module():
                     if bound not in read:
                         unread.append((path.stem, bound))
     assert unread == []
+
+
+def _package_imports(module: str) -> set[str]:
+    # the csflab modules that one module imports, anywhere in its body:
+    # relative imports, and absolute ones of csflab or csflab.<module>
+    found = set()
+    tree = ast.parse((ROOT / "src" / "csflab" / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "csflab"
+        ):
+            base = (node.module or "").removeprefix("csflab").lstrip(".")
+            found |= {base} if base else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                top, _, rest = alias.name.partition(".")
+                if top == "csflab":
+                    found.add(rest.split(".")[0] or "csflab")
+    return found
+
+
+def test_the_laws_home_imports_only_the_errors():
+    # helix holds the closed-form laws that flow and sphere read, so it may
+    # import nothing that imports them back; errors imports no csflab module
+    assert _package_imports("errors") == set()
+    assert _package_imports("helix") == {"errors"}
+    assert "flow" not in _package_imports("presets")

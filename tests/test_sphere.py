@@ -6,6 +6,7 @@ geometry; no code in the package splits curvature.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from csflab.errors import (
     NotOnSphereError,
     NumericalFailureError,
 )
-from csflab.curve import OPEN, segment_lengths
+from csflab.curve import OPEN, row_norm, segment_lengths
 from csflab.flow import (
     _run_to_targets,
     run_to_times,
@@ -37,12 +38,12 @@ from csflab.flow import (
 from csflab.sphere import (
     GEODESIC_DT,
     RescaledState,
-    inverse_time_dilation,
     rescale,
     run_geodesic_flow,
     step_geodesic_flow,
     time_dilation,
 )
+from csflab.helix import shrinking_circle_radius
 from csflab import flow, sphere, tridiag
 from test_kernel_reference import reference_decomposition, reference_geometry
 
@@ -81,11 +82,8 @@ def explicit_geodesic_step(state, dt_tilde):
     decomp = split_curvature(curve)
     moved = curve.points + decomp["q_vec"] * (dt_tilde * decomp["k_g"])[:, None]
     moved /= np.linalg.norm(moved, axis=1)[:, None]
-    t_tilde = state.t_tilde + dt_tilde
     return RescaledState(
-        SampledCurve(moved, curve.topology, curve.offset),
-        t_tilde,
-        inverse_time_dilation(t_tilde),
+        SampledCurve(moved, curve.topology, curve.offset), state.t_tilde + dt_tilde
     )
 
 
@@ -180,10 +178,51 @@ def test_record_row_residual_is_sphere_residual_until_the_sphere_is_gone():
 def test_time_dilation_values_and_roundtrip():
     assert time_dilation(0.0) == 0.5 * math.log(2.0)
     assert abs(time_dilation(0.25) - 0.5 * math.log(4.0)) < 1e-15
-    for t in (0.0, 0.1, 0.3, 0.49):
-        assert abs(inverse_time_dilation(time_dilation(t)) - t) < 1e-12
+    for t in (0.0, 0.1, 0.3, 0.49):  # back through t = 1/2 - exp(-2 t_tilde)
+        assert abs(0.5 - math.exp(-2.0 * time_dilation(t)) - t) < 1e-12
     with pytest.raises(DomainError):
         time_dilation(0.5)
+
+
+# each reader of the law R(t)^2 = r0^2 - 2t, called at a time t on the unit
+# sphere's clock, whose end is T = 1/2
+LAW_READERS = {
+    "sphere_residual": lambda t: sphere_residual(latitude_circle(16, 1.0), t, 1.0),
+    "shrinking_circle_radius": lambda t: shrinking_circle_radius(1.0, t),
+    "rescale": lambda t: rescale(latitude_circle(16, 1.0), t),
+    "time_dilation": time_dilation,
+    "consistency_profile": lambda t: consistency_profile(latitude_circle(16, 1.0), [0.1, t]),
+}
+
+
+@pytest.mark.parametrize("t", [0.5, 0.7, math.nan], ids=["T", "past-T", "nan"])
+@pytest.mark.parametrize("reader", sorted(LAW_READERS))
+def test_every_law_reader_raises_the_laws_domain_error(monkeypatch, reader, t):
+    # before any geometry: consistency_profile dilates its grid before a step
+    for module in (flow, sphere):
+        monkeypatch.setattr(module, "compute_geometry", None)
+    with pytest.raises(DomainError, match=re.escape("radius 1 is gone at T = 0.5; t = ")):
+        LAW_READERS[reader](t)
+
+
+def test_dilated_clock_and_rescale_keep_their_closed_forms_bits():
+    # -0.5 ln(0.5 - t) and sqrt(1 - 2t), each written out, as the reference
+    rng = np.random.default_rng(36)
+    ts = np.concatenate([
+        np.linspace(-1.0, 0.5, 30_000, endpoint=False),
+        rng.uniform(0.0, 0.5, 30_000),
+        0.5 - np.logspace(-16, -1, 500),
+    ]).tolist()
+    clock = np.array([time_dilation(t) for t in ts])
+    reference = np.array([-0.5 * math.log(0.5 - t) for t in ts])
+    assert np.array_equal(clock.view(np.int64), reference.view(np.int64))
+    for t in ts[::600]:
+        radius = math.sqrt(1.0 - 2.0 * t)
+        c = latitude_circle(16, 0.8, r=radius)
+        rows = c.points.T / radius
+        rows /= row_norm(rows)
+        got = np.ascontiguousarray(rescale(c, t).curve_tilde.points).view(np.int64)
+        assert np.array_equal(got, np.ascontiguousarray(rows.T).view(np.int64)), t
 
 
 def test_rescale_projects_to_unit_sphere():
@@ -192,7 +231,6 @@ def test_rescale_projects_to_unit_sphere():
     c = latitude_circle(64, 0.8, r=factor)
     st = rescale(c, t)
     assert abs(st.t_tilde - time_dilation(t)) < 1e-15
-    assert st.source_t == t
     assert np.abs(np.linalg.norm(st.curve_tilde.points, axis=1) - 1.0).max() < 1e-15
 
 
@@ -242,7 +280,6 @@ def test_geodesic_step_equals_a_dense_solve(topology, dt_tilde):
     expected = dense_geodesic_step(state.curve_tilde, dt_tilde)
     assert np.abs(nxt.curve_tilde.points - expected).max() < 1e-12
     assert nxt.t_tilde == state.t_tilde + dt_tilde
-    assert nxt.source_t == inverse_time_dilation(nxt.t_tilde)
     if topology == OPEN:  # the endpoints stay where they were
         ends = [0, -1]
         assert np.abs(nxt.curve_tilde.points[ends] - state.curve_tilde.points[ends]).max() < 1e-15
@@ -322,7 +359,32 @@ def test_step_geodesic_flow_rejects_an_off_sphere_curve():
     th = np.arange(64) * (2.0 * math.pi / 64)
     pts = np.column_stack([2.0 * np.cos(th), np.sin(th), np.zeros(64)])
     with pytest.raises(NotOnSphereError, match="^vertex radii spread"):
-        step_geodesic_flow(RescaledState(SampledCurve(pts, CLOSED), 0.0, 0.0), 1e-3)
+        step_geodesic_flow(RescaledState(SampledCurve(pts, CLOSED), 0.0), 1e-3)
+
+
+def assert_grid_rejected_before_any_geometry(monkeypatch, call, grid, message):
+    # a grid's floats are offsets from each run's start time; it is checked
+    # before any geometry, so no step is taken and no geometry computed
+    c = build_curve(make_preset(SPHERE_PERTURBED, n=64))
+    start = rescale(c, 0.0)
+    geometries = []
+
+    def counted(curve):
+        geometries.append(curve)
+        return compute_geometry(curve)
+
+    for module in (flow, sphere):
+        monkeypatch.setattr(module, "compute_geometry", counted)
+    calls = {
+        "run_to_times": lambda: run_to_times(c, grid),
+        "run_geodesic_flow": lambda: run_geodesic_flow(
+            start, [start.t_tilde + x if isinstance(x, float) else x for x in grid]
+        ),
+        "consistency_profile": lambda: consistency_profile(c, grid),
+    }
+    with pytest.raises(InvalidArgumentError, match=message):
+        calls[call]()
+    assert geometries == []
 
 
 @pytest.mark.parametrize(
@@ -338,29 +400,16 @@ def test_step_geodesic_flow_rejects_an_off_sphere_curve():
     ],
 )
 def test_fixed_grid_runs_reject_a_bad_grid(monkeypatch, call, grid):
-    # grids are offsets from each run's start time; the grid is checked
-    # before any geometry, so no step is taken and no geometry computed
-    c = build_curve(make_preset(SPHERE_PERTURBED, n=64))
-    start = rescale(c, 0.0)
-    geometries = []
-
-    def counted(curve):
-        geometries.append(curve)
-        return compute_geometry(curve)
-
-    for module in (flow, sphere):
-        monkeypatch.setattr(module, "compute_geometry", counted)
-    calls = {
-        "run_to_times": lambda: run_to_times(c, grid),
-        "run_geodesic_flow": lambda: run_geodesic_flow(
-            start, [start.t_tilde + x for x in grid]
-        ),
-        "consistency_profile": lambda: consistency_profile(c, grid),
-    }
     message = "^target times must increase from the start time on$"
-    with pytest.raises(InvalidArgumentError, match=message):
-        calls[call]()
-    assert geometries == []
+    assert_grid_rejected_before_any_geometry(monkeypatch, call, grid, message)
+
+
+@pytest.mark.parametrize("value", ["0.05", True, None])
+@pytest.mark.parametrize("call", ["run_to_times", "run_geodesic_flow", "consistency_profile"])
+def test_fixed_grid_runs_take_only_real_targets(monkeypatch, call, value):
+    # a str or a bool is no time, though float() would read "0.05" and True
+    message = f"^target time must be a real number, got {re.escape(repr(value))}$"
+    assert_grid_rejected_before_any_geometry(monkeypatch, call, [0.01, value], message)
 
 
 def test_consistency_profile_small_grid():
@@ -471,7 +520,6 @@ def test_run_geodesic_flow_attaches_the_states_reached_so_far(monkeypatch, kind)
     assert len(partial) == 2
     for state, state_full in zip(partial, full):
         assert state.t_tilde == state_full.t_tilde
-        assert state.source_t == state_full.source_t
         assert np.array_equal(state.curve_tilde.points, state_full.curve_tilde.points)
     if kind is NumericalFailureError:
         assert str(info.value).startswith("step 5 failed: boom (last good state: step 4,")
@@ -495,5 +543,4 @@ def test_run_geodesic_flow_stops_at_the_step_cap(monkeypatch):
     assert len(partial) == 2
     for state, state_full in zip(partial, full):
         assert state.t_tilde == state_full.t_tilde
-        assert state.source_t == state_full.source_t
         assert np.array_equal(state.curve_tilde.points, state_full.curve_tilde.points)

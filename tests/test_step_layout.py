@@ -121,7 +121,7 @@ def test_kernels_do_not_depend_on_input_layout(topology, tmp_path):
     dt = 0.5 * stable_step(ref_geom)
     steps = (step_explicit, step_semi_implicit)
     ref_steps = [step(make_state(ref), dt) for step in steps]
-    ref_geodesic = step_geodesic_flow(RescaledState(ref, 0.0, 0.0), dt)
+    ref_geodesic = step_geodesic_flow(RescaledState(ref, 0.0), dt)
     ref_resampled = [resample_uniform(ref, m).points for m in (17, 31)]
     ref_reductions = pair_reductions(ref)
     for name, variant in layouts(pts).items():
@@ -135,7 +135,7 @@ def test_kernels_do_not_depend_on_input_layout(topology, tmp_path):
         for step, expected in zip(steps, ref_steps):
             moved = step(make_state(curve), dt)
             assert same_bits(moved.curve.points, expected.curve.points), name
-        moved = step_geodesic_flow(RescaledState(curve, 0.0, 0.0), dt)
+        moved = step_geodesic_flow(RescaledState(curve, 0.0), dt)
         assert same_bits(moved.curve_tilde.points, ref_geodesic.curve_tilde.points)
         for m, expected in zip((17, 31), ref_resampled):
             assert same_bits(resample_uniform(curve, m).points, expected), (name, m)
