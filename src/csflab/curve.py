@@ -13,16 +13,23 @@ caller's array) between the two wrap vertices into a read-only (3, n + 2)
 array, and ``points`` is a read-only, F-ordered (n, 3) view of its centre
 columns.  It also measures every segment once, to validate it, and
 ``segment_lengths`` and ``compute_geometry`` share those read-only lengths.
+A flow step writes its new vertices straight into the centre of a fresh
+(3, n + 2) buffer, and ``_adopt`` makes that buffer the next curve's
+closure without a copy, keeping the stepped curve's topology and offset.
 
 The kernels work component-major, on (3, n) arrays with one contiguous row
 per coordinate, and read the closure where it lies.  The (n, 3) arrays of a
-``CurveGeometry`` are ``.T`` views of read-only (3, n) buffers too.
+``CurveGeometry`` are ``.T`` views of read-only (3, n) buffers too.  A
+geometry computes its arc elements and Laplacian rows at once, and its
+tangents and curvature on first read: a semi-implicit step reads none.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,35 +109,65 @@ def _checked_offset(offset, topology: str) -> np.ndarray | None:
     return off
 
 
-def _closure(
-    pts: np.ndarray, off: np.ndarray | None, cyclic: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    # the (3, n + 2) closure of the (n, 3) vertices and its segment lengths,
-    # each length checked to be positive and finite
-    n = len(pts)
+def _checked_extent(rows: np.ndarray) -> float:
+    # the largest coordinate magnitude, in one pass: below the range no
+    # square can overflow, and NaN and inf fail it
+    extent = np.abs(rows).max(initial=0.0)
+    if not extent < _SQUARES_FIT and not np.isfinite(rows).all():
+        raise InvalidCurveError("points contain non-finite values")
+    return extent
+
+
+def _close(
+    wrapped: np.ndarray, off: np.ndarray | None, cyclic: bool, extent: float
+) -> np.ndarray:
+    # fills in the wrap columns of the (3, n + 2) closure whose centre holds
+    # the vertices, and returns its segment lengths, each checked to be
+    # positive and finite
+    if off is not None:  # it shifts the wrap vertices and the closing segment
+        extent += max(map(abs, off.tolist()))
+    if extent < _SQUARES_FIT:
+        quiet = contextlib.nullcontext()
+    else:  # measured in silence, then rejected or accepted on the lengths
+        quiet = np.errstate(over="ignore", invalid="ignore")
+    n = wrapped.shape[1] - 2
     seg = np.empty(n if cyclic else n - 1)
-    wrapped = np.empty((3, n + 2))
     rows = wrapped[:, 1:-1]
-    rows[...] = pts.T  # a straight copy of a step's (3, n) output
     inner = seg[: n - 1]
-    inner[:] = row_norm(rows[:, 1:] - rows[:, :-1])
-    # a finite length is below 1.4e154, so the sum is inf only if a length is
-    if inner.min() == 0.0 or inner.sum() == math.inf:
-        steps = rows[:, 1:] - rows[:, :-1]
-        raise _unmeasured(steps, inner, 0, "consecutive vertices must be distinct")
-    first, last = wrapped[:, 1], wrapped[:, -2]
-    if off is not None:  # a periodic curve's wrap vertices lie one period away
-        first, last = first + off, last - off
-    wrapped[:, 0], wrapped[:, -1] = (last, first) if cyclic else (first, last)
-    if cyclic:
-        closing = wrapped[:, -1] - wrapped[:, -2]
-        seg[-1] = math.sqrt(closing.dot(closing))  # as np.linalg.norm does
-        if not 0.0 < seg[-1] < math.inf:
-            kind = "closing" if off is None else "period-closing"
-            raise _unmeasured(
-                closing[:, None], seg[-1:], n - 1, f"{kind} segment is degenerate"
-            )
-    return wrapped, seg
+    with quiet:
+        inner[:] = row_norm(rows[:, 1:] - rows[:, :-1])
+        # a finite length is below 1.4e154, so the sum is inf only if a length is
+        if inner.min() == 0.0 or inner.sum() == math.inf:
+            steps = rows[:, 1:] - rows[:, :-1]
+            raise _unmeasured(steps, inner, 0, "consecutive vertices must be distinct")
+        first, last = wrapped[:, 1], wrapped[:, -2]
+        if off is not None:  # a periodic curve's wrap vertices lie one period away
+            first, last = first + off, last - off
+        wrapped[:, 0], wrapped[:, -1] = (last, first) if cyclic else (first, last)
+        if cyclic:
+            closing = wrapped[:, -1] - wrapped[:, -2]
+            seg[-1] = math.sqrt(closing.dot(closing))  # as np.linalg.norm does
+            if not 0.0 < seg[-1] < math.inf:
+                kind = "closing" if off is None else "period-closing"
+                raise _unmeasured(
+                    closing[:, None], seg[-1:], n - 1, f"{kind} segment is degenerate"
+                )
+    return seg
+
+
+def _freeze(
+    curve: SampledCurve, wrapped: np.ndarray, seg: np.ndarray, off: np.ndarray | None
+) -> None:
+    # makes the checked closure, lengths and offset the curve's, read-only
+    wrapped.setflags(write=False)
+    seg.setflags(write=False)
+    if off is not None:
+        off.setflags(write=False)
+    # a view taken after the freeze, so that it is read-only too
+    object.__setattr__(curve, "points", wrapped[:, 1:-1].T)
+    object.__setattr__(curve, "offset", off)
+    object.__setattr__(curve, "_segments", seg)
+    object.__setattr__(curve, "_wrapped", wrapped)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +194,7 @@ class SampledCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidCurveError("points must be an (n, 3) array")
-        # one pass: below the range, no square can overflow; NaN and inf fail it
-        extent = np.abs(pts).max(initial=0.0)
-        if not extent < _SQUARES_FIT and not np.isfinite(pts).all():
-            raise InvalidCurveError("points contain non-finite values")
+        extent = _checked_extent(pts)
         if self.topology not in TOPOLOGIES:
             raise InvalidCurveError(f"unknown topology {self.topology!r}")
         n = len(pts)
@@ -170,23 +204,10 @@ class SampledCurve:
                 f"{MIN_VERTICES[self.topology]} vertices, got {n}"
             )
         off = _checked_offset(self.offset, self.topology)
-        if off is not None:  # it shifts the wrap vertices and the closing segment
-            extent += max(map(abs, off.tolist()))
-        if extent < _SQUARES_FIT:
-            wrapped, seg = _closure(pts, off, self.topology != OPEN)
-        else:  # measured in silence, then rejected or accepted on the lengths
-            with np.errstate(over="ignore", invalid="ignore"):
-                wrapped, seg = _closure(pts, off, self.topology != OPEN)
-
-        wrapped.setflags(write=False)
-        seg.setflags(write=False)
-        if off is not None:
-            off.setflags(write=False)
-        # a view taken after the freeze, so that it is read-only too
-        object.__setattr__(self, "points", wrapped[:, 1:-1].T)
-        object.__setattr__(self, "offset", off)
-        object.__setattr__(self, "_segments", seg)
-        object.__setattr__(self, "_wrapped", wrapped)
+        wrapped = np.empty((3, n + 2))
+        wrapped[:, 1:-1] = pts.T
+        seg = _close(wrapped, off, self.topology != OPEN, extent)
+        _freeze(self, wrapped, seg, off)
 
     @property
     def n(self) -> int:
@@ -196,32 +217,76 @@ class SampledCurve:
         return self.topology in (CLOSED, PERIODIC)
 
 
+def _adopt(wrapped: np.ndarray, like: SampledCurve) -> SampledCurve:
+    """The curve whose vertices a step wrote into the centre columns of
+    ``wrapped``, a fresh (3, n + 2) buffer that the curve takes over as its
+    closure, without a copy.
+
+    The vertices get the constructor's non-finite test and segment checks,
+    with its messages.  The topology and the read-only, already checked
+    offset are those of ``like``, the curve the step moved, whose vertex
+    count the step kept, so neither is checked again.
+    """
+    extent = _checked_extent(wrapped[:, 1:-1])
+    seg = _close(wrapped, like.offset, like.is_cyclic(), extent)
+    curve = object.__new__(SampledCurve)
+    object.__setattr__(curve, "topology", like.topology)
+    _freeze(curve, wrapped, seg, like.offset)
+    return curve
+
+
 @dataclass(frozen=True, eq=False)
 class CurveGeometry:
     """Per-vertex differential data of a sampled curve.
 
-    ``tangents`` are unit vectors, ``curvature_vectors`` are orthogonal to
-    them (the tangential part of the second-difference stencil is projected
-    out), ``scalar_curvature`` is their norm, and ``ds`` is the mass-lumped
-    arc element (half the sum of the two adjacent segment lengths), which
-    makes ``ds.sum()`` equal to ``total_length`` exactly.
-
-    ``laplacian`` holds the three-point arc-length Laplacian of the centre
-    rows: all ``n`` vertices of a closed or periodic curve, the ``n - 2``
-    interior vertices of an open one, row i being
+    ``ds`` is the mass-lumped arc element (half the sum of the two adjacent
+    segment lengths), which makes ``ds.sum()`` equal to ``total_length``
+    exactly.  ``laplacian`` holds the three-point arc-length Laplacian of
+    the centre rows: all ``n`` vertices of a closed or periodic curve, the
+    ``n - 2`` interior vertices of an open one, row i being
     ``(p_prev - p_i) / (h_prev ds_i) + (p_next - p_i) / (h_next ds_i)``.
     ``segment_lengths`` is the curve's own read-only segment array; with
-    ``ds`` it gives the semi-implicit step its mass-lumped system.  The
-    (n, 3) arrays are non-contiguous; ``.T`` gives their (3, n) buffers.
+    ``ds`` it gives the semi-implicit step its mass-lumped system.
+
+    ``tangents`` are unit vectors, ``curvature_vectors`` are orthogonal to
+    them (the tangential part of the Laplacian is projected out), and
+    ``scalar_curvature`` is their norm.  The three are computed together
+    from ``_wrapped``, the curve's closure, and the Laplacian rows on first
+    read, and cached: every read returns the same read-only arrays.  That
+    first read raises ``InvalidCurveError`` when a centered-difference
+    tangent is degenerate (p_{i+1} == p_{i-1}).  The (n, 3) arrays are
+    non-contiguous; ``.T`` gives their (3, n) buffers.
     """
 
-    tangents: np.ndarray
-    curvature_vectors: np.ndarray
-    scalar_curvature: np.ndarray
     ds: np.ndarray
     total_length: float
     segment_lengths: np.ndarray
     laplacian: np.ndarray
+    _wrapped: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _curvature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the centre rows' normalized centered-difference tangents, and the
+        # Laplacian with its tangential residue removed; open-curve ends take
+        # the chord of the end segment and the adjacent Laplacian row
+        ext = self._wrapped
+        tangents = ext[:, 2:] - ext[:, :-2]
+        chord_len = row_norm(tangents)
+        if chord_len.min() <= 0.0:
+            raise InvalidCurveError("degenerate centered-difference tangent")
+        tangents /= chord_len
+        raw = self.laplacian.T
+        if raw.shape != tangents.shape:  # open: repeat the end rows
+            raw = np.concatenate((raw[:, :1], raw, raw[:, -1:]), axis=1)
+        kvec = raw - row_dot(raw, tangents) * tangents
+        scalar = row_norm(kvec)
+        for arr in (tangents, kvec, scalar):
+            arr.setflags(write=False)
+        return tangents.T, kvec.T, scalar
+
+    tangents = property(lambda self: self._curvature[0])
+    curvature_vectors = property(lambda self: self._curvature[1])
+    scalar_curvature = property(lambda self: self._curvature[2])
 
 
 def segment_lengths(curve: SampledCurve) -> np.ndarray:
@@ -243,28 +308,21 @@ def arc_positions(curve: SampledCurve) -> tuple[np.ndarray, float]:
 
 
 def compute_geometry(curve: SampledCurve) -> CurveGeometry:
-    """Tangents, curvature vectors and arc elements of ``curve``.
+    """Arc elements and Laplacian rows of ``curve``; tangents and curvature
+    vectors on first read.
 
     The centre rows (every vertex of a closed or periodic curve, the
-    interior vertices of an open one) get the normalized centered-difference
-    tangent and the three-point arc-length Laplacian on non-uniform spacing,
-    ``a (p_- - p) + c (p_+ - p)``.  That Laplacian, projected orthogonal to
-    the tangent, is the curvature vector.  Open-curve endpoints use
-    one-sided stencils: the chord of the end segment and the Laplacian of
-    the adjacent interior vertex.
+    interior vertices of an open one) get the three-point arc-length
+    Laplacian on non-uniform spacing, ``a (p_- - p) + c (p_+ - p)``, and
+    the normalized centered-difference tangent.  That Laplacian, projected
+    orthogonal to the tangent, is the curvature vector.  Open-curve
+    endpoints use one-sided stencils: the chord of the end segment and the
+    Laplacian of the adjacent interior vertex.
     """
     seg = segment_lengths(curve)
-    cyclic = curve.is_cyclic()
-
-    ext = curve._wrapped  # the closure: open curves' end chords are end segments
-    tangents = ext[:, 2:] - ext[:, :-2]
-    chord_len = row_norm(tangents)
-    if chord_len.min() <= 0.0:
-        raise InvalidCurveError("degenerate centered-difference tangent")
-    tangents /= chord_len
-
+    ext = curve._wrapped
     steps = ext[:, 1:] - ext[:, :-1]
-    if cyclic:
+    if curve.is_cyclic():
         hm, hp = np.concatenate((seg[-1:], seg[:-1])), seg
     else:
         steps = steps[:, 1:-1]  # the interior vertices' neighbour differences
@@ -273,29 +331,40 @@ def compute_geometry(curve: SampledCurve) -> CurveGeometry:
     a = 2.0 / (hm * span)
     c = 2.0 / (hp * span)
     ds = 0.5 * span
-    raw = np.empty_like(tangents)
     # c (p_+ - p) - a (p - p_-): a (p_- - p) + c (p_+ - p) up to the sign of a zero
-    lap = np.multiply(a, steps[:, :-1], out=raw if cyclic else raw[:, 1:-1])
+    lap = a * steps[:, :-1]
     np.subtract(c * steps[:, 1:], lap, out=lap)
-    if not cyclic:
-        # the ends repeat the adjacent Laplacian row and take half a segment
-        raw[:, 0], raw[:, -1] = raw[:, 1], raw[:, -2]
+    if not curve.is_cyclic():  # the ends take half a segment
         ds = np.concatenate(([0.5 * seg[0]], ds, [0.5 * seg[-1]]))
-
-    # the curvature vector: the Laplacian with its tangential residue removed
-    kvec = raw - row_dot(raw, tangents) * tangents
-    scalar = row_norm(kvec)
-    for arr in (tangents, kvec, scalar, ds, raw, lap):
+    for arr in (ds, lap):
         arr.setflags(write=False)
     return CurveGeometry(
-        tangents=tangents.T,
-        curvature_vectors=kvec.T,
-        scalar_curvature=scalar,
         ds=ds,
         total_length=float(seg.sum()),
         segment_lengths=seg,
         laplacian=lap.T,
+        _wrapped=ext,
     )
+
+
+def curvature_bound(geometry: CurveGeometry) -> float:
+    """An upper bound on every computed ``scalar_curvature`` value, read off
+    the Laplacian rows without computing a tangent: 2 sqrt(3) m + 1e-160,
+    m being the largest |entry| of ``laplacian`` (NaN if one is NaN).
+
+    A curvature vector is a Laplacian row r (open ends repeat one), at most
+    sqrt(3) m long, minus (r . t) t for the computed tangent t.  That
+    projection lengthens r by the factor sqrt(1 + c^2 |t|^2 (|t|^2 - 2)),
+    c being the cosine between r and t, so not at all while |t|^2 <= 2.
+    |t|^2 is 1 up to a few ulp unless the squares of the tangent's chord are
+    subnormal: a hairpin whose neighbours nearly coincide can then read
+    |t|^2 up to 2.5, and its curvature up to 1.5 |r| (the tests build one at
+    1.44 sqrt(3) m), which the factor 2 covers with the rounding of the
+    projection and the norm.  Where the squares the norm sums are subnormal
+    it can err by sqrt(3 * 2^-1075) < 3e-162 in absolute terms, within the
+    1e-160.
+    """
+    return 2.0 * math.sqrt(3.0) * float(np.abs(geometry.laplacian).max()) + 1e-160
 
 
 def total_absolute_curvature(geometry: CurveGeometry) -> float:

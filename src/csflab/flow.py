@@ -10,19 +10,24 @@ Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
   It is built from what ``compute_geometry`` already holds, so each step
   forms the Laplacian once.  It stays stable for any dt and is the default
   because it never blows up when remeshing changes min(ds) under the
-  integrator.
+  integrator.  It reads no tangent and no curvature vector, so its steps
+  never compute them (``CurveGeometry`` does on first read).
 
 The backward-Euler system is built in one place, ``_backward_euler``; the
 intrinsic step of the sphere check, ``sphere.step_geodesic_flow``, solves
 it too, on the unit sphere, at a fixed dilated-time step instead of this
-module's step rule.
+module's step rule.  Every step writes its new vertices into the centre of
+a fresh (3, n + 2) buffer, which becomes the next curve's closure without
+a copy (``curve._adopt``).
 
 ``run``, ``run_to_times`` and ``sphere.run_geodesic_flow`` share one time
 loop, ``_integrate``: the dt clamp, the landing on target times, the
 ``MAX_STEPS`` step cap, the failure message and the output attached on
 failure or interrupt live there; ``_run_to_targets`` drives it on a fixed
-grid with the caller's dt rule.  Runs are deterministic: identical inputs
-give bit-identical records.
+grid with the caller's dt rule.  ``run``'s curvature-resolution stop test
+reads the exact k_max only when a cheap upper bound on it, taken from the
+Laplacian rows, comes near the threshold (``_resolution_exhausted``).
+Runs are deterministic: identical inputs give bit-identical records.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ from .curve import (
     PERIODIC,
     CurveGeometry,
     SampledCurve,
+    _adopt,
     compute_geometry,
+    curvature_bound,
     resample_uniform,
     row_dot,
     total_absolute_curvature,
@@ -161,16 +168,18 @@ def stable_step(geometry: CurveGeometry, cfl: float = 1.0) -> float:
     return cfl * float(geometry.ds.min()) ** 2 / 2.0
 
 
-def _stepped_curve(points: np.ndarray, like: SampledCurve, step: str) -> SampledCurve:
-    """The curve a step moved ``like`` to, tested for non-finite vertices once.
+def _stepped_curve(wrapped: np.ndarray, like: SampledCurve, step: str) -> SampledCurve:
+    """The curve a step moved ``like`` to, from the fresh (3, n + 2) buffer
+    whose centre columns hold its vertices, adopted as its closure.
 
-    The constructor's test is the only one; its failure on a non-finite
-    vertex is raised as the ``NumericalFailureError`` of the ``step``.
+    The adoption runs the constructor's one non-finite test; its failure on
+    a non-finite vertex is raised as the ``NumericalFailureError`` of the
+    ``step``.
     """
     try:
-        return SampledCurve(points, like.topology, like.offset)
+        return _adopt(wrapped, like)
     except InvalidCurveError as exc:
-        if np.isfinite(points).all():
+        if np.isfinite(wrapped[:, 1:-1]).all():
             raise
         message = f"{step} step produced non-finite vertices"
         raise NumericalFailureError(message) from exc
@@ -179,7 +188,9 @@ def _stepped_curve(points: np.ndarray, like: SampledCurve, step: str) -> Sampled
 def _backward_euler(
     curve: SampledCurve, geom: CurveGeometry, dt: float, solve_cyclic, solve_open
 ) -> np.ndarray:
-    """Vertices, component-major (3, n), after one backward-Euler step.
+    """A fresh (3, n + 2) buffer whose centre columns hold the vertices,
+    component-major, after one backward-Euler step; its wrap columns are
+    left for ``_stepped_curve`` to fill.
 
     Solves (I - dt*Lap) delta = dt * Lap(points) on the rows of ``geom``,
     the geometry of ``curve``, each scaled by its lumped mass ds_i into the
@@ -200,13 +211,15 @@ def _backward_euler(
     diag = ds + inv[:-1]  # each row's couplings: inv[i-1], then inv[i]
     diag += inv[1:]
     rhs = geom.laplacian * (dt * ds)[:, None]
+    wrapped = np.empty((3, curve.n + 2))
+    moved = wrapped[:, 1:-1]
     if cyclic:
-        moved = solve_cyclic(diag, off, rhs).T
-    else:
-        moved = np.zeros((3, curve.n))
+        np.add(solve_cyclic(diag, off, rhs).T, curve.points.T, out=moved)
+    else:  # the fixed endpoints move by +0.0, as every vertex adds its delta
+        moved[:, 0] = moved[:, -1] = 0.0
         moved[:, 1:-1] = solve_open(diag, off, rhs).T
-    moved += curve.points.T
-    return moved
+        moved += curve.points.T
+    return wrapped
 
 
 def step_explicit(state: FlowState, dt: float) -> FlowState:
@@ -219,12 +232,14 @@ def step_explicit(state: FlowState, dt: float) -> FlowState:
     bound = stable_step(state.geometry)
     if dt > bound * (1.0 + 1e-9):
         raise InvalidArgumentError(f"dt={dt:g} exceeds the stability bound {bound:g}")
-    # component-major (3, n), the layout of the geometry and of the solves
-    moved = dt * state.geometry.curvature_vectors.T
+    # component-major (3, n), the layout of the geometry and of the solves,
+    # in the centre of the next curve's closure
+    wrapped = np.empty((3, state.curve.n + 2))
+    moved = np.multiply(dt, state.geometry.curvature_vectors.T, out=wrapped[:, 1:-1])
     if not state.curve.is_cyclic():
         moved[:, 0] = moved[:, -1] = 0.0
     moved += state.curve.points.T
-    curve = _stepped_curve(moved.T, state.curve, "explicit")
+    curve = _stepped_curve(wrapped, state.curve, "explicit")
     return FlowState(curve, state.t + dt, state.step + 1, compute_geometry(curve))
 
 
@@ -240,10 +255,10 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     """
     if not dt > 0.0:
         raise InvalidArgumentError("dt must be positive")
-    moved = _backward_euler(
+    wrapped = _backward_euler(
         state.curve, state.geometry, dt, solve_cyclic_tridiagonal, solve_tridiagonal
     )
-    curve = _stepped_curve(moved.T, state.curve, "implicit")
+    curve = _stepped_curve(wrapped, state.curve, "implicit")
     return FlowState(curve, state.t + dt, state.step + 1, compute_geometry(curve))
 
 
@@ -320,6 +335,31 @@ def snapshot_diagnostics(
     return row
 
 
+def _k_max(geometry: CurveGeometry) -> float:
+    # a last good state's k_max for a failure message: nan when its tangent
+    # is undefined, which no semi-implicit or geodesic step reads
+    try:
+        return float(geometry.scalar_curvature.max())
+    except InvalidCurveError:
+        return math.nan
+
+
+def _resolution_exhausted(geom: CurveGeometry, limit: float) -> bool:
+    """Whether k_max * min(ds) exceeds ``limit``, the exact k_max read only
+    when ``curvature_bound`` says that it might.
+
+    k_max <= B, and as min(ds) > 0 and rounding keeps order, fl(k_max *
+    min ds) <= fl(B * min ds): when the bound's product is at most
+    ``limit``, the exact one is too, and the exact k_max decides the rest.
+    So every decision is that of the exact test; a NaN reads as not
+    exhausted both ways.
+    """
+    ds_min = float(geom.ds.min())
+    if not curvature_bound(geom) * ds_min > limit:
+        return False
+    return float(geom.scalar_curvature.max()) * ds_min > limit
+
+
 def _integrate(
     state,
     advance,
@@ -339,11 +379,12 @@ def _integrate(
     is reached once clock(state) >= target * (1 - tolerance) and its state
     goes to ``record``.  ``max_steps`` (``MAX_STEPS`` if None) is tested
     before a step, ``after_step`` after it; a stop records its state and
-    returns its reason.  A step fails when ``advance``, or the geometry of
-    the state it made, raises ``InvalidCurveError`` or
-    ``NumericalFailureError``; the error raised names the last good state
-    and, like a ``KeyboardInterrupt``, carries ``so_far(stop_reason)`` as
-    ``record``.
+    returns its reason.  A step fails when ``advance``, or the geometry,
+    record or stop test of the state it made, raises ``InvalidCurveError``
+    or ``NumericalFailureError``; the error raised names the last good
+    state and, like a ``KeyboardInterrupt``, carries
+    ``so_far(stop_reason)`` as ``record``.  A failure before the first step
+    is raised as it is.
     """
     steps, good, dt = 0, None, math.nan
     cap = MAX_STEPS if max_steps is None else max_steps
@@ -354,27 +395,25 @@ def _integrate(
                 if steps >= cap:
                     record(state)
                     return "max_steps"
-                try:
-                    geom = geometry(state)
-                    good = (steps, t, geom)
-                    dt = min(dt_rule(geom), target - t)
-                    state = advance(state, dt)
-                except (InvalidCurveError, NumericalFailureError) as exc:
-                    if good is None:  # the starting state has no geometry
-                        raise
-                    step, t_good, geom = good
-                    raise NumericalFailureError(
-                        f"step {step + 1} failed: {exc} (last good state: "
-                        f"step {step}, t={float(t_good)!r}, dt={float(dt)!r}, "
-                        f"min ds={float(geom.ds.min())!r}, "
-                        f"k_max={float(geom.scalar_curvature.max())!r})",
-                        record=so_far("numerical_failure"),
-                    ) from exc
+                geom = geometry(state)
+                good = (steps, t, geom)
+                dt = min(dt_rule(geom), target - t)
+                state = advance(state, dt)
                 steps += 1
                 if after_step is not None and (reason := after_step(state)):
                     record(state)
                     return reason
             record(state)
+    except (InvalidCurveError, NumericalFailureError) as exc:
+        if good is None:  # the starting state has no geometry
+            raise
+        step, t_good, geom = good
+        raise NumericalFailureError(
+            f"step {step + 1} failed: {exc} (last good state: "
+            f"step {step}, t={float(t_good)!r}, dt={float(dt)!r}, "
+            f"min ds={float(geom.ds.min())!r}, k_max={_k_max(geom)!r})",
+            record=so_far("numerical_failure"),
+        ) from exc
     except KeyboardInterrupt as exc:
         exc.record = so_far("interrupted")
         raise
@@ -455,8 +494,7 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
         geom = st.geometry
         if geom.total_length < config.stop_length_fraction * l_start:
             return "length_exhausted"
-        kds = float(geom.scalar_curvature.max()) * float(geom.ds.min())
-        if kds > config.stop_curvature_resolution:
+        if _resolution_exhausted(geom, config.stop_curvature_resolution):
             return "resolution_exhausted"
         if st.step % config.record_every == 0:
             record(st)
@@ -500,14 +538,14 @@ def run_to_times(
     ``NumericalFailureError`` naming it and the last good state, as in
     ``run``; that error and a ``KeyboardInterrupt`` carry the ``(t, curve)``
     pairs reached so far as ``record``.  So does the ``NumericalFailureError``
-    raised when ``MAX_STEPS`` steps leave a target unreached.
+    raised when ``MAX_STEPS`` steps leave a target unreached.  ``cfl`` and
+    ``scheme`` are checked as ``FlowConfig`` checks them, before any step.
     """
-    if scheme not in SCHEMES:
-        raise InvalidArgumentError(f"unknown scheme {scheme!r}")
+    config = FlowConfig(cfl=cfl, scheme=scheme)
     return _run_to_targets(
         lambda: make_state(initial),
-        _STEPPERS[scheme],
-        lambda geom: stable_step(geom, cfl),
+        _STEPPERS[config.scheme],
+        lambda geom: stable_step(geom, config.cfl),
         targets,
         0.0,
         keep=lambda st: (st.t, st.curve),

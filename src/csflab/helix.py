@@ -250,12 +250,15 @@ def helix_graph_spec(
 
     The grid is one period without its end, u = 2 pi k / n for k < n.
     With eps != 0 the first component becomes a cos(u) + eps cos(harmonic u),
-    so the curve's speed is no longer the declared constant a.
+    so the curve's speed is no longer the declared constant a.  a, b and eps
+    must be real numbers and n and harmonic integers, else
+    ``InvalidArgumentError``.
     """
-    if n < 2:
+    a, b, eps = require_real("a", a), require_real("b", b), require_real("eps", eps)
+    if require_integer("n", n) < 2:
         raise InvalidArgumentError("need at least two grid points")
     u = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    h = float(harmonic)
+    h = float(require_integer("harmonic", harmonic))
     d2f = -a * np.cos(u) - eps * h * h * np.cos(h * u)
     d2g = -a * np.sin(u)
     return GraphCurveSpec(

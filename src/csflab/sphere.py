@@ -98,15 +98,16 @@ def step_geodesic_flow(state: RescaledState, dt_tilde: float) -> RescaledState:
         raise InvalidArgumentError("dt_tilde must be positive")
     curve = state.curve_tilde
     _mean_radius(curve.points.T, SPHERE_REL_TOL)
-    moved = _backward_euler(
+    wrapped = _backward_euler(
         curve,
         compute_geometry(curve),
         dt_tilde,
         solve_cyclic_tridiagonal,
         solve_tridiagonal,
     )
+    moved = wrapped[:, 1:-1]
     moved /= row_norm(moved)  # a non-finite vertex stays non-finite
-    tilde = _stepped_curve(moved.T, curve, "geodesic")
+    tilde = _stepped_curve(wrapped, curve, "geodesic")
     return RescaledState(curve_tilde=tilde, t_tilde=state.t_tilde + dt_tilde)
 
 

@@ -14,7 +14,7 @@ _spec.loader.exec_module(ab_layers)
 
 LAYERS = {
     "compute_geometry", "cyclic_solve", "open_solve",
-    "semi_implicit_step", "explicit_step", "geodesic_step",
+    "semi_implicit_step", "explicit_step", "geodesic_step", "run_steps",
     "ratio_minima", "min_pair_ratio", "write_curve",
 }
 FIELDS = {
@@ -59,7 +59,7 @@ def test_a_geometry_with_an_extra_field_keeps_equal_bits(tmp_path):
     shutil.copytree(SRC / "csflab", tmp_path / "src" / "csflab")
     curve = tmp_path / "src" / "csflab" / "curve.py"
     text = curve.read_text()
-    last = "    laplacian: np.ndarray\n"
+    last = "    _wrapped: np.ndarray = field(repr=False)\n"
     assert text.count(last) == 1
     curve.write_text(text.replace(last, last + "    extra: float = 0.0\n"))
     layers = measure(SRC, tmp_path / "src")["layers"]
@@ -67,3 +67,17 @@ def test_a_geometry_with_an_extra_field_keeps_equal_bits(tmp_path):
     unshared = {name: per_n["64"]["unshared_fields"] for name, per_n in layers.items()}
     assert unshared.pop("compute_geometry") == {"parent": [], "change": ["extra"]}
     assert all(u == {"parent": [], "change": []} for u in unshared.values())
+
+
+def test_a_changed_curvature_reads_as_changed_bits(tmp_path):
+    # the curvature a geometry computes on first read is in its bit check
+    shutil.copytree(SRC / "csflab", tmp_path / "src" / "csflab")
+    curve = tmp_path / "src" / "csflab" / "curve.py"
+    text = curve.read_text()
+    norm = "        scalar = row_norm(kvec)\n"
+    assert text.count(norm) == 1
+    curve.write_text(text.replace(norm, "        scalar = 2.0 * row_norm(kvec)\n"))
+    layers = measure(SRC, tmp_path / "src")["layers"]
+    differ = {name for name, per_n in layers.items() if not per_n["64"]["bits_equal"]}
+    assert differ == {"compute_geometry"}
+    assert layers["compute_geometry"]["64"]["unshared_fields"] == {"parent": [], "change": []}

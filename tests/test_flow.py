@@ -1,6 +1,5 @@
 """Time stepping against the shrinking-circle recurrences."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +16,7 @@ from csflab import (
     compute_geometry,
     run,
 )
-from csflab.curve import OPEN, PERIODIC, segment_lengths
+from csflab.curve import OPEN, PERIODIC, CurveGeometry, segment_lengths
 from csflab.errors import (
     InvalidArgumentError,
     InvalidCurveError,
@@ -216,6 +215,20 @@ def test_run_to_times_hits_exact_targets():
         assert abs(t - target) < 1e-14
         expected = math.sqrt(1.0 - 2 * target)
         assert abs(radii(curve).mean() - expected) < 1e-4
+
+
+@pytest.mark.parametrize("cfl", [True, "0.5", None, 0, 0.0, -0.5, 1.5, math.nan, math.inf])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_run_to_times_checks_cfl_before_any_step(monkeypatch, scheme, cfl):
+    # FlowConfig's rule: a real number in (0, 1], refused before a geometry
+    monkeypatch.setattr(flow, "compute_geometry", None)
+    with pytest.raises(InvalidArgumentError, match="^cfl must"):
+        run_to_times(circle(64), [0.01], cfl=cfl, scheme=scheme)
+
+
+def test_run_to_times_takes_any_real_cfl_up_to_one():
+    out = [run_to_times(circle(64), [0.01], cfl=cfl)[0] for cfl in (1, 1.0, np.float32(1.0))]
+    assert all(np.array_equal(curve.points, out[0][1].points) for _, curve in out)
 
 
 def observed_orders(errors):
@@ -425,12 +438,13 @@ def test_mass_lumped_step_equals_the_unscaled_dense_system(seed, n, topology, dt
     geom = compute_geometry(curve)
     dt = dt_scale * stable_step(geom)
     expected = dense_backward_euler(curve, dt)
-    moved = [flow._backward_euler(curve, geom, dt, *SOLVES)]
+    # the vertices fill the centre columns of the next curve's closure
+    moved = [flow._backward_euler(curve, geom, dt, *SOLVES)[:, 1:-1]]
     assert np.abs(moved[0].T - expected).max() <= 1e-13 * np.abs(expected).max()
     # and both LAPACK routes give it the same bits, for either solver
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tridiag, "_numpy_ptsv", lambda: None)
-        moved.append(flow._backward_euler(curve, geom, dt, *SOLVES))
+        moved.append(flow._backward_euler(curve, geom, dt, *SOLVES)[:, 1:-1])
     assert np.array_equal(moved[0].view(np.int64), moved[1].view(np.int64))
 
 
@@ -456,8 +470,7 @@ def test_step_raises_the_constructors_non_finite_failure(monkeypatch, scheme, ba
     if scheme == EXPLICIT:
         moves = state.geometry.curvature_vectors.copy()
         moves[7, 1] = bad
-        geometry = dataclasses.replace(state.geometry, curvature_vectors=moves)
-        state = dataclasses.replace(state, geometry=geometry)
+        monkeypatch.setattr(CurveGeometry, "curvature_vectors", property(lambda g: moves))
         step, message = step_explicit, "explicit step produced non-finite vertices"
     else:
         def bad_solve(diag, off, rhs):

@@ -405,6 +405,29 @@ def test_graph_spec_rejects_a_bound_below_its_peak():
         GraphCurveSpec(accel_bound=spec.accel_bound, **dict(fields, u=spec.u[::-1]))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"a": True}, {"a": "1"}, {"b": None}, {"b": False}, {"eps": "0.1"},
+        {"n": 3.0}, {"n": True}, {"n": "64"},
+        {"harmonic": "3"}, {"harmonic": 3.0}, {"harmonic": True},
+    ],
+)
+def test_graph_spec_checks_its_argument_types(bad):
+    with pytest.raises(InvalidArgumentError, match="must be an? (real number|integer)"):
+        helix_graph_spec(**{"a": 1.0, "b": 1.0, "n": 64, **bad})
+
+
+def test_graph_spec_takes_numpy_scalars():
+    spec = helix_graph_spec(
+        np.float64(1.0), np.int64(2), n=np.int64(64), eps=0.1, harmonic=np.int32(3)
+    )
+    ref = helix_graph_spec(1.0, 2.0, n=64, eps=0.1, harmonic=3)
+    for name in ("u", "f", "g", "d2f", "d2g"):
+        assert np.array_equal(getattr(spec, name), getattr(ref, name)), name
+    assert type(spec.speed) is float and type(spec.pitch) is float
+
+
 def test_graph_condition_on_helix_spec():
     spec = helix_graph_spec(1.0, 1.0, n=256)
     vals = [graph_curve_condition(spec, 0, k) for k in range(1, 256)]

@@ -205,6 +205,14 @@ def test_every_law_reader_raises_the_laws_domain_error(monkeypatch, reader, t):
         LAW_READERS[reader](t)
 
 
+@pytest.mark.parametrize("cfl", [True, "0.5", 0, 1.5, math.nan])
+def test_consistency_profile_checks_cfl_before_any_step(monkeypatch, cfl):
+    for module in (flow, sphere):
+        monkeypatch.setattr(module, "compute_geometry", None)
+    with pytest.raises(InvalidArgumentError, match="^cfl must"):
+        consistency_profile(latitude_circle(16, 1.0), [0.1], cfl=cfl)
+
+
 def test_dilated_clock_and_rescale_keep_their_closed_forms_bits():
     # -0.5 ln(0.5 - t) and sqrt(1 - 2t), each written out, as the reference
     rng = np.random.default_rng(36)

@@ -11,7 +11,9 @@ same path on both sides is an A/A run, which shows the noise floor.
 The layers, each at n = 256, 512, 1024 and 2048:
 
 - ``compute_geometry``: ``curve.compute_geometry`` on the helix preset,
-  checked field by field over its ``CurveGeometry``;
+  with its curvature read, so that a tree which computes the curvature on
+  first read times the same work; checked field by field over its
+  ``CurveGeometry``;
 - ``cyclic_solve``: ``tridiag.solve_cyclic_tridiagonal`` on the system
   that ``flow._backward_euler`` builds for one semi-implicit helix step,
   with its 3 columns; each side solves the system its own
@@ -23,6 +25,10 @@ The layers, each at n = 256, 512, 1024 and 2048:
 - ``explicit_step``: ``flow.step_explicit`` on the perturbed-sphere preset;
 - ``geodesic_step``: ``sphere.step_geodesic_flow`` on the perturbed-sphere
   preset, rescaled to the unit sphere;
+- ``run_steps``: ``flow.run`` on the helix preset for 200 steps with the
+  default scheme and remeshing and no periodic record row, checked on the
+  last curve: the steps with their dt rule and stop test, and the two rows
+  of the start and the end;
 - ``ratio_minima``: ``chordarc.ratio_minima``, a closed record row, on the
   ellipse preset;
 - ``min_pair_ratio``: ``chordarc.min_pair_ratio``, a periodic record row,
@@ -32,10 +38,13 @@ The layers, each at n = 256, 512, 1024 and 2048:
 
 Each side builds its inputs with its own package. For each layer and n the
 tool first checks that both sides give the same bits. A dataclass output is
-compared on the fields both sides have, so a geometry that gained or lost a
-field still reads equal when every shared array is; the fields only one
-side has are listed by name in the report. It then takes, on
-each of 11 alternations, the best of 5 timings of 20 calls on each side,
+compared on the public fields both sides have, and on its ``tangents``,
+``curvature_vectors`` and ``scalar_curvature`` by name where it has them,
+fields or not, so a geometry that gained or lost a field, or computes the
+curvature on first read, still reads equal when every shared array is; the
+fields only one side has are listed by name in the report. It then takes, on
+each of 11 alternations, the best of 5 timings of 20 calls (one call for
+``run_steps``) on each side,
 the side that goes first switching each time. The JSON file
 holds, per layer and n, both sides' median µs per call, the per-alternation
 differences (change minus parent), their median and IQR, the bit check and
@@ -66,13 +75,16 @@ SIDES = ("parent", "change")
 MODULES = ("chordarc", "curve", "fileio", "flow", "presets", "sphere", "tridiag")
 LAYERS = (
     "compute_geometry", "cyclic_solve", "open_solve",
-    "semi_implicit_step", "explicit_step", "geodesic_step",
+    "semi_implicit_step", "explicit_step", "geodesic_step", "run_steps",
     "ratio_minima", "min_pair_ratio", "write_curve",
 )
+# read by name from a geometry, as one computing them on demand has no such fields
+CURVATURE = ("tangents", "curvature_vectors", "scalar_curvature")
+RUN_STEPS = 200
 SIZES = (256, 512, 1024, 2048)
 ALTERNATIONS = 11
 REPEAT = 5  # timings per side and alternation, best kept
-NUMBER = 20  # calls per timing
+NUMBER = 20  # calls per timing, but one for the run_steps layer, a whole run
 
 
 def load_tree(src: Path, side: str) -> SimpleNamespace:
@@ -95,6 +107,7 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int, path: Path):
 
     The steps take the time step of a run with the default settings: half
     the stable explicit step, or the sphere check's fixed rescaled step.
+    ``run_steps`` returns the last curve of its run.
     The bare solves take the system that ``flow._backward_euler`` builds,
     caught by passing it a capturing function as its solvers. The record
     rows take the default exclusion band, and ``write_curve`` writes to
@@ -104,7 +117,15 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int, path: Path):
     helix = presets.build_curve(presets.make_preset(presets.HELIX, n=n))
     sphere = presets.build_curve(presets.make_preset(presets.SPHERE_PERTURBED, n=n))
     if layer == "compute_geometry":
-        return lambda: cs.curve.compute_geometry(helix)
+        def geometry():
+            geom = cs.curve.compute_geometry(helix)
+            geom.scalar_curvature  # computed on first read, or at once
+            return geom
+
+        return geometry
+    if layer == "run_steps":
+        config = cs.flow.FlowConfig(max_steps=RUN_STEPS, record_every=RUN_STEPS + 1)
+        return lambda: cs.flow.run(helix, config).snapshots[-1][2]
     if layer == "ratio_minima":
         ellipse = presets.build_curve(presets.make_preset(presets.ELLIPSE, n=n))
         return lambda: cs.chordarc.ratio_minima(ellipse)
@@ -145,17 +166,20 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int, path: Path):
 
 def output_bits(result) -> dict:
     """The shapes and bytes of a layer's output, by field name: one entry per
-    field of a dataclass, such as the arrays of a geometry, and one named
-    ``output`` for a solution, a step's vertices, the minima of a record row
-    or a written file."""
+    public field of a dataclass, such as the arrays of a geometry, and per
+    curvature array it has; and one named ``output`` for a solution, a
+    step's vertices, the minima of a record row or a written file."""
     if isinstance(result, Path):
         return {"output": result.read_bytes()}
     for name in ("curve", "curve_tilde"):
         if hasattr(result, name):
-            result = getattr(result, name).points
+            result = getattr(result, name)
+    if hasattr(result, "points"):  # a curve
+        result = result.points
     if dataclasses.is_dataclass(result):
-        return {f.name: _array_bits(getattr(result, f.name))
-                for f in dataclasses.fields(result)}
+        names = [f.name for f in dataclasses.fields(result) if not f.name.startswith("_")]
+        names += [name for name in CURVATURE if name not in names and hasattr(result, name)]
+        return {name: _array_bits(getattr(result, name)) for name in names}
     return {"output": _array_bits(result)}
 
 
@@ -221,7 +245,8 @@ def measure(srcs: dict, sizes, alternations: int, repeat: int, number: int) -> d
             with tempfile.TemporaryDirectory() as tmp:
                 calls = {side: layer_call(cs, layer, n, Path(tmp) / f"{side}.txt")
                          for side, cs in trees.items()}
-                result = compare(calls, alternations, repeat, number)
+                calls_per_timing = 1 if layer == "run_steps" else number
+                result = compare(calls, alternations, repeat, calls_per_timing)
             layers[layer][str(n)] = result
             print(f"{layer:>18} n={n:<5} parent {result['parent_us']:9.1f} us  change "
                   f"{result['change_us']:9.1f} us  diff {result['diff_us']:+8.2f} "
