@@ -32,7 +32,12 @@ from .fileio import (
     write_table,
 )
 from .flow import SCHEMES, FlowConfig
-from .helix import HelixParams, helix_pair_condition_scaled, helix_ratio_time_derivative
+from .helix import (
+    HelixParams,
+    helix_pair_condition,
+    helix_pair_condition_scaled,
+    helix_ratio_time_derivative,
+)
 from .presets import PRESET_NAMES, SPHERE_PERTURBED, make_preset, build_curve
 from .sphere import consistency_profile
 
@@ -187,9 +192,8 @@ def _cmd_helix_scan(args: argparse.Namespace) -> int:
     else:
         m_grid = np.linspace(args.m_min, args.m_max, args.m_steps)
     y_grid = np.linspace(args.y_min, args.y_max, args.y_steps)
-    # G once per cell, F = G / (1+m)^2 by C pow as helix_pair_condition does
+    f_table = helix_pair_condition(y_grid, m_grid[:, None])
     g_table = helix_pair_condition_scaled(y_grid, m_grid[:, None])
-    f_table = g_table / np.float_power(1.0 + m_grid[:, None], 2)
     rows = []
     for m, f_vals, g_vals in zip(m_grid.tolist(), f_table.tolist(), g_table.tolist()):
         params = HelixParams(a=1.0, b=np.sqrt(m))

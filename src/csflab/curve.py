@@ -33,7 +33,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidCurveError, require_integer
+from .errors import (
+    InvalidArgumentError,
+    InvalidCurveError,
+    NumericalFailureError,
+    require_integer,
+)
 
 CLOSED = "closed"
 OPEN = "open"
@@ -217,17 +222,20 @@ class SampledCurve:
         return self.topology in (CLOSED, PERIODIC)
 
 
-def _adopt(wrapped: np.ndarray, like: SampledCurve) -> SampledCurve:
-    """The curve whose vertices a step wrote into the centre columns of
-    ``wrapped``, a fresh (3, n + 2) buffer that the curve takes over as its
-    closure, without a copy.
+def _adopt(wrapped: np.ndarray, like: SampledCurve, step: str) -> SampledCurve:
+    """The curve that a ``step`` moved ``like`` to, whose vertices it wrote
+    into the centre columns of ``wrapped``, a fresh (3, n + 2) buffer that
+    the curve takes over as its closure, without a copy.
 
-    The vertices get the constructor's non-finite test and segment checks,
-    with its messages.  The topology and the read-only, already checked
-    offset are those of ``like``, the curve the step moved, whose vertex
+    A non-finite vertex raises the step's ``NumericalFailureError``, a bad
+    segment the constructor's ``InvalidCurveError``.  The topology and the
+    read-only, already checked offset are those of ``like``, whose vertex
     count the step kept, so neither is checked again.
     """
-    extent = _checked_extent(wrapped[:, 1:-1])
+    try:
+        extent = _checked_extent(wrapped[:, 1:-1])
+    except InvalidCurveError as exc:
+        raise NumericalFailureError(f"{step} step produced non-finite vertices") from exc
     seg = _close(wrapped, like.offset, like.is_cyclic(), extent)
     curve = object.__new__(SampledCurve)
     object.__setattr__(curve, "topology", like.topology)

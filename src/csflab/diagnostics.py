@@ -59,8 +59,8 @@ def analyze_directory(run_dir) -> list[RecordRow]:
     Reads run.csv for the recorded times, run.json for the configuration
     and vanishing-time estimate, and every snap_<step>.curve; returns rows
     built by the same measurement code the live run used.  run.csv must
-    hold as many rows as run.json records, every run.csv step needs its
-    snapshot and every snapshot its run.csv step.
+    hold as many rows as run.json records, and the snapshot steps must be
+    the run.csv steps, each exactly once.
     """
     run_dir = Path(run_dir)
     csv_path = run_dir / "run.csv"
@@ -73,26 +73,30 @@ def analyze_directory(run_dir) -> list[RecordRow]:
         raise InvalidArgumentError(
             f"{json_path} records {payload['rows']} rows, but {csv_path} holds {len(csv_rows)}"
         )
-    recorded = {row.step: row for row in csv_rows}
+    recorded: dict[int, RecordRow] = {}
+    for row in csv_rows:
+        if recorded.setdefault(row.step, row) is not row:
+            raise InvalidArgumentError(f"{csv_path} repeats step {row.step}")
     config = fileio.config_from_json(payload)
 
-    snapshots: list[tuple[int, Path]] = []
-    for path in run_dir.iterdir():
+    snapshots: dict[int, Path] = {}
+    for path in sorted(run_dir.iterdir()):  # so a repeated step names its files in order
         match = _SNAP_RE.match(path.name)
-        if match:
-            snapshots.append((int(match.group(1)), path))
-    snapshots.sort()
+        if match and snapshots.setdefault(step := int(match.group(1)), path) is not path:
+            raise InvalidArgumentError(
+                f"step {step} has two snapshots in {run_dir}: "
+                f"{snapshots[step].name} and {path.name}"
+            )
     if not snapshots:
         raise InvalidArgumentError(f"{run_dir} contains no snapshots")
-    snapped = {step for step, _ in snapshots}
     for step in recorded:
-        if step not in snapped:
+        if step not in snapshots:
             raise InvalidArgumentError(
                 f"run.csv step {step} has no snapshot in {run_dir}"
             )
 
     rows = []
-    for step, path in snapshots:
+    for step, path in sorted(snapshots.items()):
         if step not in recorded:
             raise InvalidArgumentError(f"snapshot step {step} missing from run.csv")
         t = recorded[step].t

@@ -168,29 +168,12 @@ def stable_step(geometry: CurveGeometry, cfl: float = 1.0) -> float:
     return cfl * float(geometry.ds.min()) ** 2 / 2.0
 
 
-def _stepped_curve(wrapped: np.ndarray, like: SampledCurve, step: str) -> SampledCurve:
-    """The curve a step moved ``like`` to, from the fresh (3, n + 2) buffer
-    whose centre columns hold its vertices, adopted as its closure.
-
-    The adoption runs the constructor's one non-finite test; its failure on
-    a non-finite vertex is raised as the ``NumericalFailureError`` of the
-    ``step``.
-    """
-    try:
-        return _adopt(wrapped, like)
-    except InvalidCurveError as exc:
-        if np.isfinite(wrapped[:, 1:-1]).all():
-            raise
-        message = f"{step} step produced non-finite vertices"
-        raise NumericalFailureError(message) from exc
-
-
 def _backward_euler(
     curve: SampledCurve, geom: CurveGeometry, dt: float, solve_cyclic, solve_open
 ) -> np.ndarray:
     """A fresh (3, n + 2) buffer whose centre columns hold the vertices,
     component-major, after one backward-Euler step; its wrap columns are
-    left for ``_stepped_curve`` to fill.
+    left for ``curve._adopt`` to fill.
 
     Solves (I - dt*Lap) delta = dt * Lap(points) on the rows of ``geom``,
     the geometry of ``curve``, each scaled by its lumped mass ds_i into the
@@ -239,7 +222,7 @@ def step_explicit(state: FlowState, dt: float) -> FlowState:
     if not state.curve.is_cyclic():
         moved[:, 0] = moved[:, -1] = 0.0
     moved += state.curve.points.T
-    curve = _stepped_curve(wrapped, state.curve, "explicit")
+    curve = _adopt(wrapped, state.curve, "explicit")
     return FlowState(curve, state.t + dt, state.step + 1, compute_geometry(curve))
 
 
@@ -258,7 +241,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     wrapped = _backward_euler(
         state.curve, state.geometry, dt, solve_cyclic_tridiagonal, solve_tridiagonal
     )
-    curve = _stepped_curve(wrapped, state.curve, "implicit")
+    curve = _adopt(wrapped, state.curve, "implicit")
     return FlowState(curve, state.t + dt, state.step + 1, compute_geometry(curve))
 
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import SampledCurve, compute_geometry, row_norm
+from .curve import SampledCurve, _adopt, compute_geometry, row_norm
 from .errors import InvalidArgumentError, NotOnSphereError, require_real
-from .flow import _backward_euler, _run_to_targets, _stepped_curve, run_to_times
+from .flow import _backward_euler, _run_to_targets, run_to_times
 from .helix import radius_squared_at
 from .tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
 
@@ -107,7 +107,7 @@ def step_geodesic_flow(state: RescaledState, dt_tilde: float) -> RescaledState:
     )
     moved = wrapped[:, 1:-1]
     moved /= row_norm(moved)  # a non-finite vertex stays non-finite
-    tilde = _stepped_curve(wrapped, curve, "geodesic")
+    tilde = _adopt(wrapped, curve, "geodesic")
     return RescaledState(curve_tilde=tilde, t_tilde=state.t_tilde + dt_tilde)
 
 

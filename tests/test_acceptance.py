@@ -16,6 +16,7 @@ import pytest
 
 import csflab as cs
 import csflab.cli as cli
+from reference import brute_force_field
 
 
 def report(num, ok, detail):
@@ -156,30 +157,6 @@ def test_criterion_09_round_point(sphere_run):
     report(9, ok,
            f"(d/psi)_min worst drop {worst_drop:.2e} (>=-1e-5), curvature ratio "
            f"in [0.9,1.1] at {when} (stop: {sphere_run.stop_reason})")
-
-
-def brute_force_field(curve, metric, band):
-    pts = curve.points
-    n = curve.n
-    s, length = cs.arc_positions(curve)
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            sep = min(abs(i - j), n - abs(i - j))
-            if sep <= band:
-                out[i, j] = math.nan
-                continue
-            dx = pts[i, 0] - pts[j, 0]
-            dy = pts[i, 1] - pts[j, 1]
-            dz = pts[i, 2] - pts[j, 2]
-            d = np.sqrt(dx * dx + dy * dy + dz * dz)
-            fwd = np.abs(s[i] - s[j])
-            arc = min(fwd, length - fwd)
-            if metric == cs.D_OVER_L:
-                out[i, j] = d / arc
-            else:
-                out[i, j] = d / ((length / math.pi) * np.sin(arc * math.pi / length))
-    return out
 
 
 def test_criterion_10_structural_invariants(tmp_path):

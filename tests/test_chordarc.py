@@ -34,18 +34,7 @@ from csflab.errors import (
     UnsupportedTopologyError,
 )
 from csflab import chordarc
-
-
-def circle(n, r=1.0):
-    th = np.arange(n) * (2.0 * math.pi / n)
-    pts = np.column_stack([r * np.cos(th), r * np.sin(th), np.zeros(n)])
-    return SampledCurve(pts, CLOSED)
-
-
-def helix(n, a=1.0, b=1.0):
-    u = np.arange(n) * (2.0 * math.pi / n)
-    pts = np.column_stack([a * np.cos(u), a * np.sin(u), b * u])
-    return SampledCurve(pts, PERIODIC, offset=(0.0, 0.0, 2.0 * math.pi * b))
+from reference import brute_force_field, circle, helix, random_curve
 
 
 def dumbbell(n):
@@ -218,8 +207,6 @@ def test_dumbbell_neck_minimum_satisfies_first_variation():
     c = dumbbell(n)
     f = ratio_field(c, D_OVER_L, exclusion_band=2)
     mins = find_local_minima(f)
-    from csflab import arc_positions
-
     s, L = arc_positions(c)
     interior = []
     for i, j, v in mins:
@@ -367,29 +354,6 @@ def test_min_pair_ratio_periodic_matches_brute_force():
     assert abs(got - best) < 1e-12
 
 
-def loop_field(curve, metric, band):
-    # closed pair table cell by cell, with the kernel's cell arithmetic
-    pts = curve.points
-    n = curve.n
-    s, length = arc_positions(curve)
-    out = np.full((n, n), math.nan)
-    for i in range(n):
-        for j in range(n):
-            if min(abs(i - j), n - abs(i - j)) <= band:
-                continue
-            dx = pts[i, 0] - pts[j, 0]
-            dy = pts[i, 1] - pts[j, 1]
-            dz = pts[i, 2] - pts[j, 2]
-            d = np.sqrt(dx * dx + dy * dy + dz * dz)
-            fwd = np.abs(s[i] - s[j])
-            arc = min(fwd, length - fwd)
-            if metric == D_OVER_L:
-                out[i, j] = d / arc
-            else:
-                out[i, j] = d / ((length / math.pi) * np.sin(arc * math.pi / length))
-    return out
-
-
 def loop_periodic_min(curve, band):
     # forward pairs (i, i + gap), gap in [band + 1, n], on the periodic extension,
     # whose arcs run on over the curve's own segments: one period, then n - 1
@@ -407,14 +371,6 @@ def loop_periodic_min(curve, band):
     return best
 
 
-def random_curve(seed, n, topology):
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(n, 3))
-    if topology == CLOSED:
-        return SampledCurve(pts, CLOSED)
-    return SampledCurve(pts, PERIODIC, offset=rng.normal(size=3) * 3.0)
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -425,7 +381,7 @@ def random_curve(seed, n, topology):
 def test_closed_reductions_equal_loops_bit_for_bit(seed, n, band, block_cells):
     band = min(band, n // 2 - 1)
     c = random_curve(seed, n, CLOSED)
-    slow = {m: loop_field(c, m, band) for m in (D_OVER_L, D_OVER_PSI)}
+    slow = {m: brute_force_field(c, m, band) for m in (D_OVER_L, D_OVER_PSI)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chordarc, "_BLOCK_CELLS", block_cells)
         for metric in (D_OVER_L, D_OVER_PSI):
@@ -556,7 +512,7 @@ def test_widest_band_and_single_cell_blocks(n, block_cells):
     # even n, n on odd n, all on one gap, which is one block at any budget
     band = n // 2 - 1
     c = random_curve(n, n, CLOSED)
-    slow = {m: loop_field(c, m, band) for m in (D_OVER_L, D_OVER_PSI)}
+    slow = {m: brute_force_field(c, m, band) for m in (D_OVER_L, D_OVER_PSI)}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(chordarc, "_BLOCK_CELLS", block_cells)
         pairs, _, tallest = kernel_cells(c, band)
@@ -625,29 +581,10 @@ def test_ratio_minima_matches_field_minima():
     assert dpsi == np.nanmin(f_dpsi.values)
 
 
-def min_ratio_series(snapshots, metric=D_OVER_L, exclusion_band=2):
-    """Global-minimum ratio across snapshots: (times, minima, slopes).
-
-    Slopes are forward finite differences, one fewer entry than times.
-    """
-    if len(snapshots) < 2:
-        raise InvalidArgumentError("need at least two snapshots for a series")
-    t = np.array([ti for ti, _ in snapshots], dtype=float)
-    vals = np.array(
-        [min_pair_ratio(c, metric, exclusion_band) for _, c in snapshots]
-    )
-    return t, vals, np.diff(vals) / np.diff(t)
-
-
-def test_min_ratio_series_slopes():
-    snaps = [(0.0, circle(64, 1.0)), (0.1, circle(64, 0.9)), (0.2, circle(64, 0.8))]
-    t, vals, slopes = min_ratio_series(snaps, D_OVER_L, 2)
-    assert t.shape == (3,) and vals.shape == (3,) and slopes.shape == (2,)
-    # d/l is scale invariant: constant along shrinking circles
-    assert np.abs(np.diff(vals)).max() < 1e-14
-    assert np.abs(slopes).max() < 1e-13
-    with pytest.raises(InvalidArgumentError):
-        min_ratio_series([(0.0, circle(64))], D_OVER_L, 2)
+def test_min_dl_is_constant_along_shrinking_circles():
+    # d/l is scale invariant
+    minima = [min_pair_ratio(circle(64, r), D_OVER_L, 2) for r in (1.0, 0.9, 0.8)]
+    assert np.abs(np.diff(minima)).max() < 1e-14
 
 
 def test_arc_curvature_integral_circle_oracle():

@@ -21,18 +21,7 @@ from csflab.curve import (
 )
 from csflab.errors import InvalidArgumentError, InvalidCurveError
 from csflab import curve as curve_module
-
-
-def circle(n, r=1.0):
-    th = np.arange(n) * (2.0 * math.pi / n)
-    pts = np.column_stack([r * np.cos(th), r * np.sin(th), np.zeros(n)])
-    return SampledCurve(pts, CLOSED)
-
-
-def helix(n, a=1.0, b=1.0, periods=1):
-    u = np.arange(n) * (periods * 2.0 * math.pi / n)
-    pts = np.column_stack([a * np.cos(u), a * np.sin(u), b * u])
-    return SampledCurve(pts, PERIODIC, offset=(0.0, 0.0, periods * 2.0 * math.pi * b))
+from reference import circle, helix
 
 
 def test_circle_perimeter_exact():

@@ -23,12 +23,9 @@ from hypothesis import strategies as st
 from csflab import (
     CLOSED,
     SEMI_IMPLICIT,
-    SPHERE_PERTURBED,
     FlowConfig,
     SampledCurve,
-    build_curve,
     compute_geometry,
-    make_preset,
     run,
 )
 from csflab.curve import OPEN, PERIODIC
@@ -49,13 +46,8 @@ from csflab.flow import (
     snapshot_diagnostics,
     stable_step,
 )
-from csflab.sphere import (
-    GEODESIC_DT,
-    RescaledState,
-    rescale,
-    run_geodesic_flow,
-    step_geodesic_flow,
-)
+from csflab.sphere import GEODESIC_DT, RescaledState, run_geodesic_flow, step_geodesic_flow
+from reference import bits, perturbed_start, smooth_curve
 
 
 # ---------------------------------------------------------------- references
@@ -202,13 +194,13 @@ def reference_run_geodesic_flow(state, t_tilde_targets):
 # ------------------------------------------------------------- bit digests
 
 
-def bits(x):
-    return np.ascontiguousarray(np.asarray(x, dtype=float)).view(np.int64).tolist()
+def listed(x):
+    return bits(x).tolist()
 
 
 def row_bits(row):
     return [
-        v if v is None or isinstance(v, int) else bits(v)
+        v if v is None or isinstance(v, int) else listed(v)
         for v in dataclasses.astuple(row)
     ]
 
@@ -216,18 +208,18 @@ def row_bits(row):
 def record_bits(record):
     return (
         [row_bits(r) for r in record.rows],
-        [(step, bits(t), bits(c.points)) for step, t, c in record.snapshots],
-        bits(record.t_est),
+        [(step, listed(t), listed(c.points)) for step, t, c in record.snapshots],
+        listed(record.t_est),
         record.stop_reason,
     )
 
 
 def pairs_bits(out):
-    return [(bits(t), bits(c.points)) for t, c in out]
+    return [(listed(t), listed(c.points)) for t, c in out]
 
 
 def states_bits(out):
-    return [(bits(s.t_tilde), bits(s.curve_tilde.points)) for s in out]
+    return [(listed(s.t_tilde), listed(s.curve_tilde.points)) for s in out]
 
 
 def outcome(fn, digest, *args, **kwargs):
@@ -236,34 +228,6 @@ def outcome(fn, digest, *args, **kwargs):
         return ("returned", digest(fn(*args, **kwargs)))
     except (NumericalFailureError, InvalidArgumentError, InvalidCurveError) as exc:
         return ("raised", type(exc), str(exc))
-
-
-# ------------------------------------------------------------------ curves
-
-
-def smooth_curve(seed, n, topology, amp):
-    """A closed, periodic or open curve with random low harmonics of size amp."""
-    rng = np.random.default_rng(seed)
-    coef = rng.normal(size=(3, 3)) * amp
-    phase = rng.uniform(0.0, 2.0 * math.pi, size=(3, 3))
-    if topology == OPEN:
-        u = np.linspace(0.0, math.pi, n)
-        base = np.column_stack([u, np.zeros(n), np.zeros(n)])
-    else:
-        u = np.arange(n) * (2.0 * math.pi / n)
-        rise = 0.3 * u if topology == PERIODIC else np.zeros(n)
-        base = np.column_stack([1.5 * np.cos(u), np.sin(u), rise])
-    for k in range(3):  # harmonic k + 2, amplitude over k + 2: no loops form
-        base += coef[k] / (k + 2) * np.cos((k + 2) * u[:, None] + phase[k])
-    offset = np.array([0.0, 0.0, 0.6 * math.pi]) if topology == PERIODIC else None
-    return SampledCurve(base, topology, offset)
-
-
-def sphere_curve(n, eps, harmonic, topology):
-    curve = build_curve(make_preset(SPHERE_PERTURBED, n=n, eps=eps, harmonic=harmonic))
-    if topology == OPEN:
-        return SampledCurve(curve.points[: 2 * n // 3], OPEN)
-    return curve
 
 
 CURVES = dict(
@@ -382,7 +346,7 @@ def test_run_to_times_equals_reference(
 def test_run_geodesic_flow_equals_reference(
     n, eps, harmonic, topology, at_start, multiples, gap_index
 ):
-    start = rescale(sphere_curve(n, eps, harmonic, topology), 0.0)
+    start = perturbed_start(n, topology, eps, harmonic)
     targets = [start.t_tilde] * at_start + later_targets(
         start.t_tilde, GEODESIC_DT, multiples, gap_index
     )
@@ -404,7 +368,7 @@ def test_landing_gaps_take_the_expected_steps(gap_index):
     )
     moved = new[-1][0] != new[-2][0]
     assert moved == (gap_index > 0)
-    start = rescale(sphere_curve(32, 0.2, 3, CLOSED), 0.0)
+    start = perturbed_start(32)
     targets = later_targets(start.t_tilde, GEODESIC_DT, [2.5], gap_index)
     new = run_geodesic_flow(start, targets)
     assert states_bits(new) == states_bits(reference_run_geodesic_flow(start, targets))

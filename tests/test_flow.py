@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg.lapack import dptsv
 
 from csflab import (
     CLOSED,
@@ -16,7 +15,7 @@ from csflab import (
     compute_geometry,
     run,
 )
-from csflab.curve import OPEN, PERIODIC, CurveGeometry, segment_lengths
+from csflab.curve import OPEN, PERIODIC, CurveGeometry
 from csflab.errors import (
     InvalidArgumentError,
     InvalidCurveError,
@@ -37,12 +36,7 @@ from csflab.flow import (
 from csflab.helix import helix_radius_at, shrinking_circle_radius
 from csflab.presets import HELIX, SPHERE_PERTURBED, build_curve, make_preset
 from csflab import flow, tridiag
-
-
-def circle(n, r=1.0):
-    th = np.arange(n) * (2.0 * math.pi / n)
-    pts = np.column_stack([r * np.cos(th), r * np.sin(th), np.zeros(n)])
-    return SampledCurve(pts, CLOSED)
+from reference import backward_euler, circle, dense_backward_euler, random_curve, reference_geometry
 
 
 def radii(curve):
@@ -317,98 +311,6 @@ def test_config_step_counts_take_numpy_integers_as_int(name, value):
     assert value == 5 and type(value) is int
 
 
-def random_curve(seed, n, topology):
-    rng = np.random.default_rng(seed)
-    pts = rng.normal(size=(n, 3))
-    offset = rng.normal(size=3) * 3.0 if topology == PERIODIC else None
-    return SampledCurve(pts, topology, offset)
-
-
-def rolled_neighbors(curve):
-    # predecessor/successor arrays built independently of compute_geometry
-    pts = curve.points
-    prev = np.roll(pts, 1, axis=0)
-    nxt = np.roll(pts, -1, axis=0)
-    if curve.topology == PERIODIC:
-        prev[0] = pts[-1] - curve.offset
-        nxt[-1] = pts[0] + curve.offset
-    return prev, nxt
-
-
-def neighbor_steps(curve):
-    """Segment lengths before and after each centre row, the stencil weights
-    a and c, and the Laplacian a (p- - p) + c (p+ - p) of the rows: all
-    vertices of a closed or periodic curve, the interior ones of an open
-    curve."""
-    pts = curve.points
-    seg = segment_lengths(curve)
-    if curve.is_cyclic():
-        (prev, nxt), cur = rolled_neighbors(curve), pts
-        hm, hp = np.roll(seg, 1), seg
-    else:
-        prev, cur, nxt = pts[:-2], pts[1:-1], pts[2:]
-        hm, hp = seg[:-1], seg[1:]
-    a = 2.0 / (hm * (hm + hp))
-    c = 2.0 / (hp * (hm + hp))
-    lap = a[:, None] * (prev - cur) + c[:, None] * (nxt - cur)
-    return hm, hp, a, c, lap
-
-
-def reference_semi_implicit(curve, dt):
-    # the mass-lumped rows recomputed here from the segment lengths; open
-    # curves solve through SciPy's own dptsv
-    hm, hp, _, _, lap = neighbor_steps(curve)
-    ds = 0.5 * (hm + hp)
-    diag = ds + dt / hm + dt / hp
-    rhs = lap * (dt * ds)[:, None]
-    delta = np.zeros_like(curve.points)
-    if curve.is_cyclic():
-        delta += tridiag.solve_cyclic_tridiagonal(diag, -(dt / hp), rhs)
-    else:
-        *_, delta[1:-1], info = dptsv(diag, -(dt / hp[:-1]), rhs)
-        assert info == 0
-    return curve.points + delta
-
-
-def dense_backward_euler(curve, dt):
-    # the unscaled (I - dt L) delta = dt L p, L assembled densely from the
-    # segment lengths and solved by numpy.linalg.solve
-    _, _, a, c, lap = neighbor_steps(curve)
-    n = curve.n
-    first = 0 if curve.is_cyclic() else 1
-    matrix = np.zeros((len(a), n))
-    for row, i in enumerate(range(first, first + len(a))):
-        matrix[row, (i - 1) % n] -= dt * a[row]
-        matrix[row, (i + 1) % n] -= dt * c[row]
-        matrix[row, i] += 1.0 + dt * (a[row] + c[row])
-    moved = curve.points.copy()
-    unknowns = slice(first, first + len(a))
-    moved[unknowns] += np.linalg.solve(matrix[:, unknowns], dt * lap)
-    return moved
-
-
-def reference_curvature_vectors(curve, tangents):
-    # (2 / (h- + h+)) ((p+ - p) / h+ - (p - p-) / h-), one-sided at open ends
-    pts = curve.points
-    seg = segment_lengths(curve)
-    if curve.is_cyclic():
-        prev, nxt = rolled_neighbors(curve)
-        hm, hp = np.roll(seg, 1)[:, None], seg[:, None]
-        raw = (2.0 / (hm + hp)) * ((nxt - pts) / hp - (pts - prev) / hm)
-    else:
-        h = seg
-        raw = np.empty_like(pts)
-        hm, hp = h[:-1, None], h[1:, None]
-        raw[1:-1] = (2.0 / (hm + hp)) * (
-            (pts[2:] - pts[1:-1]) / hp - (pts[1:-1] - pts[:-2]) / hm
-        )
-        raw[0] = 2.0 * ((pts[2] - pts[1]) / h[1] - (pts[1] - pts[0]) / h[0]) / (h[0] + h[1])
-        raw[-1] = 2.0 * (
-            (pts[-1] - pts[-2]) / h[-1] - (pts[-2] - pts[-3]) / h[-2]
-        ) / (h[-1] + h[-2])
-    return raw - np.einsum("ij,ij->i", raw, tangents)[:, None] * tangents
-
-
 # the two solvers, in the order flow._backward_euler takes them
 SOLVES = (tridiag.solve_cyclic_tridiagonal, tridiag.solve_tridiagonal)
 
@@ -426,7 +328,8 @@ def test_semi_implicit_step_equals_reference_bit_for_bit(seed, n, topology, dt_s
     state = make_state(curve)
     dt = dt_scale * stable_step(state.geometry)
     nxt = step_semi_implicit(state, dt)
-    assert np.array_equal(nxt.curve.points, reference_semi_implicit(curve, dt))
+    expected = backward_euler(curve, reference_geometry(curve), dt)
+    assert np.array_equal(nxt.curve.points, expected)
 
 
 @settings(max_examples=60, deadline=None)
@@ -446,18 +349,6 @@ def test_mass_lumped_step_equals_the_unscaled_dense_system(seed, n, topology, dt
         mp.setattr(tridiag, "_numpy_ptsv", lambda: None)
         moved.append(flow._backward_euler(curve, geom, dt, *SOLVES)[:, 1:-1])
     assert np.array_equal(moved[0].view(np.int64), moved[1].view(np.int64))
-
-
-@settings(max_examples=60, deadline=None)
-@given(**CURVE_CASES)
-def test_curvature_vectors_match_quotient_form(seed, n, topology):
-    curve = random_curve(seed, n, topology)
-    g = compute_geometry(curve)
-    expected = reference_curvature_vectors(curve, g.tangents)
-    k_max = np.linalg.norm(expected, axis=1).max()
-    assert np.abs(g.curvature_vectors - expected).max() <= 1e-14 * k_max
-    rows = n if curve.is_cyclic() else n - 2
-    assert len(g.laplacian) == rows and not g.laplacian.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -44,12 +44,7 @@ from csflab.fileio import (
     write_run_json,
     write_table,
 )
-
-
-def circle(n, r=1.0):
-    th = np.arange(n) * (2.0 * math.pi / n)
-    pts = np.column_stack([r * np.cos(th), r * np.sin(th), np.zeros(n)])
-    return SampledCurve(pts, CLOSED)
+from reference import circle, same_bits
 
 
 def test_format_float_round_trips():
@@ -300,10 +295,6 @@ def reference_read_ratio_field(path):
     return values, lines[1].split()[1], min_sep - 1
 
 
-def bits(values):
-    return values.view(np.int64)
-
-
 # shortest-repr corner cases: subnormals, tiny, the switch to exponent form
 # at 1e16 (and back below 1e-4), large exact integers, -0.0
 SPECIAL_VALUES = [5e-324, 2.2250738585072014e-308 / 3, 1e-300, 9999999999999998.0,
@@ -345,10 +336,10 @@ def test_ratio_field_text_round_trip(seed, n, band, metric, cells, empty_rows, c
         back = read_ratio_field(path)
         ref_values, ref_metric, ref_band = reference_read_ratio_field(path)
     assert (back.metric, back.exclusion_band) == (ref_metric, ref_band)
-    assert np.array_equal(bits(back.values), bits(ref_values))
+    assert same_bits(back.values, ref_values)
     finite = np.isfinite(values)
     assert np.array_equal(np.isfinite(back.values), finite)
-    assert np.array_equal(bits(back.values[finite]), bits(values[finite]))
+    assert same_bits(back.values[finite], values[finite])
     if not empty_rows:
         assert back.exclusion_band == band
 
@@ -386,7 +377,7 @@ def test_curve_text_equals_per_value_writer(seed, n, topology, cells):
         write_curve(curve, path)
         assert path.read_bytes() == reference_curve_text(curve).encode()
         back = read_curve(path)
-    assert np.array_equal(bits(back.points), bits(curve.points))
+    assert same_bits(back.points, curve.points)
 
 
 # a bad ratio-field body line of each kind, in place of "k k+3 0.k+1" (k = bad,
@@ -509,7 +500,7 @@ def test_ratio_field_repeated_and_mirrored_pairs(tmp_path, monkeypatch, chunk):
     path.write_text(head + "2 10 0.25\n2 15 0.625\n")
     field = read_ratio_field(path)
     ref_values, _, ref_band = reference_read_ratio_field(path)
-    assert np.array_equal(bits(field.values), bits(ref_values))
+    assert same_bits(field.values, ref_values)
     assert field.exclusion_band == ref_band == 2  # (2, 15) is 3 apart cyclically
     assert np.isfinite(field.values).sum() == 8
 
@@ -622,7 +613,7 @@ def test_curve_reader_skips_blank_lines_and_names_bad_line(tmp_path, bad):
     lines.append("  \t")
     path.write_text("\n".join(lines) + "\n")
     back = read_curve(path)
-    assert np.array_equal(bits(back.points), bits(c.points))
+    assert same_bits(back.points, c.points)
     if bad == 5:  # the blank line itself: give it one token
         lines[bad - 1] = "1.5"
     else:
@@ -789,6 +780,47 @@ def test_cli_analyze_rejects_a_lost_run_csv_row(tmp_path, capsys):
     assert err == (
         f"error: {out / 'run.json'} records 2 rows, but {out / 'run.csv'} holds 1\n"
     )
+    assert not (out / "analyze.csv").exists()
+
+
+def circle_run_dir(tmp_path):
+    # a circle run of two rows, steps 0 and its last
+    out = tmp_path / "run"
+    assert run_cli([
+        "simulate", "--preset", "circle", "--n", "64",
+        "--t-end", "0.01", "--record-every", "1000", "--out", str(out),
+    ]) == 0
+    rows = read_run_csv(out / "run.csv")
+    assert len(rows) == 2
+    return out, rows
+
+
+def test_cli_analyze_rejects_a_step_with_two_snapshots(tmp_path, capsys):
+    # snap_0<k>.curve and snap_<k>.curve both read as step k
+    out, rows = circle_run_dir(tmp_path)
+    last = rows[-1].step
+    (out / f"snap_0{last}.curve").write_bytes((out / f"snap_{last}.curve").read_bytes())
+    capsys.readouterr()
+    assert run_cli(["analyze", "--dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: step {last} has two snapshots in {out}: "
+        f"snap_0{last}.curve and snap_{last}.curve\n"
+    )
+    assert not (out / "analyze.csv").exists()
+
+
+def test_cli_analyze_rejects_a_repeated_run_csv_row(tmp_path, capsys):
+    # the last row twice, and run.json counting three rows
+    out, rows = circle_run_dir(tmp_path)
+    write_run_csv(rows + rows[-1:], out / "run.csv")
+    payload = json.loads((out / "run.json").read_text())
+    payload["rows"] = 3
+    (out / "run.json").write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run_cli(["analyze", "--dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {out / 'run.csv'} repeats step {rows[-1].step}\n"
     assert not (out / "analyze.csv").exists()
 
 

@@ -4,8 +4,10 @@
 and the tangents and curvature on first read; every step writes its new
 vertices into the closure the next curve adopts; and ``run`` reads the exact
 k_max only when ``curve.curvature_bound`` allows that the resolution test
-might fire.  The references below keep the eager geometry and the copying
-steps as they were, and every output must agree with them bit for bit.
+might fire.  ``reference``'s geometry and steps compute every array at once
+and copy each next curve through its constructor, and every output must
+agree with them bit for bit: the curves drawn here hold no -0.0, so the
+sign rule of the Laplacian's zeros never applies.
 """
 
 import math
@@ -18,14 +20,7 @@ from hypothesis import strategies as st
 from csflab import CLOSED, SEMI_IMPLICIT, FlowConfig, SampledCurve, compute_geometry, run
 from csflab import curve as curve_module
 from csflab import flow
-from csflab.curve import (
-    OPEN,
-    PERIODIC,
-    curvature_bound,
-    row_dot,
-    row_norm,
-    segment_lengths,
-)
+from csflab.curve import OPEN, PERIODIC, curvature_bound
 from csflab.errors import InvalidCurveError, NumericalFailureError
 from csflab.flow import (
     FlowState,
@@ -35,93 +30,24 @@ from csflab.flow import (
     step_semi_implicit,
 )
 from csflab.sphere import RescaledState, step_geodesic_flow
-from csflab.tridiag import solve_cyclic_tridiagonal, solve_tridiagonal
+from reference import (
+    backward_euler,
+    explicit_step,
+    geodesic_step,
+    reference_geometry,
+    same_bits,
+    wavy_curve,
+)
 
-
-def bits(x):
-    return np.ascontiguousarray(np.asarray(x, dtype=float)).view(np.int64)
-
-
-def same_bits(x, y):
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return x.shape == y.shape and np.array_equal(bits(x), bits(y))
-
-
-# ------------------------------------------------------- eager references
-
-
-def eager_geometry(curve):
-    # every array at once, the degenerate tangent refused first
-    seg = segment_lengths(curve)
-    cyclic = curve.is_cyclic()
-    ext = curve._wrapped
-    tangents = ext[:, 2:] - ext[:, :-2]
-    chord_len = row_norm(tangents)
-    if chord_len.min() <= 0.0:
-        raise InvalidCurveError("degenerate centered-difference tangent")
-    tangents /= chord_len
-    steps = ext[:, 1:] - ext[:, :-1]
-    if cyclic:
-        hm, hp = np.concatenate((seg[-1:], seg[:-1])), seg
-    else:
-        steps = steps[:, 1:-1]
-        hm, hp = seg[:-1], seg[1:]
-    span = hm + hp
-    a = 2.0 / (hm * span)
-    c = 2.0 / (hp * span)
-    ds = 0.5 * span
-    raw = np.empty_like(tangents)
-    lap = np.multiply(a, steps[:, :-1], out=raw if cyclic else raw[:, 1:-1])
-    np.subtract(c * steps[:, 1:], lap, out=lap)
-    if not cyclic:
-        raw[:, 0], raw[:, -1] = raw[:, 1], raw[:, -2]
-        ds = np.concatenate(([0.5 * seg[0]], ds, [0.5 * seg[-1]]))
-    kvec = raw - row_dot(raw, tangents) * tangents
-    return dict(
-        tangents=tangents.T,
-        curvature_vectors=kvec.T,
-        scalar_curvature=row_norm(kvec),
-        ds=ds,
-        total_length=float(seg.sum()),
-        segment_lengths=seg,
-        laplacian=lap.T,
-    )
-
-
-def eager_backward_euler(curve, geom, dt):
-    # the (3, n) vertices after the step, in a buffer of their own
-    cyclic = curve.is_cyclic()
-    inv = dt / geom["segment_lengths"]
-    if cyclic:
-        ds, off = geom["ds"], -inv
-        inv = np.concatenate((inv[-1:], inv))
-    else:
-        ds, off = geom["ds"][1:-1], -inv[1:-1]
-    diag = ds + inv[:-1]
-    diag += inv[1:]
-    rhs = geom["laplacian"] * (dt * ds)[:, None]
-    if cyclic:
-        moved = solve_cyclic_tridiagonal(diag, off, rhs).T
-    else:
-        moved = np.zeros((3, curve.n))
-        moved[:, 1:-1] = solve_tridiagonal(diag, off, rhs).T
-    moved += curve.points.T
-    return moved
+REFERENCE_STEPS = dict(
+    explicit=explicit_step, semi_implicit=backward_euler, geodesic=geodesic_step
+)
 
 
 def eager_step(kind, curve, dt):
     # the curve one step makes, copied into a new curve by its constructor
-    geom = eager_geometry(curve)
-    if kind == "explicit":
-        moved = dt * geom["curvature_vectors"].T
-        if not curve.is_cyclic():
-            moved[:, 0] = moved[:, -1] = 0.0
-        moved += curve.points.T
-    else:
-        moved = eager_backward_euler(curve, geom, dt)
-        if kind == "geodesic":
-            moved /= row_norm(moved)
-    return SampledCurve(moved.T, curve.topology, curve.offset)
+    vertices = REFERENCE_STEPS[kind](curve, reference_geometry(curve), dt)
+    return SampledCurve(vertices, curve.topology, curve.offset)
 
 
 def lazy_step(kind, curve, dt):
@@ -130,27 +56,6 @@ def lazy_step(kind, curve, dt):
     if kind == "semi_implicit":
         return step_semi_implicit(make_state(curve), dt).curve
     return step_geodesic_flow(RescaledState(curve, 0.0), dt).curve_tilde
-
-
-# ------------------------------------------------------------------ curves
-
-
-def random_curve(seed, n, topology, noise, on_sphere=False):
-    # a wavy loop (a line for open curves) with relative noise of size noise
-    rng = np.random.default_rng(seed)
-    u = np.arange(n) * (2.0 * math.pi / n)
-    if topology == OPEN:
-        u = np.linspace(0.0, 2.0, n)
-    pts = np.column_stack([np.cos(u), np.sin(u), 0.3 * np.sin(3.0 * u)])
-    if topology == OPEN:
-        pts[:, 0] = 1.0 + u
-    elif topology == PERIODIC:  # one turn rises by the offset
-        pts[:, 2] += u / math.pi
-    pts += noise * rng.normal(size=pts.shape)
-    if on_sphere:
-        pts /= np.linalg.norm(pts, axis=1)[:, None]
-    offset = (0.0, 0.0, 2.0) if topology == PERIODIC else None
-    return SampledCurve(pts, topology, offset)
 
 
 CURVES = dict(
@@ -178,7 +83,7 @@ def test_steps_and_lazy_geometry_equal_the_eager_reference(
     on_sphere = kind == "geodesic"
     if on_sphere and topology == PERIODIC:
         topology = CLOSED  # a periodic curve does not lie on a sphere
-    curve = random_curve(seed, n, topology, noise, on_sphere)
+    curve = wavy_curve(seed, n, topology, noise, on_sphere)
     dt = fraction * stable_step(compute_geometry(curve))
     got, expected = lazy_step(kind, curve, dt), eager_step(kind, curve, dt)
     assert same_bits(got.points, expected.points)
@@ -186,7 +91,7 @@ def test_steps_and_lazy_geometry_equal_the_eager_reference(
     assert got.offset is None if topology != PERIODIC else same_bits(got.offset, expected.offset)
     assert not got.points.flags.writeable and not got._wrapped.flags.writeable
     assert same_bits(got._wrapped, expected._wrapped)  # the wrap columns too
-    geom, reference = compute_geometry(got), eager_geometry(expected)
+    geom, reference = compute_geometry(got), reference_geometry(expected)
     for name in GEOMETRY_ARRAYS:
         assert same_bits(getattr(geom, name), reference[name]), name
     assert geom.total_length == reference["total_length"]
@@ -196,7 +101,7 @@ def test_steps_and_lazy_geometry_equal_the_eager_reference(
 @given(**CURVES, scale=st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
 def test_the_bound_covers_the_computed_curvature(seed, n, topology, noise, scale):
     rng = np.random.default_rng(seed)
-    smooth = random_curve(seed, n, topology, noise)
+    smooth = wavy_curve(seed, n, topology, noise)
     raw_noise = SampledCurve(rng.normal(size=(n, 3)) * scale, topology,
                              smooth.offset if topology == PERIODIC else None)
     for curve in (smooth, raw_noise):
@@ -233,7 +138,7 @@ def test_the_bound_covers_a_hairpin_with_a_subnormal_chord(k0, k2):
 @given(**CURVES, position=st.floats(-2.0, 2.0))
 def test_the_stop_test_decides_as_the_exact_one(seed, n, topology, noise, position):
     # limits around the exact k_max * min(ds), and off by a few ulp of it
-    geom = compute_geometry(random_curve(seed, n, topology, noise))
+    geom = compute_geometry(wavy_curve(seed, n, topology, noise))
     kds = float(geom.scalar_curvature.max()) * float(geom.ds.min())
     for limit in (kds * 2.0**position, kds, np.nextafter(kds, 0.0), np.nextafter(kds, 1.0)):
         assert flow._resolution_exhausted(geom, float(limit)) == (kds > limit)
@@ -243,7 +148,7 @@ def test_a_run_stops_on_resolution_at_the_reference_step():
     # the limit just below the largest exact k_max * min(ds) of the first 40
     # steps: the run stops at the first step that reaches it, with the rows
     # of a run that records every step
-    curve = random_curve(5, 48, CLOSED, 0.02)
+    curve = wavy_curve(5, 48, CLOSED, 0.02)
     probe = run(curve, FlowConfig(record_every=1, max_steps=40, remesh_every=7,
                                   stop_curvature_resolution=1e300))
     kds = [row.k_max * float(compute_geometry(c).ds.min())
@@ -280,14 +185,14 @@ def test_the_curvature_is_computed_once_per_geometry(monkeypatch, topology):
         return counted(u, v)
 
     monkeypatch.setattr(curve_module, "row_dot", counting)
-    geom = compute_geometry(random_curve(3, 24, topology, 0.01))
+    geom = compute_geometry(wavy_curve(3, 24, topology, 0.01))
     assert calls == []  # compute_geometry reads no tangent
     first = (geom.tangents, geom.curvature_vectors, geom.scalar_curvature)
     again = (geom.tangents, geom.curvature_vectors, geom.scalar_curvature)
     assert len(calls) == 1
     for a, b in zip(first, again):
         assert a is b and not a.flags.writeable
-    step_semi_implicit(make_state(random_curve(3, 24, topology, 0.01)), 1e-4)
+    step_semi_implicit(make_state(wavy_curve(3, 24, topology, 0.01)), 1e-4)
     assert len(calls) == 1  # nor does a semi-implicit step
 
 
@@ -301,7 +206,7 @@ def hairpin_state(state, dt):
 
 
 def test_a_recorded_state_without_a_tangent_fails_its_step(monkeypatch):
-    good = run(random_curve(2, 32, CLOSED, 0.01),
+    good = run(wavy_curve(2, 32, CLOSED, 0.01),
                FlowConfig(record_every=2, max_steps=6, stop_curvature_resolution=1e300))
     assert good.stop_reason == "max_steps"
     last = good.snapshots[-1][2]
@@ -315,7 +220,7 @@ def test_a_recorded_state_without_a_tangent_fails_its_step(monkeypatch):
     monkeypatch.setitem(flow._STEPPERS, SEMI_IMPLICIT, seventh_is_a_hairpin)
     config = FlowConfig(record_every=1, t_end=1.0, stop_curvature_resolution=1e300)
     with pytest.raises(NumericalFailureError) as info:
-        run(random_curve(2, 32, CLOSED, 0.01), config)
+        run(wavy_curve(2, 32, CLOSED, 0.01), config)
     assert str(info.value) == (
         "step 7 failed: degenerate centered-difference tangent (last good state: "
         f"step 6, t={good.snapshots[-1][1]!r}, dt={stable_step(geom, 0.5)!r}, "
@@ -348,7 +253,7 @@ def test_a_last_good_state_without_a_tangent_prints_nan(monkeypatch):
     monkeypatch.setitem(flow._STEPPERS, SEMI_IMPLICIT, hairpin_then_nan)
     config = FlowConfig(record_every=10, t_end=1.0, stop_curvature_resolution=1e300)
     with pytest.raises(NumericalFailureError) as info:
-        run(random_curve(2, 32, CLOSED, 0.01), config)
+        run(wavy_curve(2, 32, CLOSED, 0.01), config)
     message = str(info.value)
     assert message.startswith("step 4 failed: implicit step produced non-finite vertices")
     assert "(last good state: step 3, " in message and message.endswith(", k_max=nan)")
@@ -356,7 +261,7 @@ def test_a_last_good_state_without_a_tangent_prints_nan(monkeypatch):
 
 
 def test_a_start_without_a_tangent_raises_as_it_is():
-    pts = random_curve(2, 32, CLOSED, 0.01).points.copy()
+    pts = wavy_curve(2, 32, CLOSED, 0.01).points.copy()
     pts[6] = pts[4]
     with pytest.raises(InvalidCurveError, match="^degenerate centered-difference tangent$"):
         run(SampledCurve(pts, CLOSED), FlowConfig(max_steps=3))

@@ -1,10 +1,9 @@
 """Spherical flows: the geodesic/normal split, time dilation, and consistency.
 
-The split is the reference of ``test_kernel_reference``, on its reference
-geometry; no code in the package splits curvature.
+The split is ``reference``'s, on its reference geometry; no code in the
+package splits curvature.
 """
 
-import dataclasses
 import math
 import re
 
@@ -27,7 +26,7 @@ from csflab.errors import (
     NotOnSphereError,
     NumericalFailureError,
 )
-from csflab.curve import OPEN, row_norm, segment_lengths
+from csflab.curve import OPEN, row_norm
 from csflab.flow import (
     _run_to_targets,
     run_to_times,
@@ -45,7 +44,13 @@ from csflab.sphere import (
 )
 from csflab.helix import shrinking_circle_radius
 from csflab import flow, sphere, tridiag
-from test_kernel_reference import reference_decomposition, reference_geometry
+from reference import (
+    dense_backward_euler,
+    perturbed_start,
+    projected,
+    reference_decomposition,
+    reference_geometry,
+)
 
 # criterion 08's grid of flow times
 CRITERION_08_GRID = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
@@ -61,13 +66,6 @@ def latitude_circle(n, theta, r=1.0):
     return SampledCurve(pts, CLOSED)
 
 
-def perturbed_start(n, topology=CLOSED):
-    curve = build_curve(make_preset(SPHERE_PERTURBED, n=n, eps=0.2, harmonic=3))
-    if topology == OPEN:
-        curve = SampledCurve(curve.points[: 2 * n // 3], OPEN)
-    return rescale(curve, 0.0)
-
-
 def split_curvature(curve):
     """k_g, k_n and the frame q_vec, n_vec of the reference split, on the
     reference geometry's C-ordered arrays: on ``compute_geometry``'s
@@ -80,8 +78,7 @@ def explicit_geodesic_step(state, dt_tilde):
     projection.  It is stable only for dt_tilde <= stable_step(geometry)."""
     curve = state.curve_tilde
     decomp = split_curvature(curve)
-    moved = curve.points + decomp["q_vec"] * (dt_tilde * decomp["k_g"])[:, None]
-    moved /= np.linalg.norm(moved, axis=1)[:, None]
+    moved = projected(curve.points + decomp["q_vec"] * (dt_tilde * decomp["k_g"])[:, None])
     return RescaledState(
         SampledCurve(moved, curve.topology, curve.offset), state.t_tilde + dt_tilde
     )
@@ -98,26 +95,6 @@ def explicit_geodesic_flow(state, t_tilde_targets, cfl):
         geometry=lambda st: compute_geometry(st.curve_tilde),
         clock=lambda st: st.t_tilde,
     )
-
-
-def dense_geodesic_step(curve, dt_tilde):
-    """The step from the assembled matrix I - dt_tilde * Lap and a dense solve."""
-    seg, pts, n = segment_lengths(curve), curve.points, curve.n
-    # the stencil weights a = 2 / (h- (h- + h+)) and c = 2 / (h+ (h- + h+))
-    hm, hp = (np.roll(seg, 1), seg) if curve.is_cyclic() else (seg[:-1], seg[1:])
-    a, c = 2.0 / (hm * (hm + hp)), 2.0 / (hp * (hm + hp))
-    lap = np.zeros((len(a), n))  # the Laplacian rows, over all n vertices
-    first = 0 if curve.is_cyclic() else 1
-    for row, (lo, up) in enumerate(zip(a, c)):
-        i = row + first
-        lap[row, (i - 1) % n] += lo
-        lap[row, i] -= lo + up
-        lap[row, (i + 1) % n] += up
-    moved = pts.copy()
-    unknowns = slice(first, first + len(a))
-    system = np.eye(len(a)) - dt_tilde * lap[:, unknowns]
-    moved[unknowns] += np.linalg.solve(system, dt_tilde * (lap @ pts))
-    return moved / np.linalg.norm(moved, axis=1)[:, None]
 
 
 def test_latitude_decomposition_oracle():
@@ -285,7 +262,7 @@ def test_geodesic_flow_first_order_in_time(monkeypatch):
 def test_geodesic_step_equals_a_dense_solve(topology, dt_tilde):
     state = perturbed_start(64, topology)
     nxt = step_geodesic_flow(state, dt_tilde)
-    expected = dense_geodesic_step(state.curve_tilde, dt_tilde)
+    expected = projected(dense_backward_euler(state.curve_tilde, dt_tilde))
     assert np.abs(nxt.curve_tilde.points - expected).max() < 1e-12
     assert nxt.t_tilde == state.t_tilde + dt_tilde
     if topology == OPEN:  # the endpoints stay where they were
@@ -434,7 +411,7 @@ def test_consistency_profile_small_grid():
 
 
 def test_run_geodesic_flow_failure_names_last_good_state(monkeypatch):
-    start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
+    start = perturbed_start(64)
     target = start.t_tilde + 0.05
     state = start
     for _ in range(4):
@@ -464,7 +441,7 @@ def test_run_geodesic_flow_failure_names_last_good_state(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_geodesic_step_raises_the_constructors_non_finite_failure(monkeypatch, bad):
-    state = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
+    state = perturbed_start(64)
     sphere_solve = sphere.solve_cyclic_tridiagonal
 
     def bad_vertex(*system):
@@ -485,7 +462,7 @@ def test_geodesic_step_raises_the_constructors_non_finite_failure(monkeypatch, b
 def test_run_geodesic_flow_step_without_geometry_fails(monkeypatch):
     # the curve made by step 4 has no geometry: step 4 failed, and the last
     # good state is step 3 with the dt that step 4 was given
-    start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
+    start = perturbed_start(64)
     state = start
     for _ in range(3):
         state = step_geodesic_flow(state, GEODESIC_DT)
@@ -509,7 +486,7 @@ def test_run_geodesic_flow_step_without_geometry_fails(monkeypatch):
 
 @pytest.mark.parametrize("kind", [KeyboardInterrupt, NumericalFailureError])
 def test_run_geodesic_flow_attaches_the_states_reached_so_far(monkeypatch, kind):
-    start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
+    start = perturbed_start(64)
     targets = [start.t_tilde + m * GEODESIC_DT for m in (1.5, 3.2, 8.0)]
     full = run_geodesic_flow(start, targets)
     calls = []
@@ -534,7 +511,7 @@ def test_run_geodesic_flow_attaches_the_states_reached_so_far(monkeypatch, kind)
 
 
 def test_run_geodesic_flow_stops_at_the_step_cap(monkeypatch):
-    start = rescale(build_curve(make_preset(SPHERE_PERTURBED, n=64)), 0.0)
+    start = perturbed_start(64)
     reached = [start.t_tilde + m * GEODESIC_DT for m in (1.5, 3.2)]
     full = run_geodesic_flow(start, reached)
     monkeypatch.setattr(flow, "MAX_STEPS", 6)

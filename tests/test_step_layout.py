@@ -24,13 +24,7 @@ from csflab.curve import OPEN, PERIODIC, resample_uniform, row_dot, row_norm
 from csflab.fileio import write_curve
 from csflab.flow import make_state, stable_step, step_explicit, step_semi_implicit
 from csflab.sphere import RescaledState, step_geodesic_flow
-
-
-def same_bits(x, y):
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    return x.shape == y.shape and np.array_equal(
-        np.ascontiguousarray(x).view(np.int64), np.ascontiguousarray(y).view(np.int64)
-    )
+from reference import same_bits
 
 
 # scales 1e-8 .. 1e8 plus signed zeros, subnormals and components whose
