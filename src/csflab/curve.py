@@ -7,15 +7,15 @@ A curve is an ordered array of 3D vertices with one of three topologies:
 * ``periodic`` -- one period of a translation-invariant curve; the successor
   of the last vertex is the first vertex shifted by a constant offset vector.
 
-No function here modifies its arguments.  The constructor builds the
-closure once: it copies the caller's vertices (never freezing or sharing the
-caller's array) between the two wrap vertices into a read-only (3, n + 2)
-array, and ``points`` is a read-only, F-ordered (n, 3) view of its centre
-columns.  It also measures every segment once, to validate it, and
-``segment_lengths`` and ``compute_geometry`` share those read-only lengths.
-A flow step writes its new vertices straight into the centre of a fresh
-(3, n + 2) buffer, and ``_adopt`` makes that buffer the next curve's
-closure without a copy, keeping the stepped curve's topology and offset.
+No function here modifies its arguments.  The constructor copies a curve
+from outside (never freezing or sharing the caller's array) between the
+two wrap vertices of a read-only (3, n + 2) closure; ``points`` is a
+read-only, F-ordered (n, 3) view of its centre columns.  A curve made from
+a curve (a flow step, a remesh, a rescale) writes its vertices into a fresh
+closure, which ``_adopt`` takes over without a copy.  Either way one check
+decides: the segments, measured once in one ``np.errstate``, accept or
+reject the curve, and ``segment_lengths`` and ``compute_geometry`` share
+those read-only lengths.
 
 The kernels work component-major, on (3, n) arrays with one contiguous row
 per coordinate, and read the closure where it lies.  The (n, 3) arrays of a
@@ -26,7 +26,6 @@ tangents and curvature on first read: a semi-implicit step reads none.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -47,10 +46,6 @@ TOPOLOGIES = (CLOSED, OPEN, PERIODIC)
 
 # Minimum vertex counts per topology; below these the stencils degenerate.
 MIN_VERTICES = {CLOSED: 8, PERIODIC: 8, OPEN: 4}
-
-# Coordinates and offset below this in magnitude keep every coordinate
-# difference of a segment below 2e153, and its squared length below 1.2e307.
-_SQUARES_FIT = 1e153
 
 
 def row_dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -114,35 +109,22 @@ def _checked_offset(offset, topology: str) -> np.ndarray | None:
     return off
 
 
-def _checked_extent(rows: np.ndarray) -> float:
-    # the largest coordinate magnitude, in one pass: below the range no
-    # square can overflow, and NaN and inf fail it
-    extent = np.abs(rows).max(initial=0.0)
-    if not extent < _SQUARES_FIT and not np.isfinite(rows).all():
-        raise InvalidCurveError("points contain non-finite values")
-    return extent
-
-
-def _close(
-    wrapped: np.ndarray, off: np.ndarray | None, cyclic: bool, extent: float
-) -> np.ndarray:
+def _close(wrapped: np.ndarray, off: np.ndarray | None, cyclic: bool) -> np.ndarray:
     # fills in the wrap columns of the (3, n + 2) closure whose centre holds
     # the vertices, and returns its segment lengths, each checked to be
-    # positive and finite
-    if off is not None:  # it shifts the wrap vertices and the closing segment
-        extent += max(map(abs, off.tolist()))
-    if extent < _SQUARES_FIT:
-        quiet = contextlib.nullcontext()
-    else:  # measured in silence, then rejected or accepted on the lengths
-        quiet = np.errstate(over="ignore", invalid="ignore")
+    # positive and finite: measured in silence, then rejected or accepted on
+    # the lengths.  Every vertex ends an inner segment, so a non-finite one
+    # fails an inner length
     n = wrapped.shape[1] - 2
     seg = np.empty(n if cyclic else n - 1)
     rows = wrapped[:, 1:-1]
     inner = seg[: n - 1]
-    with quiet:
+    with np.errstate(over="ignore", invalid="ignore"):
         inner[:] = row_norm(rows[:, 1:] - rows[:, :-1])
-        # a finite length is below 1.4e154, so the sum is inf only if a length is
-        if inner.min() == 0.0 or inner.sum() == math.inf:
+        # a finite length is below 1.4e154, so the sum is finite only if all are
+        if not (inner.min() > 0.0 and inner.sum() < math.inf):
+            if not np.isfinite(rows).all():
+                raise InvalidCurveError("points contain non-finite values")
             steps = rows[:, 1:] - rows[:, :-1]
             raise _unmeasured(steps, inner, 0, "consecutive vertices must be distinct")
         first, last = wrapped[:, 1], wrapped[:, -2]
@@ -179,8 +161,8 @@ def _freeze(
 class SampledCurve:
     """Ordered vertex polyline with topology and optional period offset.
 
-    Construction validates the vertices and measures every segment once on
-    the way; the lengths are kept read-only and returned by
+    Construction rejects non-finite vertices and measures every segment
+    once on the way; the lengths are kept read-only and returned by
     ``segment_lengths``, so no later step measures them again.  A length
     whose square leaves the float range, inf or 0 for distinct vertices,
     is rejected with the segment and the cause named, and without numpy's
@@ -199,7 +181,8 @@ class SampledCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidCurveError("points must be an (n, 3) array")
-        extent = _checked_extent(pts)
+        if not np.isfinite(pts).all():
+            raise InvalidCurveError("points contain non-finite values")
         if self.topology not in TOPOLOGIES:
             raise InvalidCurveError(f"unknown topology {self.topology!r}")
         n = len(pts)
@@ -211,7 +194,7 @@ class SampledCurve:
         off = _checked_offset(self.offset, self.topology)
         wrapped = np.empty((3, n + 2))
         wrapped[:, 1:-1] = pts.T
-        seg = _close(wrapped, off, self.topology != OPEN, extent)
+        seg = _close(wrapped, off, self.topology != OPEN)
         _freeze(self, wrapped, seg, off)
 
     @property
@@ -223,20 +206,22 @@ class SampledCurve:
 
 
 def _adopt(wrapped: np.ndarray, like: SampledCurve, step: str) -> SampledCurve:
-    """The curve that a ``step`` moved ``like`` to, whose vertices it wrote
+    """The curve that a ``step`` made from ``like``, whose vertices it wrote
     into the centre columns of ``wrapped``, a fresh (3, n + 2) buffer that
     the curve takes over as its closure, without a copy.
 
-    A non-finite vertex raises the step's ``NumericalFailureError``, a bad
-    segment the constructor's ``InvalidCurveError``.  The topology and the
-    read-only, already checked offset are those of ``like``, whose vertex
-    count the step kept, so neither is checked again.
+    The segment lengths are the one check: a non-finite vertex raises the
+    step's ``NumericalFailureError`` from the constructor's
+    ``InvalidCurveError``, a bad segment of finite vertices that error
+    itself.  The topology and the read-only, already checked offset are
+    those of ``like``; the step checked its vertex count.
     """
     try:
-        extent = _checked_extent(wrapped[:, 1:-1])
+        seg = _close(wrapped, like.offset, like.is_cyclic())
     except InvalidCurveError as exc:
+        if np.isfinite(wrapped[:, 1:-1]).all():
+            raise
         raise NumericalFailureError(f"{step} step produced non-finite vertices") from exc
-    seg = _close(wrapped, like.offset, like.is_cyclic(), extent)
     curve = object.__new__(SampledCurve)
     object.__setattr__(curve, "topology", like.topology)
     _freeze(curve, wrapped, seg, like.offset)
@@ -411,7 +396,9 @@ def resample_uniform(curve: SampledCurve, n: int) -> SampledCurve:
     idx = np.searchsorted(cum, targets, side="right") - 1
     idx = np.clip(idx, 0, len(seg) - 1)
     frac = (targets - cum[idx]) / seg[idx]
-    new_rows = ext[:, idx] + frac * (ext[:, idx + 1] - ext[:, idx])
+    wrapped = np.empty((3, n + 2))
+    new_rows = wrapped[:, 1:-1]
+    np.add(ext[:, idx], frac * (ext[:, idx + 1] - ext[:, idx]), out=new_rows)
     if curve.topology == OPEN:
         new_rows[:, 0], new_rows[:, -1] = ext[:, 0], ext[:, -1]
-    return SampledCurve(new_rows.T, curve.topology, curve.offset)
+    return _adopt(wrapped, curve, "remesh")

@@ -16,9 +16,9 @@ Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
 The backward-Euler system is built in one place, ``_backward_euler``; the
 intrinsic step of the sphere check, ``sphere.step_geodesic_flow``, solves
 it too, on the unit sphere, at a fixed dilated-time step instead of this
-module's step rule.  Every step writes its new vertices into the centre of
-a fresh (3, n + 2) buffer, which becomes the next curve's closure without
-a copy (``curve._adopt``).
+module's step rule.  Every step, like a remesh, writes its new vertices
+into the centre of a fresh (3, n + 2) buffer, which becomes the next
+curve's closure without a copy (``curve._adopt``).
 
 ``run``, ``run_to_times`` and ``sphere.run_geodesic_flow`` share one time
 loop, ``_integrate``: the dt clamp, the landing on target times, the
@@ -159,12 +159,14 @@ class RunRecord:
     config: FlowConfig
 
 
-def make_state(curve: SampledCurve, t: float = 0.0, step: int = 0) -> FlowState:
-    return FlowState(curve=curve, t=t, step=step, geometry=compute_geometry(curve))
+def make_state(curve: SampledCurve) -> FlowState:
+    return FlowState(curve=curve, t=0.0, step=0, geometry=compute_geometry(curve))
 
 
 def stable_step(geometry: CurveGeometry, cfl: float = 1.0) -> float:
-    """Largest parabolically stable explicit step for this spacing."""
+    """The step-size rule cfl * min(ds)^2 / 2, not a stability bound: on
+    non-uniform spacing it can exceed forward Euler's dt (a_i + c_i) <= 1
+    by any factor (ROADMAP item 21)."""
     return cfl * float(geometry.ds.min()) ** 2 / 2.0
 
 
@@ -208,7 +210,8 @@ def _backward_euler(
 def step_explicit(state: FlowState, dt: float) -> FlowState:
     """Forward Euler step: each vertex moves by dt times its curvature vector.
 
-    Open-curve endpoints are Dirichlet data and do not move.
+    Open-curve endpoints are Dirichlet data and do not move.  A dt above
+    ``stable_step``'s rule at cfl 1 is rejected (a rule: ROADMAP item 21).
     """
     if not dt > 0.0:
         raise InvalidArgumentError("dt must be positive")
@@ -351,18 +354,18 @@ def _integrate(
     tolerance: float,
     record,
     so_far,
+    max_steps: int,
     geometry=lambda state: state.geometry,
     clock=lambda state: state.t,
     after_step=None,
-    max_steps: int | None = None,
 ) -> str | None:
     """The one time loop: step ``state`` toward each target time in turn.
 
     Each step takes dt = min(dt_rule(geometry(state)), target - t).  A target
     is reached once clock(state) >= target * (1 - tolerance) and its state
-    goes to ``record``.  ``max_steps`` (``MAX_STEPS`` if None) is tested
-    before a step, ``after_step`` after it; a stop records its state and
-    returns its reason.  A step fails when ``advance``, or the geometry,
+    goes to ``record``.  ``max_steps`` is tested before a step,
+    ``after_step`` after it; a stop records its state and returns its
+    reason.  A step fails when ``advance``, or the geometry,
     record or stop test of the state it made, raises ``InvalidCurveError``
     or ``NumericalFailureError``; the error raised names the last good
     state and, like a ``KeyboardInterrupt``, carries
@@ -370,12 +373,11 @@ def _integrate(
     is raised as it is.
     """
     steps, good, dt = 0, None, math.nan
-    cap = MAX_STEPS if max_steps is None else max_steps
     try:
         for target in targets:
             landing = target * (1.0 - tolerance)
             while (t := clock(state)) < landing:
-                if steps >= cap:
+                if steps >= max_steps:
                     record(state)
                     return "max_steps"
                 geom = geometry(state)
@@ -432,6 +434,7 @@ def _run_to_targets(start, advance, dt_rule, targets, earliest, keep=None, **loo
         1e-14,
         record,
         lambda _: out,
+        MAX_STEPS,  # read at each run
         **loop,
     ):
         out.pop()  # the state at the cap is no target
@@ -499,8 +502,8 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
         1e-12,
         record,
         so_far,
+        config.max_steps,
         after_step=after_step,
-        max_steps=config.max_steps,
     )
     t_est = estimate_vanishing_time(rows) if initial.topology == CLOSED else math.inf
     for row in rows:

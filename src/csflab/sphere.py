@@ -77,9 +77,10 @@ def rescale(curve: SampledCurve, t: float) -> RescaledState:
         raise NotOnSphereError(
             f"mean radius {mean:.4g} is not the expected {expected:.4g}"
         )
-    scaled = rows / expected
+    wrapped = np.empty((3, curve.n + 2))
+    scaled = np.divide(rows, expected, out=wrapped[:, 1:-1])
     scaled /= row_norm(scaled)
-    tilde = SampledCurve(scaled.T, curve.topology, curve.offset)
+    tilde = _adopt(wrapped, curve, "rescale")
     return RescaledState(curve_tilde=tilde, t_tilde=time_dilation(t))
 
 
@@ -141,15 +142,18 @@ def consistency_profile(
 
     Runs the ambient flow explicitly at ``cfl`` without remeshing and the
     intrinsic flow on the matching dilated grid, both from ``initial``
-    (which must lie on the unit sphere).  The grid is dilated first, so a
-    time at or past the sphere's end raises ``DomainError`` before any step.
+    (which must lie on the unit sphere).  The grid is dilated and the start
+    rescaled first, so a time at or past the sphere's end raises
+    ``DomainError``, and a start off the unit sphere ``NotOnSphereError``,
+    before any step.
     """
     targets = [require_real("target time", t) for t in t_targets]
     if not targets or targets[0] <= 0.0:
         raise InvalidArgumentError("need a non-empty grid of positive flow times")
     dilated = [time_dilation(t) for t in targets]
+    start = rescale(initial, 0.0)
     ambient = run_to_times(initial, targets, cfl=cfl)
-    intrinsic = run_geodesic_flow(rescale(initial, 0.0), dilated)
+    intrinsic = run_geodesic_flow(start, dilated)
     rows = []
     for (t, curve), state in zip(ambient, intrinsic):
         diff = rescale(curve, t).curve_tilde.points - state.curve_tilde.points

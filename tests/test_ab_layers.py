@@ -14,8 +14,8 @@ _spec.loader.exec_module(ab_layers)
 
 LAYERS = {
     "compute_geometry", "cyclic_solve", "open_solve",
-    "semi_implicit_step", "explicit_step", "geodesic_step", "run_steps",
-    "ratio_minima", "min_pair_ratio", "write_curve",
+    "semi_implicit_step", "explicit_step", "geodesic_step", "remesh", "rescale",
+    "run_steps", "ratio_minima", "min_pair_ratio", "write_curve",
 }
 FIELDS = {
     "bits_equal", "unshared_fields", "parent_us", "change_us", "diff_us",

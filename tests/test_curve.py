@@ -19,9 +19,9 @@ from csflab.curve import (
     segment_lengths,
     total_squared_curvature,
 )
-from csflab.errors import InvalidArgumentError, InvalidCurveError
-from csflab import curve as curve_module
-from reference import circle, helix
+from csflab.errors import InvalidArgumentError, InvalidCurveError, NumericalFailureError
+from csflab import curve as curve_module, flow, sphere
+from reference import circle, helix, perturbed_start
 
 
 def test_circle_perimeter_exact():
@@ -340,22 +340,56 @@ def test_coordinates_near_the_square_limit_with_small_steps_are_valid(topology, 
     assert np.all((lengths > 1e139) & (lengths < 1e141))
 
 
-def test_only_coordinates_past_the_safe_range_are_measured_in_an_errstate(monkeypatch):
-    errstate, calls = np.errstate, []
+def _made_from_a_curve(path):
+    # the call that makes a curve from a curve along ``path``, the step name
+    # its _adopt reports; the inputs are built at once
+    state, start = flow.make_state(circle(32)), perturbed_start(32)
+    dt = flow.stable_step(state.geometry, 0.5)
+    return {
+        "explicit": lambda: flow.step_explicit(state, dt),
+        "implicit": lambda: flow.step_semi_implicit(state, dt),
+        "geodesic": lambda: sphere.step_geodesic_flow(start, sphere.GEODESIC_DT),
+        "remesh": lambda: resample_uniform(state.curve, 40),
+        "rescale": lambda: sphere.rescale(state.curve, 0.0),
+    }[path]
 
-    def spy(**kwargs):
-        calls.append(kwargs)
-        return errstate(**kwargs)
 
-    monkeypatch.setattr(np, "errstate", spy)
-    good = np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8)), np.zeros(8)])
-    SampledCurve(good, CLOSED)
-    SampledCurve(good * 1e152, PERIODIC, (0.0, 0.0, 1e152))
-    assert calls == []
-    # the offset's share in the closing segment counts
-    SampledCurve(good * 1e152, PERIODIC, (0.0, 0.0, 1e153))
-    SampledCurve(good * 1e140 + 1e154, OPEN)
-    assert calls == [{"over": "ignore", "invalid": "ignore"}] * 2
+# vertices written into the new curve's buffer: one NaN or inf coordinate,
+# or two finite neighbours whose difference overflows
+CORRUPTIONS = {
+    "nan": {5: (1.0, math.nan, 0.0)},
+    "inf": {5: (math.inf, 0.0, 0.0)},
+    "overflow": {0: (1e308, 0.0, 0.0), 1: (-1e308, 0.0, 0.0)},
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("path", ["explicit", "implicit", "geodesic", "remesh", "rescale"])
+def test_every_curve_made_from_a_curve_fails_as_its_step(monkeypatch, path, corruption):
+    # every path adopts its buffer: a non-finite vertex is the step's
+    # NumericalFailureError, with the constructor's error as its cause; a
+    # segment of finite vertices that overflows is the constructor's error
+    adopt = curve_module._adopt
+
+    def corrupted(wrapped, like, step):
+        for k, vertex in CORRUPTIONS[corruption].items():
+            wrapped[:, 1 + k] = vertex
+        return adopt(wrapped, like, step)
+
+    make = _made_from_a_curve(path)
+    for module in (curve_module, flow, sphere):
+        monkeypatch.setattr(module, "_adopt", corrupted)
+    if corruption == "overflow":
+        with pytest.raises(InvalidCurveError, match="^segment 0 length overflows") as info:
+            make()
+        assert type(info.value) is InvalidCurveError and info.value.__cause__ is None
+        return
+    with pytest.raises(NumericalFailureError) as info:
+        make()
+    assert str(info.value) == f"{path} step produced non-finite vertices"
+    cause = info.value.__cause__
+    assert type(cause) is InvalidCurveError
+    assert str(cause) == "points contain non-finite values"
 
 
 @pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])

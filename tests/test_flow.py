@@ -354,8 +354,8 @@ def test_mass_lumped_step_equals_the_unscaled_dense_system(seed, n, topology, dt
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("scheme", [EXPLICIT, SEMI_IMPLICIT])
 def test_step_raises_the_constructors_non_finite_failure(monkeypatch, scheme, bad):
-    # the new curve's constructor runs the one non-finite test of a step;
-    # the stepper raises its failure as a NumericalFailureError
+    # the new curve's segment lengths are the one non-finite test of a step;
+    # the stepper raises their failure as a NumericalFailureError
     state = make_state(circle(32))
     dt = stable_step(state.geometry, 0.5)
     if scheme == EXPLICIT:

@@ -311,6 +311,21 @@ def test_consistency_profile_step_counts(monkeypatch):
     assert max(r[2] for r in rows) < 1e-2
 
 
+def test_consistency_profile_checks_the_start_before_any_step(monkeypatch):
+    # a start off the unit sphere fails its rescale before the ambient flow
+    # takes a step
+    calls = []
+    explicit = flow._STEPPERS[flow.EXPLICIT]
+    monkeypatch.setitem(
+        flow._STEPPERS, flow.EXPLICIT, lambda *args: calls.append(1) or explicit(*args)
+    )
+    curve = build_curve(make_preset(SPHERE_PERTURBED, n=128, eps=0.2, harmonic=3))
+    doubled = SampledCurve(2.0 * curve.points, CLOSED)
+    with pytest.raises(NotOnSphereError, match="^mean radius 2 is not the expected 1$"):
+        consistency_profile(doubled, [0.05, 0.1])
+    assert calls == []
+
+
 @pytest.mark.parametrize("topology", [CLOSED, OPEN])
 def test_geodesic_step_bits_do_not_depend_on_the_lapack_route(monkeypatch, topology):
     state = perturbed_start(64, topology)

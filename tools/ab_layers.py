@@ -25,6 +25,8 @@ The layers, each at n = 256, 512, 1024 and 2048:
 - ``explicit_step``: ``flow.step_explicit`` on the perturbed-sphere preset;
 - ``geodesic_step``: ``sphere.step_geodesic_flow`` on the perturbed-sphere
   preset, rescaled to the unit sphere;
+- ``remesh``: ``curve.resample_uniform`` of the helix preset to its own n;
+- ``rescale``: ``sphere.rescale`` of the perturbed-sphere preset at t = 0;
 - ``run_steps``: ``flow.run`` on the helix preset for 200 steps with the
   default scheme and remeshing and no periodic record row, checked on the
   last curve: the steps with their dt rule and stop test, and the two rows
@@ -75,8 +77,8 @@ SIDES = ("parent", "change")
 MODULES = ("chordarc", "curve", "fileio", "flow", "presets", "sphere", "tridiag")
 LAYERS = (
     "compute_geometry", "cyclic_solve", "open_solve",
-    "semi_implicit_step", "explicit_step", "geodesic_step", "run_steps",
-    "ratio_minima", "min_pair_ratio", "write_curve",
+    "semi_implicit_step", "explicit_step", "geodesic_step", "remesh", "rescale",
+    "run_steps", "ratio_minima", "min_pair_ratio", "write_curve",
 )
 # read by name from a geometry, as one computing them on demand has no such fields
 CURVATURE = ("tangents", "curvature_vectors", "scalar_curvature")
@@ -147,6 +149,10 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int, path: Path):
     if layer == "geodesic_step":
         state = cs.sphere.rescale(sphere, 0.0)
         return lambda: cs.sphere.step_geodesic_flow(state, cs.sphere.GEODESIC_DT)
+    if layer == "remesh":
+        return lambda: cs.curve.resample_uniform(helix, n)
+    if layer == "rescale":
+        return lambda: cs.sphere.rescale(sphere, 0.0)
     if layer == "open_solve":
         curve = cs.curve.SampledCurve(helix.points, cs.curve.OPEN)
         solve = cs.tridiag.solve_tridiagonal
