@@ -21,7 +21,8 @@ The kernels work component-major, on (3, n) arrays with one contiguous row
 per coordinate, and read the closure where it lies.  The (n, 3) arrays of a
 ``CurveGeometry`` are ``.T`` views of read-only (3, n) buffers too.  A
 geometry computes its arc elements and Laplacian rows at once, and its
-tangents and curvature on first read: a semi-implicit step reads none.
+tangents and curvature on first read: a semi-implicit step reads none, and
+a remesh reads the rows as the second derivatives of its order-2 spline.
 """
 
 from __future__ import annotations
@@ -65,19 +66,22 @@ def row_norm(x: np.ndarray) -> np.ndarray:
 
 
 def _unmeasured(
-    steps: np.ndarray, lengths: np.ndarray, first: int, degenerate: str
+    ends: np.ndarray, lengths: np.ndarray, first: int, degenerate: str
 ) -> InvalidCurveError:
-    # the error for the first of ``lengths`` that measured 0 or inf, from the
-    # (3, m) coordinate differences it was measured from: segment ``first`` on
+    # the error for the first of ``lengths`` that measured 0 or inf, those of
+    # the segments between the (3, m + 1) vertices ``ends``: segment ``first`` on
     k = int(np.flatnonzero(~((lengths > 0.0) & (lengths < math.inf)))[0])
-    largest = float(np.abs(steps[:, k]).max())
+    largest = float(np.abs(ends[:, k + 1] - ends[:, k]).max())
     if largest == 0.0:
         return InvalidCurveError(degenerate)
     cause = "overflows" if lengths[k] > 0.0 else "underflows to zero"
-    return InvalidCurveError(
-        f"segment {first + k} length {cause}: its largest coordinate "
-        f"difference, {largest!r}, leaves the float range when squared"
-    )
+    if largest == math.inf:  # the difference itself, not only its square
+        p, q = (tuple(v.tolist()) for v in ends[:, k : k + 2].T)
+        why = f"the difference of its vertices, {p} and {q}, leaves the float range"
+    else:
+        why = f"its largest coordinate difference, {largest!r}, leaves the float range"
+        why += " when squared"
+    return InvalidCurveError(f"segment {first + k} length {cause}: {why}")
 
 
 def _checked_offset(offset, topology: str) -> np.ndarray | None:
@@ -125,8 +129,7 @@ def _close(wrapped: np.ndarray, off: np.ndarray | None, cyclic: bool) -> np.ndar
         if not (inner.min() > 0.0 and inner.sum() < math.inf):
             if not np.isfinite(rows).all():
                 raise InvalidCurveError("points contain non-finite values")
-            steps = rows[:, 1:] - rows[:, :-1]
-            raise _unmeasured(steps, inner, 0, "consecutive vertices must be distinct")
+            raise _unmeasured(rows, inner, 0, "consecutive vertices must be distinct")
         first, last = wrapped[:, 1], wrapped[:, -2]
         if off is not None:  # a periodic curve's wrap vertices lie one period away
             first, last = first + off, last - off
@@ -137,7 +140,7 @@ def _close(wrapped: np.ndarray, off: np.ndarray | None, cyclic: bool) -> np.ndar
             if not 0.0 < seg[-1] < math.inf:
                 kind = "closing" if off is None else "period-closing"
                 raise _unmeasured(
-                    closing[:, None], seg[-1:], n - 1, f"{kind} segment is degenerate"
+                    wrapped[:, -2:], seg[-1:], n - 1, f"{kind} segment is degenerate"
                 )
     return seg
 
@@ -164,9 +167,9 @@ class SampledCurve:
     Construction rejects non-finite vertices and measures every segment
     once on the way; the lengths are kept read-only and returned by
     ``segment_lengths``, so no later step measures them again.  A length
-    whose square leaves the float range, inf or 0 for distinct vertices,
-    is rejected with the segment and the cause named, and without numpy's
-    overflow warning.  ``_wrapped``
+    that leaves the float range, inf or 0 for distinct vertices, because a
+    coordinate difference or its square does, is rejected with the segment
+    and the cause named, and without numpy's overflow warning.  ``_wrapped``
     is the (3, n + 2) closure: the vertex before vertex 0, the vertices, the
     one after the last (a period away on periodic curves, the ends on open).
     """
@@ -371,34 +374,37 @@ def total_squared_curvature(geometry: CurveGeometry) -> float:
 
 
 def resample_uniform(curve: SampledCurve, n: int) -> SampledCurve:
-    """Resample to ``n`` vertices at uniform arc spacing.
+    """Resample to ``n`` vertices at uniform arc spacing, to order 2.
 
-    New vertices sit on the piecewise-linear interpolant at equal arc-length
-    fractions of the polyline.  Closed and periodic curves keep vertex 0 as
-    the anchor; open curves keep both endpoints exactly.  Topology and offset
-    are preserved.
+    A new vertex at fraction b = 1 - a of the segment p_i p_{i+1}, of length
+    h, is a p_i + b p_{i+1} + h^2/6 ((a^3 - a) M_i + (b^3 - b) M_{i+1}): the
+    cubic spline whose second derivatives M are the curve's Laplacian rows
+    (M_n = M_0 on cyclic curves; the ends of an open one repeat the adjacent
+    row).  A smooth curve moves by O(h^4) per remesh, not the polygon's
+    O(h^2), so a remeshed flow keeps its order 2.  Closed and periodic
+    curves keep vertex 0 as the anchor; open curves keep both endpoints
+    exactly.  Topology and offset are preserved.
     """
     if require_integer("n", n) < MIN_VERTICES[curve.topology]:
         raise InvalidArgumentError(
             f"cannot resample {curve.topology} curve to {n} vertices"
         )
     ext = curve._wrapped[:, 1:]  # the vertices, then the one after the last
-    seg = segment_lengths(curve)  # the lengths the curve itself reports
+    geom = compute_geometry(curve)  # the lengths the curve itself reports, and M
+    seg, lap = geom.segment_lengths, geom.laplacian.T
+    cyclic = curve.is_cyclic()
+    m = np.hstack((lap, lap[:, :1]) if cyclic else (lap[:, :1], lap, lap[:, -1:]))
     cum = np.concatenate(([0.0], np.cumsum(seg)))
-    total = cum[-1]
-
-    if curve.topology == OPEN:
-        targets = np.arange(n) * (total / (n - 1))
-        targets[-1] = total
-    else:
-        targets = np.arange(n) * (total / n)
-
-    idx = np.searchsorted(cum, targets, side="right") - 1
-    idx = np.clip(idx, 0, len(seg) - 1)
-    frac = (targets - cum[idx]) / seg[idx]
+    # an open curve's last target is its end, whose vertex is kept below
+    targets = np.arange(n) * (cum[-1] / (n if cyclic else n - 1))
+    idx = np.minimum(np.searchsorted(cum, targets, side="right") - 1, len(seg) - 1)
+    b = (targets - cum[idx]) / seg[idx]
+    a = 1.0 - b
+    w = seg[idx] * seg[idx] * (a * b) / -6.0  # a^3 - a = -a b (1 + a), and b alike
     wrapped = np.empty((3, n + 2))
     new_rows = wrapped[:, 1:-1]
-    np.add(ext[:, idx], frac * (ext[:, idx + 1] - ext[:, idx]), out=new_rows)
-    if curve.topology == OPEN:
+    np.add(a * ext[:, idx], b * ext[:, idx + 1], out=new_rows)
+    new_rows += w * ((1.0 + a) * m[:, idx] + (1.0 + b) * m[:, idx + 1])
+    if not cyclic:
         new_rows[:, 0], new_rows[:, -1] = ext[:, 0], ext[:, -1]
     return _adopt(wrapped, curve, "remesh")

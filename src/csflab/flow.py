@@ -13,6 +13,11 @@ Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
   integrator.  It reads no tangent and no curvature vector, so its steps
   never compute them (``CurveGeometry`` does on first read).
 
+One three-point stencil serves the geometry, the solve and the remesh: the
+Laplacian rows are the solve's right-hand side and the second derivatives
+of ``resample_uniform``'s cubic spline, so a remesh every ``remesh_every``
+steps keeps the scheme's order 2 in h.
+
 The backward-Euler system is built in one place, ``_backward_euler``; the
 intrinsic step of the sphere check, ``sphere.step_geodesic_flow``, solves
 it too, on the unit sphere, at a fixed dilated-time step instead of this

@@ -274,6 +274,22 @@ def dense_backward_euler(curve, dt):
     return moved
 
 
+# ---------------------------------------------------------------------- laws
+
+
+def ellipse_area_at(a, b, t):
+    # the area of the ellipse of semi-axes a and b after time t of flow: a
+    # convex planar curve loses its total turning, 2 pi, of area per unit time
+    return math.pi * (a * b - 2.0 * t)
+
+
+def helix_dl_min_at(a0, b, t):
+    # (d/l)_min of the helix of radius a(t) and pitch 2 pi b, that of its
+    # period pair: chord 2 pi b over arc 2 pi sqrt(a(t)^2 + b^2)
+    a = cs.helix_radius_at(a0, b, t)
+    return b / math.sqrt(a * a + b * b)
+
+
 # ----------------------------------------------------------------- chord-arc
 
 

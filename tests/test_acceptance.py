@@ -16,7 +16,8 @@ import pytest
 
 import csflab as cs
 import csflab.cli as cli
-from reference import brute_force_field
+from csflab.helix import shrinking_circle_radius
+from reference import brute_force_field, ellipse_area_at, helix_dl_min_at
 
 
 def report(num, ok, detail):
@@ -221,3 +222,44 @@ def test_criterion_10_structural_invariants(tmp_path):
            "brute-force equal, deterministic{}".format(
                fenchel_worst, dpsi_err,
                "" if ok else "; " + "; ".join(problems)))
+
+
+def test_criterion_11_observed_order(circle_run, ellipse_run):
+    # each law's error E at n/4, n/2 and n, through run with the default
+    # remeshing; both log2(E(n/4)/E(n/2)) and log2(E(n/2)/E(n)) must lie in
+    # [1.7, 2.3], the scheme's order 2 (Roache 1998)
+    def final(name, n, t):
+        curve = cs.build_curve(cs.make_preset(name, n=n))
+        # rows and snapshots at the start and at t only
+        return cs.run(curve, cs.FlowConfig(t_end=t, record_every=10**9))
+
+    def radius(run):
+        pts = run.snapshots[-1][2].points
+        return np.hypot(pts[:, 0], pts[:, 1]).mean()
+
+    def area(run):  # of the projection onto the plane z = 0
+        x, y = run.snapshots[-1][2].points[:, :2].T
+        return 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+
+    def mean_sq_norm(run):
+        return (run.snapshots[-1][2].points ** 2).sum(axis=1).mean()
+
+    cases = (  # label, preset, n, t, the run at n if a fixture holds it, measure, law
+        ("circle radius", cs.CIRCLE, 256, 0.4, circle_run, radius,
+         shrinking_circle_radius(1.0, 0.4)),
+        ("ellipse area", cs.ELLIPSE, 512, 0.3, ellipse_run, area,
+         ellipse_area_at(2.0, 1.0, 0.3)),
+        ("sphere mean |x|^2", cs.SPHERE_PERTURBED, 256, 0.4, None, mean_sq_norm,
+         1.0 - 2.0 * 0.4),
+        ("helix (d/l)_min", cs.HELIX, 512, 0.5, None, lambda run: run.rows[-1].dl_min,
+         helix_dl_min_at(1.0, 1.0, 0.5)),
+    )
+    details, ok = [], True
+    for label, name, n, t, full, measure, law in cases:
+        runs = [final(name, n // 4, t), final(name, n // 2, t)]
+        runs.append(full or final(name, n, t))
+        errs = [abs(float(measure(run)) - law) for run in runs]
+        p = [math.log2(errs[0] / errs[1]), math.log2(errs[1] / errs[2])]
+        ok = ok and all(1.7 <= order <= 2.3 for order in p)
+        details.append(f"{label} n={n}: |E| {errs[2]:.2e}, p {p[0]:.2f}/{p[1]:.2f}")
+    report(11, ok, "; ".join(details) + " (p in [1.7, 2.3])")

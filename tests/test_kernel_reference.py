@@ -2,7 +2,8 @@
 
 ``compute_geometry``, the explicit step, the geodesic step and the cyclic
 solve write out row norms and the Sherman-Morrison correction by hand, and
-``resample_uniform`` reads the curve's closure from the constructor.  Each
+``resample_uniform`` reads the curve's closure from the constructor and its
+spline's second derivatives from ``compute_geometry``'s Laplacian.  Each
 is compared with ``reference``'s geometry and steps, or with a reference
 below spelled with ``np.hstack``, ``np.vstack`` and ``np.outer``, on
 C-ordered copies of the vertices, since ``np.einsum`` adds in another order
@@ -14,7 +15,9 @@ for bit, signed zeros included, with one stated exception: ``laplacian``,
 the Laplacian as its right-hand side, are compared by ``same_values``, the
 sign rule of the Laplacian's zeros that ``reference`` states.  Everything
 else keeps every bit: the two zeros differ only where the vertex's own
-coordinate is +0.0, to which the explicit step adds either zero, and
+coordinate is +0.0, its predecessor's +0.0 and its successor's -0.0.  The
+explicit step adds either zero to that +0.0; the resample adds it to
+a p_i + b p_{i+1} on the two segments of the vertex, +0.0 on both; and
 ``row_dot`` of zeros is +0.0 either way.  The planar curves that ``CURVES``
 draws, whose z-coordinates mix +0.0 and -0.0 and whose x and y values
 repeat, hold such zeros; the ``rng.normal`` curves hold none.
@@ -42,15 +45,19 @@ from reference import (
 
 
 def reference_resample(curve, m):
-    # the closing vertex stacked onto the vertices, cumulative arc length and
-    # a sorted search for the segment of each equally spaced target
+    # the closing vertex stacked onto the vertices, cumulative arc length, a
+    # sorted search for the segment of each equally spaced target, and the
+    # cubic spline whose second derivatives M are reference_geometry's
+    # Laplacian rows, M_n = M_0 on cyclic curves, the ends of an open curve
+    # taking the adjacent row; a^3 - a = -a b (1 + a), and b^3 - b alike
     pts = np.ascontiguousarray(curve.points)
+    lap = reference_geometry(curve)["laplacian"]
     if curve.topology == CLOSED:
-        ext = np.vstack([pts, pts[0]])
+        ext, rows = np.vstack([pts, pts[0]]), np.vstack([lap, lap[0]])
     elif curve.topology == PERIODIC:
-        ext = np.vstack([pts, pts[0] + curve.offset])
+        ext, rows = np.vstack([pts, pts[0] + curve.offset]), np.vstack([lap, lap[0]])
     else:
-        ext = pts
+        ext, rows = pts, np.vstack([lap[0], lap, lap[-1]])
     seg = reference_segments(curve)
     cum = np.cumsum(np.append(0.0, seg))
     if curve.topology == OPEN:
@@ -59,8 +66,12 @@ def reference_resample(curve, m):
     else:
         targets = np.arange(m) * (cum[-1] / m)
     idx = np.minimum(np.searchsorted(cum, targets, side="right") - 1, len(seg) - 1)
-    frac = (targets - cum[idx]) / seg[idx]
-    new = ext[idx] + frac[:, None] * (ext[idx + 1] - ext[idx])
+    b = (targets - cum[idx]) / seg[idx]
+    a = 1.0 - b
+    w = seg[idx] * seg[idx] * (a * b) / -6.0
+    a, b, w = a[:, None], b[:, None], w[:, None]
+    new = a * ext[idx] + b * ext[idx + 1]
+    new += w * ((1.0 + a) * rows[idx] + (1.0 + b) * rows[idx + 1])
     if curve.topology == OPEN:
         new[[0, -1]] = pts[[0, -1]]
     return new
