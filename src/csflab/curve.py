@@ -389,8 +389,12 @@ def resample_uniform(curve: SampledCurve, n: int) -> SampledCurve:
         raise InvalidArgumentError(
             f"cannot resample {curve.topology} curve to {n} vertices"
         )
+    return _resample(curve, compute_geometry(curve), n)
+
+
+def _resample(curve: SampledCurve, geom: CurveGeometry, n: int) -> SampledCurve:
+    # ``resample_uniform`` on ``geom``, the geometry of ``curve`` (a run's state holds it)
     ext = curve._wrapped[:, 1:]  # the vertices, then the one after the last
-    geom = compute_geometry(curve)  # the lengths the curve itself reports, and M
     seg, lap = geom.segment_lengths, geom.laplacian.T
     cyclic = curve.is_cyclic()
     m = np.hstack((lap, lap[:, :1]) if cyclic else (lap[:, :1], lap, lap[:, -1:]))

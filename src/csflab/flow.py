@@ -1,6 +1,7 @@
 """Time integration of the curvature flow for discrete curves.
 
-Two schemes share one adaptive step rule dt = cfl * min(ds)^2 / 2:
+Two schemes share one adaptive step, ``stable_step``: the stencil's own
+forward-Euler bound, scaled by cfl <= 1:
 
 * ``explicit``       -- forward Euler on the projected curvature vector;
 * ``semi_implicit``  -- backward Euler on the arc-length Laplacian with
@@ -50,9 +51,9 @@ from .curve import (
     CurveGeometry,
     SampledCurve,
     _adopt,
+    _resample,
     compute_geometry,
     curvature_bound,
-    resample_uniform,
     row_dot,
     total_absolute_curvature,
     total_squared_curvature,
@@ -169,10 +170,16 @@ def make_state(curve: SampledCurve) -> FlowState:
 
 
 def stable_step(geometry: CurveGeometry, cfl: float = 1.0) -> float:
-    """The step-size rule cfl * min(ds)^2 / 2, not a stability bound: on
-    non-uniform spacing it can exceed forward Euler's dt (a_i + c_i) <= 1
-    by any factor (ROADMAP item 21)."""
-    return cfl * float(geometry.ds.min()) ** 2 / 2.0
+    """cfl / max(a_i + c_i) of the stencil, cfl * min(h_{i-1} h_i) / 2 over
+    the vertices that move (not an open curve's ends): at cfl <= 1 each
+    forward-Euler update of the stencil is a convex combination of a vertex
+    and its neighbours, the discrete maximum principle (Deckelnick, Dziuk
+    and Elliott 2005)."""
+    seg = geometry.segment_lengths
+    m = float((seg[:-1] * seg[1:]).min())
+    if len(seg) == len(geometry.ds):  # closed or periodic: vertex 0 moves too
+        m = min(m, float(seg[-1] * seg[0]))
+    return cfl * m / 2.0
 
 
 def _backward_euler(
@@ -216,7 +223,8 @@ def step_explicit(state: FlowState, dt: float) -> FlowState:
     """Forward Euler step: each vertex moves by dt times its curvature vector.
 
     Open-curve endpoints are Dirichlet data and do not move.  A dt above
-    ``stable_step``'s rule at cfl 1 is rejected (a rule: ROADMAP item 21).
+    ``stable_step`` at cfl 1, the bound of the discrete maximum principle,
+    is rejected.
     """
     if not dt > 0.0:
         raise InvalidArgumentError("dt must be positive")
@@ -257,7 +265,7 @@ _STEPPERS = {EXPLICIT: step_explicit, SEMI_IMPLICIT: step_semi_implicit}
 
 
 def _remeshed(state: FlowState) -> FlowState:
-    curve = resample_uniform(state.curve, state.curve.n)
+    curve = _resample(state.curve, state.geometry, state.curve.n)
     return FlowState(curve, state.t, state.step, compute_geometry(curve))
 
 

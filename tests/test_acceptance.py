@@ -89,10 +89,16 @@ def test_criterion_03_helix_self_similarity(helix_run):
     dl = np.array([r.dl_min for r in helix_run.rows])
     steps = np.array([r.step for r in helix_run.rows])
     slope_min = float((np.diff(dl) / np.diff(steps)).min())
-    ok = spread < 1e-4 and a_err < 1e-3 and slope_min >= -1e-6
+    # the paper's exact law b / sqrt(a(t)^2 + b^2), within 2/n^2
+    law_err = max(abs(r.dl_min - helix_dl_min_at(1.0, 1.0, r.t)) for r in helix_run.rows)
+    law_bound = 2.0 / 1024**2
+    ok = (spread < 1e-4 and a_err < 1e-3 and slope_min >= -1e-6
+          and law_err < law_bound)
     report(3, ok,
            f"helix n=1024: axis spread {spread:.2e} (<1e-4), a(t) err {a_err:.2e} "
-           f"(<1e-3), (d/l)_min slope >= {slope_min:.2e} (>=-1e-6)")
+           f"(<1e-3), (d/l)_min slope >= {slope_min:.2e} (>=-1e-6), "
+           f"|(d/l)_min - b/sqrt(a(t)^2+b^2)| {law_err:.2e} (<{law_bound:.2e}, "
+           f"margin {law_bound / law_err:.1f}x)")
 
 
 def test_criterion_04_derivative_positivity():

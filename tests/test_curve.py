@@ -209,6 +209,28 @@ def test_resample_takes_the_curves_own_segment_lengths(monkeypatch, topology):
     assert np.array_equal(rc.points, resample_uniform(c, 33).points)
 
 
+@pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])
+def test_a_runs_remesh_reads_its_states_geometry(monkeypatch, topology):
+    # flow._remeshed resamples on the geometry its state holds: it computes
+    # only the new curve's, and its vertices are resample_uniform's
+    c = circle(40) if topology == CLOSED else helix(40)
+    if topology == OPEN:
+        c = SampledCurve(c.points, OPEN)
+    state = flow.make_state(c)
+    made = []
+
+    def spy(curve):
+        made.append(curve)
+        return compute_geometry(curve)
+
+    monkeypatch.setattr(curve_module, "compute_geometry", spy)
+    monkeypatch.setattr(flow, "compute_geometry", spy)
+    nxt = flow._remeshed(state)
+    assert made == [nxt.curve]
+    monkeypatch.undo()
+    assert np.array_equal(nxt.curve.points, resample_uniform(c, 40).points)
+
+
 def test_validation_rejects_bad_input():
     good = np.column_stack([np.cos(np.arange(8)), np.sin(np.arange(8)), np.zeros(8)])
     off = (0.0, 0.0, 1.0)

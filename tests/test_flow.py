@@ -36,16 +36,75 @@ from csflab.flow import (
 from csflab.helix import helix_radius_at, shrinking_circle_radius
 from csflab.presets import HELIX, SPHERE_PERTURBED, build_curve, make_preset
 from csflab import flow, tridiag
-from reference import backward_euler, circle, dense_backward_euler, random_curve, reference_geometry
+from reference import (
+    backward_euler,
+    circle,
+    dense_backward_euler,
+    helix,
+    random_curve,
+    reference_geometry,
+)
 
 
 def radii(curve):
     return np.hypot(curve.points[:, 0], curve.points[:, 1])
 
 
+def stencil_sum(geom):
+    # a_i + c_i of each Laplacian row, with compute_geometry's a and c
+    seg = geom.segment_lengths
+    hm, hp = (np.roll(seg, 1), seg) if len(seg) == len(geom.ds) else (seg[:-1], seg[1:])
+    return 2.0 / (hm * (hm + hp)) + 2.0 / (hp * (hm + hp))
+
+
+def noisy_arc(n=256, sigma=1e-3, seed=1):
+    # an open unit-circle arc of length 1, its interior vertices moved by
+    # Gaussian noise of about a quarter of the spacing
+    s = np.linspace(0.0, 1.0, n)
+    pts = np.column_stack([np.cos(s), np.sin(s), np.zeros(n)])
+    pts[1:-1] += np.random.default_rng(seed).normal(0.0, sigma, (n - 2, 3))
+    return SampledCurve(pts, OPEN)
+
+
 def test_stable_step_formula():
-    g = compute_geometry(circle(128, 2.0))
-    assert stable_step(g, cfl=0.5) == 0.5 * g.ds.min() ** 2 / 2.0
+    # cfl * min(h_{i-1} h_i) / 2 over the vertices that move: every vertex of
+    # a closed curve, the closing pair included, and an open curve's interior
+    theta = np.arange(128) * (2.0 * math.pi / 128)
+    theta[1], theta[-1] = 0.9 * theta[1], 2.0 * math.pi - 0.8 * theta[1]
+    pts = 2.0 * np.column_stack([np.cos(theta), np.sin(theta), np.zeros(128)])
+    g = compute_geometry(SampledCurve(pts, CLOSED))  # vertex 0's segments: 0.8 h, 0.9 h
+    seg = g.segment_lengths
+    pairs = seg * np.roll(seg, 1)
+    assert np.argmin(pairs) == 0  # the closing pair decides
+    assert stable_step(g, cfl=0.5) == 0.5 * pairs.min() / 2.0
+    assert stable_step(g, 0.5) < 0.5 * g.ds.min() ** 2 / 2.0  # ds_i^2 >= h_{i-1} h_i
+    g = compute_geometry(noisy_arc())
+    seg = g.segment_lengths
+    assert stable_step(g, 0.5) == 0.5 * min(seg[:-1] * seg[1:]) / 2.0
+    # the end half-elements, whose vertices stay fixed, no longer quarter it
+    x = np.arange(6.0)
+    line = compute_geometry(SampledCurve(np.column_stack([x, 0 * x, 0 * x]), OPEN))
+    assert stable_step(line) == 0.5 == 4.0 * line.ds.min() ** 2 / 2.0
+
+
+def test_stable_step_is_the_stencils_bound():
+    # dt = stable_step(geom, cfl) gives dt (a_i + c_i) <= cfl at every row,
+    # with equality at the tightest one; 200 forward-Euler steps on a noisy
+    # open arc keep it at every step (the min(ds)^2 rule reached 1.39)
+    st = make_state(noisy_arc())
+    worst = 0.0
+    for _ in range(200):
+        dt = stable_step(st.geometry, 0.5)
+        worst = max(worst, dt * float(stencil_sum(st.geometry).max()))
+        st = step_explicit(st, dt)
+    assert 0.5 * (1.0 - 1e-12) <= worst <= 0.5 * (1.0 + 1e-12)
+    for curve in (circle(64), helix(64), noisy_arc()):
+        geom = compute_geometry(curve)
+        assert stable_step(geom) * stencil_sum(geom).max() == pytest.approx(1.0, rel=1e-12)
+        state = make_state(curve)
+        with pytest.raises(InvalidArgumentError, match="exceeds the stability bound"):
+            step_explicit(state, 1.01 * stable_step(geom, 1.0))
+        step_explicit(state, stable_step(geom, 1.0))
 
 
 def test_explicit_circle_one_step():
@@ -232,9 +291,9 @@ def observed_orders(errors):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_first_order_in_time_against_the_exact_laws(scheme):
-    # dt = cfl min(ds)^2 / 2 at fixed n, so halving cfl halves a first-order
-    # error.  The circle radius and the sphere law |p|^2 = 1 - 2t show no
-    # spatial error at n = 64, so their errors themselves halve.  The helix
+    # dt = cfl min(h_{i-1} h_i) / 2 at fixed n, so halving cfl halves a
+    # first-order error.  The circle radius and the sphere law |p|^2 = 1 - 2t
+    # show no spatial error at n = 64, so their errors themselves halve.  The helix
     # radius also errs by a spatial term as large as the time error, which
     # no dt removes, so its order is read from successive differences of
     # the signed error, over one more halving (Roache 1998, observed order

@@ -15,10 +15,14 @@ values with the median, quartiles and ``spread`` that ``repeat._stats``
 gives them and the benchmark's bound; per pair, ``change_wins`` (pairs in
 which the change read better, ties counting for neither),
 ``median_change`` (change median over parent median, minus one) and
-``median_gap_over_parent_iqr``; and ``all_correct``, with the machine facts
-that each side's runs print. A summary table goes to stdout,
-one line per run to stderr. Exit status 1 when any run fails or reports an
-incorrect result.
+``median_gap_over_parent_iqr``; ``all_correct``; each side's op digests,
+one list per seed, read from the ``perfbench/.work/result-<workload>.json``
+that the run leaves in its checkout, and ``digests_agree``, whether the
+change's ops printed the parent's digests on every seed both ran (None when
+no seed did); with the machine facts that each side's runs print. A summary
+table goes to stdout, one line per run to stderr. Exit status 1 when any
+run fails or reports an incorrect result; digests that differ are a
+finding, not a failure.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int, secon
     """One benchmark run: its printed summary and machine facts, or Nones.
 
     Unlike ``repeat._run``, it runs in a given checkout and reports a failed
-    run instead of exiting, so that the other runs still count.
+    run instead of exiting, so that the other runs still count. The summary
+    gains ``digests``, those of its ops (``op_digests``).
     """
     argv = [*command, "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -65,7 +70,22 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int, secon
         print(f"{checkout}: {workload} seed {seed}: {exc}\n{proc.stderr[-2000:]}",
               file=sys.stderr)
         return None, None
+    summary["digests"] = op_digests(checkout, workload, seed, summary)
     return summary, machine
+
+
+def op_digests(checkout: Path, workload: str, seed: int, summary: dict) -> list[str] | None:
+    """The output digest of each op of the run that printed ``summary``, read
+    from the detail file it wrote; None when that file is missing or another
+    run's (a different seed or summary)."""
+    path = checkout / "perfbench" / ".work" / f"result-{workload}.json"
+    try:
+        detail = json.loads(path.read_text())
+    except (OSError, ValueError):
+        return None
+    if detail.get("args", {}).get("seed") != seed or detail.get("summary") != summary:
+        return None
+    return [op["digest"] for op in detail["ops"] if op is not None]
 
 
 def side_summary(values: list[float], bound: float) -> dict:
@@ -115,6 +135,11 @@ def summarise(results: dict, end_to_end: list[dict]) -> dict:
         entry["all_correct"] = all(
             r is not None and r["correct"] for side in SIDES for r in sides[side]
         )
+        for side in SIDES:
+            entry[side]["digests"] = [r.get("digests") if r else None for r in sides[side]]
+        both = [(p, c) for p, c in zip(entry["parent"]["digests"], entry["change"]["digests"])
+                if p is not None and c is not None]
+        entry["digests_agree"] = all(set(p) == set(c) for p, c in both) if both else None
         out[workload] = entry
     return out
 
@@ -135,6 +160,8 @@ def _table(workloads: dict) -> list[str]:
                 f"{pair['change_wins']:>3}/{pair['pairs']:<2} "
                 f"{f'{gap:.2f}' if gap is not None else 'n/a':>8}"
             )
+    for workload, entry in workloads.items():
+        rows.append(f"{workload:16} op digests agree: {entry['digests_agree']}")
     return rows
 
 
@@ -184,7 +211,9 @@ def main(argv=None) -> int:
             "its ops. change_wins counts the pairs in which the change read "
             "better; median_change is the change median over the parent median, "
             "minus one; median_gap_over_parent_iqr is the distance between the "
-            "medians over the parent's Q3 - Q1."
+            "medians over the parent's Q3 - Q1. digests lists each run's op "
+            "output digests (None for a failed run); digests_agree is whether "
+            "both sides' digests match on every seed that both ran."
         ),
         "workloads": summarised,
     }
