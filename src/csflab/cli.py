@@ -211,9 +211,9 @@ def _cmd_sphere_verify(args: argparse.Namespace) -> int:
     if not 0.0 < args.t_end < 0.5:
         raise InvalidArgumentError("--t-end must lie in (0, 0.5)")
     config = FlowConfig(t_end=args.t_end)
-    _, out = _simulate_and_emit(preset, config, args.out)
+    record, out = _simulate_and_emit(preset, config, args.out)
     targets = args.t_end * np.arange(1, 7) / 6.0
-    profile = consistency_profile(build_curve(preset), targets)
+    profile = consistency_profile(record.snapshots[0][2], targets)
     write_table(CONSISTENCY_CSV, profile, out / "consistency.csv")
     worst = max(row[2] for row in profile)
     print(

@@ -184,8 +184,6 @@ class SampledCurve:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise InvalidCurveError("points must be an (n, 3) array")
-        if not np.isfinite(pts).all():
-            raise InvalidCurveError("points contain non-finite values")
         if self.topology not in TOPOLOGIES:
             raise InvalidCurveError(f"unknown topology {self.topology!r}")
         n = len(pts)

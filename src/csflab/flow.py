@@ -27,12 +27,14 @@ into the centre of a fresh (3, n + 2) buffer, which becomes the next
 curve's closure without a copy (``curve._adopt``).
 
 ``run``, ``run_to_times`` and ``sphere.run_geodesic_flow`` share one time
-loop, ``_integrate``: the dt clamp, the landing on target times, the
-``MAX_STEPS`` step cap, the failure message and the output attached on
-failure or interrupt live there; ``_run_to_targets`` drives it on a fixed
-grid with the caller's dt rule.  ``run``'s curvature-resolution stop test
-reads the exact k_max only when a cheap upper bound on it, taken from the
-Laplacian rows, comes near the threshold (``_resolution_exhausted``).
+loop, ``_integrate``: the dt clamp, the landing on every target time within
+``LANDING_TOLERANCE``, the ``MAX_STEPS`` step cap, the failure message and
+the output attached on failure or interrupt live there; ``_run_to_targets``
+drives it on a fixed grid with the caller's dt rule.  That dt is at most
+``stable_step``, so the loop steps the explicit scheme unchecked.  ``run``'s
+curvature-resolution stop test reads the exact k_max only when a cheap
+upper bound on it, taken from the Laplacian rows, comes near the threshold
+(``_resolution_exhausted``).
 Runs are deterministic: identical inputs give bit-identical records.
 """
 
@@ -78,6 +80,9 @@ NO_REMESH = 10**9
 
 # step cap of the time loop, and FlowConfig.max_steps' default
 MAX_STEPS = 1_000_000
+
+# the time loop reaches a target at t >= target * (1 - LANDING_TOLERANCE)
+LANDING_TOLERANCE = 1e-14
 
 # the last record rows that estimate_vanishing_time fits L^2 over
 VANISHING_FIT_ROWS = 8
@@ -231,8 +236,12 @@ def step_explicit(state: FlowState, dt: float) -> FlowState:
     bound = stable_step(state.geometry)
     if dt > bound * (1.0 + 1e-9):
         raise InvalidArgumentError(f"dt={dt:g} exceeds the stability bound {bound:g}")
-    # component-major (3, n), the layout of the geometry and of the solves,
-    # in the centre of the next curve's closure
+    return _forward_euler(state, dt)
+
+
+def _forward_euler(state: FlowState, dt: float) -> FlowState:
+    # step_explicit unchecked, for the time loop: (3, n) component-major, the
+    # layout of the geometry and the solves, in the next curve's closure
     wrapped = np.empty((3, state.curve.n + 2))
     moved = np.multiply(dt, state.geometry.curvature_vectors.T, out=wrapped[:, 1:-1])
     if not state.curve.is_cyclic():
@@ -261,7 +270,7 @@ def step_semi_implicit(state: FlowState, dt: float) -> FlowState:
     return FlowState(curve, state.t + dt, state.step + 1, compute_geometry(curve))
 
 
-_STEPPERS = {EXPLICIT: step_explicit, SEMI_IMPLICIT: step_semi_implicit}
+_STEPPERS = {EXPLICIT: _forward_euler, SEMI_IMPLICIT: step_semi_implicit}
 
 
 def _remeshed(state: FlowState) -> FlowState:
@@ -364,7 +373,6 @@ def _integrate(
     advance,
     dt_rule,
     targets,
-    tolerance: float,
     record,
     so_far,
     max_steps: int,
@@ -375,8 +383,8 @@ def _integrate(
     """The one time loop: step ``state`` toward each target time in turn.
 
     Each step takes dt = min(dt_rule(geometry(state)), target - t).  A target
-    is reached once clock(state) >= target * (1 - tolerance) and its state
-    goes to ``record``.  ``max_steps`` is tested before a step,
+    is reached once clock(state) >= target * (1 - LANDING_TOLERANCE) and its
+    state goes to ``record``.  ``max_steps`` is tested before a step,
     ``after_step`` after it; a stop records its state and returns its
     reason.  A step fails when ``advance``, or the geometry,
     record or stop test of the state it made, raises ``InvalidCurveError``
@@ -388,7 +396,7 @@ def _integrate(
     steps, good, dt = 0, None, math.nan
     try:
         for target in targets:
-            landing = target * (1.0 - tolerance)
+            landing = target * (1.0 - LANDING_TOLERANCE)
             while (t := clock(state)) < landing:
                 if steps >= max_steps:
                     record(state)
@@ -423,8 +431,8 @@ def _run_to_targets(start, advance, dt_rule, targets, earliest, keep=None, **loo
 
     Targets increase strictly from ``earliest`` on, and are checked before
     ``start()`` makes the starting state, so a bad grid costs no geometry;
-    steps of ``dt_rule(geometry)`` land within 1e-14; ``loop`` goes to
-    ``_integrate``.
+    steps of ``dt_rule(geometry)`` land as ``_integrate`` lands every
+    target; ``loop`` goes to ``_integrate``.
     """
     targets = [require_real("target time", t) for t in targets]
     # written so that a NaN target fails too
@@ -444,7 +452,6 @@ def _run_to_targets(start, advance, dt_rule, targets, earliest, keep=None, **loo
         advance,
         dt_rule,
         targets,
-        1e-14,
         record,
         lambda _: out,
         MAX_STEPS,  # read at each run
@@ -512,7 +519,6 @@ def run(initial: SampledCurve, config: FlowConfig) -> RunRecord:
         advance,
         lambda geom: stable_step(geom, config.cfl),
         targets,
-        1e-12,
         record,
         so_far,
         config.max_steps,

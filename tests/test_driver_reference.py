@@ -5,11 +5,11 @@ time loop of their own; they now call one driver.  The references below
 keep those old loops as they were, and every result (record rows,
 snapshots, stop reason, vanishing-time estimate, landed ``(t, curve)``
 pairs and ``RescaledState``s) must agree bit for bit, compared as int64
-views.  Cases include targets that fall inside one landing tolerance but
-not the other, so the two tolerances (``1e-12`` in ``run``, ``1e-14`` in
-the other two) cannot trade places unnoticed.  The geodesic reference
-steps the fixed ``GEODESIC_DT`` where its old body took
-``stable_step(geometry, cfl)``, as ``run_geodesic_flow`` does now.
+views.  Cases include targets that fall inside the one landing tolerance,
+``LANDING_TOLERANCE`` (1e-14), and outside it; ``reference_run`` reads
+that constant where its old body landed within 1e-12, a rule that is gone.
+The geodesic reference steps the fixed ``GEODESIC_DT`` where its old body
+took ``stable_step(geometry, cfl)``, as ``run_geodesic_flow`` does now.
 """
 
 import dataclasses
@@ -32,6 +32,7 @@ from csflab.curve import OPEN, PERIODIC
 from csflab.errors import InvalidArgumentError, InvalidCurveError, NumericalFailureError
 from csflab.flow import (
     EXPLICIT,
+    LANDING_TOLERANCE,
     NO_REMESH,
     SCHEMES,
     _STEPPERS,
@@ -113,7 +114,9 @@ def reference_run(initial, config):
                 > config.stop_curvature_resolution
             ):
                 stop_reason = "resolution_exhausted"
-            elif config.t_end is not None and state.t >= config.t_end * (1.0 - 1e-12):
+            elif config.t_end is not None and state.t >= config.t_end * (
+                1.0 - LANDING_TOLERANCE
+            ):
                 stop_reason = "t_end"
 
             if stop_reason is not None or state.step % config.record_every == 0:
@@ -237,8 +240,9 @@ CURVES = dict(
     amp=st.floats(0.0, 0.1),
 )
 
-# relative gaps from a landing to the next target: inside both landing
-# tolerances, between 1e-14 and 1e-12, and outside both
+# relative gaps from a landing to the next target: inside the landing
+# tolerance, 1e-14, and outside it below and above 1e-12, so that a second
+# tolerance between the two would show
 GAPS = (4e-15, 1e-13, 5e-12)
 
 
@@ -299,8 +303,8 @@ def test_run_equals_reference(
 @pytest.mark.parametrize("topology", [CLOSED, PERIODIC, OPEN])
 @pytest.mark.parametrize("gap", (0.0,) + GAPS)
 def test_run_lands_within_its_own_tolerance(scheme, topology, gap):
-    # t_end a relative gap past the time of step 6: within 1e-12 the run
-    # lands there, beyond it one more, tiny step reaches t_end
+    # t_end a relative gap past the time of step 6: within the landing
+    # tolerance the run lands there, beyond it one more, tiny step reaches t_end
     curve = smooth_curve(7, 32, topology, 0.05)
     probe = reference_run(
         curve, FlowConfig(scheme=scheme, record_every=1, max_steps=6, remesh_every=4)
@@ -310,7 +314,7 @@ def test_run_lands_within_its_own_tolerance(scheme, topology, gap):
     config = FlowConfig(scheme=scheme, record_every=4, t_end=t_end, remesh_every=4)
     new, ref = run(curve, config), reference_run(curve, config)
     assert record_bits(new) == record_bits(ref)
-    assert ref.rows[-1].step == (6 if gap < 1e-12 else 7)
+    assert ref.rows[-1].step == (6 if gap < 1e-14 else 7)
 
 
 @settings(max_examples=150, deadline=None)

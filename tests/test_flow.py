@@ -127,6 +127,35 @@ def test_explicit_rejects_unstable_dt():
             step_explicit(st, dt)
 
 
+def test_explicit_runs_evaluate_one_bound_per_step(monkeypatch):
+    # the time loop's dt rule is the only stable_step of an explicit step:
+    # the stepper it calls trusts that dt, and step_explicit checks its own
+    bound, stepper = flow.stable_step, flow._STEPPERS[EXPLICIT]
+    calls = {"bound": 0, "step": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(flow, "stable_step", counted("bound", bound))
+    monkeypatch.setitem(flow._STEPPERS, EXPLICIT, counted("step", stepper))
+    record = run(circle(64), FlowConfig(scheme=EXPLICIT, t_end=0.05, remesh_every=7))
+    assert calls["bound"] == calls["step"] == record.rows[-1].step > 20
+    for curve in (circle(128), helix(128)):
+        calls.update(bound=0, step=0)
+        run_to_times(curve, [0.002, 0.005, 0.01], cfl=0.5, scheme=EXPLICIT)
+        assert calls["bound"] == calls["step"] > 5
+    state = make_state(helix(64))
+    with pytest.raises(InvalidArgumentError, match="exceeds the stability bound"):
+        step_explicit(state, 1.01 * bound(state.geometry, 1.0))
+    calls.update(bound=0)
+    step_explicit(state, bound(state.geometry, 1.0))
+    assert calls["bound"] == 1
+
+
 def test_semi_implicit_circle_one_step():
     # solving (I - dt A) delta = dt A p on the exact circle gives r/(1 + dt/r^2)
     r = 1.0

@@ -22,10 +22,14 @@ The layers, each at n = 256, 512, 1024 and 2048:
 - ``open_solve``: ``tridiag.solve_tridiagonal`` on the system it builds
   for the helix vertices taken as an open curve, whose interior it solves;
 - ``semi_implicit_step``: ``flow.step_semi_implicit`` on the helix preset;
-- ``explicit_step``: ``flow.step_explicit`` on the perturbed-sphere preset;
+- ``explicit_step``: the explicit step a run takes, ``flow._STEPPERS``'
+  ``explicit`` entry, on the perturbed-sphere preset, checked once to give
+  the bits of ``flow.step_explicit``;
 - ``geodesic_step``: ``sphere.step_geodesic_flow`` on the perturbed-sphere
   preset, rescaled to the unit sphere;
-- ``remesh``: ``curve.resample_uniform`` of the helix preset to its own n;
+- ``remesh``: the remesh a run makes, ``flow._remeshed``, of the helix
+  preset's state, whose geometry is built once outside the timing, checked
+  once to give the bits of ``curve.resample_uniform``;
 - ``rescale``: ``sphere.rescale`` of the perturbed-sphere preset at t = 0;
 - ``run_steps``: ``flow.run`` on the helix preset for 200 steps with the
   default scheme and remeshing and no periodic record row, checked on the
@@ -139,18 +143,22 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int, path: Path):
             return path
 
         return write
-    steps = {"semi_implicit_step": (cs.flow.step_semi_implicit, helix),
-             "explicit_step": (cs.flow.step_explicit, sphere)}
-    if layer in steps:
-        step, curve = steps[layer]
-        state = cs.flow.make_state(curve)
+    if layer == "semi_implicit_step":
+        state = cs.flow.make_state(helix)
         dt = cs.flow.stable_step(state.geometry, 0.5)
-        return lambda: step(state, dt)
+        return lambda: cs.flow.step_semi_implicit(state, dt)
+    if layer == "explicit_step":
+        state = cs.flow.make_state(sphere)
+        dt = cs.flow.stable_step(state.geometry, 0.5)
+        return as_public(lambda: cs.flow._STEPPERS[cs.flow.EXPLICIT](state, dt),
+                         lambda: cs.flow.step_explicit(state, dt))
     if layer == "geodesic_step":
         state = cs.sphere.rescale(sphere, 0.0)
         return lambda: cs.sphere.step_geodesic_flow(state, cs.sphere.GEODESIC_DT)
     if layer == "remesh":
-        return lambda: cs.curve.resample_uniform(helix, n)
+        state = cs.flow.make_state(helix)
+        return as_public(lambda: cs.flow._remeshed(state),
+                         lambda: cs.curve.resample_uniform(helix, n))
     if layer == "rescale":
         return lambda: cs.sphere.rescale(sphere, 0.0)
     if layer == "open_solve":
@@ -168,6 +176,14 @@ def layer_call(cs: SimpleNamespace, layer: str, n: int, path: Path):
     cs.flow._backward_euler(curve, geom, cs.flow.stable_step(geom, 0.5), capture, capture)
     (system,) = systems
     return lambda: solve(*system)
+
+
+def as_public(kernel, public):
+    """``kernel``, a run's unchecked step or remesh, once it has given the
+    bits of ``public``, its checked public form, on the same input."""
+    if output_bits(kernel()) != output_bits(public()):
+        raise AssertionError("a run's kernel and its public form give different bits")
+    return kernel
 
 
 def output_bits(result) -> dict:
